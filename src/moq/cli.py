@@ -7,10 +7,12 @@ Subcommands::
     moq moment  --spec spec.json --r 0.5 --method auto --tol 1e-10
     moq verify  [all | check names ...] [--spec spec.json] [--budget N] [--seed N]
 
-Exit codes: 0 success; 1 a verify check failed; 2 bad usage or spec parse
-failure (also unknown check names); 3 evaluation error while writing a
-curve; 4 a parameter-regime or domain condition was violated; 5 a series
-failed to converge.
+Exit codes: 0 success; 1 a verify check failed; 2 bad usage, a bad
+numeric argument or seed, or a spec parse failure (also unknown check
+names); 3 evaluation error while writing a curve; 4 a parameter-regime or
+domain condition was violated; 5 a series failed to converge, or
+quadrature could not meet its tolerance.  ``main`` maps the package's
+errors to these codes in one table, ``_EXIT_CODES``.
 
 ``MOQ_SEED`` provides a default seed; an explicit ``--seed`` wins, then
 the spec file's ``seed`` field, then 0.
@@ -19,6 +21,7 @@ the spec file's ``seed`` field, then 0.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -31,6 +34,7 @@ from .errors import (
     MoqError,
     Nonconvergence,
     SpecError,
+    ToleranceNotMet,
 )
 from .extended import ExtendedDistribution
 from .moments import moment
@@ -45,6 +49,14 @@ from .verify import CHECKS, run_checks
 _QUANTITIES = ("cdf", "sf", "pdf", "hazard")
 _SAMPLERS = ("accept-reject", "random-maxima", "inverse-cdf")
 _METHODS = ("auto", "closed_form", "series_at_zero", "series_at_one", "scaling", "quadrature")
+# The exit code of each error a command lets through, after one "error:" line.
+_EXIT_CODES = {
+    SpecError: 2,
+    ConditionViolated: 4,
+    DomainError: 4,
+    Nonconvergence: 5,
+    ToleranceNotMet: 5,
+}
 
 
 def _fmt(x: float) -> str:
@@ -65,20 +77,14 @@ def _resolve_seed(cli_seed: int | None, spec: DistributionSpec) -> int:
     return 0
 
 
-def _load(path: str) -> DistributionSpec:
-    return load_spec(path)
-
-
 def _cmd_curve(args, parser) -> int:
+    if not all(map(math.isfinite, (args.lo, args.hi, args.step))):
+        parser.error("--lo, --hi and --step must be finite")
     if args.lo >= args.hi:
         parser.error(f"--lo must be below --hi (got {args.lo} >= {args.hi})")
     if args.step <= 0:
         parser.error("--step must be positive")
-    try:
-        spec = _load(args.spec)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = load_spec(args.spec)
     ed = ExtendedDistribution(spec.baseline, spec.pv)
     count = int((args.hi - args.lo) / args.step + 1e-9) + 1
     xs = args.lo + args.step * np.arange(count)
@@ -99,12 +105,11 @@ def _cmd_curve(args, parser) -> int:
 def _cmd_sample(args, parser) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
-    try:
-        spec = _load(args.spec)
-        seed = _resolve_seed(args.seed, spec)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = load_spec(args.spec)
+    seed = _resolve_seed(args.seed, spec)
+    if seed < 0:
+        # numpy's generators take only non-negative seeds
+        raise SpecError(f"seed must be a non-negative integer, got {seed}")
     ed = ExtendedDistribution(spec.baseline, spec.pv)
     rng = RandomSource(seed)
     samplers = {
@@ -112,14 +117,7 @@ def _cmd_sample(args, parser) -> int:
         "random-maxima": sample_random_maxima,
         "inverse-cdf": sample_inverse_cdf,
     }
-    try:
-        batch = samplers[args.sampler](ed, rng, args.n)
-    except ConditionViolated as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except Nonconvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+    batch = samplers[args.sampler](ed, rng, args.n)
     header = f"# sampler={batch.sampler} seed={batch.seed} n={batch.values.size}"
     if batch.n_proposed is not None:
         header += f" n_proposed={batch.n_proposed} acceptance_rate={_fmt(batch.acceptance_rate)}"
@@ -129,19 +127,8 @@ def _cmd_sample(args, parser) -> int:
 
 
 def _cmd_moment(args, parser) -> int:
-    try:
-        spec = _load(args.spec)
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        res = moment(spec.baseline, spec.pv, args.r, method=args.method, tol=args.tol)
-    except (ConditionViolated, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except Nonconvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+    spec = load_spec(args.spec)
+    res = moment(spec.baseline, spec.pv, args.r, method=args.method, tol=args.tol)
     print(
         f"value={_fmt(res.value)} method={res.method_used} "
         f"terms={res.terms_used} error_estimate={_fmt(res.error_estimate)}"
@@ -150,6 +137,10 @@ def _cmd_moment(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    if args.budget < 1:
+        parser.error("--budget must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     names = None
     targets = args.checks or ["all"]
     if targets != ["all"]:
@@ -158,13 +149,7 @@ def _cmd_verify(args, parser) -> int:
             if name not in CHECKS:
                 print(f"error: unknown check {name!r} (known: {', '.join(CHECKS)})", file=sys.stderr)
                 return 2
-    spec = None
-    if args.spec is not None:
-        try:
-            spec = _load(args.spec)
-        except SpecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    spec = None if args.spec is None else load_spec(args.spec)
     results = run_checks(names, spec=spec, budget=args.budget, seed=args.seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -223,7 +208,11 @@ def main(argv: list[str] | None = None) -> int:
         "moment": _cmd_moment,
         "verify": _cmd_verify,
     }
-    return handlers[args.command](args, parser)
+    try:
+        return handlers[args.command](args, parser)
+    except tuple(_EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

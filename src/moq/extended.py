@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import Baseline
+from .baselines import Baseline, _ret
 from .errors import SurvivalUnderflow
 from .family import (
     ParameterVector,
@@ -23,10 +23,6 @@ __all__ = ["ExtendedDistribution"]
 _TAIL_SWITCH = 1.0 - 1e-8
 
 _SF_FLOOR = 1e-300
-
-
-def _ret(arr, scalar: bool):
-    return float(arr) if scalar else arr
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .baselines import _ret
 from .errors import (
     ConditionViolated,
     DomainError,
@@ -134,10 +135,6 @@ def _as_unit_interval(u, *, slack: float = U_SLACK):
         bad = arr if scalar else arr[~((arr >= -slack) & (arr <= 1.0 + slack))][:1]
         raise DomainError(f"u = {np.ravel(bad)[:1]} outside [0, 1] beyond tolerance {slack}")
     return np.clip(arr, 0.0, 1.0), scalar
-
-
-def _ret(arr, scalar: bool):
-    return float(arr) if scalar else arr
 
 
 def distortion(pv: ParameterVector, u):

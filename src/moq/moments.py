@@ -17,6 +17,7 @@ rather than returning quietly wrong numbers.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .baselines import Baseline, Exponential, GeneralizedWeibull, LogLogistic, Weibull
@@ -39,6 +40,8 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 _CANCEL_LIMIT = 1e12
 _DEFAULT_MAX_TERMS = 200_000
+# moment_exponential and moment_loglogistic take the first four
+_METHODS = ("auto", "series_at_zero", "series_at_one", "quadrature", "closed_form", "scaling")
 
 
 @dataclass(frozen=True)
@@ -82,59 +85,54 @@ def _alternating_binomial_inner(m: int, r: float) -> tuple[float, float]:
     return total, abssum
 
 
-def _exp_series_at_zero(pv: ParameterVector, r: float, tol: float, max_terms: int) -> MomentResult:
+def _series_at_zero(pv: ParameterVector, term, tol: float, max_terms: int) -> MomentResult:
+    """Sum term(m, w_m) over the weights about u = 0, m = 1, 2, ...
+
+    ``term`` returns the m-th term and a bound on its rounding error; the
+    reported error is the geometric tail bound plus the summed roundings.
+    """
     stream = _SeriesStream(pv, "at_zero")
-    pref = math.exp(math.log(r) + log_gamma(r)) if r > 0 else 0.0  # r * Gamma(r)
-    total = 0.0
-    cancel_err = 0.0
-    recent: list[float] = []
-    m = 0
-    while m < max_terms:
-        m += 1
-        w = stream.value(m)
-        inner, abssum = _alternating_binomial_inner(m, r)
-        term = pref * m * w * inner
-        total += term
-        cancel_err += pref * m * abs(w) * abssum * _EPS
-        if abs(inner) > 0 and abssum / abs(inner) > _CANCEL_LIMIT and abs(term) > tol * 1e-3:
-            raise Nonconvergence(
-                f"inner alternating sum ill-conditioned at index {m} "
-                f"(cancellation ratio {abssum / abs(inner):.2e})"
-            )
-        recent.append(abs(term))
-        if len(recent) > pv.q + 1:
-            recent.pop(0)
+    total = err = 0.0
+    recent: deque[float] = deque(maxlen=pv.q + 1)
+    for m in range(1, max_terms + 1):
+        t, rounding = term(m, stream.value(m))
+        total += t
+        err += rounding
+        recent.append(abs(t))
         if m >= pv.q + 2:
-            # weight ratio bound times the (m+1)/m growth of the m factor
+            # the weight-envelope ratio and the (m+1)/m growth of the m factor
+            # bound the rest; each family's other factors shrink with m
             rho = stream.envelope_ratio(m) * (m + 1) / m
             if rho < 1.0:
                 tail = max(recent) * rho / (1.0 - rho)
                 if tail < tol:
-                    return MomentResult(total, "series_at_zero", m, tail + cancel_err)
-    raise Nonconvergence(f"exponential moment series (at zero) exceeded {max_terms} terms")
+                    return MomentResult(total, "series_at_zero", m, tail + err)
+    raise Nonconvergence(f"moment series (at zero) exceeded {max_terms} terms")
 
 
-def _exp_series_at_one(pv: ParameterVector, r: float, tol: float, max_terms: int) -> MomentResult:
-    if not pv.series_at_one_ok:
-        raise ConditionViolated(
-            f"series about u = 1 requires sum(a) < 2q; got sum(a) = {pv.sum_a}, q = {pv.q}"
-        )
+def _series_at_one(pv: ParameterVector, term, tol: float, max_terms: int) -> MomentResult:
+    """Alternating sum of term(m, w_m) over the weights about u = 1.
+
+    Stops at the first term beyond index q + 2 that is no larger than its
+    predecessor and below ``tol``; its magnitude is the error estimate.
+    """
     stream = _SeriesStream(pv, "at_one")
-    pref = math.exp(math.log(r) + log_gamma(r))
-    total = 0.0
-    prev = math.inf
-    m = 0
-    while m < max_terms:
-        m += 1
-        term = pref * stream.value(m) * m ** (-r)
-        if m % 2 == 0:
-            term = -term
-        total += term
-        mag = abs(term)
+    total, prev = 0.0, math.inf
+    for m in range(1, max_terms + 1):
+        t = term(m, stream.value(m))
+        total += -t if m % 2 == 0 else t
+        mag = abs(t)
         if m > pv.q + 2 and mag <= prev and mag < tol:
             return MomentResult(total, "series_at_one", m, mag)
         prev = mag
-    raise Nonconvergence(f"exponential moment series (at one) exceeded {max_terms} terms")
+    raise Nonconvergence(f"moment series (at one) exceeded {max_terms} terms")
+
+
+def _check_query(method: str, tol: float, methods: tuple[str, ...]) -> None:
+    if method not in methods:
+        raise DomainError(f"unknown method {method!r} (choose from {', '.join(methods)})")
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
 
 
 def moment_exponential(
@@ -152,28 +150,36 @@ def moment_exponential(
     alternating series at one and then to quadrature, if the inner sums
     become too ill-conditioned to trust.
     """
+    _check_query(method, tol, _METHODS[:4])
     _require_pmf(pv, "exponential-baseline moment series")
     if r == 0.0:
         return MomentResult(1.0, "closed_form", 1, 0.0)
     if not (math.isfinite(r) and r > 0):
         raise DomainError(f"moment order must satisfy r > 0, got {r!r}")
-    if method == "series_at_zero":
-        return _exp_series_at_zero(pv, r, tol, max_terms)
-    if method == "series_at_one":
-        return _exp_series_at_one(pv, r, tol, max_terms)
-    if method == "quadrature":
-        return _moment_quadrature(Exponential(1.0), pv, r, tol)
-    if method != "auto":
-        raise DomainError(f"unknown method {method!r}")
-    try:
-        return _exp_series_at_zero(pv, r, tol, max_terms)
-    except Nonconvergence:
-        pass
-    if pv.series_at_one_ok:
+    pref = math.exp(math.log(r) + log_gamma(r))  # r * Gamma(r)
+
+    def at_zero(m: int, w: float) -> tuple[float, float]:
+        inner, abssum = _alternating_binomial_inner(m, r)
+        t = pref * m * w * inner
+        if abs(inner) > 0 and abssum / abs(inner) > _CANCEL_LIMIT and abs(t) > tol * 1e-3:
+            raise Nonconvergence(
+                f"inner alternating sum ill-conditioned at index {m} "
+                f"(cancellation ratio {abssum / abs(inner):.2e})"
+            )
+        return t, pref * m * abs(w) * abssum * _EPS
+
+    if method in ("auto", "series_at_zero"):
         try:
-            return _exp_series_at_one(pv, r, tol, max_terms)
+            return _series_at_zero(pv, at_zero, tol, max_terms)
         except Nonconvergence:
-            pass
+            if method != "auto":
+                raise
+    if method == "series_at_one" or (method == "auto" and pv.series_at_one_ok):
+        try:
+            return _series_at_one(pv, lambda m, w: pref * w * m ** (-r), tol, max_terms)
+        except Nonconvergence:
+            if method != "auto":
+                raise
     return _moment_quadrature(Exponential(1.0), pv, r, tol)
 
 
@@ -190,64 +196,18 @@ def moment_loglogistic(
     the exponential case it never cancels; the one at one alternates with
     an immediate next-term error bound.
     """
+    _check_query(method, tol, _METHODS[:4])
     _require_pmf(pv, "log-logistic-baseline moment series")
     if not (math.isfinite(r) and abs(r) < 1.0):
         raise DomainError(f"log-logistic moment series requires |r| < 1, got r = {r!r}")
     if r == 0.0:
         return MomentResult(1.0, "closed_form", 1, 0.0)
-    if method not in ("auto", "series_at_zero", "series_at_one", "quadrature"):
-        raise DomainError(f"unknown method {method!r}")
     if method == "quadrature":
         return _moment_quadrature(LogLogistic(), pv, r, tol)
     if method == "series_at_one":
-        return _ll_series_at_one(pv, r, tol, max_terms)
+        return _series_at_one(pv, lambda m, w: m * w * beta_fn(m - r, 1.0 + r), tol, max_terms)
     # auto: the series at zero has the smaller ratio and non-negative terms
-    return _ll_series_at_zero(pv, r, tol, max_terms)
-
-
-def _ll_series_at_zero(pv: ParameterVector, r: float, tol: float, max_terms: int) -> MomentResult:
-    stream = _SeriesStream(pv, "at_zero")
-    total = 0.0
-    recent: list[float] = []
-    m = 0
-    while m < max_terms:
-        m += 1
-        term = m * stream.value(m) * beta_fn(1.0 - r, m + r)
-        total += term
-        recent.append(abs(term))
-        if len(recent) > pv.q + 1:
-            recent.pop(0)
-        if m >= pv.q + 2:
-            # Beta(1-r, m+r) shrinks with m; the weight-envelope ratio and
-            # the (m+1)/m growth of the m factor bound the rest
-            rho = stream.envelope_ratio(m) * (m + 1) / m
-            if rho < 1.0:
-                tail = max(recent) * rho / (1.0 - rho)
-                if tail < tol:
-                    return MomentResult(total, "series_at_zero", m, tail)
-    raise Nonconvergence(f"log-logistic moment series (at zero) exceeded {max_terms} terms")
-
-
-def _ll_series_at_one(pv: ParameterVector, r: float, tol: float, max_terms: int) -> MomentResult:
-    if not pv.series_at_one_ok:
-        raise ConditionViolated(
-            f"series about u = 1 requires sum(a) < 2q; got sum(a) = {pv.sum_a}, q = {pv.q}"
-        )
-    stream = _SeriesStream(pv, "at_one")
-    total = 0.0
-    prev = math.inf
-    m = 0
-    while m < max_terms:
-        m += 1
-        term = m * stream.value(m) * beta_fn(m - r, 1.0 + r)
-        if m % 2 == 0:
-            term = -term
-        total += term
-        mag = abs(term)
-        if m > pv.q + 2 and mag <= prev and mag < tol:
-            return MomentResult(total, "series_at_one", m, mag)
-        prev = mag
-    raise Nonconvergence(f"log-logistic moment series (at one) exceeded {max_terms} terms")
+    return _series_at_zero(pv, lambda m, w: (m * w * beta_fn(1.0 - r, m + r), 0.0), tol, max_terms)
 
 
 def moment_q2_loglogistic_closed(a1: float, a2: float, b1: float, b2: float, r: float) -> float:
@@ -285,13 +245,13 @@ def moment_weibull_scaled(
     if not (math.isfinite(scale) and scale > 0 and math.isfinite(shape) and shape > 0):
         raise DomainError("scale and shape must be strictly positive")
     inner = moment_exponential(pv, r / shape, tol=tol / max(scale**r, 1.0), method=method)
-    factor = scale**r
-    return MomentResult(
-        value=factor * inner.value,
-        method_used=f"scaling({inner.method_used})",
-        terms_used=inner.terms_used,
-        error_estimate=factor * inner.error_estimate,
-    )
+    return _scaled(inner, scale**r)
+
+
+def _scaled(inner: MomentResult, factor: float) -> MomentResult:
+    """Carry a moment of the unit-scale variable over to scale**r times it."""
+    value, err = factor * inner.value, factor * inner.error_estimate
+    return MomentResult(value, f"scaling({inner.method_used})", inner.terms_used, err)
 
 
 def moment_generalized_weibull(
@@ -321,15 +281,8 @@ def moment_generalized_weibull(
     m2 = int(round(inv_shape))
     b3 = int(round(shape2))
 
-    exp_moments: dict[int, MomentResult] = {}
-
-    def unit_exp_moment(j: int) -> MomentResult:
-        if j == 0:
-            return MomentResult(1.0, "closed_form", 1, 0.0)
-        if j not in exp_moments:
-            exp_moments[j] = moment_exponential(pv, float(j), tol=tol * 1e-3)
-        return exp_moments[j]
-
+    # moment_exponential returns exactly 1 at order 0
+    exp_moments = [moment_exponential(pv, float(j), tol=tol * 1e-3) for j in range(b3 * m * m2 + 1)]
     total = 0.0
     err = 0.0
     terms = 0
@@ -338,7 +291,7 @@ def moment_generalized_weibull(
         outer = math.comb(m * m2, k)
         for j in range(b3 * k + 1):
             c = sign * outer * math.comb(b3 * k, j)
-            mom = unit_exp_moment(j)
+            mom = exp_moments[j]
             total += c * mom.value
             err += abs(c) * (mom.error_estimate + _EPS * abs(mom.value))
             terms = max(terms, mom.terms_used)
@@ -371,12 +324,10 @@ def moment_bound_check(
     if n_mc > 0:
         from .sampling import RandomSource, sample_inverse_cdf
 
-        ed = ExtendedDistribution(baseline, pv)
-        batch = sample_inverse_cdf(ed, RandomSource(seed), n_mc)
+        batch = sample_inverse_cdf(ExtendedDistribution(baseline, pv), RandomSource(seed), n_mc)
         lhs = float((batch.values**r).mean())
     else:
-        ed = ExtendedDistribution(baseline, pv)
-        lhs = integrate_semiinfinite(lambda x: x**r * ed.pdf(x), lo=0.0, tol=tol).value
+        lhs = _moment_quadrature(baseline, pv, r, tol).value
     return lhs, rhs
 
 
@@ -389,13 +340,21 @@ def moment(
 ) -> MomentResult:
     """Front door used by the CLI: route a moment query to the right path.
 
-    ``auto`` prefers the closed form where one exists (two-parameter
-    log-logistic), then the series through the family's scaling relation,
-    then quadrature.  Explicit methods: ``closed_form``, ``series_at_zero``,
-    ``series_at_one``, ``scaling``, ``quadrature``.
+    ``method`` is one of ``auto``, ``closed_form``, ``series_at_zero``,
+    ``series_at_one``, ``scaling``, ``quadrature``; anything else, and a
+    ``tol`` that is not positive and finite, raise :class:`DomainError`.
+    The family's domain checks run before any path: log-logistic moments
+    need |r| < shape.
+
+    ``auto`` takes the closed form where one exists (the two-parameter
+    log-logistic, and the binomial transform for generalized Weibull at
+    integer r), then, in the pmf regime, the series through the family's
+    scaling relation, and otherwise quadrature.  ``scaling`` is the series
+    route without the closed form; ``series_at_*`` pin the expansion.
     """
-    if method == "quadrature":
-        return _moment_quadrature(baseline, pv, r, tol)
+    _check_query(method, tol, _METHODS)
+    quadrature = method == "quadrature" or (method == "auto" and not pv.pmf_ok)
+    series_method = method if method in ("series_at_zero", "series_at_one") else "auto"
     if isinstance(baseline, LogLogistic):
         closed_ok = pv.q == 2 and abs(r) < baseline.shape
         if method == "closed_form" or (method == "auto" and closed_ok):
@@ -406,26 +365,23 @@ def moment(
                 )
             val = moment_q2_loglogistic_closed(pv.a[0], pv.a[1], baseline.scale, baseline.shape, r)
             return MomentResult(val, "closed_form", 1, 4.0 * _EPS * abs(val))
-        if abs(r) >= baseline.shape:
+        if not abs(r) < baseline.shape:
             raise DomainError(f"log-logistic moments need |r| < shape = {baseline.shape}")
-        inner_method = method if method in ("series_at_zero", "series_at_one") else "auto"
-        inner = moment_loglogistic(pv, r / baseline.shape, tol=tol, method=inner_method)
-        factor = baseline.scale**r
-        return MomentResult(
-            factor * inner.value,
-            f"scaling({inner.method_used})",
-            inner.terms_used,
-            factor * inner.error_estimate,
-        )
-    if isinstance(baseline, (Exponential, Weibull)):
+        if not quadrature:
+            inner = moment_loglogistic(pv, r / baseline.shape, tol=tol, method=series_method)
+            return _scaled(inner, baseline.scale**r)
+    elif isinstance(baseline, (Exponential, Weibull)):
         if method == "closed_form":
             raise DomainError(f"no closed form for {baseline.name} moments")
-        shape = baseline.shape if isinstance(baseline, Weibull) else 1.0
-        inner_method = method if method in ("series_at_zero", "series_at_one") else "auto"
-        return moment_weibull_scaled(pv, baseline.scale, shape, r, tol=tol, method=inner_method)
-    if isinstance(baseline, GeneralizedWeibull):
-        r_int = int(round(r))
-        if method in ("auto", "closed_form") and abs(r - r_int) < 1e-12 and r_int >= 1:
+        if not quadrature:
+            shape = baseline.shape if isinstance(baseline, Weibull) else 1.0
+            return moment_weibull_scaled(pv, baseline.scale, shape, r, tol=tol, method=series_method)
+    elif isinstance(baseline, GeneralizedWeibull):
+        r_int = round(r) if math.isfinite(r) else 0
+        integer = abs(r - r_int) < 1e-12 and r_int >= 1
+        if method not in ("auto", "quadrature") and not (method == "closed_form" and integer):
+            raise DomainError(f"method {method!r} unavailable for {baseline.name} at r = {r}")
+        if integer and not quadrature:
             try:
                 return moment_generalized_weibull(
                     pv, baseline.scale, baseline.shape, baseline.shape2, r_int, tol=tol
@@ -433,7 +389,6 @@ def moment(
             except DomainError:
                 if method == "closed_form":
                     raise
-        if method not in ("auto",):
-            raise DomainError(f"method {method!r} unavailable for {baseline.name}")
-        return _moment_quadrature(baseline, pv, r, tol)
-    raise DomainError(f"unsupported baseline {baseline!r}")
+    elif method != "quadrature":
+        raise DomainError(f"unsupported baseline {baseline!r}")
+    return _moment_quadrature(baseline, pv, r, tol)

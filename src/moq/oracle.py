@@ -110,7 +110,8 @@ def _adaptive(f: Callable, a: float, b: float, tol: float, max_panels: int) -> t
 
     value = math.fsum(v for v, _ in frozen) + math.fsum(item[4] for item in active)
     err = math.fsum(e for _, e in frozen) + math.fsum(item[5] for item in active)
-    if err > tol:
+    # a NaN estimate (from a non-finite integrand) compares false with tol
+    if not err <= tol:
         raise ToleranceNotMet(
             f"quadrature error estimate {err:.3e} above tol {tol:.3e} after {evals} evaluations"
         )
@@ -132,7 +133,8 @@ def integrate_semiinfinite(
     become endpoint singularities at u = 0, where subdivision has the full
     density of floats available to it.
 
-    Raises ToleranceNotMet if the refinement budget is exhausted first.
+    Raises ToleranceNotMet if the refinement budget is exhausted first, or
+    if the error estimate is not a number (a non-finite integrand).
     """
     if not math.isfinite(lo):
         raise DomainError("lower limit must be finite")

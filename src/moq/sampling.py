@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -174,37 +175,31 @@ class _CountTable:
         return np.asarray(self.cum)
 
 
-_COUNT_TABLES: dict[ParameterVector, _CountTable] = {}
-_COUNT_TABLES_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=256)
 def _count_table(pv: ParameterVector) -> _CountTable:
     if not pv.pmf_ok:
         raise ConditionViolated(
             "random sample counts require sum(a) >= q and a_i <= 1 for i >= 2 "
             f"(weights are not a pmf for a = {pv.a})"
         )
-    with _COUNT_TABLES_LOCK:
-        table = _COUNT_TABLES.get(pv)
-        if table is None:
-            table = _CountTable(pv)
-            _COUNT_TABLES[pv] = table
-    return table
+    return _CountTable(pv)
+
+
+def _draw_counts(pv: ParameterVector, gen: np.random.Generator, n: int, max_terms: int) -> np.ndarray:
+    """n counts from n uniforms of ``gen``; the table extends just far
+    enough to cover the largest uniform drawn."""
+    table = _count_table(pv)
+    u = gen.random(n)
+    cum = table.extended_to(float(u.max()), max_terms)
+    return np.searchsorted(cum, u, side="right") + 1
 
 
 def sample_count(pv: ParameterVector, rng: RandomSource, n: int | None = None, max_terms: int = 10**6):
     """Draw the random baseline-draw count N with P(N = m) = series weight m.
 
     Returns a single int for ``n=None``, otherwise an int array of length n.
-    The cumulative table extends itself just far enough to cover the
-    largest uniform drawn.
     """
-    table = _count_table(pv)
-    gen = rng.generator()
-    size = 1 if n is None else int(n)
-    u = gen.random(size)
-    cum = table.extended_to(float(u.max()), max_terms)
-    counts = np.searchsorted(cum, u, side="right") + 1
+    counts = _draw_counts(pv, rng.generator(), 1 if n is None else int(n), max_terms)
     return int(counts[0]) if n is None else counts
 
 
@@ -217,11 +212,8 @@ def sample_random_maxima(ed: ExtendedDistribution, rng: RandomSource, n: int) ->
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    table = _count_table(ed.pv)
     gen = rng.generator()
-    u = gen.random(n)
-    cum = table.extended_to(float(u.max()), 10**6)
-    counts = np.searchsorted(cum, u, side="right") + 1
+    counts = _draw_counts(ed.pv, gen, n, 10**6)
     total = int(counts.sum())
     draws = gen.random(total)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])

@@ -21,6 +21,10 @@ WEIBULL_ID = {"baseline": {"family": "weibull", "scale": 2.0, "shape": 2.0}, "a"
 LL_EQUAL = {"baseline": {"family": "loglogistic"}, "a": [1.0, 1.0]}
 EXP_ID = {"baseline": {"family": "exponential"}, "a": [1.0]}
 EXP_PMF = {"baseline": {"family": "exponential"}, "a": [1.5, 0.5], "seed": 5}
+GW_HALF = {
+    "baseline": {"family": "generalized_weibull", "scale": 1, "shape": 0.5, "shape2": 2},
+    "a": [1.5, 0.5],
+}
 
 
 class TestSpecParsing:
@@ -179,6 +183,13 @@ class TestMomentCommand:
         spec = write_spec(tmp_path, LL_EQUAL)
         assert main(["moment", "--spec", spec, "--r", "1.5"]) == 4
 
+    def test_quadrature_tolerance_failure_exits_5(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, GW_HALF)
+        assert main(["moment", "--spec", spec, "--r", "2.5"]) == 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("error:") == 1 and err.startswith("error:")
+
 
 class TestVerifyCommand:
     def test_unknown_check_exits_2(self):
@@ -196,3 +207,30 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, moq_seed, spec_data",
+    [
+        (["curve", "--lo", "nan", "--hi", "1", "--step", "0.5"], None, EXP_ID),
+        (["curve", "--lo", "0", "--hi", "inf", "--step", "0.5"], None, EXP_ID),
+        (["curve", "--lo", "0", "--hi", "1", "--step", "nan"], None, EXP_ID),
+        (["sample", "--n", "3", "--seed", "-1"], None, EXP_PMF),
+        (["sample", "--n", "3"], "-1", EXP_PMF),
+        (["sample", "--n", "3"], None, {**EXP_PMF, "seed": -3}),
+        (["verify", "sampler-ks", "--budget", "0"], None, EXP_PMF),
+        (["verify", "sampler-ks", "--budget", "100", "--seed", "-1"], None, EXP_PMF),
+    ],
+    ids=["lo-nan", "hi-inf", "step-nan", "seed-flag", "seed-env", "seed-spec", "budget-0", "verify-seed"],
+)
+def test_bad_numeric_argument_exits_2(tmp_path, monkeypatch, capsys, argv, moq_seed, spec_data):
+    if moq_seed is None:
+        monkeypatch.delenv("MOQ_SEED", raising=False)
+    else:
+        monkeypatch.setenv("MOQ_SEED", moq_seed)
+    try:
+        rc = main([argv[0], "--spec", write_spec(tmp_path, spec_data), *argv[1:]])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err

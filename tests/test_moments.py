@@ -243,3 +243,23 @@ class TestFrontDoor:
         pv = validate_params(1, [1.5])
         res = moment(GeneralizedWeibull(1.0, 0.6, 1.3), pv, 1.0)
         assert res.method_used == "quadrature"
+
+    def test_auto_outside_pmf_regime_integrates(self):
+        pv = validate_params(2, [1e-6, 0.15])
+        res = moment(Weibull(2.0, 2.0), pv, 1.0)
+        assert res.method_used == "quadrature"
+        assert res.value == moment(Weibull(2.0, 2.0), pv, 1.0, method="quadrature").value
+
+    @pytest.mark.parametrize("baseline", [Exponential(1.0), Weibull(2.0, 2.0), LogLogistic()])
+    def test_unknown_method_rejected(self, baseline):
+        with pytest.raises(DomainError, match="unknown method"):
+            moment(baseline, validate_params(2, [1.5, 0.5]), 0.5, method="nonsense")
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan])
+    def test_bad_tolerance_rejected_before_any_work(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            moment(LogLogistic(), validate_params(2, [1.5, 0.5]), 0.3, method="series_at_zero", tol=tol)
+
+    def test_loglogistic_domain_checked_before_quadrature(self):
+        with pytest.raises(DomainError):
+            moment(LogLogistic(), validate_params(1, [1.0]), 1.0, method="quadrature")

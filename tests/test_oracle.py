@@ -61,6 +61,11 @@ class TestQuadrature:
         with pytest.raises(ToleranceNotMet):
             integrate_semiinfinite(lambda x: np.sqrt(x) / (1 + x) ** 2, tol=1e-10, max_panels=8)
 
+    def test_non_finite_integrand_raises(self):
+        # the NaN error estimate compares false with tol; it must not pass
+        with pytest.raises(ToleranceNotMet):
+            integrate_semiinfinite(lambda x: np.where(x < 2.0, 1.0, np.nan))
+
     def test_order_statistic_identity(self):
         """Quadrature against the exact alternating form of
         integral x^r F(x)^(m-1) f(x) dx for the unit exponential:
