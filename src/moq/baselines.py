@@ -1,4 +1,4 @@
-"""Baseline distributions on [0, inf) with closed-form cdf, pdf, and quantile.
+"""Baseline distributions on [0, inf) with closed-form cdf, sf, pdf, quantile and isf.
 
 Four families: exponential, Weibull, a three-parameter generalized Weibull,
 and log-logistic.  Tails are computed through ``expm1``/``log1p`` style
@@ -78,6 +78,10 @@ class Baseline(ABC):
     def quantile(self, p):
         """Unique x with cdf(x) = p, for p strictly inside (0, 1)."""
 
+    @abstractmethod
+    def isf(self, s):
+        """Unique x with sf(x) = s, for s strictly inside (0, 1)."""
+
 
 @dataclass(frozen=True)
 class Exponential(Baseline):
@@ -103,6 +107,10 @@ class Exponential(Baseline):
     def quantile(self, p):
         pp, scalar = _check_prob(p)
         return _ret(-self.scale * np.log1p(-pp), scalar)
+
+    def isf(self, s):
+        ss, scalar = _check_prob(s)
+        return _ret(-self.scale * np.log(ss), scalar)
 
 
 @dataclass(frozen=True)
@@ -137,6 +145,10 @@ class Weibull(Baseline):
     def quantile(self, p):
         pp, scalar = _check_prob(p)
         return _ret(self.scale * (-np.log1p(-pp)) ** (1.0 / self.shape), scalar)
+
+    def isf(self, s):
+        ss, scalar = _check_prob(s)
+        return _ret(self.scale * (-np.log(ss)) ** (1.0 / self.shape), scalar)
 
 
 @dataclass(frozen=True)
@@ -183,7 +195,13 @@ class GeneralizedWeibull(Baseline):
 
     def quantile(self, p):
         pp, scalar = _check_prob(p)
-        t = (1.0 - np.log1p(-pp)) ** self.shape2 - 1.0
+        # (1 - log sf)^shape2 - 1 without cancellation as sf -> 1
+        t = np.expm1(self.shape2 * np.log1p(-np.log1p(-pp)))
+        return _ret(self.scale * t ** (1.0 / self.shape), scalar)
+
+    def isf(self, s):
+        ss, scalar = _check_prob(s)
+        t = np.expm1(self.shape2 * np.log1p(-np.log(ss)))
         return _ret(self.scale * t ** (1.0 / self.shape), scalar)
 
 
@@ -229,6 +247,10 @@ class LogLogistic(Baseline):
     def quantile(self, p):
         pp, scalar = _check_prob(p)
         return _ret(self.scale * (pp / (1.0 - pp)) ** (1.0 / self.shape), scalar)
+
+    def isf(self, s):
+        ss, scalar = _check_prob(s)
+        return _ret(self.scale * ((1.0 - ss) / ss) ** (1.0 / self.shape), scalar)
 
 
 BASELINE_FAMILIES: dict[str, type[Baseline]] = {

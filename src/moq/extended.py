@@ -6,10 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import Baseline, _ret
+from .baselines import Baseline, _check_prob, _ret
 from .errors import SurvivalUnderflow
 from .family import (
     ParameterVector,
+    _invert,
     distortion,
     distortion_complement,
     distortion_deriv,
@@ -17,10 +18,6 @@ from .family import (
 )
 
 __all__ = ["ExtendedDistribution"]
-
-# Above this CDF level the survival switches to the complement polynomial,
-# which reaches the far tail without subtracting two near-one quantities.
-_TAIL_SWITCH = 1.0 - 1e-8
 
 _SF_FLOOR = 1e-300
 
@@ -41,13 +38,19 @@ class ExtendedDistribution:
         return distortion(self.pv, self.baseline.cdf(x))
 
     def sf(self, x):
+        # 1 - T(u) while the baseline cdf u is at most 1/2, where u carries
+        # the digits; beyond, the complement of the baseline survival
         xx = np.asarray(x, dtype=float)
         scalar = xx.ndim == 0
+        xx = np.atleast_1d(xx)
         u = np.asarray(self.baseline.cdf(xx))
-        s0 = np.asarray(self.baseline.sf(xx))
-        plain = 1.0 - np.asarray(distortion(self.pv, u))
-        tail = np.asarray(distortion_complement(self.pv, s0))
-        return _ret(np.where(u > _TAIL_SWITCH, tail, plain), scalar)
+        tail = u > 0.5
+        val = np.empty_like(u)
+        if not tail.all():
+            val[~tail] = 1.0 - np.asarray(distortion(self.pv, u[~tail]))
+        if tail.any():
+            val[tail] = distortion_complement(self.pv, self.baseline.sf(xx[tail]))
+        return _ret(val[0] if scalar else val, scalar)
 
     def pdf(self, x):
         xx = np.asarray(x, dtype=float)
@@ -68,9 +71,25 @@ class ExtendedDistribution:
         return _ret(val, scalar)
 
     def quantile(self, p):
-        u = np.asarray(distortion_inverse(self.pv, p))
-        # keep the level strictly inside (0, 1) for the baseline inverse
-        tiny = np.finfo(float).tiny
-        u = np.clip(u, tiny, 1.0 - np.finfo(float).epsneg)
-        val = self.baseline.quantile(u)
-        return float(val) if np.ndim(p) == 0 else val
+        return self._inverse(p, upper=False)
+
+    def isf(self, s):
+        """Unique x with sf(x) = s, for s strictly inside (0, 1)."""
+        return self._inverse(s, upper=True)
+
+    def _inverse(self, level, upper: bool):
+        # Of a level and its exact complement, the one at most 1/2 is solved:
+        # a cdf level through T and the baseline quantile, a survival level
+        # through 1 - T(1 - s) and the baseline isf.
+        pp, scalar = _check_prob(level)
+        pp = np.atleast_1d(pp)
+        on_sf = (pp > 0.5) != upper
+        small = np.where(pp > 0.5, 1.0 - pp, pp)
+        # keep roots that under- or round off (extreme a only) inside (0, 1)
+        bounds = np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg
+        val = np.empty_like(pp)
+        if not on_sf.all():
+            val[~on_sf] = self.baseline.quantile(np.clip(distortion_inverse(self.pv, small[~on_sf]), *bounds))
+        if on_sf.any():
+            val[on_sf] = self.baseline.isf(np.clip(_invert(self.pv, small[on_sf], True), *bounds))
+        return _ret(val[0] if scalar else val, scalar)

@@ -13,9 +13,9 @@ Marshall-Olkin map ``u / (a + (1 - a)*u)``.
 
 This module exposes the distortion, its derivative, the complement
 ``1 - T(1 - s)`` in a cancellation-free form for accurate survival tails,
-a bracketed inverse, and the two power-series expansions (about ``u = 0``
-and ``u = 1``) whose coefficients drive the moment formulas and the
-random-maxima sampler.
+a safeguarded Newton inverse, and the two power-series expansions (about
+``u = 0`` and ``u = 1``) whose coefficients drive the moment formulas and
+the random-maxima sampler.
 
 All operations are pure; :class:`ParameterVector` and
 :class:`SeriesCoefficients` are immutable and safe to share across
@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .baselines import _ret
+from .baselines import _check_prob, _ret
 from .errors import (
     ConditionViolated,
     DomainError,
@@ -188,102 +188,152 @@ def distortion_deriv(pv: ParameterVector, u):
 
 
 @lru_cache(maxsize=256)
-def _complement_numerator_coeffs(pv: ParameterVector) -> tuple[float, ...]:
+def _complement_numerator_coeffs(pv: ParameterVector) -> tuple[tuple[float, float], ...]:
     """Coefficients (degrees 1..q in s) of D(s)^q - N(s) where
 
     D(s)^q = (q + (S-q)*s)^q  and  N(s) = q^q * (1-s) * prod_i (1 - (1-a_i)*s)
 
     are the denominator and numerator of T(1-s).  Both have constant term
     q^q, so the difference starts at degree one: evaluating it never
-    subtracts two near-equal O(1) quantities.
+    subtracts two near-equal O(1) quantities.  Each comes paired with the
+    magnitude of the terms it was formed from, its rounding scale.
     """
     q, big_s = pv.q, pv.sum_a
     qq = float(q) ** q
     denom = [math.comb(q, k) * float(q) ** (q - k) * (big_s - q) ** k for k in range(q + 1)]
-    numer = [qq]
-    for w in [-(1.0 - ai) for ai in pv.a[1:]] + [-1.0]:
-        nxt = numer + [0.0]
-        for j in range(len(numer)):
-            nxt[j + 1] += w * numer[j]
-        numer = nxt
-    diff = [d - n for d, n in zip(denom, numer)]
-    return tuple(diff[1:])
+    w = [-(1.0 - ai) for ai in pv.a[1:]] + [-1.0]
+    numer = elementary_symmetric(w, q)
+    mags = [abs(d) + qq * e for d, e in zip(denom, elementary_symmetric(map(abs, w), q))]
+    diff = [d - qq * n for d, n in zip(denom, numer)]
+    # The s-coefficient is q^q (S - q) + q^q (1 + sum_{i>=2} (1 - a_i)) =
+    # q^q a_1 exactly; the difference above would lose it to cancellation.
+    diff[1] = mags[1] = qq * pv.a[0]
+    return tuple(zip(diff[1:], mags[1:]))
 
 
 def distortion_complement(pv: ParameterVector, s):
-    """Evaluate 1 - T(1 - s) accurately for small survival values s.
+    """Evaluate 1 - T(1 - s) with relative accuracy on [0, 1].
 
     Expands numerator and denominator of T(1-s) as polynomials in s and
     subtracts them coefficient-wise, leaving a single polynomial whose
     constant term vanishes exactly.  Near s = 0 the result behaves like
-    a_1 * s without catastrophic cancellation.
+    a_1 * s without catastrophic cancellation.  Above s = 1/2, where the
+    polynomial can cancel instead, 1 - T(1 - s) is taken if it errs less.
     """
     ss, scalar = _as_unit_interval(s)
+    ss = np.atleast_1d(ss)
     coeffs = _complement_numerator_coeffs(pv)
     acc = np.zeros_like(ss)
-    for c in reversed(coeffs):
+    for c, _ in reversed(coeffs):
         acc = acc * ss + c
-    acc = acc * ss
     denom = (pv.q * (1.0 - ss) + pv.sum_a * ss) ** pv.q
-    return _ret(np.clip(acc / denom, 0.0, 1.0), scalar)
+    val = np.clip(acc * ss / denom, 0.0, 1.0)
+    # past s = 1/2, where 1 - s is exact, the relative error scales are
+    # mag / acc for the polynomial and (1 - val) / val for 1 - T(1 - s)
+    far = np.flatnonzero(ss > 0.5)
+    s_far, mag = ss[far], np.zeros(far.size)
+    for _, m in reversed(coeffs):
+        mag = mag * s_far + m
+    far = far[mag * s_far > denom[far] * (1.0 - val[far])]
+    if far.size:
+        val[far] = 1.0 - distortion(pv, 1.0 - ss[far])
+    return _ret(val[0] if scalar else val, scalar)
 
 
 def distortion_inverse(pv: ParameterVector, p, *, tol: float = 1e-12, max_iter: int = 200):
-    """Solve T(u) = p for u in [0, 1] by bracketed bisection with secant steps.
+    """Solve T(u) = p for u in [0, 1] by safeguarded Newton iteration.
 
-    The distortion is strictly increasing, so [0, 1] always brackets the
-    root.  Secant candidates accelerate convergence but are only accepted
-    while they stay safely inside the current bracket; otherwise the step
-    falls back to bisection, which keeps the iteration globally convergent
-    even where the derivative vanishes at an endpoint.
+    Levels p <= 1/2 invert T; above 1/2 the complement C(s) = 1 - T(1 - s)
+    is inverted at the exact level 1 - p and 1 - s returned.  Each element
+    starts from a cubic interpolant of a cached log-log table of the map and
+    takes Newton steps inside the bracket of the nodes around it (rtsafe,
+    Press et al., *Numerical Recipes*, §9.4), bisecting where a step would
+    leave the bracket or not halve the last one.  It stops, and leaves the
+    active set, once the Newton correction is below ``tol`` times the
+    iterate: a relative rule, whatever the scale of p.
 
     Raises
     ------
     DomainError
         If ``p`` is outside (0, 1).
     Nonconvergence
-        If the residual still exceeds ``tol`` once the bracket has
-        collapsed to machine width and the iteration cap is hit.
+        If ``max_iter`` passes leave a relative residual above 1e-9.
     """
-    pp = np.asarray(p, dtype=float)
-    scalar = pp.ndim == 0
+    pp, scalar = _check_prob(p)
     pp = np.atleast_1d(pp)
-    if np.any(~np.isfinite(pp)) or np.any(pp <= 0.0) or np.any(pp >= 1.0):
-        raise DomainError("quantile level must lie strictly inside (0, 1)")
-
-    lo = np.zeros_like(pp)
-    hi = np.ones_like(pp)
-    flo = -pp
-    fhi = 1.0 - pp
-    u = np.array(pp, copy=True)
-    f = distortion(pv, u) - pp
-    for it in range(max_iter):
-        below = f < 0.0
-        lo = np.where(below, u, lo)
-        flo = np.where(below, f, flo)
-        hi = np.where(below, hi, u)
-        fhi = np.where(below, fhi, f)
-        if np.all(np.abs(f) <= tol):
-            break
-        width = hi - lo
-        if np.all(width <= 4.0 * np.finfo(float).eps * np.maximum(hi, 1e-300)):
-            break
-        mid = 0.5 * (lo + hi)
-        if it % 2 == 0:
-            denom = fhi - flo
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sec = lo - flo * (hi - lo) / denom
-            margin = 0.01 * width
-            good = np.isfinite(sec) & (sec > lo + margin) & (sec < hi - margin)
-            u = np.where(good, sec, mid)
-        else:
-            u = mid
-        f = distortion(pv, u) - pp
-    else:
-        resid = np.max(np.abs(f))
-        if resid > 1e-9:
-            raise Nonconvergence(f"distortion inverse stalled at residual {resid:.3e}")
+    upper = pp > 0.5
+    u = np.empty_like(pp)
+    u[~upper] = _invert(pv, pp[~upper], False, tol, max_iter)
+    u[upper] = 1.0 - _invert(pv, 1.0 - pp[upper], True, tol, max_iter)
     return _ret(u[0] if scalar else u, scalar)
+
+
+def _maps(complement: bool):
+    # looked up at call time, so that wrappers installed on this module see every evaluation
+    if complement:
+        return distortion_complement, lambda pv, s: distortion_deriv(pv, 1.0 - s)
+    return distortion, distortion_deriv
+
+
+# Nodes uniform in logit(x), dense towards both ends of (0, 1); below the
+# first (8.5e-17) the maps are linear to rounding unless some a_i is extreme.
+_NODES = 1.0 / (1.0 + np.exp(-np.linspace(-37.0, 37.0, 513)))
+
+
+@lru_cache(maxsize=256)
+@np.errstate(all="ignore")
+def _start_table(pv: ParameterVector, complement: bool):
+    """(x, log x, log f, dlog x / dlog f) at the nodes up to f >= 1/2."""
+    f, df = _maps(complement)
+    fx, dfx = np.asarray(f(pv, _NODES)), np.asarray(df(pv, _NODES))
+    n = max(int(np.searchsorted(fx, 0.5)) + 1, 2)
+    x, fx = _NODES[:n], fx[:n]
+    return x, np.log(x), np.log(fx), fx / (x * dfx[:n])
+
+
+@np.errstate(all="ignore")
+def _invert(pv: ParameterVector, level: np.ndarray, complement: bool, tol: float = 1e-12, max_iter: int = 200):
+    """x with f(x) = level for levels in (0, 1/2], where f is T or, with
+    ``complement``, C(s) = 1 - T(1 - s); see distortion_inverse."""
+    out = np.empty_like(level)
+    if level.size == 0:
+        return out
+    f, df = _maps(complement)
+    x, t, y, m = _start_table(pv, complement)
+    ly = np.log(level)
+    below = ly < y[0]
+    k = np.clip(np.searchsorted(y, ly, side="right") - 1, 0, y.size - 2)
+    # cubic Hermite for log x in log f; linear below the table, where the
+    # bracket reaches down to the smallest positive double
+    h = y[k + 1] - y[k]
+    tau, d, m0, m1 = (ly - y[k]) / h, t[k + 1] - t[k], h * m[k], h * m[k + 1]
+    guess = t[k] + tau * (m0 + tau * (3 * d - 2 * m0 - m1 + tau * (m0 + m1 - 2 * d)))
+    guess = np.exp(np.where(below, t[0] + m[0] * (ly - y[0]), guess))
+    lo, hi = np.where(below, 5e-324, x[k]), x[k + 1]
+    x = np.fmin(np.fmax(guess, lo), hi)  # a NaN guess starts at lo
+    idx, step, resid = np.arange(level.size), hi - lo, np.full_like(level, np.inf)
+    for _ in range(max_iter):
+        resid = np.asarray(f(pv, x)) - level
+        slope = np.asarray(df(pv, x))
+        lo = np.where(resid < 0.0, x, lo)
+        hi = np.where(resid > 0.0, x, hi)
+        newton = x - resid / slope
+        done = np.abs(newton - x) <= tol * x
+        fast = (newton > lo) & (newton < hi) & (np.abs(newton - x) <= 0.5 * np.abs(step))
+        # geometric bisection: the bracket may span hundreds of decades
+        nxt = np.where(done | fast, newton, np.sqrt(lo) * np.sqrt(hi))
+        step = nxt - x
+        out[idx[done]] = nxt[done]
+        if done.all():
+            return out
+        if done.any():
+            keep = ~done
+            idx, level, lo, hi, step, resid, nxt = (a[keep] for a in (idx, level, lo, hi, step, resid, nxt))
+        x = nxt
+    if (worst := float(np.max(np.abs(resid) / level))) > 1e-9:
+        raise Nonconvergence(f"distortion inverse stalled at relative residual {worst:.3e}")
+    out[idx] = x
+    return out
 
 
 def composition_pair(pv: ParameterVector, b: float, u):

@@ -194,7 +194,8 @@ def moment_loglogistic(
 
     The series at zero has non-negative terms in the pmf regime, so unlike
     the exponential case it never cancels; the one at one alternates with
-    an immediate next-term error bound.
+    an immediate next-term error bound.  ``auto`` sums the series at zero
+    and integrates if it does not converge within ``max_terms``.
     """
     _check_query(method, tol, _METHODS[:4])
     _require_pmf(pv, "log-logistic-baseline moment series")
@@ -207,7 +208,12 @@ def moment_loglogistic(
     if method == "series_at_one":
         return _series_at_one(pv, lambda m, w: m * w * beta_fn(m - r, 1.0 + r), tol, max_terms)
     # auto: the series at zero has the smaller ratio and non-negative terms
-    return _series_at_zero(pv, lambda m, w: (m * w * beta_fn(1.0 - r, m + r), 0.0), tol, max_terms)
+    try:
+        return _series_at_zero(pv, lambda m, w: (m * w * beta_fn(1.0 - r, m + r), 0.0), tol, max_terms)
+    except Nonconvergence:
+        if method != "auto":
+            raise
+    return _moment_quadrature(LogLogistic(), pv, r, tol)
 
 
 def moment_q2_loglogistic_closed(a1: float, a2: float, b1: float, b2: float, r: float) -> float:

@@ -6,7 +6,8 @@ suite can play them against each other:
 * accept-reject against the baseline with the density-domination constant,
 * maximum of a random number of baseline draws, the count distributed by
   the series-at-zero weights (pmf regime only),
-* inverse-CDF through the bracketed distortion inverse.
+* inverse-CDF through the extended quantile, which inverts each tail
+  through its own map.
 
 All randomness flows through :class:`RandomSource`, a thin wrapper over a
 seeded PCG64 generator: a fixed seed reproduces every batch bit for bit.

@@ -73,6 +73,34 @@ class TestRoundTrips:
         np.testing.assert_allclose(bm.pdf(x), fd, rtol=1e-6)
 
 
+class TestInverseSurvival:
+    @pytest.mark.parametrize("bm", ALL, ids=lambda b: repr(b))
+    def test_isf_round_trip(self, bm):
+        # down to 1e-200: LogLogistic(1, 0.7) overflows near s = 1e-216
+        s = np.geomspace(1e-200, 0.99, 60)
+        x = bm.isf(s)
+        # sf(x) = s to a few ulp of log s, the exponent the baselines round
+        np.testing.assert_allclose(bm.sf(x), s, rtol=1e-12)
+        np.testing.assert_allclose(bm.isf(0.3), bm.quantile(0.7), rtol=1e-14)
+
+    def test_isf_domain(self):
+        for s in (0.0, 1.0, -0.5, 2.0):
+            with pytest.raises(DomainError):
+                Weibull(1.0, 2.0).isf(s)
+
+    def test_generalized_weibull_quantile_in_lower_tail(self):
+        """(1 - log(1 - p))^shape2 - 1 cancels for small p unless taken
+        through expm1 and log1p; 1e-20 gave x = 0."""
+        p = np.geomspace(1e-300, 0.5, 40)
+        np.testing.assert_allclose(GeneralizedWeibull(2.5, 1.0, 1.0).quantile(p), Exponential(2.5).quantile(p), rtol=1e-14)
+        mp = pytest.importorskip("mpmath")
+        gw = GeneralizedWeibull(2.0, 0.5, 2.0)
+        with mp.workdps(50):
+            for level in (1e-300, 1e-20, 1e-9):
+                exact = 2 * ((1 - mp.log1p(-mp.mpf(level))) ** 2 - 1) ** 2
+                assert abs(gw.quantile(level) - exact) <= 1e-14 * exact
+
+
 class TestTails:
     def test_survival_deep_in_tail(self):
         # exp(-(40/2)^2) = exp(-400): far below where 1 - cdf could survive

@@ -9,6 +9,7 @@ from moq import (
     DomainError,
     Exponential,
     ExtendedDistribution,
+    GeneralizedWeibull,
     LogLogistic,
     SurvivalUnderflow,
     Weibull,
@@ -24,6 +25,7 @@ CASES = [
     ExtendedDistribution(LogLogistic(), validate_params(2, [0.5, 1.5])),
     ExtendedDistribution(LogLogistic(2.0, 3.0), validate_params(1, [0.3])),
 ]
+WITH_GW = CASES + [ExtendedDistribution(GeneralizedWeibull(1.0, 0.5, 2.0), validate_params(3, [2.5, 0.5, 0.8]))]
 
 
 class TestCdf:
@@ -120,6 +122,28 @@ class TestHazard:
         d = d[d != 0]
         assert int(np.sum(d[1:] != d[:-1])) >= 2
 
+    def test_two_wave_tail_against_mpmath(self):
+        """Hazard on [5.9, 6.0], where the baseline survival is about 1e-4:
+        the survival must keep its relative accuracy there (it was 7e-7
+        off through the plain 1 - T(u))."""
+        mp = pytest.importorskip("mpmath")
+        a = (1e-6, 0.15)
+        ed = ExtendedDistribution(Weibull(2.0, 2.0), validate_params(2, a))
+        x = np.linspace(5.9, 6.0, 21)
+        h = ed.hazard(x)
+        with mp.workdps(50):
+            aa = [mp.mpf(v) for v in a]
+            big_s = aa[0] + aa[1]
+
+            def t_map(u):
+                return 4 * u * (aa[1] + u - aa[1] * u) / (big_s - (big_s - 2) * u) ** 2
+
+            for xi, hi in zip(x, h):
+                z = mp.mpf(float(xi)) / 2
+                s0 = mp.exp(-z * z)
+                exact = mp.diff(t_map, 1 - s0) * z * s0 / (1 - t_map(1 - s0))
+                assert abs(hi - exact) <= 1e-10 * exact
+
     def test_underflow_raises(self):
         ed = ExtendedDistribution(Exponential(1.0), validate_params(1, [1.0]))
         with pytest.raises(SurvivalUnderflow):
@@ -147,3 +171,49 @@ class TestQuantile:
         for p in (0.0, 1.0):
             with pytest.raises(DomainError):
                 ed.quantile(p)
+
+
+class TestTailInverses:
+    def test_relative_in_both_tails(self):
+        """Both levels were 50% off: the absolute stop accepted the start
+        u = p, and the upper half inverted T instead of its complement."""
+        ed = ExtendedDistribution(Exponential(1.0), validate_params(2, [1.5, 0.5]))
+        assert ed.cdf(ed.quantile(1e-13)) == pytest.approx(1e-13, rel=1e-13, abs=0)
+        p = 1.0 - 1e-13
+        assert ed.sf(ed.quantile(p)) == pytest.approx(1.0 - p, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("ed", WITH_GW, ids=lambda e: f"{e.baseline.name}-{e.pv.a}")
+    def test_isf_round_trip(self, ed):
+        s = np.geomspace(1e-200, 0.99, 40)
+        np.testing.assert_allclose(ed.sf(ed.isf(s)), s, rtol=1e-11)
+        assert ed.isf(0.25) == ed.quantile(0.75)
+
+    def test_isf_rejects_closed_levels(self):
+        for s in (0.0, 1.0):
+            with pytest.raises(DomainError):
+                CASES[1].isf(s)
+
+    def test_relative_round_trips_over_random_vectors(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        vectors = st.integers(1, 6).flatmap(
+            lambda q: st.lists(st.floats(-3.0, 3.0), min_size=q, max_size=q)
+        ).map(lambda e: validate_params(len(e), [10.0**x for x in e]))
+        levels = st.lists(
+            st.one_of(st.floats(-300.0, math.log10(0.5)).map(lambda e: 10.0**e), st.floats(1e-300, 0.5)),
+            min_size=1,
+            max_size=16,
+        )
+
+        @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(pv=vectors, levels=levels)
+        def check(pv, levels):
+            ed = ExtendedDistribution(Exponential(1.0), pv)
+            level = np.array(levels)
+            np.testing.assert_allclose(ed.cdf(ed.quantile(level)), level, rtol=1e-12)
+            np.testing.assert_allclose(ed.sf(ed.isf(level)), level, rtol=1e-12)
+            p = 1.0 - level[level > 1e-16]  # upper levels that stay below one
+            if p.size:
+                np.testing.assert_allclose(ed.sf(ed.quantile(p)), 1.0 - p, rtol=1e-12)
+
+        check()

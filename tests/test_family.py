@@ -38,6 +38,62 @@ def random_vectors(gen, count, q_max=6, lo=0.05, hi=4.0):
     return out
 
 
+# Distortion parameters of the benchmark's sampling specs and of its CLI
+# draw spec; the second is the two-wave spec, with a_1 far below a_2.
+SAMPLED_SPECS = [
+    (1.5, 0.5),
+    (1e-6, 0.15),
+    (3.0, 0.3, 0.4, 0.9, 0.6),
+    (2.5, 0.5, 0.8),
+    (0.8, 1.3, 0.6, 1.4),
+    (0.5, 1.2, 0.8, 2.0, 0.6, 1.5, 0.9, 0.7),
+    (2.0, 0.3, 0.9),
+]
+
+
+def mp_distortion(mp, a, u):
+    """T(u) at mpmath precision for the float parameters a."""
+    aa = [mp.mpf(x) for x in a]
+    big_s, q = mp.fsum(aa), len(aa)
+    num = mp.mpf(q) ** q * u * mp.fprod(ai + u - ai * u for ai in aa[1:])
+    return num / (big_s - (big_s - q) * u) ** q
+
+
+def mp_complement(mp, a, s):
+    return 1 - mp_distortion(mp, a, 1 - s)
+
+
+def count_passes(monkeypatch):
+    """Count the derivative evaluations of the inversion, one per pass."""
+    from moq import family
+
+    seen = {"n": 0}
+    original = family.distortion_deriv
+
+    def counted(pv, x):
+        seen["n"] += 1
+        return original(pv, x)
+
+    monkeypatch.setattr(family, "distortion_deriv", counted)
+    return seen
+
+
+def log_uniform_vectors(st):
+    """q <= 6 parameters, each log-uniform in [1e-3, 1e3]."""
+    return st.integers(1, 6).flatmap(
+        lambda q: st.lists(st.floats(-3.0, 3.0), min_size=q, max_size=q)
+    ).map(lambda e: validate_params(len(e), [10.0**x for x in e]))
+
+
+def lower_levels(st):
+    """Levels in [1e-300, 1/2], log-uniform or uniform."""
+    return st.lists(
+        st.one_of(st.floats(-300.0, math.log10(0.5)).map(lambda e: 10.0**e), st.floats(1e-300, 0.5)),
+        min_size=1,
+        max_size=16,
+    )
+
+
 class TestValidateParams:
     def test_accepts_and_flags(self):
         pv = validate_params(1, [2.0])
@@ -341,6 +397,29 @@ class TestComplement:
         assert distortion_complement(pv, 0.0) == 0.0
         assert distortion_complement(pv, 1.0) == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("a", [(1e-6, 0.15), (0.0218, 3.56, 0.0196, 517.0, 2.34)], ids=["wave", "q5-wide"])
+    def test_small_survival_against_mpmath(self, a):
+        """The s-coefficient of the complement polynomial is q^q a_1 exactly;
+        formed as a difference of two O(q^q) numbers it cost 1.4e-10 and
+        3.0e-12 relative here."""
+        mp = pytest.importorskip("mpmath")
+        pv = validate_params(len(a), a)
+        with mp.workdps(60):
+            for s in (1e-4, 1e-9, 1e-15):
+                exact = mp_complement(mp, a, mp.mpf(s))
+                assert abs(distortion_complement(pv, s) - exact) <= 5e-15 * exact
+
+    def test_large_survival_against_mpmath(self):
+        """Above s = 1/2 the polynomial cancels when every a_i is small
+        (1e-8 relative here); 1 - T(1 - s) does not."""
+        mp = pytest.importorskip("mpmath")
+        a = (0.004114, 0.00229, 0.001051, 0.02032)
+        pv = validate_params(len(a), a)
+        with mp.workdps(60):
+            for s in (0.6, 0.9, 0.988, 0.999):
+                exact = mp_complement(mp, a, mp.mpf(s))
+                assert abs(distortion_complement(pv, s) - exact) <= 1e-13 * exact
+
 
 class TestInverse:
     def test_round_trip(self):
@@ -362,6 +441,66 @@ class TestInverse:
         for p in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(DomainError):
                 distortion_inverse(pv, p)
+
+
+class TestInverseAccuracy:
+    """The safeguarded Newton inversion of T (levels p <= 1/2) and of the
+    complement C(s) = 1 - T(1 - s) (survival levels s <= 1/2)."""
+
+    @pytest.mark.parametrize("complement", [False, True], ids=["T", "C"])
+    def test_relative_residual_and_passes(self, complement, monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from moq.family import _invert
+
+        forward = distortion_complement if complement else distortion
+        passes = count_passes(monkeypatch)
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(pv=log_uniform_vectors(st), levels=lower_levels(st))
+        def check(pv, levels):
+            level = np.array(levels)
+            _invert(pv, level[:1], complement)  # builds the cached start table
+            passes["n"] = 0
+            x = _invert(pv, level, complement)
+            assert passes["n"] <= 10
+            resid = np.abs(np.asarray(forward(pv, x)) - level)
+            assert np.all(resid <= 1e-12 * level)
+
+        check()
+
+    @pytest.mark.parametrize("a", SAMPLED_SPECS, ids=lambda a: f"q{len(a)}-{a[0]:g}")
+    def test_both_halves_against_mpmath(self, a):
+        """Relative error of the root against a 350-digit residual; 60 digits
+        cannot even resolve 1 - s at s = 1e-59."""
+        mp = pytest.importorskip("mpmath")
+        from moq.family import _invert
+
+        pv = validate_params(len(a), a)
+        levels = np.array([1e-300, 1e-100, 1e-59, 1e-13, 1e-5, 0.1, 0.37, 0.5])
+        with mp.workdps(350):
+            for complement, f in ((False, mp_distortion), (True, mp_complement)):
+                roots = _invert(pv, levels, complement) if complement else distortion_inverse(pv, levels)
+                for level, x in zip(levels, roots):
+                    x = mp.mpf(float(x))
+                    # first order in the residual: (f(x) - level) / (x f'(x))
+                    rel = (f(mp, a, x) - level) / (x * mp.diff(lambda t: f(mp, a, t), x))
+                    assert abs(rel) <= 1e-13, (complement, level, float(rel))
+
+    def test_iteration_cap(self):
+        pv = validate_params(2, [1.5, 0.5])
+        with pytest.raises(Nonconvergence):
+            distortion_inverse(pv, np.array([1e-200, 0.3, 0.9]), max_iter=0)
+
+    def test_upper_levels_go_through_the_complement(self):
+        """p > 1/2 solves C(s) = 1 - p, exact, and returns u = 1 - s."""
+        from moq.family import _invert
+
+        pv = validate_params(2, [1.5, 0.5])
+        p = np.array([0.5 + 2.0**-40, 0.75, 1.0 - 1e-13])
+        s = _invert(pv, 1.0 - p, True)
+        np.testing.assert_array_equal(distortion_inverse(pv, p), 1.0 - s)
+        np.testing.assert_allclose(distortion_complement(pv, s), 1.0 - p, rtol=1e-14)
 
 
 class TestComposition:

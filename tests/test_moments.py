@@ -109,6 +109,17 @@ class TestLogLogisticMoments:
         o = moment_loglogistic(pv, 0.5, method="series_at_one")
         assert z.value == pytest.approx(o.value, rel=1e-9)
 
+    def test_auto_falls_back_to_quadrature(self):
+        """With a_1 = 1e5 the series at zero does not converge within its
+        200,000 terms; auto integrates, a pinned series still raises."""
+        pv = validate_params(3, [1e5, 0.5, 0.5])
+        res = moment(LogLogistic(), pv, 0.5)
+        assert res.method_used == "scaling(quadrature)"
+        # mpmath quadrature of x^r times the extended density
+        assert res.value == pytest.approx(537.724825670868, rel=1e-10)
+        with pytest.raises(Nonconvergence):
+            moment_loglogistic(pv, 0.5, method="series_at_zero", max_terms=1000)
+
     def test_order_domain(self):
         with pytest.raises(DomainError):
             moment_loglogistic(validate_params(1, [1.0]), 1.0)
