@@ -6,128 +6,20 @@ evaluation, series and closed-form moments, and three independent,
 cross-checked samplers.
 """
 
-from .baselines import (
-    BASELINE_FAMILIES,
-    Baseline,
-    Exponential,
-    GeneralizedWeibull,
-    LogLogistic,
-    Weibull,
-)
-from .config import DistributionSpec, load_spec, parse_spec
-from .errors import (
-    ConditionViolated,
-    DomainError,
-    EnvelopeViolation,
-    LengthMismatch,
-    MoqError,
-    Nonconvergence,
-    NonPositiveParameter,
-    SpecError,
-    SurvivalUnderflow,
-    ToleranceNotMet,
-)
-from .extended import ExtendedDistribution
-from .family import (
-    ParameterVector,
-    SeriesCoefficients,
-    composition_pair,
-    distortion,
-    distortion_complement,
-    distortion_deriv,
-    distortion_inverse,
-    elementary_symmetric,
-    series_at_one,
-    series_at_zero,
-    validate_params,
-)
-from .moments import (
-    MomentResult,
-    moment,
-    moment_bound_check,
-    moment_exponential,
-    moment_generalized_weibull,
-    moment_loglogistic,
-    moment_q2_loglogistic_closed,
-    moment_weibull_scaled,
-)
-from .oracle import (
-    QuadratureResult,
-    beta_fn,
-    integrate_semiinfinite,
-    ks_one_sample,
-    ks_threshold_one_sample,
-    ks_threshold_two_sample,
-    ks_two_sample,
-    log_gamma,
-)
-from .sampling import (
-    RandomSource,
-    SampleBatch,
-    envelope_constant,
-    logistic_transform,
-    sample_accept_reject,
-    sample_count,
-    sample_inverse_cdf,
-    sample_random_maxima,
-)
+from . import baselines, config, errors, extended, family, moments, oracle, sampling
+from .baselines import *  # noqa: F403
+from .config import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .extended import *  # noqa: F403
+from .family import *  # noqa: F403
+from .moments import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .sampling import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BASELINE_FAMILIES",
-    "Baseline",
-    "ConditionViolated",
-    "DistributionSpec",
-    "DomainError",
-    "EnvelopeViolation",
-    "Exponential",
-    "ExtendedDistribution",
-    "GeneralizedWeibull",
-    "LengthMismatch",
-    "LogLogistic",
-    "MomentResult",
-    "MoqError",
-    "Nonconvergence",
-    "NonPositiveParameter",
-    "ParameterVector",
-    "QuadratureResult",
-    "RandomSource",
-    "SampleBatch",
-    "SeriesCoefficients",
-    "SpecError",
-    "SurvivalUnderflow",
-    "ToleranceNotMet",
-    "Weibull",
-    "beta_fn",
-    "composition_pair",
-    "distortion",
-    "distortion_complement",
-    "distortion_deriv",
-    "distortion_inverse",
-    "elementary_symmetric",
-    "envelope_constant",
-    "integrate_semiinfinite",
-    "ks_one_sample",
-    "ks_threshold_one_sample",
-    "ks_threshold_two_sample",
-    "ks_two_sample",
-    "load_spec",
-    "log_gamma",
-    "logistic_transform",
-    "moment",
-    "moment_bound_check",
-    "moment_exponential",
-    "moment_generalized_weibull",
-    "moment_loglogistic",
-    "moment_q2_loglogistic_closed",
-    "moment_weibull_scaled",
-    "parse_spec",
-    "sample_accept_reject",
-    "sample_count",
-    "sample_inverse_cdf",
-    "sample_random_maxima",
-    "series_at_one",
-    "series_at_zero",
-    "validate_params",
-]
+__all__ = sorted(
+    name
+    for module in (baselines, config, errors, extended, family, moments, oracle, sampling)
+    for name in module.__all__
+)

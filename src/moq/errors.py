@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "MoqError", "NonPositiveParameter", "LengthMismatch", "DomainError", "ConditionViolated",
+    "Nonconvergence", "ToleranceNotMet", "SurvivalUnderflow", "EnvelopeViolation", "SpecError",
+]
+
 
 class MoqError(Exception):
     """Base class for all errors raised by this package."""

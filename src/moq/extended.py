@@ -10,11 +10,10 @@ from .baselines import Baseline, _check_prob, _ret
 from .errors import SurvivalUnderflow
 from .family import (
     ParameterVector,
-    _invert,
+    _small_roots,
     distortion,
     distortion_complement,
     distortion_deriv,
-    distortion_inverse,
 )
 
 __all__ = ["ExtendedDistribution"]
@@ -71,25 +70,21 @@ class ExtendedDistribution:
         return _ret(val, scalar)
 
     def quantile(self, p):
-        return self._inverse(p, upper=False)
+        return self._inverse(p, survival=False)
 
     def isf(self, s):
         """Unique x with sf(x) = s, for s strictly inside (0, 1)."""
-        return self._inverse(s, upper=True)
+        return self._inverse(s, survival=True)
 
-    def _inverse(self, level, upper: bool):
-        # Of a level and its exact complement, the one at most 1/2 is solved:
-        # a cdf level through T and the baseline quantile, a survival level
-        # through 1 - T(1 - s) and the baseline isf.
+    def _inverse(self, level, survival: bool):
+        # a root u of T at most 1/2 maps through the baseline quantile, a
+        # root s = 1 - u through the baseline isf
         pp, scalar = _check_prob(level)
-        pp = np.atleast_1d(pp)
-        on_sf = (pp > 0.5) != upper
-        small = np.where(pp > 0.5, 1.0 - pp, pp)
-        # keep roots that under- or round off (extreme a only) inside (0, 1)
-        bounds = np.finfo(float).tiny, 1.0 - np.finfo(float).epsneg
-        val = np.empty_like(pp)
-        if not on_sf.all():
-            val[~on_sf] = self.baseline.quantile(np.clip(distortion_inverse(self.pv, small[~on_sf]), *bounds))
-        if on_sf.any():
-            val[on_sf] = self.baseline.isf(np.clip(_invert(self.pv, small[on_sf], True), *bounds))
+        x, upper = _small_roots(self.pv, np.atleast_1d(pp), survival)
+        x = np.fmax(x, np.finfo(float).tiny)  # roots that underflow (extreme a only)
+        val = np.empty_like(x)
+        if not upper.all():
+            val[~upper] = self.baseline.quantile(x[~upper])
+        if upper.any():
+            val[upper] = self.baseline.isf(x[upper])
         return _ret(val[0] if scalar else val, scalar)

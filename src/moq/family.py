@@ -170,7 +170,11 @@ def distortion_deriv(pv: ParameterVector, u):
     many orders of magnitude below the other parameters.
     """
     uu, scalar = _as_unit_interval(u)
-    s = 1.0 - uu
+    return _ret(_deriv(pv, uu, 1.0 - uu), scalar)
+
+
+def _deriv(pv: ParameterVector, uu: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """T'(u) from u and s = 1 - u, each with its own digits; see distortion_deriv."""
     q, big_s, a1 = pv.q, pv.sum_a, pv.a[0]
     factors = [uu + ai * s for ai in pv.a[1:]]
     prod = np.ones_like(uu)
@@ -183,74 +187,55 @@ def distortion_deriv(pv: ParameterVector, u):
             corr += (1.0 - ai) * (big_s - q * ai) * (prod / f)
         bracket = bracket + uu * s * corr
     denom = (q * uu + big_s * s) ** (q + 1)
-    val = (float(q) ** q) * bracket / denom
-    return _ret(val, scalar)
+    return (float(q) ** q) * bracket / denom
 
 
 @lru_cache(maxsize=256)
-def _complement_numerator_coeffs(pv: ParameterVector) -> tuple[tuple[float, float], ...]:
-    """Coefficients (degrees 1..q in s) of D(s)^q - N(s) where
+def _complement_weights(pv: ParameterVector) -> tuple[float, ...]:
+    """g_0..g_q with 1 - T(1 - s) = sum_k g_k w^(q-k) r^k; see distortion_complement.
 
-    D(s)^q = (q + (S-q)*s)^q  and  N(s) = q^q * (1-s) * prod_i (1 - (1-a_i)*s)
-
-    are the denominator and numerator of T(1-s).  Both have constant term
-    q^q, so the difference starts at degree one: evaluating it never
-    subtracts two near-equal O(1) quantities.  Each comes paired with the
-    magnitude of the terms it was formed from, its rounding scale.
+    g_k = C(q, k) - e_k(q a_2/S, ..., q a_q/S) is never negative, and g_1
+    = q a_1 / S, which the difference would lose to cancellation.
     """
-    q, big_s = pv.q, pv.sum_a
-    qq = float(q) ** q
-    denom = [math.comb(q, k) * float(q) ** (q - k) * (big_s - q) ** k for k in range(q + 1)]
-    w = [-(1.0 - ai) for ai in pv.a[1:]] + [-1.0]
-    numer = elementary_symmetric(w, q)
-    mags = [abs(d) + qq * e for d, e in zip(denom, elementary_symmetric(map(abs, w), q))]
-    diff = [d - qq * n for d, n in zip(denom, numer)]
-    # The s-coefficient is q^q (S - q) + q^q (1 + sum_{i>=2} (1 - a_i)) =
-    # q^q a_1 exactly; the difference above would lose it to cancellation.
-    diff[1] = mags[1] = qq * pv.a[0]
-    return tuple(zip(diff[1:], mags[1:]))
+    q = pv.q
+    e = elementary_symmetric([q * ai / pv.sum_a for ai in pv.a[1:]], q)
+    g = [math.comb(q, k) - e[k] for k in range(q + 1)]
+    g[1] = q * pv.a[0] / pv.sum_a
+    return tuple(g)
 
 
 def distortion_complement(pv: ParameterVector, s):
     """Evaluate 1 - T(1 - s) with relative accuracy on [0, 1].
 
-    Expands numerator and denominator of T(1-s) as polynomials in s and
-    subtracts them coefficient-wise, leaving a single polynomial whose
-    constant term vanishes exactly.  Near s = 0 the result behaves like
-    a_1 * s without catastrophic cancellation.  Above s = 1/2, where the
-    polynomial can cancel instead, 1 - T(1 - s) is taken if it errs less.
+    With r = S s / (q (1-s) + S s) and w = 1 - r, formed each as its own
+    quotient, 1 - T(1 - s) is the polynomial sum_k g_k w^(q-k) r^k, whose
+    weights are all >= 0 (:func:`_complement_weights`): no term cancels
+    another, near s = 0 (where it behaves like a_1 s) or anywhere else,
+    and no weight overflows however large the parameters.
     """
     ss, scalar = _as_unit_interval(s)
-    ss = np.atleast_1d(ss)
-    coeffs = _complement_numerator_coeffs(pv)
-    acc = np.zeros_like(ss)
-    for c, _ in reversed(coeffs):
-        acc = acc * ss + c
-    denom = (pv.q * (1.0 - ss) + pv.sum_a * ss) ** pv.q
-    val = np.clip(acc * ss / denom, 0.0, 1.0)
-    # past s = 1/2, where 1 - s is exact, the relative error scales are
-    # mag / acc for the polynomial and (1 - val) / val for 1 - T(1 - s)
-    far = np.flatnonzero(ss > 0.5)
-    s_far, mag = ss[far], np.zeros(far.size)
-    for _, m in reversed(coeffs):
-        mag = mag * s_far + m
-    far = far[mag * s_far > denom[far] * (1.0 - val[far])]
-    if far.size:
-        val[far] = 1.0 - distortion(pv, 1.0 - ss[far])
-    return _ret(val[0] if scalar else val, scalar)
+    g = _complement_weights(pv)
+    v = (pv.q / pv.sum_a) * (1.0 - ss)
+    r, w = ss / (ss + v), v / (ss + v)
+    acc, wk = np.full_like(ss, g[-1]), w
+    for gk in g[-2:0:-1]:
+        acc = acc * r + gk * wk
+        wk = wk * w
+    return _ret(acc * r, scalar)
 
 
 def distortion_inverse(pv: ParameterVector, p, *, tol: float = 1e-12, max_iter: int = 200):
     """Solve T(u) = p for u in [0, 1] by safeguarded Newton iteration.
 
-    Levels p <= 1/2 invert T; above 1/2 the complement C(s) = 1 - T(1 - s)
-    is inverted at the exact level 1 - p and 1 - s returned.  Each element
-    starts from a cubic interpolant of a cached log-log table of the map and
-    takes Newton steps inside the bracket of the nodes around it (rtsafe,
-    Press et al., *Numerical Recipes*, §9.4), bisecting where a step would
-    leave the bracket or not halve the last one.  It stops, and leaves the
-    active set, once the Newton correction is below ``tol`` times the
-    iterate: a relative rule, whatever the scale of p.
+    The root is solved for as the smaller of u and s = 1 - u: T is inverted
+    at p where p <= T(1/2), and the complement C(s) = 1 - T(1 - s) at
+    1 - p elsewhere, returning 1 - s.  Each element starts from a linear
+    interpolant of a cached log-log table of the map on (0, 1/2] and takes
+    Newton steps inside the bracket of the nodes around it (rtsafe, Press
+    et al., *Numerical Recipes*, §9.4), bisecting where a step would leave
+    the bracket or not halve the last one.  It stops, and leaves the active
+    set, once the Newton correction is below ``tol`` times the iterate: a
+    relative rule, whatever the scale of p.
 
     Raises
     ------
@@ -261,55 +246,71 @@ def distortion_inverse(pv: ParameterVector, p, *, tol: float = 1e-12, max_iter: 
     """
     pp, scalar = _check_prob(p)
     pp = np.atleast_1d(pp)
-    upper = pp > 0.5
+    upper = _root_above_half(pv, pp, 1.0 - pp)
     u = np.empty_like(pp)
     u[~upper] = _invert(pv, pp[~upper], False, tol, max_iter)
     u[upper] = 1.0 - _invert(pv, 1.0 - pp[upper], True, tol, max_iter)
     return _ret(u[0] if scalar else u, scalar)
 
 
+def _small_roots(pv: ParameterVector, level: np.ndarray, survival: bool):
+    """(x, upper): the root of T(u) = p as x = u, or where ``upper`` as x = s = 1 - u.
+
+    ``level`` holds cdf levels p, or with ``survival`` the survival levels
+    1 - p, which keep digits that p has lost.  Either way x <= 1/2 carries
+    the root to full relative precision, where 1 - x might not.
+    """
+    p_t, p_c = (1.0 - level, level) if survival else (level, 1.0 - level)
+    upper = _root_above_half(pv, p_t, p_c)
+    x = np.empty_like(level)
+    # at these levels distortion_inverse returns the root u itself; a p_t
+    # that rounds to one (C(1/2) below eps) is held just under it
+    x[~upper] = distortion_inverse(pv, np.fmin(p_t[~upper], 1.0 - _EPS / 2))
+    x[upper] = _invert(pv, p_c[upper], True)
+    return x, upper
+
+
+def _root_above_half(pv: ParameterVector, p_t: np.ndarray, p_c: np.ndarray) -> np.ndarray:
+    # judged on the smaller of the two levels, which carries its digits
+    t_half, c_half = (math.exp(_start_table(pv, c)[2][-1]) for c in (False, True))
+    return np.where(p_t <= p_c, p_t > t_half, p_c < c_half)
+
+
 def _maps(complement: bool):
-    # looked up at call time, so that wrappers installed on this module see every evaluation
+    # looked up at call time, so that wrappers installed on this module see
+    # every evaluation; C'(s) = T'(1 - s) keeps the digits of s below eps
     if complement:
-        return distortion_complement, lambda pv, s: distortion_deriv(pv, 1.0 - s)
+        return distortion_complement, lambda pv, s: _deriv(pv, 1.0 - s, s)
     return distortion, distortion_deriv
 
 
-# Nodes uniform in logit(x), dense towards both ends of (0, 1); below the
-# first (8.5e-17) the maps are linear to rounding unless some a_i is extreme.
-_NODES = 1.0 / (1.0 + np.exp(-np.linspace(-37.0, 37.0, 513)))
+# Nodes uniform in logit(x) from 8.5e-17 to 1/2, dense towards zero; below
+# the first the maps are linear to rounding unless some a_i is extreme.
+_NODES = 1.0 / (1.0 + np.exp(-np.linspace(-37.0, 0.0, 257)))
 
 
 @lru_cache(maxsize=256)
 @np.errstate(all="ignore")
 def _start_table(pv: ParameterVector, complement: bool):
-    """(x, log x, log f, dlog x / dlog f) at the nodes up to f >= 1/2."""
-    f, df = _maps(complement)
-    fx, dfx = np.asarray(f(pv, _NODES)), np.asarray(df(pv, _NODES))
-    n = max(int(np.searchsorted(fx, 0.5)) + 1, 2)
-    x, fx = _NODES[:n], fx[:n]
-    return x, np.log(x), np.log(fx), fx / (x * dfx[:n])
+    """(x, log x, log f) at the nodes."""
+    return _NODES, np.log(_NODES), np.log(np.asarray(_maps(complement)[0](pv, _NODES)))
 
 
 @np.errstate(all="ignore")
 def _invert(pv: ParameterVector, level: np.ndarray, complement: bool, tol: float = 1e-12, max_iter: int = 200):
-    """x with f(x) = level for levels in (0, 1/2], where f is T or, with
-    ``complement``, C(s) = 1 - T(1 - s); see distortion_inverse."""
+    """x in (0, 1/2] with f(x) = level for levels in (0, f(1/2)], where f is T
+    or, with ``complement``, C(s) = 1 - T(1 - s); see distortion_inverse."""
     out = np.empty_like(level)
     if level.size == 0:
         return out
     f, df = _maps(complement)
-    x, t, y, m = _start_table(pv, complement)
+    x, t, y = _start_table(pv, complement)
     ly = np.log(level)
-    below = ly < y[0]
+    # linear in log-log; below the table along its first segment, with a
+    # bracket that reaches down to the smallest positive double
     k = np.clip(np.searchsorted(y, ly, side="right") - 1, 0, y.size - 2)
-    # cubic Hermite for log x in log f; linear below the table, where the
-    # bracket reaches down to the smallest positive double
-    h = y[k + 1] - y[k]
-    tau, d, m0, m1 = (ly - y[k]) / h, t[k + 1] - t[k], h * m[k], h * m[k + 1]
-    guess = t[k] + tau * (m0 + tau * (3 * d - 2 * m0 - m1 + tau * (m0 + m1 - 2 * d)))
-    guess = np.exp(np.where(below, t[0] + m[0] * (ly - y[0]), guess))
-    lo, hi = np.where(below, 5e-324, x[k]), x[k + 1]
+    guess = np.exp(t[k] + (ly - y[k]) * (t[k + 1] - t[k]) / (y[k + 1] - y[k]))
+    lo, hi = np.where(ly < y[0], 5e-324, x[k]), x[k + 1]
     x = np.fmin(np.fmax(guess, lo), hi)  # a NaN guess starts at lo
     idx, step, resid = np.arange(level.size), hi - lo, np.full_like(level, np.inf)
     for _ in range(max_iter):

@@ -193,20 +193,11 @@ class TestTailInverses:
             with pytest.raises(DomainError):
                 CASES[1].isf(s)
 
-    def test_relative_round_trips_over_random_vectors(self):
+    def test_relative_round_trips_over_random_vectors(self, log_uniform_vectors, lower_levels):
         hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
-        vectors = st.integers(1, 6).flatmap(
-            lambda q: st.lists(st.floats(-3.0, 3.0), min_size=q, max_size=q)
-        ).map(lambda e: validate_params(len(e), [10.0**x for x in e]))
-        levels = st.lists(
-            st.one_of(st.floats(-300.0, math.log10(0.5)).map(lambda e: 10.0**e), st.floats(1e-300, 0.5)),
-            min_size=1,
-            max_size=16,
-        )
 
         @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
-        @hypothesis.given(pv=vectors, levels=levels)
+        @hypothesis.given(pv=log_uniform_vectors, levels=lower_levels)
         def check(pv, levels):
             ed = ExtendedDistribution(Exponential(1.0), pv)
             level = np.array(levels)
@@ -217,3 +208,36 @@ class TestTailInverses:
                 np.testing.assert_allclose(ed.sf(ed.quantile(p)), 1.0 - p, rtol=1e-12)
 
         check()
+
+    @pytest.mark.parametrize("a", [1e-20, 1e-8])
+    def test_tiny_parameters_monotone_and_against_mpmath(self, a):
+        """With a_1 tiny T(1/2) is close to one, so cdf levels above 1/2
+        still have roots u far below 1/2.  Solved on the complement they
+        came back as 1 - s: quantile(0.7) was 1.1e-16 for a = 1e-20, above
+        quantile(0.9), against the true 2.33e-20."""
+        mp = pytest.importorskip("mpmath")
+        ed = ExtendedDistribution(Exponential(1.0), validate_params(2, [a, a]))
+        p = np.concatenate(
+            [np.geomspace(1e-250, 0.5, 60), np.linspace(0.51, 0.98, 48), 1.0 - np.geomspace(1e-2, 1e-15, 40)]
+        )
+        assert np.all(np.diff(ed.quantile(p)) > 0.0)
+        assert np.all(np.diff(ed.isf(1.0 - p[p > 0.5])) > 0.0)
+        with mp.workdps(60):
+            # equal parameters: T(u) = u / (a + (1 - a) u), inverted in closed form
+            for level in (1e-250, 1e-13, 0.3, 0.5, 0.7, 0.9, 0.99):
+                pl, am = mp.mpf(level), mp.mpf(a)
+                exact = -mp.log1p(-am * pl / (1 - (1 - am) * pl))
+                assert abs(ed.quantile(level) - exact) <= 1e-13 * exact, level
+                if level >= 0.5:  # 1 - level is exact
+                    assert abs(ed.isf(1.0 - level) - exact) <= 1e-13 * exact, level
+
+    def test_huge_parameter(self):
+        """a = (1e200, 1): the roots s ~ 1e-200 need the complement's relative
+        accuracy; its expanded polynomial overflowed here before."""
+        ed = ExtendedDistribution(Exponential(1.0), validate_params(2, [1e200, 1.0]))
+        p = np.array([0.1, 0.5, 0.9])
+        # C(s) = 1 - 4 (1 - s) / (2 (1 - s) + S s)^2, so S s = 2 / sqrt(p) - 2 to rounding
+        exact = -np.log((2.0 / np.sqrt(p) - 2.0) / (1e200 + 1.0))
+        np.testing.assert_allclose(ed.quantile(p), exact, rtol=1e-14)
+        np.testing.assert_allclose(ed.isf(1.0 - p), exact, rtol=1e-14)
+        np.testing.assert_allclose(ed.sf(exact), 1.0 - p, rtol=1e-13)

@@ -64,34 +64,19 @@ def mp_complement(mp, a, s):
 
 
 def count_passes(monkeypatch):
-    """Count the derivative evaluations of the inversion, one per pass."""
+    """Count the forward evaluations of the inversion, one per pass."""
     from moq import family
 
     seen = {"n": 0}
-    original = family.distortion_deriv
+    for name in ("distortion", "distortion_complement"):
+        original = getattr(family, name)
 
-    def counted(pv, x):
-        seen["n"] += 1
-        return original(pv, x)
+        def counted(pv, x, original=original):
+            seen["n"] += 1
+            return original(pv, x)
 
-    monkeypatch.setattr(family, "distortion_deriv", counted)
+        monkeypatch.setattr(family, name, counted)
     return seen
-
-
-def log_uniform_vectors(st):
-    """q <= 6 parameters, each log-uniform in [1e-3, 1e3]."""
-    return st.integers(1, 6).flatmap(
-        lambda q: st.lists(st.floats(-3.0, 3.0), min_size=q, max_size=q)
-    ).map(lambda e: validate_params(len(e), [10.0**x for x in e]))
-
-
-def lower_levels(st):
-    """Levels in [1e-300, 1/2], log-uniform or uniform."""
-    return st.lists(
-        st.one_of(st.floats(-300.0, math.log10(0.5)).map(lambda e: 10.0**e), st.floats(1e-300, 0.5)),
-        min_size=1,
-        max_size=16,
-    )
 
 
 class TestValidateParams:
@@ -444,63 +429,103 @@ class TestInverse:
 
 
 class TestInverseAccuracy:
-    """The safeguarded Newton inversion of T (levels p <= 1/2) and of the
-    complement C(s) = 1 - T(1 - s) (survival levels s <= 1/2)."""
+    """The safeguarded Newton inversion of T and of the complement
+    C(s) = 1 - T(1 - s), each for roots in (0, 1/2]."""
 
     @pytest.mark.parametrize("complement", [False, True], ids=["T", "C"])
-    def test_relative_residual_and_passes(self, complement, monkeypatch):
+    def test_relative_residual_and_passes(self, complement, monkeypatch, log_uniform_vectors, lower_levels):
         hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
         from moq.family import _invert
 
         forward = distortion_complement if complement else distortion
         passes = count_passes(monkeypatch)
 
         @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
-        @hypothesis.given(pv=log_uniform_vectors(st), levels=lower_levels(st))
+        @hypothesis.given(pv=log_uniform_vectors, levels=lower_levels)
         def check(pv, levels):
             level = np.array(levels)
+            level = level[level <= forward(pv, 0.5)]  # the levels with a root up to 1/2
+            hypothesis.assume(level.size)
             _invert(pv, level[:1], complement)  # builds the cached start table
             passes["n"] = 0
             x = _invert(pv, level, complement)
             assert passes["n"] <= 10
+            assert np.all(x <= 0.5)
             resid = np.abs(np.asarray(forward(pv, x)) - level)
             assert np.all(resid <= 1e-12 * level)
 
         check()
 
     @pytest.mark.parametrize("a", SAMPLED_SPECS, ids=lambda a: f"q{len(a)}-{a[0]:g}")
-    def test_both_halves_against_mpmath(self, a):
-        """Relative error of the root against a 350-digit residual; 60 digits
-        cannot even resolve 1 - s at s = 1e-59."""
+    def test_both_tails_against_mpmath(self, a):
+        """Relative error of the smaller root, u or s = 1 - u, for cdf and
+        for survival levels, against a 350-digit residual; 60 digits cannot
+        even resolve 1 - s at s = 1e-59."""
         mp = pytest.importorskip("mpmath")
-        from moq.family import _invert
+        from moq.family import _small_roots
 
         pv = validate_params(len(a), a)
         levels = np.array([1e-300, 1e-100, 1e-59, 1e-13, 1e-5, 0.1, 0.37, 0.5])
         with mp.workdps(350):
-            for complement, f in ((False, mp_distortion), (True, mp_complement)):
-                roots = _invert(pv, levels, complement) if complement else distortion_inverse(pv, levels)
-                for level, x in zip(levels, roots):
+            for survival in (False, True):
+                roots, upper = _small_roots(pv, levels, survival)
+                for level, x, on_c in zip(levels, roots, upper):
+                    f = mp_complement if on_c else mp_distortion
+                    exact = mp.mpf(float(level)) if survival == on_c else 1 - mp.mpf(float(level))
                     x = mp.mpf(float(x))
                     # first order in the residual: (f(x) - level) / (x f'(x))
-                    rel = (f(mp, a, x) - level) / (x * mp.diff(lambda t: f(mp, a, t), x))
-                    assert abs(rel) <= 1e-13, (complement, level, float(rel))
+                    rel = (f(mp, a, x) - exact) / (x * mp.diff(lambda t: f(mp, a, t), x))
+                    assert abs(rel) <= 1e-13, (survival, level, float(rel))
 
     def test_iteration_cap(self):
         pv = validate_params(2, [1.5, 0.5])
         with pytest.raises(Nonconvergence):
             distortion_inverse(pv, np.array([1e-200, 0.3, 0.9]), max_iter=0)
 
-    def test_upper_levels_go_through_the_complement(self):
-        """p > 1/2 solves C(s) = 1 - p, exact, and returns u = 1 - s."""
+    def test_roots_above_one_half_go_through_the_complement(self):
+        """T(1/2) = 0.375 here: above it C(s) = 1 - p is solved and
+        u = 1 - s returned, below it T(u) = p."""
         from moq.family import _invert
 
         pv = validate_params(2, [1.5, 0.5])
-        p = np.array([0.5 + 2.0**-40, 0.75, 1.0 - 1e-13])
+        assert distortion(pv, 0.5) == 0.375
+        p = np.array([0.38, 0.5 + 2.0**-40, 0.75, 1.0 - 1e-13])
         s = _invert(pv, 1.0 - p, True)
         np.testing.assert_array_equal(distortion_inverse(pv, p), 1.0 - s)
         np.testing.assert_allclose(distortion_complement(pv, s), 1.0 - p, rtol=1e-14)
+        p = np.array([1e-300, 0.2, 0.37])
+        np.testing.assert_array_equal(distortion_inverse(pv, p), _invert(pv, p, False))
+
+    def test_concave_map_keeps_upper_cdf_levels_on_t(self):
+        """With a_1 tiny T(1/2) is close to one, so even p = 0.9 has a root
+        u far below 1/2 and must be solved on T: on the complement it would
+        come back as 1 - s, which cannot hold u = 2.3e-20."""
+        from moq.family import _small_roots
+
+        pv = validate_params(2, [1e-20, 1e-20])
+        p = np.array([0.5, 0.7, 0.9])
+        x, upper = _small_roots(pv, p, False)
+        assert not upper.any()
+        np.testing.assert_allclose(x, 1e-20 * p / (1.0 - p), rtol=1e-14)
+        np.testing.assert_array_equal(distortion_inverse(pv, p), x)
+
+    def test_huge_parameter(self):
+        """S = 1e200: the expanded complement polynomial overflowed at
+        (S - q)^q; the roots s ~ 1e-200 of C need its relative accuracy."""
+        mp = pytest.importorskip("mpmath")
+        from moq.family import _small_roots
+
+        a = (1e200, 1.0)
+        pv = validate_params(2, a)
+        s = np.array([1e-300, 1e-201, 1e-3, 0.5, 0.9])
+        with mp.workdps(450):
+            for si, ci in zip(s, distortion_complement(pv, s)):
+                exact = mp_complement(mp, a, mp.mpf(float(si)))
+                assert abs(ci - exact) <= 1e-14 * exact
+        p = np.array([1e-300, 0.1, 0.9])
+        x, upper = _small_roots(pv, p, False)
+        assert upper.all()
+        np.testing.assert_allclose(distortion_complement(pv, x), 1.0 - p, rtol=1e-14)
 
 
 class TestComposition:
