@@ -10,9 +10,9 @@ from .baselines import Baseline, _check_prob, _ret
 from .errors import SurvivalUnderflow
 from .family import (
     ParameterVector,
+    _complement,
     _small_roots,
     distortion,
-    distortion_complement,
     distortion_deriv,
 )
 
@@ -37,19 +37,11 @@ class ExtendedDistribution:
         return distortion(self.pv, self.baseline.cdf(x))
 
     def sf(self, x):
-        # 1 - T(u) while the baseline cdf u is at most 1/2, where u carries
-        # the digits; beyond, the complement of the baseline survival
+        # 1 - T(u) from the baseline's u and s = 1 - u, each with its own
+        # digits, so that neither tail loses any to cancellation
         xx = np.asarray(x, dtype=float)
-        scalar = xx.ndim == 0
-        xx = np.atleast_1d(xx)
-        u = np.asarray(self.baseline.cdf(xx))
-        tail = u > 0.5
-        val = np.empty_like(u)
-        if not tail.all():
-            val[~tail] = 1.0 - np.asarray(distortion(self.pv, u[~tail]))
-        if tail.any():
-            val[tail] = distortion_complement(self.pv, self.baseline.sf(xx[tail]))
-        return _ret(val[0] if scalar else val, scalar)
+        u, s = np.asarray(self.baseline.cdf(xx)), np.asarray(self.baseline.sf(xx))
+        return _ret(_complement(self.pv, u, s), xx.ndim == 0)
 
     def pdf(self, x):
         xx = np.asarray(x, dtype=float)

@@ -145,14 +145,16 @@ def distortion(pv: ParameterVector, u):
     T(0) = 0 and T(1) = 1 are exact in floating point.
     """
     uu, scalar = _as_unit_interval(u)
-    s = 1.0 - uu
+    # analytically in [0, 1]; rounding can poke a couple of ulp past 1
+    return _ret(np.clip(_distortion(pv, uu, 1.0 - uu), 0.0, 1.0), scalar)
+
+
+def _distortion(pv: ParameterVector, uu: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """T(u) from u and s = 1 - u, each with its own digits; see distortion."""
     num = np.array(uu, copy=True)
     for ai in pv.a[1:]:
         num = num * (uu + ai * s)
-    denom = (pv.q * uu + pv.sum_a * s) ** pv.q
-    val = (float(pv.q) ** pv.q) * num / denom
-    # analytically in [0, 1]; rounding can poke a couple of ulp past 1
-    return _ret(np.clip(val, 0.0, 1.0), scalar)
+    return (float(pv.q) ** pv.q) * num / (pv.q * uu + pv.sum_a * s) ** pv.q
 
 
 def distortion_deriv(pv: ParameterVector, u):
@@ -214,28 +216,37 @@ def distortion_complement(pv: ParameterVector, s):
     and no weight overflows however large the parameters.
     """
     ss, scalar = _as_unit_interval(s)
+    return _ret(_complement(pv, 1.0 - ss, ss), scalar)
+
+
+def _complement(pv: ParameterVector, uu: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """1 - T(u) from u and s = 1 - u, each with its own digits; see distortion_complement."""
     g = _complement_weights(pv)
-    v = (pv.q / pv.sum_a) * (1.0 - ss)
-    r, w = ss / (ss + v), v / (ss + v)
-    acc, wk = np.full_like(ss, g[-1]), w
+    v = (pv.q / pv.sum_a) * uu
+    r, w = s / (s + v), v / (s + v)
+    acc, wk = np.full_like(s, g[-1]), w
     for gk in g[-2:0:-1]:
         acc = acc * r + gk * wk
         wk = wk * w
-    return _ret(acc * r, scalar)
+    return acc * r
 
 
 def distortion_inverse(pv: ParameterVector, p, *, tol: float = 1e-12, max_iter: int = 200):
     """Solve T(u) = p for u in [0, 1] by safeguarded Newton iteration.
 
-    The root is solved for as the smaller of u and s = 1 - u: T is inverted
-    at p where p <= T(1/2), and the complement C(s) = 1 - T(1 - s) at
-    1 - p elsewhere, returning 1 - s.  Each element starts from a linear
-    interpolant of a cached log-log table of the map on (0, 1/2] and takes
-    Newton steps inside the bracket of the nodes around it (rtsafe, Press
-    et al., *Numerical Recipes*, §9.4), bisecting where a step would leave
-    the bracket or not halve the last one.  It stops, and leaves the active
-    set, once the Newton correction is below ``tol`` times the iterate: a
-    relative rule, whatever the scale of p.
+    The root is solved for as the smaller of u and s = 1 - u, against the
+    smaller of p and 1 - p, which is exact: T(u) = p where p <= 1/2 and the
+    root u <= 1/2; C(s) = 1 - T(1 - s) = 1 - p where both lie on the other
+    side; across, 1 - T(u) = 1 - p or T(1 - s) = p, each evaluated from
+    both u and s.  Each element starts from a linear interpolant of a
+    cached log-log table of its map on (0, 1/2] and takes Newton steps
+    inside the bracket of the nodes around it (rtsafe, Press et al.,
+    *Numerical Recipes*, §9.4), bisecting where a step would leave the
+    bracket or not halve the last one.  It stops, and leaves the active
+    set, once the Newton correction is below ``tol`` times the iterate, or
+    below sqrt(tol) / 100 times it for a step inside the bracket, which
+    leaves an error of the order of its square: a relative rule, whatever
+    the scale of p.
 
     Raises
     ------
@@ -245,43 +256,65 @@ def distortion_inverse(pv: ParameterVector, p, *, tol: float = 1e-12, max_iter: 
         If ``max_iter`` passes leave a relative residual above 1e-9.
     """
     pp, scalar = _check_prob(p)
-    pp = np.atleast_1d(pp)
-    upper = _root_above_half(pv, pp, 1.0 - pp)
-    u = np.empty_like(pp)
-    u[~upper] = _invert(pv, pp[~upper], False, tol, max_iter)
-    u[upper] = 1.0 - _invert(pv, 1.0 - pp[upper], True, tol, max_iter)
+    x, upper = _small_roots(pv, np.atleast_1d(pp), False, tol, max_iter, public=False)
+    u = np.where(upper, 1.0 - x, x)
     return _ret(u[0] if scalar else u, scalar)
 
 
-def _small_roots(pv: ParameterVector, level: np.ndarray, survival: bool):
+def _small_roots(pv: ParameterVector, level: np.ndarray, survival: bool, tol=1e-12, max_iter=200, public=True):
     """(x, upper): the root of T(u) = p as x = u, or where ``upper`` as x = s = 1 - u.
 
     ``level`` holds cdf levels p, or with ``survival`` the survival levels
     1 - p, which keep digits that p has lost.  Either way x <= 1/2 carries
-    the root to full relative precision, where 1 - x might not.
+    the root to full relative precision, where 1 - x might not.  With
+    ``public`` the roots that :func:`distortion_inverse` returns as they
+    are, small level and root both on T, are left to it.
     """
-    p_t, p_c = (1.0 - level, level) if survival else (level, 1.0 - level)
-    upper = _root_above_half(pv, p_t, p_c)
+    # the root lies on the complement side where C(s) <= C(1/2), that is
+    # T(u) >= T(1/2); judged on the given level, exact where the other is not
+    if survival:
+        upper = level <= math.exp(_start_table(pv, True, False)[2][-1])
+        small_t = level > 0.5
+    else:
+        upper = level > math.exp(_start_table(pv, False, False)[2][-1])
+        small_t = level <= 0.5
+    small = np.fmin(level, 1.0 - level)  # exact: 1 - level is, where level >= 1/2
+    group = 2 * upper + (small_t == upper)  # root side, and whether the level lies across
     x = np.empty_like(level)
-    # at these levels distortion_inverse returns the root u itself; a p_t
-    # that rounds to one (C(1/2) below eps) is held just under it
-    x[~upper] = distortion_inverse(pv, np.fmin(p_t[~upper], 1.0 - _EPS / 2))
-    x[upper] = _invert(pv, p_c[upper], True)
+    for g in range(4):
+        sel = np.flatnonzero(group == g)
+        if not sel.size:
+            continue
+        if public and g == 0:
+            x[sel] = distortion_inverse(pv, small[sel], tol=tol, max_iter=max_iter)
+        else:
+            x[sel] = _invert(pv, small[sel], g >= 2, g % 2 == 1, tol, max_iter)
     return x, upper
 
 
-def _root_above_half(pv: ParameterVector, p_t: np.ndarray, p_c: np.ndarray) -> np.ndarray:
-    # judged on the smaller of the two levels, which carries its digits
-    t_half, c_half = (math.exp(_start_table(pv, c)[2][-1]) for c in (False, True))
-    return np.where(p_t <= p_c, p_t > t_half, p_c < c_half)
+def _maps(complement: bool, mixed: bool):
+    """The increasing map of x <= 1/2 to invert, and its derivative: T(u) or,
+    with ``complement``, C(s); ``mixed`` swaps in minus the other side's map.
 
-
-def _maps(complement: bool):
-    # looked up at call time, so that wrappers installed on this module see
-    # every evaluation; C'(s) = T'(1 - s) keeps the digits of s below eps
+    The public maps are looked up at call time, so that wrappers installed
+    on this module see their evaluations; the private two-argument forms
+    keep the digits of x that 1 - x drops below eps.
+    """
     if complement:
-        return distortion_complement, lambda pv, s: _deriv(pv, 1.0 - s, s)
-    return distortion, distortion_deriv
+        return (_minus_t_of_one_minus if mixed else distortion_complement), _complement_deriv
+    return (_minus_complement_of if mixed else distortion), distortion_deriv
+
+
+def _complement_deriv(pv, s):
+    return _deriv(pv, 1.0 - s, s)
+
+
+def _minus_t_of_one_minus(pv, s):
+    return -_distortion(pv, 1.0 - s, s)
+
+
+def _minus_complement_of(pv, u):
+    return -_complement(pv, u, 1.0 - u)
 
 
 # Nodes uniform in logit(x) from 8.5e-17 to 1/2, dense towards zero; below
@@ -291,21 +324,23 @@ _NODES = 1.0 / (1.0 + np.exp(-np.linspace(-37.0, 0.0, 257)))
 
 @lru_cache(maxsize=256)
 @np.errstate(all="ignore")
-def _start_table(pv: ParameterVector, complement: bool):
-    """(x, log x, log f) at the nodes."""
-    return _NODES, np.log(_NODES), np.log(np.asarray(_maps(complement)[0](pv, _NODES)))
+def _start_table(pv: ParameterVector, complement: bool, mixed: bool):
+    """(x, log x, ±log f) at the nodes, the sign making the last increasing in x."""
+    logf = np.log(np.abs(_maps(complement, mixed)[0](pv, _NODES)))
+    return _NODES, np.log(_NODES), -logf if mixed else logf
 
 
 @np.errstate(all="ignore")
-def _invert(pv: ParameterVector, level: np.ndarray, complement: bool, tol: float = 1e-12, max_iter: int = 200):
-    """x in (0, 1/2] with f(x) = level for levels in (0, f(1/2)], where f is T
-    or, with ``complement``, C(s) = 1 - T(1 - s); see distortion_inverse."""
+def _invert(pv, level: np.ndarray, complement: bool, mixed: bool, tol: float = 1e-12, max_iter: int = 200):
+    """x in (0, 1/2] where the map of :func:`_maps` meets the level, negated
+    if ``mixed``, for levels with such a root; see distortion_inverse."""
     out = np.empty_like(level)
     if level.size == 0:
         return out
-    f, df = _maps(complement)
-    x, t, y = _start_table(pv, complement)
-    ly = np.log(level)
+    sign = -1.0 if mixed else 1.0
+    f, df = _maps(complement, mixed)
+    x, t, y = _start_table(pv, complement, mixed)
+    ly = sign * np.log(level)
     # linear in log-log; below the table along its first segment, with a
     # bracket that reaches down to the smallest positive double
     k = np.clip(np.searchsorted(y, ly, side="right") - 1, 0, y.size - 2)
@@ -314,13 +349,15 @@ def _invert(pv: ParameterVector, level: np.ndarray, complement: bool, tol: float
     x = np.fmin(np.fmax(guess, lo), hi)  # a NaN guess starts at lo
     idx, step, resid = np.arange(level.size), hi - lo, np.full_like(level, np.inf)
     for _ in range(max_iter):
-        resid = np.asarray(f(pv, x)) - level
+        resid = np.asarray(f(pv, x)) - sign * level
         slope = np.asarray(df(pv, x))
         lo = np.where(resid < 0.0, x, lo)
         hi = np.where(resid > 0.0, x, hi)
         newton = x - resid / slope
-        done = np.abs(newton - x) <= tol * x
         fast = (newton > lo) & (newton < hi) & (np.abs(newton - x) <= 0.5 * np.abs(step))
+        # a Newton step leaves an error of the order of its square, so one
+        # below sqrt(tol) / 100 of the iterate is the last
+        done = np.abs(newton - x) <= np.where(fast, 0.01 * math.sqrt(tol), tol) * x
         # geometric bisection: the bracket may span hundreds of decades
         nxt = np.where(done | fast, newton, np.sqrt(lo) * np.sqrt(hi))
         step = nxt - x

@@ -144,6 +144,20 @@ class TestHazard:
                 exact = mp.diff(t_map, 1 - s0) * z * s0 / (1 - t_map(1 - s0))
                 assert abs(hi - exact) <= 1e-10 * exact
 
+    def test_tiny_parameters_sf_against_closed_form(self):
+        """With a tiny T(u) is within 1e-8 of one where u is still small, and
+        1 - T(u) formed there kept about eps / 1e-8 of relative accuracy."""
+        mp = pytest.importorskip("mpmath")
+        a = 1e-8
+        ed = ExtendedDistribution(Exponential(1.0), validate_params(2, [a, a]))
+        x = np.geomspace(1e-12, 30.0, 30)
+        got = ed.sf(x)
+        with mp.workdps(60):
+            for xi, si in zip(x, got):
+                s0, u = mp.exp(-mp.mpf(float(xi))), -mp.expm1(-mp.mpf(float(xi)))
+                exact = a * s0 / (a + (1 - a) * u)  # equal parameters: 1 - u / (a + (1 - a) u)
+                assert abs(si - exact) <= 1e-14 * exact, xi
+
     def test_underflow_raises(self):
         ed = ExtendedDistribution(Exponential(1.0), validate_params(1, [1.0]))
         with pytest.raises(SurvivalUnderflow):

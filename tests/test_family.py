@@ -68,7 +68,7 @@ def count_passes(monkeypatch):
     from moq import family
 
     seen = {"n": 0}
-    for name in ("distortion", "distortion_complement"):
+    for name in ("distortion", "distortion_complement", "_minus_complement_of", "_minus_t_of_one_minus"):
         original = getattr(family, name)
 
         def counted(pv, x, original=original):
@@ -432,25 +432,40 @@ class TestInverseAccuracy:
     """The safeguarded Newton inversion of T and of the complement
     C(s) = 1 - T(1 - s), each for roots in (0, 1/2]."""
 
-    @pytest.mark.parametrize("complement", [False, True], ids=["T", "C"])
-    def test_relative_residual_and_passes(self, complement, monkeypatch, log_uniform_vectors, lower_levels):
+    @pytest.mark.parametrize(
+        "complement, mixed", [(False, False), (True, False), (False, True), (True, True)], ids=["T", "C", "1-T", "T(1-s)"]
+    )
+    def test_relative_residual_and_passes(self, complement, mixed, monkeypatch, log_uniform_vectors, lower_levels):
+        """Each of the four maps, for the levels whose root lies in (0, 1/2]:
+        T(u) = p, C(s) = 1 - p, and across 1 - T(u) = 1 - p, T(1 - s) = p."""
         hypothesis = pytest.importorskip("hypothesis")
-        from moq.family import _invert
+        from moq.family import _complement, _distortion, _invert
 
-        forward = distortion_complement if complement else distortion
+        forward = {
+            (False, False): distortion,
+            (True, False): distortion_complement,
+            (False, True): lambda pv, u: _complement(pv, u, 1.0 - u),
+            (True, True): lambda pv, s: _distortion(pv, 1.0 - s, s),
+        }[complement, mixed]
         passes = count_passes(monkeypatch)
 
         @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
         @hypothesis.given(pv=log_uniform_vectors, levels=lower_levels)
         def check(pv, levels):
             level = np.array(levels)
-            level = level[level <= forward(pv, 0.5)]  # the levels with a root up to 1/2
-            hypothesis.assume(level.size)
-            _invert(pv, level[:1], complement)  # builds the cached start table
+            edge = forward(pv, 0.5)  # the levels with a root up to 1/2 lie on one side of it
+            if mixed:  # levels across lie in [edge, 1/2], empty for half the vectors
+                level = edge + (0.5 - edge) * 2.0 * level
+                if edge >= 0.5:
+                    return
+            else:
+                level = level[level <= edge]
+                hypothesis.assume(level.size)
+            _invert(pv, level[:1], complement, mixed)  # builds the cached start table
             passes["n"] = 0
-            x = _invert(pv, level, complement)
+            x = _invert(pv, level, complement, mixed)
             assert passes["n"] <= 10
-            assert np.all(x <= 0.5)
+            assert np.all(x <= 0.5 + 1e-15)  # a root at 1/2 may land an ulp past it
             resid = np.abs(np.asarray(forward(pv, x)) - level)
             assert np.all(resid <= 1e-12 * level)
 
@@ -482,19 +497,30 @@ class TestInverseAccuracy:
         with pytest.raises(Nonconvergence):
             distortion_inverse(pv, np.array([1e-200, 0.3, 0.9]), max_iter=0)
 
-    def test_roots_above_one_half_go_through_the_complement(self):
-        """T(1/2) = 0.375 here: above it C(s) = 1 - p is solved and
-        u = 1 - s returned, below it T(u) = p."""
-        from moq.family import _invert
+    def test_each_root_against_the_smaller_level(self):
+        """The smaller root, u or s = 1 - u, solved against the smaller
+        level, p or 1 - p: T(1/2) = 0.375 for a = (1.5, 0.5), 0.625 for
+        a = (0.5, 1.5)."""
+        from moq.family import _complement, _distortion, _invert
 
         pv = validate_params(2, [1.5, 0.5])
         assert distortion(pv, 0.5) == 0.375
-        p = np.array([0.38, 0.5 + 2.0**-40, 0.75, 1.0 - 1e-13])
-        s = _invert(pv, 1.0 - p, True)
+        p = np.array([1e-300, 0.2, 0.37])  # T(u) = p
+        np.testing.assert_array_equal(distortion_inverse(pv, p), _invert(pv, p, False, False))
+        p = np.array([0.5 + 2.0**-40, 0.75, 1.0 - 1e-13])  # C(s) = 1 - p
+        s = _invert(pv, 1.0 - p, True, False)
         np.testing.assert_array_equal(distortion_inverse(pv, p), 1.0 - s)
         np.testing.assert_allclose(distortion_complement(pv, s), 1.0 - p, rtol=1e-14)
-        p = np.array([1e-300, 0.2, 0.37])
-        np.testing.assert_array_equal(distortion_inverse(pv, p), _invert(pv, p, False))
+        p = np.array([0.38, 0.45])  # T(1 - s) = p
+        s = _invert(pv, p, True, True)
+        np.testing.assert_array_equal(distortion_inverse(pv, p), 1.0 - s)
+        np.testing.assert_allclose(_distortion(pv, 1.0 - s, s), p, rtol=1e-14)
+        pv = validate_params(2, [0.5, 1.5])
+        assert distortion(pv, 0.5) == 0.625
+        p = np.array([0.55, 0.6])  # 1 - T(u) = 1 - p
+        u = _invert(pv, 1.0 - p, False, True)
+        np.testing.assert_array_equal(distortion_inverse(pv, p), u)
+        np.testing.assert_allclose(_complement(pv, u, 1.0 - u), 1.0 - p, rtol=1e-14)
 
     def test_concave_map_keeps_upper_cdf_levels_on_t(self):
         """With a_1 tiny T(1/2) is close to one, so even p = 0.9 has a root
