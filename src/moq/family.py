@@ -267,8 +267,10 @@ def _small_roots(pv: ParameterVector, level: np.ndarray, survival: bool, tol=1e-
     ``level`` holds cdf levels p, or with ``survival`` the survival levels
     1 - p, which keep digits that p has lost.  Either way x <= 1/2 carries
     the root to full relative precision, where 1 - x might not.  With
-    ``public`` the roots that :func:`distortion_inverse` returns as they
-    are, small level and root both on T, are left to it.
+    ``public`` the commonest roots, small level and root both on T, go
+    through :func:`distortion_inverse`, which returns them as they are, so
+    that wrappers installed on the public inverse see them; it passes
+    ``public=False`` itself.
     """
     # the root lies on the complement side where C(s) <= C(1/2), that is
     # T(u) >= T(1/2); judged on the given level, exact where the other is not
