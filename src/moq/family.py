@@ -25,6 +25,7 @@ threads.  Scalar inputs return floats, array inputs return arrays.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -98,12 +99,6 @@ class ParameterVector:
         baseline density.
         """
         return self.sum_a >= self.q and all(ai <= 1.0 for ai in self.a[1:])
-
-    def describe_conditions(self) -> str:
-        return (
-            f"series_at_zero_ok={self.series_at_zero_ok} "
-            f"series_at_one_ok={self.series_at_one_ok} pmf_ok={self.pmf_ok}"
-        )
 
 
 def validate_params(q: int, a: Sequence[float]) -> ParameterVector:
@@ -440,7 +435,6 @@ class SeriesCoefficients:
     values: tuple[float, ...]
     truncation_index: int
     tail_estimate: float
-    sigma: tuple[float, ...]
 
     def reconstruct(self, u):
         """Evaluate the truncated series at ``u`` (array-friendly)."""
@@ -456,8 +450,13 @@ class SeriesCoefficients:
         return _ret(acc, scalar)
 
 
+# The largest (modes x block) array that one block evaluates; it bounds the
+# memory a block takes, not which indices a series sums.
+_BLOCK_CELLS = 1 << 18
+
+
 class _SeriesStream:
-    """Streaming evaluator for the series weights, shared by the truncated
+    """Block evaluator for the series weights, shared by the truncated
     builders, the moment series, and the lazily extended sampling tables.
 
     Each weight of index m is a finite sum over shifts j of
@@ -466,6 +465,14 @@ class _SeriesStream:
 
     evaluated in log space so that the binomial growth and the geometric
     decay never overflow on the way to a representable product.
+    :meth:`block` evaluates the weights of a range of indices at once, as
+    one (modes x block) array.  Callers walk the indices in blocks: the
+    first covers the burn-in up to m = q + 2, and :meth:`next_end` sizes
+    each later one from the geometric tail, so that a series is seldom
+    evaluated far past its stop.  Partial sums are taken with np.cumsum,
+    the running total added to the first term of each block, which keeps
+    the left-to-right order of a term-by-term loop; where a series stops
+    does not depend on the block sizes.
     """
 
     def __init__(self, pv: ParameterVector, kind: str):
@@ -493,10 +500,16 @@ class _SeriesStream:
             pref_mag = 0.0
         else:  # pragma: no cover - internal misuse
             raise ValueError(kind)
-        sig = elementary_symmetric(w, q)
-        self.sigma = tuple(sig[:q])
-        self.coeff = _mode_coefficients(kind, sig)
-        self._log_coeff = {j: math.log(abs(cj)) for j, cj in self.coeff.items() if cj != 0.0}
+        self.coeff = _mode_coefficients(kind, elementary_symmetric(w, q))
+        modes = {j: cj for j, cj in self.coeff.items() if cj != 0.0}
+        self._shift = np.array(list(modes), dtype=np.int64)
+        self._first, self._last = min(modes), max(modes)
+        self._row_start = (self._last - self._shift)[:, None]  # see block
+        self._binom_i = np.arange(1.0, q)[:, None]
+        self._log_coeff = np.array([math.log(abs(cj)) for cj in modes.values()])
+        self._mode_sign = np.array(
+            [math.copysign(1.0, cj) * (-1.0 if j % 2 and self.srat < 0.0 else 1.0) for j, cj in modes.items()]
+        )
         self.ratio = abs(self.srat)
         self._log_ratio = math.log(self.ratio) if self.ratio > 0.0 else -math.inf
         # Rounding scales for the error bounds below.  Each coefficient is
@@ -508,46 +521,52 @@ class _SeriesStream:
         abs_coeff = _mode_coefficients(kind, elementary_symmetric(map(abs, w), q))
         self._coeff_err = 2 * (q + 1) * _EPS * math.fsum(abs_coeff.values())
         self._pref_err = 3 * _EPS * (pref_mag + q + 2)
-        self._log_mag = max(map(abs, self._log_coeff.values()), default=0.0) + abs(self.log_pref) + 1
+        self._log_mag = float(np.max(np.abs(self._log_coeff))) + abs(self.log_pref) + 1
 
-    def value_and_envelope(self, m: int) -> tuple[float, float]:
-        """The weight of index m together with its absolute-value envelope.
+    def block(self, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
+        """The weights of the indices m0 <= m < m1 (m0 < m1) and their envelopes.
 
         The envelope is the same mode sum with every sign dropped.  Unlike
         the weight itself it cannot dip through cancellation, so it is the
         quantity the tail bounds have to be built from when the modes carry
         mixed signs.
         """
-        logs: list[float] = []
-        signs: list[float] = []
-        q1 = self.q - 1
-        for j, log_c in self._log_coeff.items():
-            k = m - j
-            if k < 0:
-                continue
-            if k > 0 and self.ratio == 0.0:
-                continue
-            # log of the exact integer binomial: lgamma(k+q) - lgamma(k+1)
-            # would leave a few ulp of lgamma(k+q), about eps * k * log k
-            lg = math.log(math.comb(k + q1, q1)) + log_c
-            lg += k * self._log_ratio if k > 0 else 0.0
-            logs.append(lg)
-            signs.append(math.copysign(1.0, self.coeff[j]) * (1.0 if (k % 2 == 0 or self.srat >= 0.0) else -1.0))
-        if not logs:
-            return 0.0, 0.0
-        top = max(logs)
-        if top + self.log_pref == -math.inf:
-            return 0.0, 0.0
-        scale = math.exp(top + self.log_pref)
-        acc = math.fsum(s * math.exp(lg - top) for s, lg in zip(signs, logs))
-        env = math.fsum(math.exp(lg - top) for lg in logs)
-        return acc * scale, env * scale
+        q1, first = self.q - 1, self._first
+        # log C(k+q-1, q-1) + k log|srat| for k = m0 - last .. m1 - 1 - first,
+        # -inf where k < 0 (or k > 0 with srat = 0); the binomial is the
+        # float product of the (k+i)/i, within 2(q-1) eps, or the exact
+        # integer where that product overflows, as C(n, q-1) <= n^(q-1) says
+        k0 = m0 - self._last
+        kr = np.arange(max(k0, 0), m1 - first, dtype=float)
+        with np.errstate(over="ignore") if q1 * math.log(m1 + q1) > 700 else nullcontext():
+            binom = ((kr + self._binom_i) / self._binom_i).prod(axis=0)
+        log_binom = np.log(binom)
+        if kr.size and math.isinf(binom[-1]):
+            for n in np.flatnonzero(np.isinf(binom)):
+                log_binom[n] = math.log(math.comb(int(kr[n]) + q1, q1))
+        row = np.full(m1 - first - k0, -math.inf)
+        if self.ratio > 0.0:
+            row[row.size - kr.size:] = log_binom + kr * self._log_ratio
+        elif k0 <= 0 < kr.size:
+            row[-k0] = 0.0
+        # the row of mode j starts at k = m0 - j; a column that no mode
+        # reaches gets terms and scale 0
+        lg = row[self._row_start + np.arange(m1 - m0)] + self._log_coeff[:, None]
+        top = np.maximum(lg.max(axis=0), -1e300)
+        terms = np.exp(lg - top)
+        scale = np.exp(top + self.log_pref)
+        value = (self._mode_sign @ terms) * scale
+        if self.srat < 0.0:  # sign (-1)^(m-j): (-1)^j in _mode_sign, (-1)^m here
+            value[(m0 + 1) % 2::2] *= -1.0
+        return value, terms.sum(axis=0) * scale
 
-    def value(self, m: int) -> float:
-        return self.value_and_envelope(m)[0]
+    def value_and_envelope(self, m: int) -> tuple[float, float]:
+        """The weight of index m together with its envelope; see :meth:`block`."""
+        value, env = self.block(m, m + 1)
+        return float(value[0]), float(env[0])
 
-    def rounding(self, m: int) -> float:
-        """Relative bound on the float error of :meth:`value_and_envelope` at m.
+    def rounding(self, m):
+        """Relative bound on the float error of :meth:`block` at m.
 
         Weight and envelope are both within this fraction of the envelope
         of their values for the float inputs (coeff, srat, log_pref).  The
@@ -555,12 +574,14 @@ class _SeriesStream:
         in magnitude, since C(k+q-1, q-1) <= (1 + k)^(q-1).  With libm log
         and exp within 1 ulp, the error of the exponents and the roundings
         around them stay below 4 eps * mag; the factor 5 leaves room for the
-        second-order terms.
+        second-order terms.  The float binomial adds 2(q-1) eps and the
+        plain sum over at most q + 1 modes q eps, hence the 3 eps q.
+        Array-friendly in m.
         """
-        mag = (self.q - 1) * math.log1p(m) + self._log_mag
+        mag = (self.q - 1) * np.log1p(m) + self._log_mag
         if self.ratio > 0.0:
-            mag -= m * self._log_ratio
-        return 5 * _EPS * mag
+            mag = mag - m * self._log_ratio
+        return _EPS * (5 * mag + 3 * self.q)
 
     def envelope_total(self) -> float:
         """Upper bound on the envelopes of all m >= 0 summed, for the exact a.
@@ -576,16 +597,35 @@ class _SeriesStream:
         coeff = math.fsum(map(abs, self.coeff.values())) + self._coeff_err
         return math.exp(self.log_pref + self._pref_err) * coeff / (1.0 - ratio) ** self.q
 
-    def envelope_ratio(self, m: int) -> float:
-        """Bound on envelope(m+1) / envelope(m), valid for m >= q + 1.
+    def envelope_ratio(self, m):
+        """Bound on envelope(m+1) / envelope(m), valid for m >= q + 1;
+        array-friendly in m.
 
         Mode j scales by ratio * (m-j+q)/(m-j+1) per index, which is
         largest for the youngest mode j = q; the bound is decreasing in m,
         so once it drops below one the envelope tail is geometric.
         """
-        if m <= self.q:
-            return math.inf
         return self.ratio * m / (m - self.q + 1)
+
+    def next_end(self, m0: int, m1: int, tail: float, tol: float, rho: float, max_terms: int, lag: int = 0) -> int:
+        """End of the block after [m0, m1), for a series that stops once its
+        tail estimate, ``tail`` at the last index of that block, falls
+        below ``tol``, ``lag`` indices after it would at the decay of the
+        bound ``rho``: about log(tol/tail) / log(rho) more terms.  The bound
+        decreases towards ``ratio``, so the decay is taken between the two,
+        at sqrt(rho * ratio).  While rho >= 1 the block is twice the last
+        one.  At least the burn-in's q + 2 terms, and never past
+        ``max_terms``.  An empty last block, m0 = m1 = q + 3 (or q + 2 from
+        m = 0), asks for the end of the first block, which covers the
+        burn-in up to m = q + 2 and, while rho < 1, the estimate beyond it.
+        """
+        size = m1 - m0
+        if 0.0 < rho < 1.0 and 0.0 < tail < math.inf:
+            n = lag + math.ceil(math.log(tol / tail) / math.log(math.sqrt(rho * self.ratio)))
+        else:
+            n = 2 * size
+        n = min(max(n, self.q + 2 if size else 0), _BLOCK_CELLS // self._shift.size)
+        return min(m1 + n, max_terms + 1)
 
 
 def _mode_coefficients(kind: str, sig: Sequence[float]) -> dict[int, float]:
@@ -596,31 +636,42 @@ def _mode_coefficients(kind: str, sig: Sequence[float]) -> dict[int, float]:
     return {0: 1.0, **{j: sig[j] + sig[j - 1] for j in range(1, q + 1)}}
 
 
+def _carried_cumsum(carry: float, terms: np.ndarray) -> np.ndarray:
+    """Partial sums of ``terms`` on top of ``carry``, added left to right."""
+    terms = np.array(terms, dtype=float)
+    if terms.size:
+        terms[0] += carry
+    return np.cumsum(terms)
+
+
+@np.errstate(invalid="ignore", divide="ignore")
 def _truncated_series(pv: ParameterVector, kind: str, tol: float, max_terms: int) -> SeriesCoefficients:
     stream = _SeriesStream(pv, kind)
-    q = pv.q
-    values: list[float] = []
-    envelopes = [stream.value_and_envelope(0)[1]]  # at_one: the leading 1
-    drift = 0.0
-    burn_in = q + 2
-    m = 0
-    while m < max_terms:
-        m += 1
-        val, env = stream.value_and_envelope(m)
-        values.append(val)
-        envelopes.append(env)
-        drift += stream.rounding(m) * env
-        if m < burn_in:
-            continue
+    burn_in = pv.q + 2
+    weights, envelopes = [], []  # from m = 0, which is the leading 1 at_one
+    # the first block covers the burn-in and what a unit weight at its end
+    # would take to stop, then each block what the last one left
+    m0, rho = 0, stream.envelope_ratio(burn_in)
+    m1 = stream.next_end(burn_in + 1, burn_in + 1, rho / (1.0 - rho) if rho < 1.0 else math.inf, tol, rho, max_terms)
+    while m0 < m1:
+        w, env = stream.block(m0, m1)
+        m = np.arange(m0, m1)
         rho = stream.envelope_ratio(m)
-        if rho >= 1.0:
-            continue
-        if env * rho / (1.0 - rho) < tol:
+        tail = env * rho / (1.0 - rho)
+        stop = np.flatnonzero((m >= burn_in) & (rho < 1.0) & (tail < tol))[:1]
+        end = int(stop[0]) + 1 if stop.size else m.size
+        weights.append(w[:end])
+        envelopes.append(env[:end])
+        if stop.size:
             break
+        m0, m1 = m1, stream.next_end(m0, m1, tail[-1], tol, rho[-1], max_terms)
     else:
         raise Nonconvergence(
-            f"series {kind} for q={q}, a={pv.a} still above tol={tol} after {max_terms} terms"
+            f"series {kind} for q={pv.q}, a={pv.a} still above tol={tol} after {max_terms} terms"
         )
+    values, env = np.concatenate(weights)[1:], np.concatenate(envelopes)
+    m = values.size
+    drift = math.fsum((stream.rounding(np.arange(1, m + 1)) * env[1:]).tolist())
     # The float envelopes sum to within drift of the exact ones for the
     # float inputs, so total - seen + drift bounds the truncation tail plus
     # the weight error that the rounding of the inputs makes.  The float
@@ -629,15 +680,14 @@ def _truncated_series(pv: ParameterVector, kind: str, tol: float, max_terms: int
     # (Higham 2002, §5.1), plus m half-ulps of it for the rounding of u - 1;
     # both fit in (2m + 1) eps * sum |values| on the convergence interval,
     # where |base| <= 1.
-    total, seen = stream.envelope_total(), math.fsum(envelopes)
+    total, seen = stream.envelope_total(), math.fsum(env.tolist())
     truncation = total - seen
-    rounding = 2 * drift + _EPS * total + (2 * m + 1) * _EPS * math.fsum(abs(v) for v in values)
+    rounding = 2 * drift + _EPS * total + (2 * m + 1) * _EPS * math.fsum(np.abs(values).tolist())
     return SeriesCoefficients(
         kind=kind,
-        values=tuple(values),
+        values=tuple(values.tolist()),
         truncation_index=m,
         tail_estimate=truncation + rounding + _TAIL_FLOOR,
-        sigma=stream.sigma,
     )
 
 

@@ -17,14 +17,15 @@ rather than returning quietly wrong numbers.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from .baselines import Baseline, Exponential, GeneralizedWeibull, LogLogistic, Weibull
 from .errors import ConditionViolated, DomainError, Nonconvergence
 from .extended import ExtendedDistribution
-from .family import ParameterVector, _SeriesStream
-from .oracle import beta_fn, integrate_semiinfinite, log_gamma
+from .family import ParameterVector, _carried_cumsum, _SeriesStream
+from .oracle import integrate_semiinfinite, log_gamma
 
 __all__ = [
     "MomentResult",
@@ -61,8 +62,9 @@ def _require_pmf(pv: ParameterVector, what: str):
         )
 
 
-def _alternating_binomial_inner(m: int, r: float) -> tuple[float, float]:
-    """sum_{j=0}^{m-1} C(m-1, j) (-1)^j (j+1)^(-r-1), compensated.
+def _alternating_binomial_inner(m: int, powers: list[float]) -> tuple[float, float]:
+    """sum_{j=0}^{m-1} C(m-1, j) (-1)^j powers[j], compensated, where
+    powers[j] = (j+1)^(-r-1).
 
     Returns (value, sum of absolute terms).  The second output is the
     cancellation mass: value / eps over it bounds the attainable relative
@@ -72,11 +74,11 @@ def _alternating_binomial_inner(m: int, r: float) -> tuple[float, float]:
     comp = 0.0
     abssum = 0.0
     binom = 1.0
-    for j in range(m):
-        term = binom * (j + 1.0) ** (-r - 1.0)
+    for j, power in zip(range(m), powers):
+        term = binom * power
+        abssum += term
         if j % 2 == 1:
             term = -term
-        abssum += abs(term)
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -85,46 +87,82 @@ def _alternating_binomial_inner(m: int, r: float) -> tuple[float, float]:
     return total, abssum
 
 
+def _beta(p, q) -> np.ndarray:
+    """Beta(p, q) elementwise, for p, q > 0, via log-gamma."""
+    return np.exp(_log_gamma(p) + _log_gamma(q) - _log_gamma(p + q))
+
+
+def _log_gamma(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+@np.errstate(invalid="ignore", divide="ignore")
 def _series_at_zero(pv: ParameterVector, term, tol: float, max_terms: int) -> MomentResult:
     """Sum term(m, w_m) over the weights about u = 0, m = 1, 2, ...
 
-    ``term`` returns the m-th term and a bound on its rounding error; the
+    ``term`` takes arrays of indices and weights and returns the terms, a
+    bound on the rounding error of each, and either None or the
+    Nonconvergence that its last index raises, after which it evaluates
+    no further; that error is raised unless the series stops first.  The
     reported error is the geometric tail bound plus the summed roundings.
     """
     stream = _SeriesStream(pv, "at_zero")
+    q = pv.q
     total = err = 0.0
-    recent: deque[float] = deque(maxlen=pv.q + 1)
-    for m in range(1, max_terms + 1):
-        t, rounding = term(m, stream.value(m))
-        total += t
-        err += rounding
-        recent.append(abs(t))
-        if m >= pv.q + 2:
-            # the weight-envelope ratio and the (m+1)/m growth of the m factor
-            # bound the rest; each family's other factors shrink with m
-            rho = stream.envelope_ratio(m) * (m + 1) / m
-            if rho < 1.0:
-                tail = max(recent) * rho / (1.0 - rho)
-                if tail < tol:
-                    return MomentResult(total, "series_at_zero", m, tail + err)
+    recent = np.zeros(q)  # |term| of the q indices before the block
+    # the first block covers the burn-in and what a unit term at its end
+    # would take to stop, then each block what the last one left
+    m0, rho = 1, stream.envelope_ratio(q + 2) * (q + 3) / (q + 2)
+    tail = rho / (1.0 - rho) if rho < 1.0 else math.inf
+    m1 = stream.next_end(q + 3, q + 3, tail, tol, rho, max_terms, lag=q)
+    while m0 < m1:
+        m = np.arange(m0, m1, dtype=float)
+        t, rounding, failure = term(m, stream.block(m0, m1)[0])
+        m = m[: t.size]
+        mag = np.concatenate((recent, np.abs(t)))
+        # the weight-envelope ratio and the (m+1)/m growth of the m factor
+        # bound the rest, from the largest of the last q + 1 terms, which
+        # trails the latest by up to q indices; each family's other factors
+        # shrink with m
+        largest = mag[np.arange(q + 1)[:, None] + np.arange(t.size)].max(axis=0)
+        rho = stream.envelope_ratio(m) * (m + 1) / m
+        tail = largest * rho / (1.0 - rho)
+        totals, errs = _carried_cumsum(total, t), _carried_cumsum(err, rounding)
+        stop = np.flatnonzero((m >= q + 2) & (rho < 1.0) & (tail < tol))[:1]
+        if stop.size and (failure is None or stop[0] < t.size - 1):
+            i = int(stop[0])
+            return MomentResult(float(totals[i]), "series_at_zero", m0 + i, float(tail[i] + errs[i]))
+        if failure is not None:
+            raise failure
+        total, err, recent = totals[-1], errs[-1], mag[t.size:]
+        m0, m1 = m1, stream.next_end(m0, m1, mag[-1] * rho[-1] / (1.0 - rho[-1]), tol, rho[-1], max_terms, lag=q)
     raise Nonconvergence(f"moment series (at zero) exceeded {max_terms} terms")
 
 
 def _series_at_one(pv: ParameterVector, term, tol: float, max_terms: int) -> MomentResult:
     """Alternating sum of term(m, w_m) over the weights about u = 1.
 
-    Stops at the first term beyond index q + 2 that is no larger than its
-    predecessor and below ``tol``; its magnitude is the error estimate.
+    ``term`` takes arrays of indices and weights.  Stops at the first term
+    beyond index q + 2 that is no larger than its predecessor and below
+    ``tol``; its magnitude is the error estimate.
     """
     stream = _SeriesStream(pv, "at_one")
+    q = pv.q
     total, prev = 0.0, math.inf
-    for m in range(1, max_terms + 1):
-        t = term(m, stream.value(m))
-        total += -t if m % 2 == 0 else t
-        mag = abs(t)
-        if m > pv.q + 2 and mag <= prev and mag < tol:
-            return MomentResult(total, "series_at_one", m, mag)
-        prev = mag
+    # the first block: the burn-in and what a unit term would take to stop
+    m0, m1 = 1, stream.next_end(q + 3, q + 3, 1.0, tol, stream.envelope_ratio(q + 2), max_terms)
+    while m0 < m1:
+        m = np.arange(m0, m1, dtype=float)
+        t = term(m, stream.block(m0, m1)[0])
+        mag = np.abs(t)
+        totals = _carried_cumsum(total, np.where(m % 2 == 0, -t, t))
+        stop = np.flatnonzero((m > q + 2) & (mag <= np.append(prev, mag[:-1])) & (mag < tol))[:1]
+        if stop.size:
+            i = int(stop[0])
+            return MomentResult(float(totals[i]), "series_at_one", m0 + i, float(mag[i]))
+        total, prev = totals[-1], mag[-1]
+        m0, m1 = m1, stream.next_end(m0, m1, prev, tol, stream.envelope_ratio(m1 - 1), max_terms)
     raise Nonconvergence(f"moment series (at one) exceeded {max_terms} terms")
 
 
@@ -158,15 +196,19 @@ def moment_exponential(
         raise DomainError(f"moment order must satisfy r > 0, got {r!r}")
     pref = math.exp(math.log(r) + log_gamma(r))  # r * Gamma(r)
 
-    def at_zero(m: int, w: float) -> tuple[float, float]:
-        inner, abssum = _alternating_binomial_inner(m, r)
-        t = pref * m * w * inner
-        if abs(inner) > 0 and abssum / abs(inner) > _CANCEL_LIMIT and abs(t) > tol * 1e-3:
-            raise Nonconvergence(
-                f"inner alternating sum ill-conditioned at index {m} "
-                f"(cancellation ratio {abssum / abs(inner):.2e})"
-            )
-        return t, pref * m * abs(w) * abssum * _EPS
+    def at_zero(m: np.ndarray, w: np.ndarray):
+        powers = [(j + 1.0) ** (-r - 1.0) for j in range(int(m[-1]))]
+        t, rounding = [], []
+        for mi, wi in zip(map(int, m.tolist()), w.tolist()):
+            inner, abssum = _alternating_binomial_inner(mi, powers)
+            t.append(pref * mi * wi * inner)
+            rounding.append(pref * mi * abs(wi) * abssum * _EPS)
+            if abs(inner) > 0 and abssum / abs(inner) > _CANCEL_LIMIT and abs(t[-1]) > tol * 1e-3:
+                return np.array(t), np.array(rounding), Nonconvergence(
+                    f"inner alternating sum ill-conditioned at index {mi} "
+                    f"(cancellation ratio {abssum / abs(inner):.2e})"
+                )
+        return np.array(t), np.array(rounding), None
 
     if method in ("auto", "series_at_zero"):
         try:
@@ -176,7 +218,7 @@ def moment_exponential(
                 raise
     if method == "series_at_one" or (method == "auto" and pv.series_at_one_ok):
         try:
-            return _series_at_one(pv, lambda m, w: pref * w * m ** (-r), tol, max_terms)
+            return _series_at_one(pv, lambda m, w: pref * w * m ** -r, tol, max_terms)
         except Nonconvergence:
             if method != "auto":
                 raise
@@ -206,10 +248,12 @@ def moment_loglogistic(
     if method == "quadrature":
         return _moment_quadrature(LogLogistic(), pv, r, tol)
     if method == "series_at_one":
-        return _series_at_one(pv, lambda m, w: m * w * beta_fn(m - r, 1.0 + r), tol, max_terms)
+        return _series_at_one(pv, lambda m, w: m * w * _beta(m - r, 1.0 + r), tol, max_terms)
     # auto: the series at zero has the smaller ratio and non-negative terms
     try:
-        return _series_at_zero(pv, lambda m, w: (m * w * beta_fn(1.0 - r, m + r), 0.0), tol, max_terms)
+        return _series_at_zero(
+            pv, lambda m, w: (m * w * _beta(1.0 - r, m + r), np.zeros(m.size), None), tol, max_terms
+        )
     except Nonconvergence:
         if method != "auto":
             raise

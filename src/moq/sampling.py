@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConditionViolated, DomainError, EnvelopeViolation, Nonconvergence
 from .extended import ExtendedDistribution
-from .family import ParameterVector, _SeriesStream, distortion_deriv
+from .family import ParameterVector, _carried_cumsum, _SeriesStream, distortion_deriv
 from .baselines import Baseline
 
 __all__ = [
@@ -154,26 +154,31 @@ def sample_accept_reject(
 class _CountTable:
     """Lazily extended cumulative sums of the series-at-zero weights.
 
-    Append-only: readers snapshot the current prefix, writers only extend,
-    so concurrent draws over the same parameter vector stay consistent.
+    Append-only: readers take the current array, writers replace it by a
+    longer one, so concurrent draws over the same parameter vector stay
+    consistent.
     """
 
     def __init__(self, pv: ParameterVector):
         self.stream = _SeriesStream(pv, "at_zero")
-        self.cum: list[float] = [self.stream.value(1)]
+        self.cum = self.stream.block(1, 2)[0]
         self.lock = threading.Lock()
 
     def extended_to(self, target: float, max_terms: int) -> np.ndarray:
         if self.cum[-1] <= target:
             with self.lock:
                 while self.cum[-1] <= target:
-                    m = len(self.cum) + 1
-                    if m > max_terms:
+                    m1 = self.cum.size + 1
+                    if m1 > max_terms:
                         raise Nonconvergence(
                             f"count distribution stalled at mass {self.cum[-1]} after {max_terms} terms"
                         )
-                    self.cum.append(self.cum[-1] + self.stream.value(m))
-        return np.asarray(self.cum)
+                    # the mass left, 1 - cum, falls geometrically to 1 - target
+                    rho = self.stream.envelope_ratio(m1 - 1) if m1 > self.stream.q + 1 else math.inf
+                    end = self.stream.next_end(1, m1, 1.0 - self.cum[-1], 1.0 - target, rho, max_terms)
+                    more = _carried_cumsum(self.cum[-1], self.stream.block(m1, end)[0])
+                    self.cum = np.concatenate((self.cum, more))
+        return self.cum
 
 
 @lru_cache(maxsize=256)
