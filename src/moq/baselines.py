@@ -162,19 +162,21 @@ class GeneralizedWeibull(Baseline):
     shape: float
     shape2: float
 
+    def _log_sf(self, z):
+        """1 - (1 + z^shape)^(1/shape2) as -expm1(log1p(z^shape) / shape2),
+        which keeps its digits where z^shape is below eps."""
+        with np.errstate(over="ignore"):
+            return -np.expm1(np.log1p(z**self.shape) / self.shape2)
+
     def cdf(self, x):
         xx, scalar = _as_float(x)
-        z = np.maximum(xx, 0.0) / self.scale
-        with np.errstate(over="ignore"):
-            inner = 1.0 - (1.0 + z**self.shape) ** (1.0 / self.shape2)
+        inner = self._log_sf(np.maximum(xx, 0.0) / self.scale)
         val = np.where(xx > 0.0, -np.expm1(inner), 0.0)
         return _ret(val, scalar)
 
     def sf(self, x):
         xx, scalar = _as_float(x)
-        z = np.maximum(xx, 0.0) / self.scale
-        with np.errstate(over="ignore"):
-            inner = 1.0 - (1.0 + z**self.shape) ** (1.0 / self.shape2)
+        inner = self._log_sf(np.maximum(xx, 0.0) / self.scale)
         val = np.where(xx > 0.0, np.exp(inner), 1.0)
         return _ret(val, scalar)
 
@@ -183,10 +185,9 @@ class GeneralizedWeibull(Baseline):
         pos = xx > 0.0
         z = np.where(pos, xx / self.scale, 1.0)
         with np.errstate(over="ignore"):
-            t = z**self.shape
             logpdf = (
-                (1.0 - (1.0 + t) ** (1.0 / self.shape2))
-                + (1.0 / self.shape2 - 1.0) * np.log1p(t)
+                self._log_sf(z)
+                + (1.0 / self.shape2 - 1.0) * np.log1p(z**self.shape)
                 + math.log(self.shape / (self.scale * self.shape2))
                 + (self.shape - 1.0) * np.log(z)
             )

@@ -11,8 +11,8 @@ from .errors import SurvivalUnderflow
 from .family import (
     ParameterVector,
     _complement,
+    _distortion,
     _small_roots,
-    distortion,
     distortion_deriv,
 )
 
@@ -34,14 +34,19 @@ class ExtendedDistribution:
     pv: ParameterVector
 
     def cdf(self, x):
-        return distortion(self.pv, self.baseline.cdf(x))
+        # T(u) and 1 - T(u) from the baseline's u and s = 1 - u, each with
+        # its own digits, so that neither tail loses any to cancellation
+        u, s, scalar = self._levels(x)
+        # analytically in [0, 1]; rounding can poke a couple of ulp past 1
+        return _ret(np.clip(_distortion(self.pv, u, s), 0.0, 1.0), scalar)
 
     def sf(self, x):
-        # 1 - T(u) from the baseline's u and s = 1 - u, each with its own
-        # digits, so that neither tail loses any to cancellation
+        u, s, scalar = self._levels(x)
+        return _ret(_complement(self.pv, u, s), scalar)
+
+    def _levels(self, x):
         xx = np.asarray(x, dtype=float)
-        u, s = np.asarray(self.baseline.cdf(xx)), np.asarray(self.baseline.sf(xx))
-        return _ret(_complement(self.pv, u, s), xx.ndim == 0)
+        return np.asarray(self.baseline.cdf(xx)), np.asarray(self.baseline.sf(xx)), xx.ndim == 0
 
     def pdf(self, x):
         xx = np.asarray(x, dtype=float)

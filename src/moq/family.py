@@ -502,14 +502,14 @@ class _SeriesStream:
             raise ValueError(kind)
         self.coeff = _mode_coefficients(kind, elementary_symmetric(w, q))
         modes = {j: cj for j, cj in self.coeff.items() if cj != 0.0}
-        self._shift = np.array(list(modes), dtype=np.int64)
+        log_coeff = [math.log(abs(cj)) for cj in modes.values()]
         self._first, self._last = min(modes), max(modes)
-        self._row_start = (self._last - self._shift)[:, None]  # see block
-        self._binom_i = np.arange(1.0, q)[:, None]
-        self._log_coeff = np.array([math.log(abs(cj)) for cj in modes.values()])
+        self._row_start = np.array([[self._last - j] for j in modes])  # see block
+        self._log_coeff = np.array(log_coeff)[:, None]
         self._mode_sign = np.array(
             [math.copysign(1.0, cj) * (-1.0 if j % 2 and self.srat < 0.0 else 1.0) for j, cj in modes.items()]
         )
+        self._binom_i = np.arange(1.0, q)[:, None]
         self.ratio = abs(self.srat)
         self._log_ratio = math.log(self.ratio) if self.ratio > 0.0 else -math.inf
         # Rounding scales for the error bounds below.  Each coefficient is
@@ -521,7 +521,7 @@ class _SeriesStream:
         abs_coeff = _mode_coefficients(kind, elementary_symmetric(map(abs, w), q))
         self._coeff_err = 2 * (q + 1) * _EPS * math.fsum(abs_coeff.values())
         self._pref_err = 3 * _EPS * (pref_mag + q + 2)
-        self._log_mag = float(np.max(np.abs(self._log_coeff))) + abs(self.log_pref) + 1
+        self._log_mag = max(map(abs, log_coeff)) + abs(self.log_pref) + 1
 
     def block(self, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
         """The weights of the indices m0 <= m < m1 (m0 < m1) and their envelopes.
@@ -551,7 +551,7 @@ class _SeriesStream:
             row[-k0] = 0.0
         # the row of mode j starts at k = m0 - j; a column that no mode
         # reaches gets terms and scale 0
-        lg = row[self._row_start + np.arange(m1 - m0)] + self._log_coeff[:, None]
+        lg = row[self._row_start + np.arange(m1 - m0)] + self._log_coeff
         top = np.maximum(lg.max(axis=0), -1e300)
         terms = np.exp(lg - top)
         scale = np.exp(top + self.log_pref)
@@ -624,7 +624,7 @@ class _SeriesStream:
             n = lag + math.ceil(math.log(tol / tail) / math.log(math.sqrt(rho * self.ratio)))
         else:
             n = 2 * size
-        n = min(max(n, self.q + 2 if size else 0), _BLOCK_CELLS // self._shift.size)
+        n = min(max(n, self.q + 2 if size else 0), _BLOCK_CELLS // self._row_start.size)
         return min(m1 + n, max_terms + 1)
 
 

@@ -111,6 +111,7 @@ def _series_at_zero(pv: ParameterVector, term, tol: float, max_terms: int) -> Mo
     q = pv.q
     total = err = 0.0
     recent = np.zeros(q)  # |term| of the q indices before the block
+    window = np.arange(q + 1)[:, None]
     # the first block covers the burn-in and what a unit term at its end
     # would take to stop, then each block what the last one left
     m0, rho = 1, stream.envelope_ratio(q + 2) * (q + 3) / (q + 2)
@@ -125,7 +126,7 @@ def _series_at_zero(pv: ParameterVector, term, tol: float, max_terms: int) -> Mo
         # bound the rest, from the largest of the last q + 1 terms, which
         # trails the latest by up to q indices; each family's other factors
         # shrink with m
-        largest = mag[np.arange(q + 1)[:, None] + np.arange(t.size)].max(axis=0)
+        largest = mag[window + np.arange(t.size)].max(axis=0)
         rho = stream.envelope_ratio(m) * (m + 1) / m
         tail = largest * rho / (1.0 - rho)
         totals, errs = _carried_cumsum(total, t), _carried_cumsum(err, rounding)

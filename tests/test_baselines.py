@@ -110,6 +110,25 @@ class TestTails:
     def test_heavy_tail_loglogistic(self):
         assert LogLogistic().sf(1e12) == pytest.approx(1e-12, rel=1e-10)
 
+    def test_generalized_weibull_small_argument_against_mpmath(self):
+        """1 - (1 + z^shape)^(1/shape2) formed directly loses every digit
+        once z^shape is below eps: cdf(1e-30) was 4.44e-16 (true 5.0e-16)
+        and cdf(1e-40) was -0.0."""
+        mp = pytest.importorskip("mpmath")
+        gw = GeneralizedWeibull(1.0, 0.5, 2.0)
+        with mp.workdps(50):
+            for x in (1e-40, 1e-30, 1e-8, 1.0, 10.0):
+                t = mp.mpf(x) ** mp.mpf("0.5")
+                inner = 1 - mp.sqrt(1 + t)  # log sf
+                exact = {
+                    "cdf": -mp.expm1(inner),
+                    "sf": mp.exp(inner),
+                    "pdf": mp.exp(inner) * 0.5 * t / mp.mpf(x) / (2 * mp.sqrt(1 + t)),
+                }
+                for name, value in exact.items():
+                    got = getattr(gw, name)(x)
+                    assert abs(got - value) <= 1e-14 * value, (name, x, got, value)
+
     def test_singular_density_is_zero_at_origin(self):
         # shape < 1 blows up as x -> 0+; the value at exactly 0 is pinned to 0
         assert Weibull(1.0, 0.5).pdf(0.0) == 0.0

@@ -359,6 +359,40 @@ class TestSeriesStream:
                 assert abs(env - pref * mp.fsum(map(abs, modes))) <= bound
 
 
+class TestSeriesBlock:
+    @pytest.mark.parametrize(
+        "a, kind, terms",
+        [
+            # q = 12, modes of both signs (a_i on either side of 1)
+            ((40.0, 0.4, 2.5, 0.7, 1.8, 0.3, 0.9, 3.1, 0.5, 1.2, 0.6, 2.2), "at_zero", 400),
+            # the 3,107-term log-logistic moment series, and beyond
+            ((200.0, 0.5), "at_zero", 3200),
+        ],
+        ids=["q12-mixed-sign", "a200"],
+    )
+    def test_block_weights_within_rounding_bound(self, a, kind, terms):
+        """Each block weight and envelope is within rounding(m) * envelope
+        of its exact value for the float inputs coeff, srat and log_pref,
+        over two blocks split where the youngest mode first reaches."""
+        mp = pytest.importorskip("mpmath")
+        from moq.family import _SeriesStream
+
+        q = len(a)
+        stream = _SeriesStream(validate_params(q, a), kind)
+        split = q + 5
+        first, second = stream.block(1, split), stream.block(split, terms + 1)
+        values, envs = np.concatenate((first[0], second[0])), np.concatenate((first[1], second[1]))
+        assert any(c < 0 for c in stream.coeff.values()) or q == 2
+        with mp.workdps(40):
+            pref, srat = mp.exp(mp.mpf(stream.log_pref)), mp.mpf(stream.srat)
+            coeff = {j: mp.mpf(c) for j, c in stream.coeff.items()}
+            for m in range(1, terms + 1):
+                modes = [c * mp.binomial(m - j + q - 1, q - 1) * srat ** (m - j) for j, c in coeff.items() if m >= j]
+                bound = stream.rounding(m) * envs[m - 1]
+                assert abs(values[m - 1] - pref * mp.fsum(modes)) <= bound
+                assert abs(envs[m - 1] - pref * mp.fsum(map(abs, modes))) <= bound
+
+
 class TestComplement:
     def test_matches_one_minus_distortion(self):
         gen = np.random.default_rng(20)

@@ -84,6 +84,17 @@ class TestExponentialMoments:
         assert res.value == pytest.approx(quad_moment(Exponential(1.0), pv, 0.5), rel=1e-8)
 
 
+    def test_pinned_series_names_the_ill_conditioned_index(self):
+        """The inner sums cancel from index 50 for a = (20, 0.5) at r = 1.5,
+        however far the block that holds it reaches."""
+        pv = validate_params(2, [20.0, 0.5])
+        with pytest.raises(Nonconvergence, match=r"ill-conditioned at index 50 \(cancellation ratio 1\.27e\+12\)"):
+            moment_exponential(pv, 1.5, method="series_at_zero")
+        res = moment_exponential(pv, 1.5)
+        assert res.method_used == "quadrature"
+        assert res.value == pytest.approx(quad_moment(Exponential(1.0), pv, 1.5), rel=1e-12)
+
+
 class TestLogLogisticMoments:
     def test_identity_half_moment(self):
         # E(X^r) of the standard log-logistic is r*pi/sin(r*pi)
@@ -123,6 +134,23 @@ class TestLogLogisticMoments:
     def test_order_domain(self):
         with pytest.raises(DomainError):
             moment_loglogistic(validate_params(1, [1.0]), 1.0)
+
+    def test_long_series_against_mpmath(self):
+        """The 3,107-term series at zero for a = (200, 0.5), against E(X^r)
+        = int r x^(r-1) (1 - T(x / (1 + x))) dx in mpmath."""
+        mp = pytest.importorskip("mpmath")
+        res = moment(LogLogistic(1.0, 1.0), validate_params(2, [200.0, 0.5]), 0.5, method="series_at_zero")
+        with mp.workdps(30):
+            a1, a2, r = mp.mpf(200), mp.mpf("0.5"), mp.mpf("0.5")
+            big_s = a1 + a2
+
+            def survival(x):
+                u = x / (1 + x)
+                return 1 - 4 * u * (a2 + u - a2 * u) / (big_s - (big_s - 2) * u) ** 2
+
+            exact = mp.quad(lambda x: r * x ** (r - 1) * survival(x), [0, 1, 100, 1e4, mp.inf])
+        assert res.terms_used == 3107
+        assert abs(res.value - exact) <= 1e-10 * exact
 
 
 class TestClosedForm:
