@@ -510,6 +510,7 @@ class _SeriesStream:
             [math.copysign(1.0, cj) * (-1.0 if j % 2 and self.srat < 0.0 else 1.0) for j, cj in modes.items()]
         )
         self._binom_i = np.arange(1.0, q)[:, None]
+        self._below_zero = np.full(self._last, -math.inf)  # k < 0, see block
         self.ratio = abs(self.srat)
         self._log_ratio = math.log(self.ratio) if self.ratio > 0.0 else -math.inf
         # Rounding scales for the error bounds below.  Each coefficient is
@@ -539,26 +540,26 @@ class _SeriesStream:
         k0 = m0 - self._last
         kr = np.arange(max(k0, 0), m1 - first, dtype=float)
         with np.errstate(over="ignore") if q1 * math.log(m1 + q1) > 700 else nullcontext():
-            binom = ((kr + self._binom_i) / self._binom_i).prod(axis=0)
+            binom = np.multiply.reduce((kr + self._binom_i) / self._binom_i, axis=0)
         log_binom = np.log(binom)
         if kr.size and math.isinf(binom[-1]):
             for n in np.flatnonzero(np.isinf(binom)):
                 log_binom[n] = math.log(math.comb(int(kr[n]) + q1, q1))
-        row = np.full(m1 - first - k0, -math.inf)
         if self.ratio > 0.0:
-            row[row.size - kr.size:] = log_binom + kr * self._log_ratio
-        elif k0 <= 0 < kr.size:
-            row[-k0] = 0.0
+            row = log_binom + kr * self._log_ratio
+        else:
+            row = np.where(kr == 0.0, 0.0, -math.inf)
+        row = np.concatenate((self._below_zero[: max(-k0, 0)], row))
         # the row of mode j starts at k = m0 - j; a column that no mode
         # reaches gets terms and scale 0
         lg = row[self._row_start + np.arange(m1 - m0)] + self._log_coeff
-        top = np.maximum(lg.max(axis=0), -1e300)
+        top = np.maximum.reduce(lg, axis=0, initial=-1e300)
         terms = np.exp(lg - top)
         scale = np.exp(top + self.log_pref)
         value = (self._mode_sign @ terms) * scale
         if self.srat < 0.0:  # sign (-1)^(m-j): (-1)^j in _mode_sign, (-1)^m here
             value[(m0 + 1) % 2::2] *= -1.0
-        return value, terms.sum(axis=0) * scale
+        return value, np.add.reduce(terms, axis=0) * scale
 
     def value_and_envelope(self, m: int) -> tuple[float, float]:
         """The weight of index m together with its envelope; see :meth:`block`."""
@@ -637,11 +638,10 @@ def _mode_coefficients(kind: str, sig: Sequence[float]) -> dict[int, float]:
 
 
 def _carried_cumsum(carry: float, terms: np.ndarray) -> np.ndarray:
-    """Partial sums of ``terms`` on top of ``carry``, added left to right."""
-    terms = np.array(terms, dtype=float)
-    if terms.size:
-        terms[0] += carry
-    return np.cumsum(terms)
+    """Partial sums of ``terms`` (not empty) on top of ``carry``, added left to right."""
+    terms = terms.astype(float)
+    terms[0] += carry
+    return terms.cumsum()
 
 
 @np.errstate(invalid="ignore", divide="ignore")

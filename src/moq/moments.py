@@ -62,9 +62,8 @@ def _require_pmf(pv: ParameterVector, what: str):
         )
 
 
-def _alternating_binomial_inner(m: int, powers: list[float]) -> tuple[float, float]:
-    """sum_{j=0}^{m-1} C(m-1, j) (-1)^j powers[j], compensated, where
-    powers[j] = (j+1)^(-r-1).
+def _alternating_binomial_inner(m: int, r: float) -> tuple[float, float]:
+    """sum_{j=0}^{m-1} C(m-1, j) (-1)^j (j+1)^(-r-1), compensated.
 
     Returns (value, sum of absolute terms).  The second output is the
     cancellation mass: value / eps over it bounds the attainable relative
@@ -74,11 +73,11 @@ def _alternating_binomial_inner(m: int, powers: list[float]) -> tuple[float, flo
     comp = 0.0
     abssum = 0.0
     binom = 1.0
-    for j, power in zip(range(m), powers):
-        term = binom * power
-        abssum += term
+    for j in range(m):
+        term = binom * (j + 1.0) ** (-r - 1.0)
         if j % 2 == 1:
             term = -term
+        abssum += abs(term)
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -126,13 +125,13 @@ def _series_at_zero(pv: ParameterVector, term, tol: float, max_terms: int) -> Mo
         # bound the rest, from the largest of the last q + 1 terms, which
         # trails the latest by up to q indices; each family's other factors
         # shrink with m
-        largest = mag[window + np.arange(t.size)].max(axis=0)
+        largest = np.maximum.reduce(mag[window + np.arange(t.size)], axis=0)
         rho = stream.envelope_ratio(m) * (m + 1) / m
         tail = largest * rho / (1.0 - rho)
         totals, errs = _carried_cumsum(total, t), _carried_cumsum(err, rounding)
-        stop = np.flatnonzero((m >= q + 2) & (rho < 1.0) & (tail < tol))[:1]
-        if stop.size and (failure is None or stop[0] < t.size - 1):
-            i = int(stop[0])
+        stop = (m >= q + 2) & (rho < 1.0) & (tail < tol)
+        i = int(stop.argmax())
+        if stop[i] and (failure is None or i < t.size - 1):
             return MomentResult(float(totals[i]), "series_at_zero", m0 + i, float(tail[i] + errs[i]))
         if failure is not None:
             raise failure
@@ -158,9 +157,9 @@ def _series_at_one(pv: ParameterVector, term, tol: float, max_terms: int) -> Mom
         t = term(m, stream.block(m0, m1)[0])
         mag = np.abs(t)
         totals = _carried_cumsum(total, np.where(m % 2 == 0, -t, t))
-        stop = np.flatnonzero((m > q + 2) & (mag <= np.append(prev, mag[:-1])) & (mag < tol))[:1]
-        if stop.size:
-            i = int(stop[0])
+        stop = (m > q + 2) & (mag <= np.append(prev, mag[:-1])) & (mag < tol)
+        i = int(stop.argmax())
+        if stop[i]:
             return MomentResult(float(totals[i]), "series_at_one", m0 + i, float(mag[i]))
         total, prev = totals[-1], mag[-1]
         m0, m1 = m1, stream.next_end(m0, m1, prev, tol, stream.envelope_ratio(m1 - 1), max_terms)
@@ -198,10 +197,9 @@ def moment_exponential(
     pref = math.exp(math.log(r) + log_gamma(r))  # r * Gamma(r)
 
     def at_zero(m: np.ndarray, w: np.ndarray):
-        powers = [(j + 1.0) ** (-r - 1.0) for j in range(int(m[-1]))]
         t, rounding = [], []
         for mi, wi in zip(map(int, m.tolist()), w.tolist()):
-            inner, abssum = _alternating_binomial_inner(mi, powers)
+            inner, abssum = _alternating_binomial_inner(mi, r)
             t.append(pref * mi * wi * inner)
             rounding.append(pref * mi * abs(wi) * abssum * _EPS)
             if abs(inner) > 0 and abssum / abs(inner) > _CANCEL_LIMIT and abs(t[-1]) > tol * 1e-3:
