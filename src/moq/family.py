@@ -25,7 +25,6 @@ threads.  Scalar inputs return floats, array inputs return arrays.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -65,6 +64,10 @@ _EPS = float(np.finfo(float).eps)
 # itself, of the final ``+ 1`` in ``at_one`` reconstruction, and of comparing
 # against a float evaluation of T.
 _TAIL_FLOOR = 256 * _EPS
+
+# Cells of the largest (modes x block) array a series block evaluates: a
+# memory bound, which does not change where any series stops.
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -450,11 +453,6 @@ class SeriesCoefficients:
         return _ret(acc, scalar)
 
 
-# The largest (modes x block) array that one block evaluates; it bounds the
-# memory a block takes, not which indices a series sums.
-_BLOCK_CELLS = 1 << 18
-
-
 class _SeriesStream:
     """Block evaluator for the series weights, shared by the truncated
     builders, the moment series, and the lazily extended sampling tables.
@@ -465,20 +463,16 @@ class _SeriesStream:
 
     evaluated in log space so that the binomial growth and the geometric
     decay never overflow on the way to a representable product.
-    :meth:`block` evaluates the weights of a range of indices at once, as
-    one (modes x block) array.  Callers walk the indices in blocks: the
-    first covers the burn-in up to m = q + 2, and :meth:`next_end` sizes
-    each later one from the geometric tail, so that a series is seldom
-    evaluated far past its stop.  Partial sums are taken with np.cumsum,
-    the running total added to the first term of each block, which keeps
-    the left-to-right order of a term-by-term loop; where a series stops
-    does not depend on the block sizes.
+    :meth:`block` evaluates a range of indices in a few numpy calls.
+    Callers walk blocks sized by :meth:`next_end` and take partial sums
+    with np.cumsum, the running total added to each block's first term:
+    that keeps the left-to-right order of a term-by-term loop, so where a
+    series stops does not depend on the block sizes.
     """
 
     def __init__(self, pv: ParameterVector, kind: str):
         q, big_s = pv.q, pv.sum_a
         self.q = q
-        self.kind = kind
         if kind == "at_zero":
             if not pv.series_at_zero_ok:
                 raise ConditionViolated(
@@ -504,13 +498,12 @@ class _SeriesStream:
         modes = {j: cj for j, cj in self.coeff.items() if cj != 0.0}
         log_coeff = [math.log(abs(cj)) for cj in modes.values()]
         self._first, self._last = min(modes), max(modes)
-        self._row_start = np.array([[self._last - j] for j in modes])  # see block
-        self._log_coeff = np.array(log_coeff)[:, None]
+        self._row_start = np.array([self._last - j for j in modes])  # see block
+        self._log_coeff = np.array(log_coeff)
         self._mode_sign = np.array(
             [math.copysign(1.0, cj) * (-1.0 if j % 2 and self.srat < 0.0 else 1.0) for j, cj in modes.items()]
         )
-        self._binom_i = np.arange(1.0, q)[:, None]
-        self._below_zero = np.full(self._last, -math.inf)  # k < 0, see block
+        self._binom_i = np.arange(1.0, q)
         self.ratio = abs(self.srat)
         self._log_ratio = math.log(self.ratio) if self.ratio > 0.0 else -math.inf
         # Rounding scales for the error bounds below.  Each coefficient is
@@ -532,15 +525,14 @@ class _SeriesStream:
         quantity the tail bounds have to be built from when the modes carry
         mixed signs.
         """
-        q1, first = self.q - 1, self._first
+        q1, k0 = self.q - 1, m0 - self._last
         # log C(k+q-1, q-1) + k log|srat| for k = m0 - last .. m1 - 1 - first,
         # -inf where k < 0 (or k > 0 with srat = 0); the binomial is the
         # float product of the (k+i)/i, within 2(q-1) eps, or the exact
-        # integer where that product overflows, as C(n, q-1) <= n^(q-1) says
-        k0 = m0 - self._last
-        kr = np.arange(max(k0, 0), m1 - first, dtype=float)
-        with np.errstate(over="ignore") if q1 * math.log(m1 + q1) > 700 else nullcontext():
-            binom = np.multiply.reduce((kr + self._binom_i) / self._binom_i, axis=0)
+        # integer where that product overflows
+        kr = np.arange(max(k0, 0), m1 - self._first, dtype=float)
+        with np.errstate(over="ignore"):
+            binom = np.multiply.reduce((kr[:, None] + self._binom_i) / self._binom_i, axis=1)
         log_binom = np.log(binom)
         if kr.size and math.isinf(binom[-1]):
             for n in np.flatnonzero(np.isinf(binom)):
@@ -549,17 +541,18 @@ class _SeriesStream:
             row = log_binom + kr * self._log_ratio
         else:
             row = np.where(kr == 0.0, 0.0, -math.inf)
-        row = np.concatenate((self._below_zero[: max(-k0, 0)], row))
-        # the row of mode j starts at k = m0 - j; a column that no mode
-        # reaches gets terms and scale 0
-        lg = row[self._row_start + np.arange(m1 - m0)] + self._log_coeff
-        top = np.maximum.reduce(lg, axis=0, initial=-1e300)
-        terms = np.exp(lg - top)
+        row = np.concatenate((np.full(max(-k0, 0), -math.inf), row))
+        # one row per m, mode j at k = m - j; a row no mode reaches is 0.
+        # Each reduction runs along a row, the same way for every m, so a
+        # weight does not depend on the block that holds it.
+        lg = row[np.arange(m1 - m0)[:, None] + self._row_start] + self._log_coeff
+        top = np.maximum.reduce(lg, axis=1, initial=-1e300)
+        terms = np.exp(lg - top[:, None])
         scale = np.exp(top + self.log_pref)
-        value = (self._mode_sign @ terms) * scale
+        value = np.add.reduce(terms * self._mode_sign, axis=1) * scale
         if self.srat < 0.0:  # sign (-1)^(m-j): (-1)^j in _mode_sign, (-1)^m here
             value[(m0 + 1) % 2::2] *= -1.0
-        return value, np.add.reduce(terms, axis=0) * scale
+        return value, np.add.reduce(terms, axis=1) * scale
 
     def value_and_envelope(self, m: int) -> tuple[float, float]:
         """The weight of index m together with its envelope; see :meth:`block`."""
@@ -575,9 +568,8 @@ class _SeriesStream:
         in magnitude, since C(k+q-1, q-1) <= (1 + k)^(q-1).  With libm log
         and exp within 1 ulp, the error of the exponents and the roundings
         around them stay below 4 eps * mag; the factor 5 leaves room for the
-        second-order terms.  The float binomial adds 2(q-1) eps and the
-        plain sum over at most q + 1 modes q eps, hence the 3 eps q.
-        Array-friendly in m.
+        second-order terms; the 3 eps q covers the float binomial, 2(q-1)
+        eps, and the sum over at most q + 1 modes.  Array-friendly in m.
         """
         mag = (self.q - 1) * np.log1p(m) + self._log_mag
         if self.ratio > 0.0:
@@ -599,8 +591,7 @@ class _SeriesStream:
         return math.exp(self.log_pref + self._pref_err) * coeff / (1.0 - ratio) ** self.q
 
     def envelope_ratio(self, m):
-        """Bound on envelope(m+1) / envelope(m), valid for m >= q + 1;
-        array-friendly in m.
+        """Bound on envelope(m+1) / envelope(m) for m >= q + 1, array-friendly.
 
         Mode j scales by ratio * (m-j+q)/(m-j+1) per index, which is
         largest for the youngest mode j = q; the bound is decreasing in m,
@@ -609,16 +600,12 @@ class _SeriesStream:
         return self.ratio * m / (m - self.q + 1)
 
     def next_end(self, m0: int, m1: int, tail: float, tol: float, rho: float, max_terms: int, lag: int = 0) -> int:
-        """End of the block after [m0, m1), for a series that stops once its
-        tail estimate, ``tail`` at the last index of that block, falls
-        below ``tol``, ``lag`` indices after it would at the decay of the
-        bound ``rho``: about log(tol/tail) / log(rho) more terms.  The bound
-        decreases towards ``ratio``, so the decay is taken between the two,
-        at sqrt(rho * ratio).  While rho >= 1 the block is twice the last
-        one.  At least the burn-in's q + 2 terms, and never past
-        ``max_terms``.  An empty last block, m0 = m1 = q + 3 (or q + 2 from
-        m = 0), asks for the end of the first block, which covers the
-        burn-in up to m = q + 2 and, while rho < 1, the estimate beyond it.
+        """End of the block after [m0, m1), at whose last index the series
+        has the tail estimate ``tail`` and the ratio bound ``rho``: the
+        log(tol/tail) / log(decay) terms, plus ``lag``, that take the tail
+        below ``tol``, with decay = sqrt(rho * ratio) as rho falls towards
+        ratio; twice the last size while rho >= 1; at least q + 2 terms.
+        m0 = m1 = q + 3 gives the first block, which adds to the burn-in.
         """
         size = m1 - m0
         if 0.0 < rho < 1.0 and 0.0 < tail < math.inf:
@@ -638,10 +625,8 @@ def _mode_coefficients(kind: str, sig: Sequence[float]) -> dict[int, float]:
 
 
 def _carried_cumsum(carry: float, terms: np.ndarray) -> np.ndarray:
-    """Partial sums of ``terms`` (not empty) on top of ``carry``, added left to right."""
-    terms = terms.astype(float)
-    terms[0] += carry
-    return terms.cumsum()
+    """Partial sums of ``terms`` on top of ``carry``, added left to right."""
+    return np.concatenate(([carry], terms)).cumsum()[1:]
 
 
 @np.errstate(invalid="ignore", divide="ignore")
@@ -649,10 +634,10 @@ def _truncated_series(pv: ParameterVector, kind: str, tol: float, max_terms: int
     stream = _SeriesStream(pv, kind)
     burn_in = pv.q + 2
     weights, envelopes = [], []  # from m = 0, which is the leading 1 at_one
-    # the first block covers the burn-in and what a unit weight at its end
-    # would take to stop, then each block what the last one left
+    # the burn-in, and what a unit weight at its end would take to stop
     m0, rho = 0, stream.envelope_ratio(burn_in)
-    m1 = stream.next_end(burn_in + 1, burn_in + 1, rho / (1.0 - rho) if rho < 1.0 else math.inf, tol, rho, max_terms)
+    tail = rho / (1.0 - rho) if rho < 1.0 else math.inf
+    m1 = stream.next_end(burn_in + 1, burn_in + 1, tail, tol, rho, max_terms)
     while m0 < m1:
         w, env = stream.block(m0, m1)
         m = np.arange(m0, m1)

@@ -25,7 +25,7 @@ from .baselines import Baseline, Exponential, GeneralizedWeibull, LogLogistic, W
 from .errors import ConditionViolated, DomainError, Nonconvergence
 from .extended import ExtendedDistribution
 from .family import ParameterVector, _carried_cumsum, _SeriesStream
-from .oracle import integrate_semiinfinite, log_gamma
+from .oracle import beta_fn, integrate_semiinfinite, log_gamma
 
 __all__ = [
     "MomentResult",
@@ -86,33 +86,21 @@ def _alternating_binomial_inner(m: int, r: float) -> tuple[float, float]:
     return total, abssum
 
 
-def _beta(p, q) -> np.ndarray:
-    """Beta(p, q) elementwise, for p, q > 0, via log-gamma."""
-    return np.exp(_log_gamma(p) + _log_gamma(q) - _log_gamma(p + q))
-
-
-def _log_gamma(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
 @np.errstate(invalid="ignore", divide="ignore")
 def _series_at_zero(pv: ParameterVector, term, tol: float, max_terms: int) -> MomentResult:
     """Sum term(m, w_m) over the weights about u = 0, m = 1, 2, ...
 
-    ``term`` takes arrays of indices and weights and returns the terms, a
-    bound on the rounding error of each, and either None or the
-    Nonconvergence that its last index raises, after which it evaluates
-    no further; that error is raised unless the series stops first.  The
-    reported error is the geometric tail bound plus the summed roundings.
+    ``term`` maps arrays of m and w_m to the terms, a bound on the rounding
+    of each, and None or the Nonconvergence of its last index, past which
+    it stops, raised unless the series stops first.  The reported error is
+    the geometric tail bound plus the summed roundings.
     """
     stream = _SeriesStream(pv, "at_zero")
     q = pv.q
     total = err = 0.0
     recent = np.zeros(q)  # |term| of the q indices before the block
     window = np.arange(q + 1)[:, None]
-    # the first block covers the burn-in and what a unit term at its end
-    # would take to stop, then each block what the last one left
+    # the burn-in, and what a unit term at its end would take to stop
     m0, rho = 1, stream.envelope_ratio(q + 2) * (q + 3) / (q + 2)
     tail = rho / (1.0 - rho) if rho < 1.0 else math.inf
     m1 = stream.next_end(q + 3, q + 3, tail, tol, rho, max_terms, lag=q)
@@ -122,9 +110,7 @@ def _series_at_zero(pv: ParameterVector, term, tol: float, max_terms: int) -> Mo
         m = m[: t.size]
         mag = np.concatenate((recent, np.abs(t)))
         # the weight-envelope ratio and the (m+1)/m growth of the m factor
-        # bound the rest, from the largest of the last q + 1 terms, which
-        # trails the latest by up to q indices; each family's other factors
-        # shrink with m
+        # bound the rest; each family's other factors shrink with m
         largest = np.maximum.reduce(mag[window + np.arange(t.size)], axis=0)
         rho = stream.envelope_ratio(m) * (m + 1) / m
         tail = largest * rho / (1.0 - rho)
@@ -143,14 +129,13 @@ def _series_at_zero(pv: ParameterVector, term, tol: float, max_terms: int) -> Mo
 def _series_at_one(pv: ParameterVector, term, tol: float, max_terms: int) -> MomentResult:
     """Alternating sum of term(m, w_m) over the weights about u = 1.
 
-    ``term`` takes arrays of indices and weights.  Stops at the first term
-    beyond index q + 2 that is no larger than its predecessor and below
-    ``tol``; its magnitude is the error estimate.
+    ``term`` maps arrays of m and w_m to the terms.  Stops at the first
+    term beyond index q + 2 that is no larger than its predecessor and
+    below ``tol``; its magnitude is the error estimate.
     """
     stream = _SeriesStream(pv, "at_one")
     q = pv.q
     total, prev = 0.0, math.inf
-    # the first block: the burn-in and what a unit term would take to stop
     m0, m1 = 1, stream.next_end(q + 3, q + 3, 1.0, tol, stream.envelope_ratio(q + 2), max_terms)
     while m0 < m1:
         m = np.arange(m0, m1, dtype=float)
@@ -247,11 +232,11 @@ def moment_loglogistic(
     if method == "quadrature":
         return _moment_quadrature(LogLogistic(), pv, r, tol)
     if method == "series_at_one":
-        return _series_at_one(pv, lambda m, w: m * w * _beta(m - r, 1.0 + r), tol, max_terms)
+        return _series_at_one(pv, lambda m, w: m * w * beta_fn(m - r, 1.0 + r), tol, max_terms)
     # auto: the series at zero has the smaller ratio and non-negative terms
     try:
         return _series_at_zero(
-            pv, lambda m, w: (m * w * _beta(1.0 - r, m + r), np.zeros(m.size), None), tol, max_terms
+            pv, lambda m, w: (m * w * beta_fn(1.0 - r, m + r), np.zeros(m.size), None), tol, max_terms
         )
     except Nonconvergence:
         if method != "auto":

@@ -150,16 +150,20 @@ def integrate_semiinfinite(
     return QuadratureResult(value=v1 + v2, error_estimate=e1 + e2, evaluations=n1 + n2)
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
+def log_gamma(x):
+    """Natural log of the gamma function for x > 0, elementwise over arrays."""
+    if isinstance(x, np.ndarray):
+        if not np.all(np.isfinite(x) & (x > 0)):
+            raise DomainError("log_gamma requires x > 0 at every element")
+        return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
     if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
         raise DomainError(f"log_gamma requires x > 0, got {x!r}")
     return math.lgamma(x)
 
 
-def beta_fn(p: float, q: float) -> float:
-    """Beta(p, q) for p, q > 0, via log-gamma."""
-    return math.exp(log_gamma(p) + log_gamma(q) - log_gamma(p + q))
+def beta_fn(p, q):
+    """Beta(p, q) for p, q > 0, via log-gamma, elementwise over arrays."""
+    return np.exp(log_gamma(p) + log_gamma(q) - log_gamma(p + q))
 
 
 def ks_one_sample(values: Sequence[float], cdf: Callable) -> float:
