@@ -624,37 +624,53 @@ def _mode_coefficients(kind: str, sig: Sequence[float]) -> dict[int, float]:
     return {0: 1.0, **{j: sig[j] + sig[j - 1] for j in range(1, q + 1)}}
 
 
-def _carried_cumsum(carry: float, terms: np.ndarray) -> np.ndarray:
-    """Partial sums of ``terms`` on top of ``carry``, added left to right."""
-    return np.concatenate(([carry], terms)).cumsum()[1:]
-
-
 @np.errstate(invalid="ignore", divide="ignore")
+def _geometric_walk(stream: _SeriesStream, term, tol: float, max_terms: int, m0: int, window: int = 1, growth=False):
+    """Evaluate ``term`` on blocks of indices from m0 until a geometric
+    tail bound falls below ``tol``; None if it has not by ``max_terms``.
+
+    term(m, w, env) returns the magnitudes to bound the tail from, a tuple
+    of output arrays, and None or the error of its last index, past which
+    it stops: raised unless the walk stops first.  From m = q + 2 the tail
+    is the largest of the last ``window`` magnitudes times rho / (1 - rho),
+    rho the envelope ratio, times (m+1)/m with ``growth``.  Returns the
+    outputs up to the stop, concatenated, and the tail there.
+    """
+    q, lag, parts = stream.q, window - 1, []
+    recent = np.zeros(lag)
+    rho = stream.envelope_ratio(q + 2) * ((q + 3) / (q + 2) if growth else 1.0)
+    # the burn-in, and what a unit magnitude at its end would take to stop
+    m1 = stream.next_end(q + 3, q + 3, rho / (1.0 - rho) if rho < 1.0 else math.inf, tol, rho, max_terms, lag)
+    while m0 < m1:
+        m = np.arange(m0, m1, dtype=float)
+        mag, out, failure = term(m, *stream.block(m0, m1))
+        m, mag = m[: mag.size], np.concatenate((recent, mag))
+        largest = np.maximum.reduce(mag[np.arange(window)[:, None] + np.arange(m.size)], axis=0)
+        rho = stream.envelope_ratio(m) * ((m + 1) / m if growth else 1.0)
+        tail = largest * rho / (1.0 - rho)
+        stop = (m >= q + 2) & (rho < 1.0) & (tail < tol)
+        i = int(stop.argmax())
+        if stop[i] and (failure is None or i < m.size - 1):
+            parts.append([o[: i + 1] for o in out])
+            return [np.concatenate(o) for o in zip(*parts)], float(tail[i])
+        if failure is not None:
+            raise failure
+        parts.append(out)
+        recent = mag[m.size:]
+        m0, m1 = m1, stream.next_end(m0, m1, mag[-1] * rho[-1] / (1.0 - rho[-1]), tol, rho[-1], max_terms, lag)
+    return None
+
+
 def _truncated_series(pv: ParameterVector, kind: str, tol: float, max_terms: int) -> SeriesCoefficients:
     stream = _SeriesStream(pv, kind)
-    burn_in = pv.q + 2
-    weights, envelopes = [], []  # from m = 0, which is the leading 1 at_one
-    # the burn-in, and what a unit weight at its end would take to stop
-    m0, rho = 0, stream.envelope_ratio(burn_in)
-    tail = rho / (1.0 - rho) if rho < 1.0 else math.inf
-    m1 = stream.next_end(burn_in + 1, burn_in + 1, tail, tol, rho, max_terms)
-    while m0 < m1:
-        w, env = stream.block(m0, m1)
-        m = np.arange(m0, m1)
-        rho = stream.envelope_ratio(m)
-        tail = env * rho / (1.0 - rho)
-        stop = np.flatnonzero((m >= burn_in) & (rho < 1.0) & (tail < tol))[:1]
-        end = int(stop[0]) + 1 if stop.size else m.size
-        weights.append(w[:end])
-        envelopes.append(env[:end])
-        if stop.size:
-            break
-        m0, m1 = m1, stream.next_end(m0, m1, tail[-1], tol, rho[-1], max_terms)
-    else:
+    # from m = 0, which is the leading 1 at_one
+    walked = _geometric_walk(stream, lambda m, w, env: (env, (w, env), None), tol, max_terms, 0)
+    if walked is None:
         raise Nonconvergence(
             f"series {kind} for q={pv.q}, a={pv.a} still above tol={tol} after {max_terms} terms"
         )
-    values, env = np.concatenate(weights)[1:], np.concatenate(envelopes)
+    (values, env), _ = walked
+    values = values[1:]
     m = values.size
     drift = math.fsum((stream.rounding(np.arange(1, m + 1)) * env[1:]).tolist())
     # The float envelopes sum to within drift of the exact ones for the

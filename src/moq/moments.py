@@ -24,7 +24,7 @@ import numpy as np
 from .baselines import Baseline, Exponential, GeneralizedWeibull, LogLogistic, Weibull
 from .errors import ConditionViolated, DomainError, Nonconvergence
 from .extended import ExtendedDistribution
-from .family import ParameterVector, _carried_cumsum, _SeriesStream
+from .family import ParameterVector, _geometric_walk, _SeriesStream
 from .oracle import beta_fn, integrate_semiinfinite, log_gamma
 
 __all__ = [
@@ -86,44 +86,26 @@ def _alternating_binomial_inner(m: int, r: float) -> tuple[float, float]:
     return total, abssum
 
 
-@np.errstate(invalid="ignore", divide="ignore")
 def _series_at_zero(pv: ParameterVector, term, tol: float, max_terms: int) -> MomentResult:
     """Sum term(m, w_m) over the weights about u = 0, m = 1, 2, ...
 
     ``term`` maps arrays of m and w_m to the terms, a bound on the rounding
     of each, and None or the Nonconvergence of its last index, past which
-    it stops, raised unless the series stops first.  The reported error is
-    the geometric tail bound plus the summed roundings.
+    it stops, raised unless the series stops first.  The weight-envelope
+    ratio and the (m+1)/m growth of the m factor bound the rest, from the
+    largest of the last q + 1 terms; each family's other factors shrink
+    with m.  The reported error is that bound plus the summed roundings.
     """
-    stream = _SeriesStream(pv, "at_zero")
-    q = pv.q
-    total = err = 0.0
-    recent = np.zeros(q)  # |term| of the q indices before the block
-    window = np.arange(q + 1)[:, None]
-    # the burn-in, and what a unit term at its end would take to stop
-    m0, rho = 1, stream.envelope_ratio(q + 2) * (q + 3) / (q + 2)
-    tail = rho / (1.0 - rho) if rho < 1.0 else math.inf
-    m1 = stream.next_end(q + 3, q + 3, tail, tol, rho, max_terms, lag=q)
-    while m0 < m1:
-        m = np.arange(m0, m1, dtype=float)
-        t, rounding, failure = term(m, stream.block(m0, m1)[0])
-        m = m[: t.size]
-        mag = np.concatenate((recent, np.abs(t)))
-        # the weight-envelope ratio and the (m+1)/m growth of the m factor
-        # bound the rest; each family's other factors shrink with m
-        largest = np.maximum.reduce(mag[window + np.arange(t.size)], axis=0)
-        rho = stream.envelope_ratio(m) * (m + 1) / m
-        tail = largest * rho / (1.0 - rho)
-        totals, errs = _carried_cumsum(total, t), _carried_cumsum(err, rounding)
-        stop = (m >= q + 2) & (rho < 1.0) & (tail < tol)
-        i = int(stop.argmax())
-        if stop[i] and (failure is None or i < t.size - 1):
-            return MomentResult(float(totals[i]), "series_at_zero", m0 + i, float(tail[i] + errs[i]))
-        if failure is not None:
-            raise failure
-        total, err, recent = totals[-1], errs[-1], mag[t.size:]
-        m0, m1 = m1, stream.next_end(m0, m1, mag[-1] * rho[-1] / (1.0 - rho[-1]), tol, rho[-1], max_terms, lag=q)
-    raise Nonconvergence(f"moment series (at zero) exceeded {max_terms} terms")
+
+    def block_term(m, w, env):
+        t, rounding, failure = term(m, w)
+        return np.abs(t), (t, rounding), failure
+
+    walked = _geometric_walk(_SeriesStream(pv, "at_zero"), block_term, tol, max_terms, 1, pv.q + 1, growth=True)
+    if walked is None:
+        raise Nonconvergence(f"moment series (at zero) exceeded {max_terms} terms")
+    (t, rounding), tail = walked
+    return MomentResult(float(t.cumsum()[-1]), "series_at_zero", t.size, tail + float(rounding.cumsum()[-1]))
 
 
 def _series_at_one(pv: ParameterVector, term, tol: float, max_terms: int) -> MomentResult:
@@ -134,19 +116,19 @@ def _series_at_one(pv: ParameterVector, term, tol: float, max_terms: int) -> Mom
     below ``tol``; its magnitude is the error estimate.
     """
     stream = _SeriesStream(pv, "at_one")
-    q = pv.q
-    total, prev = 0.0, math.inf
+    q, parts, prev = pv.q, [], math.inf
     m0, m1 = 1, stream.next_end(q + 3, q + 3, 1.0, tol, stream.envelope_ratio(q + 2), max_terms)
     while m0 < m1:
         m = np.arange(m0, m1, dtype=float)
         t = term(m, stream.block(m0, m1)[0])
         mag = np.abs(t)
-        totals = _carried_cumsum(total, np.where(m % 2 == 0, -t, t))
+        parts.append(np.where(m % 2 == 0, -t, t))
         stop = (m > q + 2) & (mag <= np.append(prev, mag[:-1])) & (mag < tol)
         i = int(stop.argmax())
         if stop[i]:
-            return MomentResult(float(totals[i]), "series_at_one", m0 + i, float(mag[i]))
-        total, prev = totals[-1], mag[-1]
+            total = np.concatenate(parts)[: m0 + i].cumsum()[-1]
+            return MomentResult(float(total), "series_at_one", m0 + i, float(mag[i]))
+        prev = mag[-1]
         m0, m1 = m1, stream.next_end(m0, m1, prev, tol, stream.envelope_ratio(m1 - 1), max_terms)
     raise Nonconvergence(f"moment series (at one) exceeded {max_terms} terms")
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConditionViolated, DomainError, EnvelopeViolation, Nonconvergence
 from .extended import ExtendedDistribution
-from .family import ParameterVector, _carried_cumsum, _SeriesStream, distortion_deriv
+from .family import ParameterVector, _SeriesStream, distortion_deriv
 from .baselines import Baseline
 
 __all__ = [
@@ -176,8 +176,8 @@ class _CountTable:
                     # the mass left, 1 - cum, falls geometrically to 1 - target
                     rho = self.stream.envelope_ratio(m1 - 1) if m1 > self.stream.q + 1 else math.inf
                     end = self.stream.next_end(1, m1, 1.0 - self.cum[-1], 1.0 - target, rho, max_terms)
-                    more = _carried_cumsum(self.cum[-1], self.stream.block(m1, end)[0])
-                    self.cum = np.concatenate((self.cum, more))
+                    more = np.concatenate((self.cum[-1:], self.stream.block(m1, end)[0])).cumsum()
+                    self.cum = np.concatenate((self.cum, more[1:]))
         return self.cum
 
 
