@@ -472,7 +472,7 @@ class _SeriesStream:
 
     def __init__(self, pv: ParameterVector, kind: str):
         q, big_s = pv.q, pv.sum_a
-        self.q = q
+        self.q, self.kind = q, kind
         if kind == "at_zero":
             if not pv.series_at_zero_ok:
                 raise ConditionViolated(
@@ -506,15 +506,7 @@ class _SeriesStream:
         self._binom_i = np.arange(1.0, q)
         self.ratio = abs(self.srat)
         self._log_ratio = math.log(self.ratio) if self.ratio > 0.0 else -math.inf
-        # Rounding scales for the error bounds below.  Each coefficient is
-        # within 2(q+1) eps of the same coefficient built from |w| (the
-        # recurrence of elementary_symmetric and the rounding of w; Higham
-        # 2002, §3.1), srat within 2 eps of its value for the exact S, and
-        # log_pref within 3 eps * pref_mag; the 3 eps (q + 2) on top covers
-        # the few roundings inside envelope_total.
-        abs_coeff = _mode_coefficients(kind, elementary_symmetric(map(abs, w), q))
-        self._coeff_err = 2 * (q + 1) * _EPS * math.fsum(abs_coeff.values())
-        self._pref_err = 3 * _EPS * (pref_mag + q + 2)
+        self._w, self._pref_mag = w, pref_mag  # for envelope_total
         self._log_mag = max(map(abs, log_coeff)) + abs(self.log_pref) + 1
 
     def block(self, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -587,8 +579,16 @@ class _SeriesStream:
         ratio = self.ratio + 3 * _EPS
         if ratio >= 1.0:
             return math.inf
-        coeff = math.fsum(map(abs, self.coeff.values())) + self._coeff_err
-        return math.exp(self.log_pref + self._pref_err) * coeff / (1.0 - ratio) ** self.q
+        # Each coefficient is within 2(q+1) eps of the same coefficient built
+        # from |w| (the recurrence of elementary_symmetric and the rounding of
+        # w; Higham 2002, §3.1), srat within 2 eps of its value for the exact
+        # S, and log_pref within 3 eps * pref_mag; the 3 eps (q + 2) on top
+        # covers the few roundings here.
+        q = self.q
+        abs_coeff = _mode_coefficients(self.kind, elementary_symmetric(map(abs, self._w), q))
+        coeff = math.fsum(map(abs, self.coeff.values())) + 2 * (q + 1) * _EPS * math.fsum(abs_coeff.values())
+        pref_err = 3 * _EPS * (self._pref_mag + q + 2)
+        return math.exp(self.log_pref + pref_err) * coeff / (1.0 - ratio) ** q
 
     def envelope_ratio(self, m):
         """Bound on envelope(m+1) / envelope(m) for m >= q + 1, array-friendly.
@@ -626,15 +626,14 @@ def _mode_coefficients(kind: str, sig: Sequence[float]) -> dict[int, float]:
 
 @np.errstate(invalid="ignore", divide="ignore")
 def _geometric_walk(stream: _SeriesStream, term, tol: float, max_terms: int, m0: int, window: int = 1, growth=False):
-    """Evaluate ``term`` on blocks of indices from m0 until a geometric
-    tail bound falls below ``tol``; None if it has not by ``max_terms``.
+    """(outputs up to the stop, tail there) of ``term`` on blocks from m0,
+    or None if the tail is still above ``tol`` after ``max_terms``.
 
-    term(m, w, env) returns the magnitudes to bound the tail from, a tuple
-    of output arrays, and None or the error of its last index, past which
-    it stops: raised unless the walk stops first.  From m = q + 2 the tail
-    is the largest of the last ``window`` magnitudes times rho / (1 - rho),
-    rho the envelope ratio, times (m+1)/m with ``growth``.  Returns the
-    outputs up to the stop, concatenated, and the tail there.
+    term(m, w, env) gives magnitudes, a tuple of output arrays, and None or
+    the error of its last index (past which it stops), raised unless the
+    walk stops first.  The tail from m = q + 2 on is the largest of the
+    last ``window`` magnitudes times rho / (1 - rho), rho the envelope
+    ratio, times (m+1)/m with ``growth``.
     """
     q, lag, parts = stream.q, window - 1, []
     recent = np.zeros(lag)

@@ -69,20 +69,18 @@ def _alternating_binomial_inner(m: int, r: float) -> tuple[float, float]:
     cancellation mass: value / eps over it bounds the attainable relative
     accuracy.
     """
-    total = 0.0
-    comp = 0.0
-    abssum = 0.0
-    binom = 1.0
+    total = comp = abssum = 0.0
+    binom, power, sign = 1.0, -r - 1.0, 1.0
     for j in range(m):
-        term = binom * (j + 1.0) ** (-r - 1.0)
-        if j % 2 == 1:
-            term = -term
-        abssum += abs(term)
-        y = term - comp
+        jp1 = j + 1.0
+        term = binom * jp1**power  # >= 0
+        abssum += term
+        y = sign * term - comp
+        sign = -sign
         t = total + y
         comp = (t - total) - y
         total = t
-        binom *= (m - 1 - j) / (j + 1.0)
+        binom *= (m - 1 - j) / jp1
     return total, abssum
 
 
@@ -164,17 +162,19 @@ def moment_exponential(
     pref = math.exp(math.log(r) + log_gamma(r))  # r * Gamma(r)
 
     def at_zero(m: np.ndarray, w: np.ndarray):
-        t, rounding = [], []
+        sums, failure = [], None
         for mi, wi in zip(map(int, m.tolist()), w.tolist()):
             inner, abssum = _alternating_binomial_inner(mi, r)
-            t.append(pref * mi * wi * inner)
-            rounding.append(pref * mi * abs(wi) * abssum * _EPS)
-            if abs(inner) > 0 and abssum / abs(inner) > _CANCEL_LIMIT and abs(t[-1]) > tol * 1e-3:
-                return np.array(t), np.array(rounding), Nonconvergence(
+            sums.append((inner, abssum))
+            if abs(inner) > 0 and abssum / abs(inner) > _CANCEL_LIMIT and abs(pref * mi * wi * inner) > tol * 1e-3:
+                failure = Nonconvergence(
                     f"inner alternating sum ill-conditioned at index {mi} "
                     f"(cancellation ratio {abssum / abs(inner):.2e})"
                 )
-        return np.array(t), np.array(rounding), None
+                break
+        inner, abssum = np.array(sums).T
+        m, w = m[: inner.size], w[: inner.size]
+        return pref * m * w * inner, pref * m * np.abs(w) * abssum * _EPS, failure
 
     if method in ("auto", "series_at_zero"):
         try:
@@ -184,7 +184,7 @@ def moment_exponential(
                 raise
     if method == "series_at_one" or (method == "auto" and pv.series_at_one_ok):
         try:
-            return _series_at_one(pv, lambda m, w: pref * w * m ** -r, tol, max_terms)
+            return _series_at_one(pv, lambda m, w: pref * w * m ** (-r), tol, max_terms)
         except Nonconvergence:
             if method != "auto":
                 raise
