@@ -127,7 +127,8 @@ def _series_at_one(pv: ParameterVector, term, tol: float, max_terms: int) -> Mom
             total = np.concatenate(parts)[: m0 + i].cumsum()[-1]
             return MomentResult(float(total), "series_at_one", m0 + i, float(mag[i]))
         prev = mag[-1]
-        m0, m1 = m1, stream.next_end(m0, m1, prev, tol, stream.envelope_ratio(m1 - 1), max_terms)
+        rho = stream.envelope_ratio(m1 - 1) if m1 > q + 1 else math.inf
+        m0, m1 = m1, stream.next_end(m0, m1, prev, tol, rho, max_terms)
     raise Nonconvergence(f"moment series (at one) exceeded {max_terms} terms")
 
 

@@ -153,6 +153,45 @@ class TestLogLogisticMoments:
         assert abs(res.value - exact) <= 1e-10 * exact
 
 
+class TestBlockSizes:
+    """Where a series stops, and what it sums to, does not depend on how
+    its indices are cut into blocks: one index per block gives the same
+    results, bit for bit, as the blocks sized from the geometric tail."""
+
+    @staticmethod
+    def results():
+        from moq import RandomSource, sample_count, series_at_one, series_at_zero
+
+        out = []
+        for q, a, r in [(5, (3.0, 0.3, 0.4, 0.9, 0.6), 2.0), (3, (2.5, 0.5, 0.8), 1.0)]:
+            pv = validate_params(q, a)
+            out += [moment_exponential(pv, r, method=m) for m in ("series_at_zero", "series_at_one")]
+        out.append(moment_loglogistic(validate_params(2, [200.0, 0.5]), 0.5, method="series_at_zero"))
+        try:
+            moment_exponential(validate_params(2, [20.0, 0.5]), 1.5, method="series_at_zero")
+        except Nonconvergence as exc:
+            out.append(str(exc))
+        mixed = validate_params(5, (1.386, 0.1817, 0.2462, 0.4314, 0.3165))
+        out += [series_at_zero(mixed, tol=1e-10), series_at_one(validate_params(3, (2.0, 2.0, 1.95)))]
+        out.append(sample_count(validate_params(2, [200.0, 0.5]), RandomSource(3), 2000).tolist())
+        return out
+
+    def test_one_index_per_block(self, monkeypatch):
+        from moq import family, sampling
+
+        sized = self.results()
+        sampling._count_table.cache_clear()
+
+        def one_index(self, m0, m1, tail, tol, rho, max_terms, lag=0):
+            return min(m1 + 1 if m0 < m1 else 2, max_terms + 1)
+
+        monkeypatch.setattr(family._SeriesStream, "next_end", one_index)
+        try:
+            assert self.results() == sized
+        finally:
+            sampling._count_table.cache_clear()
+
+
 class TestClosedForm:
     def test_standard_case(self):
         assert moment_q2_loglogistic_closed(1.0, 1.0, 1.0, 1.0, 0.5) == pytest.approx(
