@@ -373,7 +373,7 @@ class TestSeriesBlock:
     def test_block_weights_within_rounding_bound(self, a, kind, terms):
         """Each block weight and envelope is within rounding(m) * envelope
         of its exact value for the float inputs coeff, srat and log_pref,
-        over two blocks split where the youngest mode first reaches."""
+        over two blocks split just past the burn-in."""
         mp = pytest.importorskip("mpmath")
         from moq.family import _SeriesStream
 

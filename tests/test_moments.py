@@ -83,7 +83,6 @@ class TestExponentialMoments:
         assert res.method_used == "quadrature"
         assert res.value == pytest.approx(quad_moment(Exponential(1.0), pv, 0.5), rel=1e-8)
 
-
     def test_pinned_series_names_the_ill_conditioned_index(self):
         """The inner sums cancel from index 50 for a = (20, 0.5) at r = 1.5,
         however far the block that holds it reaches."""

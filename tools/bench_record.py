@@ -41,11 +41,14 @@ def summarize(checkout: Path) -> dict:
     workloads, envs = {}, []
     for name, records in sorted(runs.items()):
         records.sort(key=lambda r: r["seed"])
-        envs += [r["env"] for r in records if r["env"] not in envs]
+        for record in records:
+            if record["env"] not in envs:
+                envs.append(record["env"])
         metrics = {}
-        for metric, entry in records[0]["metrics"].items():
-            values = [r["metrics"][metric]["value"] for r in records]
-            metrics[metric] = {"median": statistics.median(values), "unit": entry["unit"], "runs": values}
+        for metric in dict.fromkeys(m for r in records for m in r["metrics"]):
+            runs_with = [r["metrics"][metric] for r in records if metric in r["metrics"]]
+            values = [entry["value"] for entry in runs_with]
+            metrics[metric] = {"median": statistics.median(values), "unit": runs_with[0]["unit"], "runs": values}
         workloads[name] = {
             "seeds": [r["seed"] for r in records],
             "correct": all(r["correct"] for r in records),
