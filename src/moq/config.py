@@ -43,14 +43,6 @@ class DistributionSpec:
     pv: ParameterVector
     seed: int | None = None
 
-    def to_dict(self) -> dict:
-        base = {"family": self.baseline.name}
-        base.update(dataclasses.asdict(self.baseline))
-        out = {"baseline": base, "a": list(self.pv.a)}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
-
 
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConditionViolated, DomainError, EnvelopeViolation, Nonconvergence
 from .extended import ExtendedDistribution
-from .family import ParameterVector, _SeriesStream, distortion_deriv
+from .family import _EPS, ParameterVector, _SeriesStream, distortion_deriv
 from .baselines import Baseline
 
 __all__ = [
@@ -42,6 +42,15 @@ __all__ = [
 ]
 
 _RATIO_SLACK = 1e-12
+
+# Pieces of [0, 1] on which envelope_constant bounds T'.  A power of two, so
+# that every node u = k/K and its complement 1 - u are exact floats.
+_ENVELOPE_PIECES = 256
+_NODES = np.array([np.arange(_ENVELOPE_PIECES + 1), np.arange(_ENVELOPE_PIECES, -1, -1)]) / _ENVELOPE_PIECES
+
+# Most proposals one accept-reject chunk draws: memory stays bounded however
+# large n * M grows.
+_MAX_PROPOSALS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -78,28 +87,52 @@ class SampleBatch:
         return self.values.size / self.n_proposed
 
 
+@lru_cache(maxsize=256)
 def envelope_constant(pv: ParameterVector) -> float:
-    """A constant M with extended density <= M * baseline density everywhere.
+    """A constant M >= T' on [0, 1], so extended density <= M * baseline density.
 
-    In the pmf regime the distortion is convex and the tight constant is
-    a_1 (the derivative's value at one).  Otherwise the returned value is
-    the explicit three-term bound on the derivative, built from the range
-    of each linear factor over [0, 1]; it is loose but always dominates.
+    In the pmf regime the distortion is convex and M is a_1 = T'(1).
+    Otherwise T' is bounded on each of ``_ENVELOPE_PIECES`` = 256 equal
+    pieces of [0, 1] by interval arithmetic on the regrouped form of
+    :func:`moq.family.distortion_deriv`, each factor divided by D:
+
+        T' = (q/D)*(L/D)*prod g_i + (q*u/D)*(q*(1-u)/D)*(1/D)
+             * sum_i (1-a_i)*(S - q*a_i)*prod_{j!=i} g_j,   i, j >= 2,
+
+    g_i = q*(u + a_i*(1-u))/D, D = q*u + S*(1-u), L = S*(1-u) + q*a_1*u.
+    Each factor is a ratio of linear functions of u, so its range on a
+    piece is its two end values; each signed weight takes the end that
+    makes its term largest.  Nothing grows like q^q, so large q does not
+    overflow; a bound that is still not finite raises DomainError.
+
+    M is the largest piece bound plus a rounding margin gamma * A, with
+    gamma = 16*(q + 4)*eps and A the same bound with every weight replaced
+    by |1-a_i|*(S + q*a_i).  It covers the rounding of this bound and of
+    the float T' that accept-reject divides by M, so T'(u)/M <= 1 +
+    ``_RATIO_SLACK`` holds in floating point too.  Cached per vector.
     """
     if pv.pmf_ok:
         return pv.a[0]
-    q, big_s = pv.q, pv.sum_a
+    q, big_s, a1 = pv.q, pv.sum_a, pv.a[0]
     rest = pv.a[1:]
-    denom = min(1.0, big_s / q)
-    prod_max = math.prod(max(1.0, ai) for ai in rest)
-    term1 = prod_max / denom**q
-    term2 = abs(big_s - q) * prod_max / denom ** (q + 1)
-    term3 = 0.0
-    for i, ai in enumerate(rest):
-        others = math.prod(max(1.0, aj) for j, aj in enumerate(rest) if j != i)
-        term3 += abs(1.0 - ai) * others
-    term3 /= denom**q
-    return term1 + term2 + term3
+    # rows alpha*u + beta*(1-u) for q*f_2..q*f_q, q, L, q*u, q*(1-u), 1 and D
+    lines = [(q, q * ai) for ai in rest] + [(q, q), (q * a1, big_s), (q, 0.0), (0.0, q), (1.0, 1.0), (q, big_s)]
+    ends = np.array(lines) @ _NODES
+    ends = ends[:-1] / ends[-1]
+    lo, hi = np.minimum(ends[:, :-1], ends[:, 1:]), np.maximum(ends[:, :-1], ends[:, 1:])
+    g_lo, g_hi, coef_lo, coef_hi = lo[: q - 1], hi[: q - 1], lo[q + 1 :].prod(axis=0), hi[q + 1 :].prod(axis=0)
+    prod_hi = g_hi.prod(axis=0)
+    lead = prod_hi * hi[q - 1] * hi[q]
+    # products of all g_j but one; an underflow to 0/0 ends as DomainError below
+    others_lo, others_hi = g_lo.prod(axis=0) / g_lo, prod_hi / g_hi
+    weights = np.array([(1.0 - ai) * (big_s - q * ai) for ai in rest])
+    corr = np.minimum(weights, 0.0) @ others_lo + np.maximum(weights, 0.0) @ others_hi
+    spread = np.where(corr >= 0.0, coef_hi, coef_lo) * corr
+    scale = lead + coef_hi * (np.array([abs(1.0 - ai) * (big_s + q * ai) for ai in rest]) @ others_hi)
+    bound = float((lead + spread + 16 * (q + 4) * _EPS * scale).max())
+    if not math.isfinite(bound):
+        raise DomainError(f"no finite envelope constant for q = {q}, a = {pv.a}")
+    return bound
 
 
 def sample_accept_reject(
@@ -114,7 +147,8 @@ def sample_accept_reject(
     expected acceptance rate is exactly 1/M.  ``envelope`` overrides the
     computed constant for fault-injection diagnostics only; a ratio above
     one raises :class:`EnvelopeViolation`, which always indicates a wrong
-    constant rather than bad luck.
+    constant rather than bad luck.  Proposals are drawn in chunks of at
+    most ``_MAX_PROPOSALS`` (2^20), so memory does not grow with n * M.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -125,7 +159,7 @@ def sample_accept_reject(
     proposed = 0
     rate = 1.0 / m_const if m_const > 1.0 else 1.0
     while got < n:
-        chunk = int((n - got) / max(rate, 1e-3) * 1.2) + 16
+        chunk = min(int((n - got) / max(rate, 1e-3) * 1.2) + 16, _MAX_PROPOSALS)
         u_prop = gen.random(chunk)
         u_acc = gen.random(chunk)
         ratio = np.asarray(distortion_deriv(ed.pv, u_prop)) / m_const

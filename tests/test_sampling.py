@@ -1,5 +1,6 @@
 """Tests for the samplers, the dominating constant, and the logistic collapse."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from moq import (
     Exponential,
     ExtendedDistribution,
     LogLogistic,
+    MoqError,
     RandomSource,
     SampleBatch,
     Weibull,
@@ -28,10 +30,58 @@ from moq import (
     sample_random_maxima,
     validate_params,
 )
+from moq import sampling
 from moq.verify import random_parameter_vectors
 
 ED = ExtendedDistribution(Exponential(1.0), validate_params(2, [1.5, 0.5]))
 N = 100_000
+
+# the benchmark's two mixed specs, outside the pmf regime
+MIXED = {
+    "exp-q8-mixed": ExtendedDistribution(Exponential(2.0), validate_params(8, [0.5, 1.2, 0.8, 2.0, 0.6, 1.5, 0.9, 0.7])),
+    "weib-q4-mixed": ExtendedDistribution(Weibull(1.0, 1.5), validate_params(4, [0.8, 1.3, 0.6, 1.4])),
+}
+WAVE = ExtendedDistribution(Weibull(2.0, 2.0), validate_params(2, [1e-6, 0.15]))
+
+
+def mp_deriv_max(mp, a):
+    """The max of T' on [0, 1] at 30 digits, from the product rule on T.
+
+    The best node of a dense float grid is refined by golden-section search
+    in mpmath over its two neighbouring cells; both ends are also taken.
+    """
+    q = len(a)
+    grid = np.linspace(0.0, 1.0, 20_001)
+    rest = np.array(a[1:])[:, None]
+    f = rest + (1.0 - rest) * grid
+    d = math.fsum(a) - (math.fsum(a) - q) * grid
+    slope = 1.0 + grid * np.sum((1.0 - rest) / f, axis=0) + q * (math.fsum(a) - q) * grid / d
+    best = int(np.argmax(np.prod(q * f / d, axis=0) * (q / d) * slope))
+    with mp.workdps(30):
+        aa = [mp.mpf(x) for x in a]
+        big_s = mp.fsum(aa)
+
+        def deriv(u):
+            u = mp.mpf(u)
+            fs = [ai + (1 - ai) * u for ai in aa[1:]]
+            dd = big_s - (big_s - q) * u
+            inner = 1 + u * mp.fsum((1 - ai) / fi for ai, fi in zip(aa[1:], fs)) + q * (big_s - q) * u / dd
+            return mp.mpf(q) ** q * mp.fprod(fs) / dd**q * inner
+
+        lo, hi = mp.mpf(grid[max(best - 1, 0)]), mp.mpf(grid[min(best + 1, grid.size - 1)])
+        ratio = (mp.sqrt(5) - 1) / 2
+        x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        f1, f2 = deriv(x1), deriv(x2)
+        for _ in range(60):
+            if f1 < f2:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + ratio * (hi - lo)
+                f2 = deriv(x2)
+            else:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - ratio * (hi - lo)
+                f1 = deriv(x1)
+        return max(f1, f2, deriv(grid[best]), deriv(0), deriv(1))
 
 
 def logistic_cdf(v):
@@ -65,6 +115,53 @@ class TestEnvelopeConstant:
             assert top <= envelope_constant(pv) + 1e-12
 
 
+    def test_dominates_mpmath_max(self):
+        mp = pytest.importorskip("mpmath")
+        gen = np.random.default_rng(909)
+        pmf = 0
+        for _ in range(200):
+            q = int(gen.integers(1, 13))
+            pv = validate_params(q, 10.0 ** gen.uniform(-3.0, 3.0, size=q))
+            pmf += pv.pmf_ok
+            top = mp_deriv_max(mp, pv.a)
+            assert mp.mpf(envelope_constant(pv)) >= top * (1 - mp.mpf(10) ** -25), pv.a
+        assert 0 < pmf < 200
+
+    def test_float_deriv_dominated_without_slack(self):
+        """The rounding margin covers the float T' at every node of the
+        pieces and between them, outside the pmf regime."""
+        grid = np.arange(4097) / 4096
+        gen = np.random.default_rng(41)
+        for pv in random_parameter_vectors(gen, 600):
+            if not pv.pmf_ok:
+                assert float(np.max(distortion_deriv(pv, grid))) <= envelope_constant(pv), pv.a
+
+    @pytest.mark.parametrize("key", sorted(MIXED))
+    def test_within_one_percent_of_max(self, key):
+        mp = pytest.importorskip("mpmath")
+        pv = MIXED[key].pv
+        top = float(mp_deriv_max(mp, pv.a))
+        assert top <= envelope_constant(pv) <= 1.01 * top
+
+    def test_pmf_regime_is_exactly_first_parameter(self):
+        pvs = [pv for pv in random_parameter_vectors(np.random.default_rng(31), 300) if pv.pmf_ok]
+        assert len(pvs) > 50
+        for pv in pvs:
+            assert envelope_constant(pv) == pv.a[0]
+
+    @pytest.mark.parametrize("q", [150, 1000])
+    def test_large_q_finite_or_typed_error(self, q):
+        gen = np.random.default_rng(q)
+        vectors = [validate_params(q, 10.0 ** gen.uniform(-e, e, size=q)) for e in (1.0, 3.0, 15.0)]
+        vectors.append(validate_params(q, [float(q)] + [0.5] * (q - 1)))
+        for pv in vectors:
+            try:
+                m_const = envelope_constant(pv)
+            except MoqError:
+                continue
+            assert math.isfinite(m_const) and m_const > 0.0
+
+
 class TestAcceptReject:
     def test_identity_accepts_everything(self):
         ed = ExtendedDistribution(Exponential(1.0), validate_params(1, [1.0]))
@@ -85,6 +182,44 @@ class TestAcceptReject:
         good = envelope_constant(ED.pv)
         with pytest.raises(EnvelopeViolation):
             sample_accept_reject(ED, RandomSource(5), 1000, envelope=good / 2.0)
+
+    @pytest.mark.parametrize("ed", [MIXED["exp-q8-mixed"], WAVE], ids=["exp-q8-mixed", "weib-q2-wave"])
+    def test_outside_pmf_regime_rate_and_law(self, ed):
+        n = 50_000
+        batch = sample_accept_reject(ed, RandomSource(43), n)
+        p = 1.0 / envelope_constant(ed.pv)
+        se = math.sqrt(p * (1 - p) / batch.n_proposed)
+        assert abs(batch.acceptance_rate - p) <= 3 * se
+        assert ks_one_sample(batch.values, ed.cdf) < ks_threshold_one_sample(n)
+
+    def test_chunks_capped(self, monkeypatch):
+        """The wave spec needs about 1.3e6 proposals for 5e4 draws: more
+        than one chunk holds."""
+        sizes = []
+
+        def spy(pv, u):
+            sizes.append(np.size(u))
+            return distortion_deriv(pv, u)
+
+        monkeypatch.setattr(sampling, "distortion_deriv", spy)
+        batch = sample_accept_reject(WAVE, RandomSource(44), 50_000)
+        assert batch.values.size == 50_000
+        assert len(sizes) >= 2 and max(sizes) <= sampling._MAX_PROPOSALS
+
+    @pytest.mark.parametrize(
+        "a, proposed, digest",
+        [
+            ((1.5, 0.5), 30075, "b888b2bc6f247dc658c23aaec3dbe646c791ac7ab1a7b786ff73f70a01d7672a"),
+            ((3.0, 0.3, 0.4, 0.9, 0.6), 59925, "64305e2bf7feaa32a0d504747fe2fc859163eda8e11197f69e19255629832093"),
+        ],
+    )
+    def test_pmf_stream_pinned(self, a, proposed, digest):
+        """In the pmf regime the constant is a_1, so a fixed seed keeps its
+        draws; the log-logistic quantile with shape 1 is a single division."""
+        ed = ExtendedDistribution(LogLogistic(), validate_params(len(a), a))
+        batch = sample_accept_reject(ed, RandomSource(42), 20_000)
+        assert batch.n_proposed == proposed
+        assert hashlib.sha256(batch.values.tobytes()).hexdigest() == digest
 
     def test_provenance(self):
         batch = sample_accept_reject(ED, RandomSource(9), 100)

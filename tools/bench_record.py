@@ -5,13 +5,15 @@ Usage, from the root of a checkout:
     python3 tools/bench_record.py --pr N [--parent DIR]
 
 ``perfbench/run.py`` leaves one result file per workload, seed and trace
-mode in ``.perfbench_work/results/``.  This reads the untraced full-size
-ones and writes, per workload, the median of each end-to-end metric over
-the seeds, with every run's value in seed order, the ops attempted and
-failed and the probes that failed; plus the environment line of the runs
-and the line count of ``src/moq``.  ``--parent DIR`` adds the same summary made
-from the results of another checkout (the parent commit, run on the same
-machine), so that the file holds a before/after pair.
+mode in ``.perfbench_work/results/``.  This reads the full-size ones and
+writes, per workload, the median of each metric over the seeds, with every
+run's value in seed order, the ops attempted and failed and the probes that
+failed: the end-to-end metrics of the untraced runs under ``workloads``,
+the per-layer metrics of the traced runs under ``layers``.  It adds the
+environment line of the runs and the line count of ``src/moq``.
+``--parent DIR`` adds the same summary made from the results of another
+checkout (the parent commit, run on the same machine), so that the file
+holds a before/after pair.
 """
 
 from __future__ import annotations
@@ -28,36 +30,48 @@ def src_loc(checkout: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((checkout / "src" / "moq").glob("*.py")))
 
 
-def summarize(checkout: Path) -> dict:
-    """Medians per workload over the untraced result files of ``checkout``."""
+def _records(checkout: Path, trace: int) -> dict[str, list[dict]]:
+    """Full-size result records of one trace mode, per workload, in seed order."""
     runs: dict[str, list[dict]] = {}
-    for path in sorted((checkout / ".perfbench_work" / "results").glob("*-trace0.json")):
+    for path in sorted((checkout / ".perfbench_work" / "results").glob(f"*-trace{trace}.json")):
         record = json.loads(path.read_text())
-        if record["size"] != "full":
-            continue
-        runs.setdefault(record["workload"], []).append(record)
-    if not runs:
+        if record["size"] == "full":
+            runs.setdefault(record["workload"], []).append(record)
+    return {name: sorted(records, key=lambda r: r["seed"]) for name, records in sorted(runs.items())}
+
+
+def _medians(records: list[dict]) -> dict:
+    metrics = {}
+    for metric in dict.fromkeys(m for r in records for m in r["metrics"]):
+        runs_with = [r["metrics"][metric] for r in records if metric in r["metrics"]]
+        values = [entry["value"] for entry in runs_with]
+        metrics[metric] = {"median": statistics.median(values), "unit": runs_with[0]["unit"], "runs": values}
+    return {
+        "seeds": [r["seed"] for r in records],
+        "correct": all(r["correct"] for r in records),
+        "attempted": sum(r["attempted"] for r in records),
+        "failed": sum(r["failed"] for r in records),
+        "failed_probes": sorted({p["name"] for r in records for p in r["probes"] if not p["passed"]}),
+        "metrics": metrics,
+    }
+
+
+def summarize(checkout: Path) -> dict:
+    """Medians per workload over the untraced and the traced result files of ``checkout``."""
+    untraced, traced = _records(checkout, 0), _records(checkout, 1)
+    if not untraced:
         raise SystemExit(f"no untraced results under {checkout / '.perfbench_work' / 'results'}")
-    workloads, envs = {}, []
-    for name, records in sorted(runs.items()):
-        records.sort(key=lambda r: r["seed"])
+    envs = []
+    for records in [*untraced.values(), *traced.values()]:
         for record in records:
             if record["env"] not in envs:
                 envs.append(record["env"])
-        metrics = {}
-        for metric in dict.fromkeys(m for r in records for m in r["metrics"]):
-            runs_with = [r["metrics"][metric] for r in records if metric in r["metrics"]]
-            values = [entry["value"] for entry in runs_with]
-            metrics[metric] = {"median": statistics.median(values), "unit": runs_with[0]["unit"], "runs": values}
-        workloads[name] = {
-            "seeds": [r["seed"] for r in records],
-            "correct": all(r["correct"] for r in records),
-            "attempted": sum(r["attempted"] for r in records),
-            "failed": sum(r["failed"] for r in records),
-            "failed_probes": sorted({p["name"] for r in records for p in r["probes"] if not p["passed"]}),
-            "metrics": metrics,
-        }
-    return {"src_loc": src_loc(checkout), "env": envs, "workloads": workloads}
+    return {
+        "src_loc": src_loc(checkout),
+        "env": envs,
+        "workloads": {name: _medians(records) for name, records in untraced.items()},
+        "layers": {name: _medians(records) for name, records in traced.items()},
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
