@@ -41,7 +41,7 @@ def _as_float(x):
 def _check_prob(p):
     arr = np.asarray(p, dtype=float)
     scalar = arr.ndim == 0
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):  # NaN fails both
         raise DomainError("probability level must lie strictly inside (0, 1)")
     return arr, scalar
 

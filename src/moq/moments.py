@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .baselines import Baseline, Exponential, GeneralizedWeibull, LogLogistic, Weibull
-from .errors import ConditionViolated, DomainError, Nonconvergence
+from .errors import ConditionViolated, DomainError, Nonconvergence, ToleranceNotMet
 from .extended import ExtendedDistribution
-from .family import ParameterVector, _geometric_walk, _SeriesStream
-from .oracle import beta_fn, integrate_semiinfinite, log_gamma
+from .family import ParameterVector, _deriv, _geometric_walk, _SeriesStream
+from .oracle import integrate_semiinfinite, log_gamma
 
 __all__ = [
     "MomentResult",
@@ -41,6 +42,16 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 _CANCEL_LIMIT = 1e12
 _DEFAULT_MAX_TERMS = 200_000
+# auto sums a series at zero only where its weights promise to reach tol
+# within this many terms: the exponential's inner alternating sums lose
+# every series past an index of about 50 to cancellation, and quadrature
+# beats a longer series anyway.
+_SHORT_SERIES = 50
+# The tanh-sinh rule's nodes lie on |t| <= _DE_SPAN, where u and 1 - u stay
+# above 1e-275; its step starts at 1/2 and halves _DE_MIN_LEVEL to
+# _DE_MAX_LEVEL times.
+_DE_SPAN = 6
+_DE_MIN_LEVEL, _DE_MAX_LEVEL = 3, 8
 # moment_exponential and moment_loglogistic take the first four
 _METHODS = ("auto", "series_at_zero", "series_at_one", "quadrature", "closed_form", "scaling")
 
@@ -84,52 +95,52 @@ def _alternating_binomial_inner(m: int, r: float) -> tuple[float, float]:
     return total, abssum
 
 
-def _series_at_zero(pv: ParameterVector, term, tol: float, max_terms: int) -> MomentResult:
-    """Sum term(m, w_m) over the weights about u = 0, m = 1, 2, ...
+def _moment_series(pv: ParameterVector, kind: str, term, tol: float, max_terms: int) -> MomentResult:
+    """Sum the moment series over the weights about u = 0 (``kind``
+    "at_zero") or u = 1 ("at_one"), m = 1, 2, ...
 
-    ``term`` maps arrays of m and w_m to the terms, a bound on the rounding
-    of each, and None or the Nonconvergence of its last index, past which
-    it stops, raised unless the series stops first.  The weight-envelope
-    ratio and the (m+1)/m growth of the m factor bound the rest, from the
-    largest of the last q + 1 terms; each family's other factors shrink
-    with m.  The reported error is that bound plus the summed roundings.
+    ``term`` maps arrays of m and w_m to factors f_m, bounds on their
+    rounding per unit of weight envelope, and None or the Nonconvergence of
+    the last index, past which it stops, raised unless the series stops
+    first.  The series is sum f_m w_m about zero and sum (-1)^(m-1) f_m w_m
+    about one.  The weight-envelope ratio and the (m+1)/m growth of the m
+    factor bound the rest, from the largest |f_m| times the envelope of the
+    last q + 1 indices; each family's other factors shrink with m.  The
+    reported error is that bound plus the summed roundings of the terms,
+    the weights' own (see _SeriesStream.rounding) included.
     """
+    stream = _SeriesStream(pv, kind)
 
     def block_term(m, w, env):
-        t, rounding, failure = term(m, w)
-        return np.abs(t), (t, rounding), failure
+        f, rounding, failure = term(m, w)
+        m, w, env = m[: f.size], w[: f.size], env[: f.size]
+        t = f * w
+        if kind == "at_one":
+            t[m % 2 == 0] *= -1.0
+        mag = np.abs(f) * env
+        return mag, (t, env * rounding + mag * stream.rounding(m)), failure
 
-    walked = _geometric_walk(_SeriesStream(pv, "at_zero"), block_term, tol, max_terms, 1, pv.q + 1, growth=True)
+    walked = _geometric_walk(stream, block_term, tol, max_terms, 1, pv.q + 1, growth=True)
     if walked is None:
-        raise Nonconvergence(f"moment series (at zero) exceeded {max_terms} terms")
+        raise Nonconvergence(f"moment series ({kind.replace('_', ' ')}) exceeded {max_terms} terms")
     (t, rounding), tail = walked
-    return MomentResult(float(t.cumsum()[-1]), "series_at_zero", t.size, tail + float(rounding.cumsum()[-1]))
+    return MomentResult(float(t.cumsum()[-1]), f"series_{kind}", t.size, tail + float(rounding.cumsum()[-1]))
 
 
-def _series_at_one(pv: ParameterVector, term, tol: float, max_terms: int) -> MomentResult:
-    """Alternating sum of term(m, w_m) over the weights about u = 1.
+def _short_series(pv: ParameterVector, tol: float) -> bool:
+    """Whether the weights about zero shrink below ``tol`` within
+    _SHORT_SERIES terms, by their geometric ratio (S - q) / S."""
+    ratio = (pv.sum_a - pv.q) / pv.sum_a
+    return ratio <= 0.0 or pv.q + math.log(tol) / math.log(ratio) <= _SHORT_SERIES
 
-    ``term`` maps arrays of m and w_m to the terms.  Stops at the first
-    term beyond index q + 2 that is no larger than its predecessor and
-    below ``tol``; its magnitude is the error estimate.
-    """
-    stream = _SeriesStream(pv, "at_one")
-    q, parts, prev = pv.q, [], math.inf
-    m0, m1 = 1, stream.next_end(q + 3, q + 3, 1.0, tol, stream.envelope_ratio(q + 2), max_terms)
-    while m0 < m1:
-        m = np.arange(m0, m1, dtype=float)
-        t = term(m, stream.block(m0, m1)[0])
-        mag = np.abs(t)
-        parts.append(np.where(m % 2 == 0, -t, t))
-        stop = (m > q + 2) & (mag <= np.append(prev, mag[:-1])) & (mag < tol)
-        i = int(stop.argmax())
-        if stop[i]:
-            total = np.concatenate(parts)[: m0 + i].cumsum()[-1]
-            return MomentResult(float(total), "series_at_one", m0 + i, float(mag[i]))
-        prev = mag[-1]
-        rho = stream.envelope_ratio(m1 - 1) if m1 > q + 1 else math.inf
-        m0, m1 = m1, stream.next_end(m0, m1, prev, tol, rho, max_terms)
-    raise Nonconvergence(f"moment series (at one) exceeded {max_terms} terms")
+
+def _m_beta(m: np.ndarray, p, q):
+    """m * Beta(p, q) elementwise, the log-logistic series factors, with a
+    bound on its rounding and no failure; see _moment_series.  The exponent
+    sums three log-gammas, each within a few ulps of itself."""
+    lp, lq, lpq = log_gamma(p), log_gamma(q), log_gamma(p + q)
+    f = m * np.exp(lp + lq - lpq)
+    return f, _EPS * (4.0 * (np.abs(lp) + np.abs(lq) + np.abs(lpq)) + 5.0) * f, None
 
 
 def _check_query(method: str, tol: float, methods: tuple[str, ...]) -> None:
@@ -137,6 +148,22 @@ def _check_query(method: str, tol: float, methods: tuple[str, ...]) -> None:
         raise DomainError(f"unknown method {method!r} (choose from {', '.join(methods)})")
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
+
+
+def _series_or_quadrature(baseline, pv, r, tol, method, max_terms, at_zero, at_one) -> MomentResult:
+    """Route a unit-baseline moment to a pinned path, or for ``auto`` to the
+    series at zero where it is short (_short_series) and else to quadrature;
+    ``at_zero`` and ``at_one`` are the series' term functions."""
+    if method == "quadrature" or (method == "auto" and not _short_series(pv, tol)):
+        return _moment_quadrature(baseline, pv, r, tol)
+    if method == "series_at_one":
+        return _moment_series(pv, "at_one", at_one, tol, max_terms)
+    try:
+        return _moment_series(pv, "at_zero", at_zero, tol, max_terms)
+    except Nonconvergence:
+        if method != "auto":
+            raise
+    return _moment_quadrature(baseline, pv, r, tol)
 
 
 def moment_exponential(
@@ -149,10 +176,12 @@ def moment_exponential(
     """E(X^r) for the extended unit exponential, r > 0.
 
     ``method`` is one of ``auto``, ``series_at_zero``, ``series_at_one``,
-    ``quadrature``.  ``auto`` starts from the series with the smaller
-    geometric ratio (always the one at zero) and falls back, first to the
-    alternating series at one and then to quadrature, if the inner sums
-    become too ill-conditioned to trust.
+    ``quadrature``.  ``auto`` sums the series at zero where its weights
+    reach ``tol`` within _SHORT_SERIES terms, and integrates everywhere
+    else, and where the series' inner alternating sums become too
+    ill-conditioned to trust: past an index of about 50 they always do.
+    The series error estimates bound the tail and the rounding; the
+    quadrature's is described at _moment_quadrature.
     """
     _check_query(method, tol, _METHODS[:4])
     _require_pmf(pv, "exponential-baseline moment series")
@@ -174,22 +203,14 @@ def moment_exponential(
                 )
                 break
         inner, abssum = np.array(sums).T
-        m, w = m[: inner.size], w[: inner.size]
-        return pref * m * w * inner, pref * m * np.abs(w) * abssum * _EPS, failure
+        m = m[: inner.size]
+        return pref * m * inner, pref * m * abssum * _EPS, failure
 
-    if method in ("auto", "series_at_zero"):
-        try:
-            return _series_at_zero(pv, at_zero, tol, max_terms)
-        except Nonconvergence:
-            if method != "auto":
-                raise
-    if method == "series_at_one" or (method == "auto" and pv.series_at_one_ok):
-        try:
-            return _series_at_one(pv, lambda m, w: pref * w * m ** (-r), tol, max_terms)
-        except Nonconvergence:
-            if method != "auto":
-                raise
-    return _moment_quadrature(Exponential(1.0), pv, r, tol)
+    def at_one(m: np.ndarray, w: np.ndarray):
+        f = pref * m ** (-r)
+        return f, 4.0 * _EPS * f, None
+
+    return _series_or_quadrature(Exponential(1.0), pv, r, tol, method, max_terms, at_zero, at_one)
 
 
 def moment_loglogistic(
@@ -202,9 +223,11 @@ def moment_loglogistic(
     """E(X^r) for the extended standard log-logistic, |r| < 1.
 
     The series at zero has non-negative terms in the pmf regime, so unlike
-    the exponential case it never cancels; the one at one alternates with
-    an immediate next-term error bound.  ``auto`` sums the series at zero
-    and integrates if it does not converge within ``max_terms``.
+    the exponential case it never cancels; the one at one alternates.
+    ``auto`` sums the series at zero where its weights reach ``tol`` within
+    _SHORT_SERIES terms, or within ``max_terms`` once started, and
+    integrates everywhere else.  The series error estimates bound the tail
+    and the rounding; the quadrature's is described at _moment_quadrature.
     """
     _check_query(method, tol, _METHODS[:4])
     _require_pmf(pv, "log-logistic-baseline moment series")
@@ -212,19 +235,11 @@ def moment_loglogistic(
         raise DomainError(f"log-logistic moment series requires |r| < 1, got r = {r!r}")
     if r == 0.0:
         return MomentResult(1.0, "closed_form", 1, 0.0)
-    if method == "quadrature":
-        return _moment_quadrature(LogLogistic(), pv, r, tol)
-    if method == "series_at_one":
-        return _series_at_one(pv, lambda m, w: m * w * beta_fn(m - r, 1.0 + r), tol, max_terms)
-    # auto: the series at zero has the smaller ratio and non-negative terms
-    try:
-        return _series_at_zero(
-            pv, lambda m, w: (m * w * beta_fn(1.0 - r, m + r), np.zeros(m.size), None), tol, max_terms
-        )
-    except Nonconvergence:
-        if method != "auto":
-            raise
-    return _moment_quadrature(LogLogistic(), pv, r, tol)
+
+    return _series_or_quadrature(
+        LogLogistic(), pv, r, tol, method, max_terms,
+        lambda m, w: _m_beta(m, 1.0 - r, m + r), lambda m, w: _m_beta(m, m - r, 1.0 + r),
+    )
 
 
 def moment_q2_loglogistic_closed(a1: float, a2: float, b1: float, b2: float, r: float) -> float:
@@ -316,10 +331,96 @@ def moment_generalized_weibull(
     return MomentResult(factor * total, "binomial_transform", terms, factor * err)
 
 
+@lru_cache(maxsize=None)
+def _de_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The nodes that level ``level`` of the tanh-sinh rule adds, step
+    2^-(level + 1): all of |t| <= _DE_SPAN at level 0, the odd multiples
+    after that.  Returns u = 1 / (1 + exp(-pi sinh t)) and s = 1 - u, each
+    from its own formula so that the smaller one keeps its digits, the
+    weights du/dt = pi cosh(t) u s, and the number of nodes with t <= 0.
+    """
+    h = 0.5 ** (level + 1)
+    n = round(_DE_SPAN / h)
+    t = h * (np.arange(-n, n + 1.0) if level == 0 else np.arange(1.0 - n, n, 2))
+    x = np.pi * np.sinh(t)
+    u, s = 1.0 / (1.0 + np.exp(-x)), 1.0 / (1.0 + np.exp(x))
+    out = u, s, np.pi * np.cosh(t) * u * s
+    for arr in out:
+        arr.flags.writeable = False
+    return (*out, int(np.count_nonzero(t <= 0.0)))
+
+
+def _de_terms(baseline: Baseline, pv: ParameterVector, r: float, level: int):
+    """Q0(u)^r T'(u) du/dt at the new nodes of ``level`` (see _de_level),
+    and where they are known: not where the power of the abscissa
+    overflows, which happens only on an outer run of nodes on either side.
+    The abscissa is the baseline quantile of u where u <= 1/2 and its isf
+    of s above that.  Unknown terms are 0.
+    """
+    u, s, weight, k = _de_level(level)
+    power = np.concatenate((baseline.quantile(u[:k]), baseline.isf(s[k:]))) ** r
+    known = ~np.isinf(power)
+    return np.where(known, power * weight * _deriv(pv, u, s), 0.0), known
+
+
+def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """The values of the nodes old[0], new[0], old[1], ..., old[-1]."""
+    out = np.empty(old.size + new.size, dtype=old.dtype)
+    out[0::2], out[1::2] = old, new
+    return out
+
+
+def _edge_tail(g: np.ndarray, known: np.ndarray, h: float) -> float:
+    """The rule's terms beyond its outermost known node on each side,
+    extended geometrically from the ratio of that term to its neighbour's:
+    the terms there shrink double-exponentially, so the ratio only falls."""
+    idx = np.flatnonzero(known)
+    if idx.size < 2:
+        return math.inf
+    tail = 0.0
+    for outer, inner in ((g[idx[0]], g[idx[0] + 1]), (g[idx[-1]], g[idx[-1] - 1])):
+        ratio = abs(outer / inner) if outer else 0.0
+        tail += h * abs(outer) * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+    return tail
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _moment_quadrature(baseline: Baseline, pv: ParameterVector, r: float, tol: float) -> MomentResult:
-    ed = ExtendedDistribution(baseline, pv)
-    res = integrate_semiinfinite(lambda x: x**r * ed.pdf(x), lo=0.0, tol=tol)
-    return MomentResult(res.value, "quadrature", res.evaluations, res.error_estimate)
+    """E(X^r) = int_0^1 Q0(u)^r T'(u) du by the tanh-sinh rule (Takahasi &
+    Mori, 1974), Q0 the baseline quantile; see _de_terms for the nodes.
+
+    The step starts at 1/2 on |t| <= _DE_SPAN and halves, one numpy call
+    per level over its new nodes, at least _DE_MIN_LEVEL times, until the
+    error estimate is at most ``tol`` times the value (a relative stop).
+    The estimate is the difference between the two levels before the last,
+    which the rule's quadratic convergence makes far larger than the last
+    level's error, plus the terms beyond the outermost known nodes
+    (_edge_tail), plus 16 (q + |r| + 4) eps times the sum for rounding.
+    Where it stays above, as where a moment barely exists, the rule raises
+    ToleranceNotMet, at once where the last two parts alone exceed it:
+    they do not shrink with the step.  ``terms_used`` is the number of
+    nodes evaluated.
+    """
+    h = 0.5
+    g, known = _de_terms(baseline, pv, r, 0)
+    sums = [h * g.sum()]
+    for level in range(1, _DE_MAX_LEVEL + 1):
+        h /= 2
+        new, new_known = _de_terms(baseline, pv, r, level)
+        g, known = _interleave(g, new), _interleave(known, new_known)
+        sums.append(sums[-1] / 2 + h * new.sum())
+        if level >= _DE_MIN_LEVEL:
+            value = sums[-1]
+            floor = _edge_tail(g, known, h) + 16 * (pv.q + abs(r) + 4) * _EPS * h * np.abs(g).sum()
+            estimate = abs(sums[-2] - sums[-3]) + floor
+            if estimate <= tol * abs(value):
+                return MomentResult(float(value), "quadrature", g.size, float(estimate))
+            if not floor <= tol * abs(value):
+                break
+    raise ToleranceNotMet(
+        f"quadrature error estimate {estimate:.3e} above tol {tol:.3e} times the value {value:.6e} "
+        f"after {g.size} evaluations"
+    )
 
 
 def moment_bound_check(
@@ -348,6 +449,18 @@ def moment_bound_check(
     return lhs, rhs
 
 
+_FAMILIES = (Exponential, Weibull, GeneralizedWeibull, LogLogistic)
+
+
+def _check_exists(baseline: Baseline, r: float) -> None:
+    """Raise DomainError where E(X^r) of the baseline, so of its extension, is infinite."""
+    shape = getattr(baseline, "shape", 1.0)
+    two_sided = isinstance(baseline, LogLogistic)
+    if not (math.isfinite(r) and -shape < r and (r < shape or not two_sided)):
+        need = f"|r| < shape = {shape}" if two_sided else f"r > -shape = {-shape}"
+        raise DomainError(f"{baseline.name} moments need {need}, got r = {r!r}")
+
+
 def moment(
     baseline: Baseline,
     pv: ParameterVector,
@@ -360,16 +473,24 @@ def moment(
     ``method`` is one of ``auto``, ``closed_form``, ``series_at_zero``,
     ``series_at_one``, ``scaling``, ``quadrature``; anything else, and a
     ``tol`` that is not positive and finite, raise :class:`DomainError`.
-    The family's domain checks run before any path: log-logistic moments
-    need |r| < shape.
+    Existence is checked before any path: T' is bounded and positive on
+    [0, 1], so E(X^r) is finite exactly where the baseline's moment is,
+    r > -shape for the exponential (shape 1), Weibull and generalized
+    Weibull, |r| < shape for the log-logistic; elsewhere DomainError.
 
     ``auto`` takes the closed form where one exists (the two-parameter
     log-logistic, and the binomial transform for generalized Weibull at
-    integer r), then, in the pmf regime, the series through the family's
-    scaling relation, and otherwise quadrature.  ``scaling`` is the series
-    route without the closed form; ``series_at_*`` pin the expansion.
+    integer r).  Otherwise, in the pmf regime, it sums the series at zero
+    through the family's scaling relation where that series is short (see
+    moment_exponential), and everywhere else it integrates: tanh-sinh
+    quadrature in u, whose error estimate covers the discretization, the
+    truncated ends and the rounding, and meets ``tol`` relative to the
+    value or raises ToleranceNotMet.  ``scaling`` is ``auto`` without the
+    closed form; ``series_at_*`` pin the expansion.
     """
     _check_query(method, tol, _METHODS)
+    if isinstance(baseline, _FAMILIES):
+        _check_exists(baseline, r)
     quadrature = method == "quadrature" or (method == "auto" and not pv.pmf_ok)
     series_method = method if method in ("series_at_zero", "series_at_one") else "auto"
     if isinstance(baseline, LogLogistic):
@@ -382,8 +503,6 @@ def moment(
                 )
             val = moment_q2_loglogistic_closed(pv.a[0], pv.a[1], baseline.scale, baseline.shape, r)
             return MomentResult(val, "closed_form", 1, 4.0 * _EPS * abs(val))
-        if not abs(r) < baseline.shape:
-            raise DomainError(f"log-logistic moments need |r| < shape = {baseline.shape}")
         if not quadrature:
             inner = moment_loglogistic(pv, r / baseline.shape, tol=tol, method=series_method)
             return _scaled(inner, baseline.scale**r)

@@ -185,10 +185,19 @@ class TestMomentCommand:
 
     def test_quadrature_tolerance_failure_exits_5(self, tmp_path, capsys):
         spec = write_spec(tmp_path, GW_HALF)
-        assert main(["moment", "--spec", spec, "--r", "2.5"]) == 5
+        assert main(["moment", "--spec", spec, "--r", "2.5", "--method", "quadrature", "--tol", "1e-300"]) == 5
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.count("error:") == 1 and err.startswith("error:")
+
+
+    def test_fractional_generalized_weibull_moment(self, tmp_path, capsys):
+        """E(X^2.5) for GW_HALF, 13992009.375 by mpmath, which the x-space
+        quadrature could not reach within its tolerance."""
+        spec = write_spec(tmp_path, GW_HALF)
+        assert main(["moment", "--spec", spec, "--r", "2.5"]) == 0
+        value = float(capsys.readouterr().out.split()[0].removeprefix("value="))
+        assert value == pytest.approx(13992009.375, rel=1e-10)
 
 
 class TestVerifyCommand:
