@@ -7,6 +7,7 @@ identities, and the adaptive quadrature of x^r times the density.
 
 import math
 
+import numpy as np
 import pytest
 
 from moq import (
@@ -17,6 +18,7 @@ from moq import (
     GeneralizedWeibull,
     LogLogistic,
     Nonconvergence,
+    ToleranceNotMet,
     Weibull,
     integrate_semiinfinite,
     moment,
@@ -340,3 +342,185 @@ class TestFrontDoor:
     def test_loglogistic_domain_checked_before_quadrature(self):
         with pytest.raises(DomainError):
             moment(LogLogistic(), validate_params(1, [1.0]), 1.0, method="quadrature")
+
+
+def mp_moment(mp, baseline, a, r):
+    """E(X^r) = int_0^inf x^r T'(F0(x)) f0(x) dx in mpmath, from the
+    definitions of the baselines and of T, sharing no code with moq.
+
+    The integral is split at the scale c.  Below it x = c v^(1/alpha),
+    alpha = r + shape, and above it x = c v^(-1/beta), beta = shape - r,
+    for the log-logistic, or x = c y^(1/kappa) with kappa the power of x
+    in the cumulative hazard for the others: each makes the integrand
+    bounded, so the rule does not lose the mass at a singular end.
+    """
+    family = type(baseline).__name__
+    c, r = mp.mpf(baseline.scale), mp.mpf(r)
+    k = mp.mpf(getattr(baseline, "shape", 1.0))
+    a = [mp.mpf(v) for v in a]
+    q, big_s = len(a), mp.fsum(a)
+
+    def cdf_pdf(x):
+        z = x / c
+        if family == "Exponential":
+            return -mp.expm1(-z), mp.exp(-z) / c
+        if family == "Weibull":
+            return -mp.expm1(-(z**k)), k / c * z ** (k - 1) * mp.exp(-(z**k))
+        if family == "GeneralizedWeibull":
+            inv = 1 / mp.mpf(baseline.shape2)
+            log_sf = -mp.expm1(inv * mp.log1p(z**k))
+            return -mp.expm1(log_sf), mp.exp(log_sf) * inv * (1 + z**k) ** (inv - 1) * k / c * z ** (k - 1)
+        return z**k / (1 + z**k), k / c * z ** (k - 1) / (1 + z**k) ** 2
+
+    def t_deriv(u):
+        # T = q^q u prod f_i / D^q, f_i = a_i + (1 - a_i) u, D = S + (q - S) u
+        f = [ai + (1 - ai) * u for ai in a[1:]]
+        d = big_s + (q - big_s) * u
+        log_slope = mp.fsum((1 - ai) / fi for ai, fi in zip(a[1:], f)) - q * (q - big_s) / d
+        return mp.mpf(q) ** q * mp.fprod(f) / d**q * (1 + u * log_slope)
+
+    def integrand(x):
+        u, density = cdf_pdf(x)
+        return x**r * t_deriv(u) * density
+
+    def substituted(power):
+        return lambda v: integrand(c * v**power) * c * abs(power) * v ** (power - 1) if v > 0 else mp.mpf(0)
+
+    unit = [0, mp.mpf(10) ** -12, mp.mpf(10) ** -8, mp.mpf(10) ** -4, mp.mpf(10) ** -2, 1]
+    with mp.workdps(20):
+        below = mp.quad(substituted(1 / (r + k)), unit)
+        if family == "LogLogistic":
+            above = mp.quad(substituted(-1 / (k - r)), unit)
+        else:
+            kappa = k / mp.mpf(baseline.shape2) if family == "GeneralizedWeibull" else k
+            above = mp.quad(substituted(1 / kappa), [1, 2, 4, 8, 16, 32, 64, 128, 256])
+        return below + above
+
+
+def random_queries(n, seed):
+    """Derandomized (baseline, a, r): the four families in turn, pmf regime
+    and not in turn, q <= 6, a log-uniform in [1e-3, 1e3] (the pmf regime
+    takes a_i in [1e-3, 1] for i >= 2 and raises a_1 until S >= q), and r
+    across the existence domain, at most 0.9 of the way to its ends."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        q = int(rng.integers(1, 7))
+        if i // 4 % 2:
+            rest = 10 ** rng.uniform(-3, 0, q - 1)
+            a = [max(q - rest.sum(), 1e-3) * 10 ** rng.uniform(0, 3), *rest]
+            a[0] = max(a[0], q - rest.sum())
+        else:
+            a = list(10 ** rng.uniform(-3, 3, q))
+        scale, shape = 10 ** rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-0.5, 0.6)
+        baseline = [
+            Exponential(scale),
+            Weibull(scale, shape),
+            GeneralizedWeibull(scale, shape, 10 ** rng.uniform(-0.3, 0.5)),
+            LogLogistic(scale, shape),
+        ][i % 4]
+        shape = getattr(baseline, "shape", 1.0)
+        hi = min(3.0, 0.9 * shape) if i % 4 == 3 else 3.0
+        out.append((baseline, [float(v) for v in a], float(rng.uniform(-0.9 * shape, hi))))
+    return out
+
+
+class TestQuadrature:
+    """The tanh-sinh rule in u-space against mpmath in x-space."""
+
+    @pytest.mark.parametrize("baseline, a, r", random_queries(100, 11))
+    def test_error_estimate_covers_error(self, baseline, a, r):
+        mp = pytest.importorskip("mpmath")
+        res = moment(baseline, validate_params(len(a), a), r, method="quadrature")
+        assert res.method_used == "quadrature"
+        exact = mp_moment(mp, baseline, a, r)
+        assert abs(res.value - exact) <= res.error_estimate <= 1e-10 * res.value
+
+    def test_abscissa_underflow_gives_a_finite_value(self):
+        """At r < 0 the quantile of the outermost node underflows to 0,
+        where the term's limit is 0, not inf."""
+        mp = pytest.importorskip("mpmath")
+        baseline, a, r = Weibull(1.824, 0.837), (5.613, 226.6), -0.00139
+        res = moment(baseline, validate_params(2, a), r, method="quadrature")
+        assert math.isfinite(res.value)
+        assert abs(res.value - mp_moment(mp, baseline, a, r)) <= res.error_estimate
+
+    @pytest.mark.parametrize("fraction", [0.93, 0.94, 0.97, -0.93, -0.97])
+    def test_barely_existing_moment_raises_or_matches(self, fraction):
+        """Near r = +-shape the log-logistic integrand decays too slowly
+        for the nodes' span, and level differences see little of the
+        missing mass: the rule must count it or raise, never return the
+        truncated sum as if it met tol."""
+        mp = pytest.importorskip("mpmath")
+        baseline, a = LogLogistic(1.3, 0.5), (0.3, 2.0, 5.0)  # outside the pmf regime
+        r = fraction * baseline.shape
+        try:
+            res = moment(baseline, validate_params(3, a), r)
+        except ToleranceNotMet:
+            return
+        assert abs(res.value - mp_moment(mp, baseline, a, r)) <= res.error_estimate
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_binomial_transform_against_mpmath(self, m):
+        """The generalized-Weibull integer moments from the binomial
+        transform of the exponential's: 1.87e9 at m = 3."""
+        mp = pytest.importorskip("mpmath")
+        baseline, a = GeneralizedWeibull(1.0, 0.5, 2.0), (1.5, 0.5)
+        res = moment_generalized_weibull(validate_params(2, a), 1.0, 0.5, 2.0, m)
+        assert res.value == pytest.approx(float(mp_moment(mp, baseline, a, m)), rel=1e-12)
+
+    def test_fractional_generalized_weibull_order(self):
+        """r = 2.5, which GK15 in x-space could not reach within tol."""
+        res = moment(GeneralizedWeibull(1.0, 0.5, 2.0), validate_params(2, [1.5, 0.5]), 2.5)
+        assert res.method_used == "quadrature"
+        assert res.value == pytest.approx(13992009.375, rel=1e-14)
+
+    def test_impossible_tolerance_raises(self):
+        with pytest.raises(ToleranceNotMet):
+            moment(Weibull(2.0, 2.0), validate_params(2, [1e-6, 0.15]), 1.0, tol=1e-300)
+
+
+class TestRouting:
+    @pytest.mark.parametrize(
+        "baseline, a, r",
+        [
+            (GeneralizedWeibull(1.0, 0.5, 2.0), (1.5, 0.5), -0.5),
+            (Weibull(2.0, 2.0), (1e-6, 0.15), -2.0),
+            (Exponential(1.0), (1.5, 0.5), -1.0),
+            (LogLogistic(1.0, 2.0), (2.0, 0.5, 0.5), -2.0),
+            (Weibull(2.0, 2.0), (1.5, 0.5), math.inf),
+        ],
+    )
+    def test_infinite_moment_is_a_domain_error(self, baseline, a, r):
+        """T' is bounded and positive, so E(X^r) is infinite exactly where
+        the baseline's moment is; no path is tried there."""
+        with pytest.raises(DomainError, match="moments need"):
+            moment(baseline, validate_params(len(a), a), r, method="quadrature")
+
+    def test_auto_skips_a_long_series(self, monkeypatch):
+        """a = (20, 0.5) needs hundreds of terms at zero, whose inner sums
+        cancel from index 50: auto integrates without trying them."""
+        from moq import moments
+
+        def no_series(*args):
+            raise AssertionError("series summed")
+
+        monkeypatch.setattr(moments, "_moment_series", no_series)
+        res = moment(Exponential(1.0), validate_params(2, [20.0, 0.5]), 1.5)
+        assert res.method_used == "scaling(quadrature)"
+
+    def test_auto_takes_a_short_series(self):
+        res = moment(Weibull(1.0, 0.8), validate_params(4, [2.2, 0.6, 0.7, 0.9]), 0.5)
+        assert res.method_used == "scaling(series_at_zero)"
+
+    def test_series_at_one_error_is_a_bound(self):
+        """The alternating series at one where its modes cancel: the last
+        term is no bound on the error, the envelope tail plus rounding is."""
+        mp = pytest.importorskip("mpmath")
+        a = (9.743716844665888, 0.09383741149985923, 0.1479449610186872,
+             0.6979621847174724, 0.8982773889373366, 0.19843143616866027)
+        r = 0.23994548870075624
+        res = moment_loglogistic(validate_params(6, a), r, method="series_at_one")
+        exact = mp_moment(mp, LogLogistic(), a, r)
+        assert exact == pytest.approx(2.0480001528, rel=1e-10)
+        assert abs(res.value - exact) <= res.error_estimate
