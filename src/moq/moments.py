@@ -5,13 +5,16 @@ be played against each other:
 
 * power series in the distortion weights (both expansions),
 * closed forms and scaling relations per baseline family,
-* adaptive quadrature of x^r times the density (:mod:`moq.oracle`).
+* tanh-sinh quadrature of Q0(u)^r T'(u) over u in [0, 1], Q0 the
+  baseline quantile.
 
 The series for the exponential baseline contains an inner alternating
 binomial sum that loses digits catastrophically once indices reach the
 several dozens; its conditioning is tracked term by term, and the
 computation abandons the branch (or raises, if the caller pinned it)
-rather than returning quietly wrong numbers.
+rather than returning quietly wrong numbers.  The x-space GK15 rule of
+:mod:`moq.oracle` stays outside these paths, as the check they are
+verified against.
 """
 
 from __future__ import annotations
@@ -128,10 +131,18 @@ def _moment_series(pv: ParameterVector, kind: str, term, tol: float, max_terms: 
 
 
 def _short_series(pv: ParameterVector, tol: float) -> bool:
-    """Whether the weights about zero shrink below ``tol`` within
-    _SHORT_SERIES terms, by their geometric ratio (S - q) / S."""
-    ratio = (pv.sum_a - pv.q) / pv.sum_a
-    return ratio <= 0.0 or pv.q + math.log(tol) / math.log(ratio) <= _SHORT_SERIES
+    """Whether the series at zero promises to stop within _SHORT_SERIES
+    terms: whether the tail of its envelope past index m, about
+    C(m+q-1, q-1) ratio^m (m+1) / (1 - ratio) with ratio = (S - q) / S,
+    falls below ``tol`` by m = _SHORT_SERIES - q; the window of q + 1
+    magnitudes that the stop tests adds the other q."""
+    q, ratio = pv.q, (pv.sum_a - pv.q) / pv.sum_a
+    if ratio <= 0.0:
+        return True
+    m = np.arange(1.0, _SHORT_SERIES - q + 1)
+    log_binom = np.log1p(m[:, None] / np.arange(1.0, q)).sum(axis=1)
+    log_tail = log_binom + m * math.log(ratio) + np.log(m + 1.0) - math.log(1.0 - ratio)
+    return bool((log_tail <= math.log(tol)).any())
 
 
 def _m_beta(m: np.ndarray, p, q):

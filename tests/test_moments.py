@@ -469,16 +469,6 @@ class TestQuadrature:
         res = moment_generalized_weibull(validate_params(2, a), 1.0, 0.5, 2.0, m)
         assert res.value == pytest.approx(float(mp_moment(mp, baseline, a, m)), rel=1e-12)
 
-    def test_fractional_generalized_weibull_order(self):
-        """r = 2.5, which GK15 in x-space could not reach within tol."""
-        res = moment(GeneralizedWeibull(1.0, 0.5, 2.0), validate_params(2, [1.5, 0.5]), 2.5)
-        assert res.method_used == "quadrature"
-        assert res.value == pytest.approx(13992009.375, rel=1e-14)
-
-    def test_impossible_tolerance_raises(self):
-        with pytest.raises(ToleranceNotMet):
-            moment(Weibull(2.0, 2.0), validate_params(2, [1e-6, 0.15]), 1.0, tol=1e-300)
-
 
 class TestRouting:
     @pytest.mark.parametrize(
