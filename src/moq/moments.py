@@ -116,33 +116,34 @@ def _moment_series(pv: ParameterVector, kind: str, term, tol: float, max_terms: 
 
     def block_term(m, w, env):
         f, rounding, failure = term(m, w)
-        m, w, env = m[: f.size], w[: f.size], env[: f.size]
-        t = f * w
+        n = f.size
+        t = f * w[:n]
         if kind == "at_one":
-            t[m % 2 == 0] *= -1.0
-        mag = np.abs(f) * env
-        return mag, (t, env * rounding + mag * stream.rounding(m)), failure
+            t[m[:n] % 2 == 0] *= -1.0
+        mag = np.abs(f) * env[:n]
+        return mag, (t, mag, rounding * env[:n]), failure
 
     walked = _geometric_walk(stream, block_term, tol, max_terms, 1, pv.q + 1, growth=True)
     if walked is None:
         raise Nonconvergence(f"moment series ({kind.replace('_', ' ')}) exceeded {max_terms} terms")
-    (t, rounding), tail = walked
-    return MomentResult(float(t.cumsum()[-1]), f"series_{kind}", t.size, tail + float(rounding.cumsum()[-1]))
+    (t, mag, rounding), tail = walked
+    rounding = rounding.sum() + (mag * stream.rounding(np.arange(1.0, t.size + 1))).sum()
+    return MomentResult(float(t.cumsum()[-1]), f"series_{kind}", t.size, tail + float(rounding))
 
 
 def _short_series(pv: ParameterVector, tol: float) -> bool:
     """Whether the series at zero promises to stop within _SHORT_SERIES
     terms: whether the tail of its envelope past index m, about
     C(m+q-1, q-1) ratio^m (m+1) / (1 - ratio) with ratio = (S - q) / S,
-    falls below ``tol`` by m = _SHORT_SERIES - q; the window of q + 1
-    magnitudes that the stop tests adds the other q."""
+    is below ``tol`` at m = _SHORT_SERIES - q; the window of q + 1
+    magnitudes that the stop tests adds the other q.  The log of that tail
+    is concave in m, so if it is below tol anywhere on 1..m, it is at m:
+    at m = 1 it can be only for ratios so small that it keeps falling."""
     q, ratio = pv.q, (pv.sum_a - pv.q) / pv.sum_a
     if ratio <= 0.0:
         return True
-    m = np.arange(1.0, _SHORT_SERIES - q + 1)
-    log_binom = np.log1p(m[:, None] / np.arange(1.0, q)).sum(axis=1)
-    log_tail = log_binom + m * math.log(ratio) + np.log(m + 1.0) - math.log(1.0 - ratio)
-    return bool((log_tail <= math.log(tol)).any())
+    m = _SHORT_SERIES - q
+    return m > 0 and math.comb(m + q - 1, q - 1) * ratio**m * (m + 1) / (1.0 - ratio) <= tol
 
 
 def _m_beta(m: np.ndarray, p, q):
