@@ -506,13 +506,9 @@ def moment(
     quadrature = method == "quadrature" or (method == "auto" and not pv.pmf_ok)
     series_method = method if method in ("series_at_zero", "series_at_one") else "auto"
     if isinstance(baseline, LogLogistic):
-        closed_ok = pv.q == 2 and abs(r) < baseline.shape
-        if method == "closed_form" or (method == "auto" and closed_ok):
-            if not closed_ok:
-                raise ConditionViolated(
-                    f"closed form needs q = 2 and |r| < shape = {baseline.shape}; "
-                    f"got q = {pv.q}, r = {r}"
-                )
+        if method == "closed_form" or (method == "auto" and pv.q == 2):
+            if pv.q != 2:
+                raise ConditionViolated(f"closed form needs q = 2, got q = {pv.q}")
             val = moment_q2_loglogistic_closed(pv.a[0], pv.a[1], baseline.scale, baseline.shape, r)
             return MomentResult(val, "closed_form", 1, 4.0 * _EPS * abs(val))
         if not quadrature:
@@ -525,7 +521,7 @@ def moment(
             shape = baseline.shape if isinstance(baseline, Weibull) else 1.0
             return moment_weibull_scaled(pv, baseline.scale, shape, r, tol=tol, method=series_method)
     elif isinstance(baseline, GeneralizedWeibull):
-        r_int = round(r) if math.isfinite(r) else 0
+        r_int = round(r)
         integer = abs(r - r_int) < 1e-12 and r_int >= 1
         if method not in ("auto", "quadrature") and not (method == "closed_form" and integer):
             raise DomainError(f"method {method!r} unavailable for {baseline.name} at r = {r}")
