@@ -190,7 +190,6 @@ class TestMomentCommand:
         assert "Traceback" not in err
         assert err.count("error:") == 1 and err.startswith("error:")
 
-
     def test_fractional_generalized_weibull_moment(self, tmp_path, capsys):
         """E(X^2.5) for GW_HALF, 13992009.375 by mpmath, which the x-space
         quadrature could not reach within its tolerance."""

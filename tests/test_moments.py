@@ -350,9 +350,10 @@ def mp_moment(mp, baseline, a, r):
 
     The integral is split at the scale c.  Below it x = c v^(1/alpha),
     alpha = r + shape, and above it x = c v^(-1/beta), beta = shape - r,
-    for the log-logistic, or x = c y^(1/kappa) with kappa the power of x
-    in the cumulative hazard for the others: each makes the integrand
-    bounded, so the rule does not lose the mass at a singular end.
+    for the log-logistic, or x = c y^(1/kappa) for the others, kappa the
+    power of x that their cumulative hazard grows with: each makes the
+    integrand bounded, so the rule does not lose the mass at a singular
+    end.
     """
     family = type(baseline).__name__
     c, r = mp.mpf(baseline.scale), mp.mpf(r)
@@ -398,9 +399,9 @@ def mp_moment(mp, baseline, a, r):
 
 
 def random_queries(n, seed):
-    """Derandomized (baseline, a, r): the four families in turn, pmf regime
-    and not in turn, q <= 6, a log-uniform in [1e-3, 1e3] (the pmf regime
-    takes a_i in [1e-3, 1] for i >= 2 and raises a_1 until S >= q), and r
+    """Derandomized (baseline, a, r): the four families in turn, q <= 6, a
+    log-uniform in [1e-3, 1e3] in turn with the pmf regime (a_i in
+    [1e-3, 1] for i >= 2, a_1 up to 1e3 times what S >= q needs), and r
     across the existence domain, at most 0.9 of the way to its ends."""
     rng = np.random.default_rng(seed)
     out = []
