@@ -189,11 +189,12 @@ def moment_exponential(
 
     ``method`` is one of ``auto``, ``series_at_zero``, ``series_at_one``,
     ``quadrature``.  ``auto`` sums the series at zero where its weights
-    reach ``tol`` within _SHORT_SERIES terms, and integrates everywhere
+    promise to reach ``tol`` within 50 terms, and integrates everywhere
     else, and where the series' inner alternating sums become too
     ill-conditioned to trust: past an index of about 50 they always do.
-    The series error estimates bound the tail and the rounding; the
-    quadrature's is described at _moment_quadrature.
+    A series' error estimate bounds its tail and rounding against ``tol``;
+    the quadrature's covers the discretization, the truncated ends and
+    the rounding, and meets ``tol`` relative to the value or raises.
     """
     _check_query(method, tol, _METHODS[:4])
     _require_pmf(pv, "exponential-baseline moment series")
@@ -236,10 +237,10 @@ def moment_loglogistic(
 
     The series at zero has non-negative terms in the pmf regime, so unlike
     the exponential case it never cancels; the one at one alternates.
-    ``auto`` sums the series at zero where its weights reach ``tol`` within
-    _SHORT_SERIES terms, or within ``max_terms`` once started, and
-    integrates everywhere else.  The series error estimates bound the tail
-    and the rounding; the quadrature's is described at _moment_quadrature.
+    ``auto`` sums the series at zero where its weights promise to reach
+    ``tol`` within 50 terms, and integrates everywhere else, or where the
+    series still runs past ``max_terms``.  Error estimates as for
+    :func:`moment_exponential`.
     """
     _check_query(method, tol, _METHODS[:4])
     _require_pmf(pv, "log-logistic-baseline moment series")
