@@ -11,9 +11,9 @@ from .errors import SurvivalUnderflow
 from .family import (
     ParameterVector,
     _complement,
+    _deriv,
     _distortion,
     _small_roots,
-    distortion_deriv,
 )
 
 __all__ = ["ExtendedDistribution"]
@@ -36,35 +36,35 @@ class ExtendedDistribution:
     def cdf(self, x):
         # T(u) and 1 - T(u) from the baseline's u and s = 1 - u, each with
         # its own digits, so that neither tail loses any to cancellation
-        u, s, scalar = self._levels(x)
+        _, u, s, scalar = self._levels(x)
         # analytically in [0, 1]; rounding can poke a couple of ulp past 1
         return _ret(np.clip(_distortion(self.pv, u, s), 0.0, 1.0), scalar)
 
     def sf(self, x):
-        u, s, scalar = self._levels(x)
+        _, u, s, scalar = self._levels(x)
         return _ret(_complement(self.pv, u, s), scalar)
 
     def _levels(self, x):
         xx = np.asarray(x, dtype=float)
-        return np.asarray(self.baseline.cdf(xx)), np.asarray(self.baseline.sf(xx)), xx.ndim == 0
+        return xx, np.asarray(self.baseline.cdf(xx)), np.asarray(self.baseline.sf(xx)), xx.ndim == 0
 
     def pdf(self, x):
-        xx = np.asarray(x, dtype=float)
-        scalar = xx.ndim == 0
+        # T'(u) from the baseline's u and s, as cdf and sf take T and 1 - T
+        xx, u, s, scalar = self._levels(x)
+        return _ret(self._density(xx, u, s), scalar)
+
+    def _density(self, xx, u, s):
         f0 = np.asarray(self.baseline.pdf(xx))
-        val = np.where(f0 > 0.0, distortion_deriv(self.pv, self.baseline.cdf(xx)) * f0, 0.0)
-        return _ret(val, scalar)
+        return np.where(f0 > 0.0, _deriv(self.pv, u, s) * f0, 0.0)
 
     def hazard(self, x):
-        xx = np.asarray(x, dtype=float)
-        scalar = xx.ndim == 0
-        s = np.asarray(self.sf(xx))
+        xx, u, s, scalar = self._levels(x)  # one read for the density and the survival
+        sf = _complement(self.pv, u, s)
         inside = xx > self.baseline.support_lo
-        if np.any(inside & (s < _SF_FLOOR)):
-            bad = np.atleast_1d(xx)[np.atleast_1d(inside & (s < _SF_FLOOR))][0]
+        if np.any(inside & (sf < _SF_FLOOR)):
+            bad = np.atleast_1d(xx)[np.atleast_1d(inside & (sf < _SF_FLOOR))][0]
             raise SurvivalUnderflow(f"survival below {_SF_FLOOR:g} at x = {bad!r}")
-        val = np.asarray(self.pdf(xx)) / s
-        return _ret(val, scalar)
+        return _ret(self._density(xx, u, s) / sf, scalar)
 
     def quantile(self, p):
         return self._inverse(p, survival=False)

@@ -2,9 +2,10 @@
 
 Everything in this package is built on one monotone map of the unit
 interval.  For ``q`` strictly positive parameters ``a = (a_1, ..., a_q)``
-with ``S = a_1 + ... + a_q``, the distortion is
+with ``S = a_1 + ... + a_q``, c_i = q a_i / S and the ratios
+w = q u / (q u + S (1-u)) and r = 1 - w, the distortion is
 
-    T(u) = q^q * u * prod_{i=2}^{q} (a_i + u - a_i*u) / (S - (S - q)*u)^q
+    T(u) = w * prod_{i=2}^{q} (w + c_i * r),
 
 which fixes 0 and 1 and increases strictly on [0, 1].  Applied to a
 baseline CDF it yields the extended distribution of :mod:`moq.extended`;
@@ -138,36 +139,40 @@ def _as_unit_interval(u, *, slack: float = U_SLACK):
 def distortion(pv: ParameterVector, u):
     """Evaluate the distortion T(u) on [0, 1].
 
-    The linear factors are evaluated as ``u + a_i*(1 - u)`` and the
-    denominator base as ``q*u + S*(1 - u)`` so that the endpoint values
-    T(0) = 0 and T(1) = 1 are exact in floating point.
+    T = w prod_{i>=2} (w + c_i r) in the ratios w = q u / D and
+    r = S (1-u) / D, D = q u + S (1-u), c_i = q a_i / S.  Each factor lies
+    between min(1, c_i) and max(1, c_i), so no q overflows, and T(0) = 0
+    and T(1) = 1 are exact in floating point.
     """
     uu, scalar = _as_unit_interval(u)
     # analytically in [0, 1]; rounding can poke a couple of ulp past 1
     return _ret(np.clip(_distortion(pv, uu, 1.0 - uu), 0.0, 1.0), scalar)
 
 
+def _ratios(pv: ParameterVector, uu: np.ndarray, s: np.ndarray):
+    """(w, r) = (q u, S s) / (q u + S s), each its own quotient, arrays even for 0-d u."""
+    v = np.multiply(uu, pv.q / pv.sum_a, out=np.empty(np.shape(uu)))
+    den = np.add(s, v, out=np.empty_like(v))
+    return np.divide(v, den, out=v), np.divide(s, den, out=den)
+
+
 def _distortion(pv: ParameterVector, uu: np.ndarray, s: np.ndarray) -> np.ndarray:
     """T(u) from u and s = 1 - u, each with its own digits; see distortion."""
-    num = np.array(uu, copy=True)
-    for ai in pv.a[1:]:
-        num = num * (uu + ai * s)
-    return (float(pv.q) ** pv.q) * num / (pv.q * uu + pv.sum_a * s) ** pv.q
+    w, r = _ratios(pv, uu, s)
+    t, f = w.copy(), np.empty_like(w)
+    for ci in _weights(pv)[0]:
+        t *= np.add(w, np.multiply(r, ci, out=f), out=f)
+    return t
 
 
 def distortion_deriv(pv: ParameterVector, u):
-    """Evaluate T'(u) >= 0 on [0, 1], with T'(1) = a_1 exact to rounding.
+    """Evaluate T'(u) >= 0 on [0, 1], with T'(1) = a_1 exactly.
 
-    Uses the regrouped form
-
-        T'(u) = q^q * B(u) / (q*u + S*(1-u))^(q+1),
-        B(u)  = P * (S*(1-u) + q*a_1*u)
-                + u*(1-u) * sum_{i>=2} (1-a_i)*(S - q*a_i) * P / f_i,
-
-    with ``f_i = u + a_i*(1-u)`` and ``P = prod f_i``.  This is the analytic
-    derivative of :func:`distortion`; the grouping removes the endpoint
-    cancellation that the naive three-term product rule suffers when a_1 is
-    many orders of magnitude below the other parameters.
+    In the ratios of :func:`distortion`, T' = (w + (q/S) r) B with
+    B = P (r + a_1 w) + w r sum_{i>=2} (1 - a_i)(1 - c_i) P / (w + c_i r)
+    and P = prod_{i>=2} (w + c_i r).  a_1 stays a factor of its own, so
+    nothing cancels near u = 1 when a_1 is far below the other parameters;
+    at u = 1, w = 1 and r = 0, and T'(1) = a_1 bit for bit.
     """
     uu, scalar = _as_unit_interval(u)
     return _ret(_deriv(pv, uu, 1.0 - uu), scalar)
@@ -175,43 +180,49 @@ def distortion_deriv(pv: ParameterVector, u):
 
 def _deriv(pv: ParameterVector, uu: np.ndarray, s: np.ndarray) -> np.ndarray:
     """T'(u) from u and s = 1 - u, each with its own digits; see distortion_deriv."""
-    q, big_s, a1 = pv.q, pv.sum_a, pv.a[0]
-    factors = [uu + ai * s for ai in pv.a[1:]]
-    prod = np.ones_like(uu)
-    for f in factors:
-        prod = prod * f
-    bracket = prod * (big_s * s + q * a1 * uu)
-    if q >= 2:
-        corr = np.zeros_like(uu)
-        for ai, f in zip(pv.a[1:], factors):
-            corr += (1.0 - ai) * (big_s - q * ai) * (prod / f)
-        bracket = bracket + uu * s * corr
-    denom = (q * uu + big_s * s) ** (q + 1)
-    return (float(q) ** q) * bracket / denom
+    w, r = _ratios(pv, uu, s)
+    bracket = _bracket(pv, w, r)[1]
+    return np.multiply(bracket, np.add(w, np.multiply(r, pv.q / pv.sum_a, out=r), out=r), out=bracket)
+
+
+def _bracket(pv: ParameterVector, w: np.ndarray, r: np.ndarray):
+    """(P, B) of distortion_deriv at the ratios (w, r), so T = w P.  In place:
+    at 1e5 elements a fresh array costs about four in-place passes."""
+    c, k, _ = _weights(pv)
+    prod, corr, f, term = np.ones_like(w), np.zeros_like(w), np.empty_like(w), np.empty_like(w)
+    for ci, ki in zip(c, k):
+        np.add(w, np.multiply(r, ci, out=f), out=f)
+        corr *= f
+        corr += np.multiply(prod, ki, out=term)
+        prod *= f
+    bracket = np.multiply(w, pv.a[0], out=f)
+    bracket += r
+    bracket *= prod
+    corr *= w
+    corr *= r
+    return prod, np.add(bracket, corr, out=bracket)
 
 
 @lru_cache(maxsize=256)
-def _complement_weights(pv: ParameterVector) -> tuple[float, ...]:
-    """g_0..g_q with 1 - T(1 - s) = sum_k g_k w^(q-k) r^k; see distortion_complement.
-
-    g_k = C(q, k) - e_k(q a_2/S, ..., q a_q/S) is never negative, and g_1
-    = q a_1 / S, which the difference would lose to cancellation.
-    """
+def _weights(pv: ParameterVector) -> tuple[tuple[float, ...], ...]:
+    """c_i = q a_i / S and k_i = (1 - a_i)(1 - c_i) for i >= 2, and the weights
+    g_k = C(q, k) - e_k(c_2, ..., c_q) >= 0 of 1 - T = sum_k g_k w^(q-k) r^k,
+    with g_1 = q a_1 / S, which the difference would lose to cancellation."""
     q = pv.q
-    e = elementary_symmetric([q * ai / pv.sum_a for ai in pv.a[1:]], q)
+    c = [q * (ai / pv.sum_a) for ai in pv.a[1:]]
+    e = elementary_symmetric(c, q)
     g = [math.comb(q, k) - e[k] for k in range(q + 1)]
     g[1] = q * pv.a[0] / pv.sum_a
-    return tuple(g)
+    return tuple(c), tuple((1.0 - ai) * (1.0 - ci) for ai, ci in zip(pv.a[1:], c)), tuple(g)
 
 
 def distortion_complement(pv: ParameterVector, s):
     """Evaluate 1 - T(1 - s) with relative accuracy on [0, 1].
 
-    With r = S s / (q (1-s) + S s) and w = 1 - r, formed each as its own
-    quotient, 1 - T(1 - s) is the polynomial sum_k g_k w^(q-k) r^k, whose
-    weights are all >= 0 (:func:`_complement_weights`): no term cancels
-    another, near s = 0 (where it behaves like a_1 s) or anywhere else,
-    and no weight overflows however large the parameters.
+    In the ratios of :func:`distortion` it is sum_k g_k w^(q-k) r^k with
+    all g_k >= 0 (:func:`_weights`): no term cancels another, near s = 0
+    (where it behaves like a_1 s) or anywhere else, and no weight
+    overflows however large the parameters.
     """
     ss, scalar = _as_unit_interval(s)
     return _ret(_complement(pv, 1.0 - ss, ss), scalar)
@@ -219,32 +230,32 @@ def distortion_complement(pv: ParameterVector, s):
 
 def _complement(pv: ParameterVector, uu: np.ndarray, s: np.ndarray) -> np.ndarray:
     """1 - T(u) from u and s = 1 - u, each with its own digits; see distortion_complement."""
-    g = _complement_weights(pv)
-    v = (pv.q / pv.sum_a) * uu
-    r, w = s / (s + v), v / (s + v)
-    acc, wk = np.full_like(s, g[-1]), w
+    return _complement_wr(pv, *_ratios(pv, uu, s))
+
+
+def _complement_wr(pv: ParameterVector, w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """1 - T at the ratios (w, r), by Horner in r."""
+    g = _weights(pv)[2]
+    acc, wk, term = np.full_like(r, g[-1]), w.copy(), np.empty_like(w)
     for gk in g[-2:0:-1]:
-        acc = acc * r + gk * wk
-        wk = wk * w
-    return acc * r
+        acc *= r
+        acc += np.multiply(wk, gk, out=term)
+        wk *= w
+    return np.multiply(acc, r, out=acc)
 
 
 def distortion_inverse(pv: ParameterVector, p, *, tol: float = 1e-12, max_iter: int = 200):
     """Solve T(u) = p for u in [0, 1] by safeguarded Newton iteration.
 
-    The root is solved for as the smaller of u and s = 1 - u, against the
-    smaller of p and 1 - p, which is exact: T(u) = p where p <= 1/2 and the
-    root u <= 1/2; C(s) = 1 - T(1 - s) = 1 - p where both lie on the other
-    side; across, 1 - T(u) = 1 - p or T(1 - s) = p, each evaluated from
-    both u and s.  Each element starts from a linear interpolant of a
-    cached log-log table of its map on (0, 1/2] and takes Newton steps
-    inside the bracket of the nodes around it (rtsafe, Press et al.,
-    *Numerical Recipes*, §9.4), bisecting where a step would leave the
-    bracket or not halve the last one.  It stops, and leaves the active
-    set, once the Newton correction is below ``tol`` times the iterate, or
-    below sqrt(tol) / 100 times it for a step inside the bracket, which
-    leaves an error of the order of its square: a relative rule, whatever
-    the scale of p.
+    The unknown is the smaller ratio at the root, w or r = 1 - w (see
+    :func:`distortion`; T(w = 1/2) = 2^-q prod (1 + c_i) decides which), the
+    residual T - p where p <= 1/2, else (1 - T) - (1 - p), signed to increase
+    in it.  All levels form one active set, started from a cached table on
+    log levels; Newton steps stay inside each bracket (rtsafe, Press et al.,
+    *Numerical Recipes*, §9.4), else bisect, until the step is below ``tol``
+    times the iterate, or sqrt(tol) / 100 times it for a step inside the
+    bracket, which leaves an error of the order of its square.  u and s =
+    1 - u come back with their own digits, down to subnormal u.
 
     Raises
     ------
@@ -254,124 +265,112 @@ def distortion_inverse(pv: ParameterVector, p, *, tol: float = 1e-12, max_iter: 
         If ``max_iter`` passes leave a relative residual above 1e-9.
     """
     pp, scalar = _check_prob(p)
-    x, upper = _small_roots(pv, np.atleast_1d(pp), False, tol, max_iter, public=False)
+    x, upper = _small_roots(pv, np.atleast_1d(pp), False, tol, max_iter)
     u = np.where(upper, 1.0 - x, x)
     return _ret(u[0] if scalar else u, scalar)
 
 
-def _small_roots(pv: ParameterVector, level: np.ndarray, survival: bool, tol=1e-12, max_iter=200, public=True):
-    """(x, upper): the root of T(u) = p as x = u, or where ``upper`` as x = s = 1 - u.
-
-    ``level`` holds cdf levels p, or with ``survival`` the survival levels
-    1 - p, which keep digits that p has lost.  Either way x <= 1/2 carries
-    the root to full relative precision, where 1 - x might not.  With
-    ``public`` the commonest roots, small level and root both on T, go
-    through :func:`distortion_inverse`, which returns them as they are, so
-    that wrappers installed on the public inverse see them; it passes
-    ``public=False`` itself.
-    """
-    # the root lies on the complement side where C(s) <= C(1/2), that is
-    # T(u) >= T(1/2); judged on the given level, exact where the other is not
-    if survival:
-        upper = level <= math.exp(_start_table(pv, True, False)[2][-1])
-        small_t = level > 0.5
-    else:
-        upper = level > math.exp(_start_table(pv, False, False)[2][-1])
-        small_t = level <= 0.5
-    small = np.fmin(level, 1.0 - level)  # exact: 1 - level is, where level >= 1/2
-    group = 2 * upper + (small_t == upper)  # root side, and whether the level lies across
-    x = np.empty_like(level)
-    for g in range(4):
-        sel = np.flatnonzero(group == g)
-        if not sel.size:
-            continue
-        if public and g == 0:
-            x[sel] = distortion_inverse(pv, small[sel], tol=tol, max_iter=max_iter)
-        else:
-            x[sel] = _invert(pv, small[sel], g >= 2, g % 2 == 1, tol, max_iter)
-    return x, upper
-
-
-def _maps(complement: bool, mixed: bool):
-    """The increasing map of x <= 1/2 to invert, and its derivative: T(u) or,
-    with ``complement``, C(s); ``mixed`` swaps in minus the other side's map.
-
-    The public maps are looked up at call time, so that wrappers installed
-    on this module see their evaluations; the private two-argument forms
-    keep the digits of x that 1 - x drops below eps.
-    """
-    if complement:
-        return (_minus_t_of_one_minus if mixed else distortion_complement), _complement_deriv
-    return (_minus_complement_of if mixed else distortion), distortion_deriv
-
-
-def _complement_deriv(pv, s):
-    return _deriv(pv, 1.0 - s, s)
-
-
-def _minus_t_of_one_minus(pv, s):
-    return -_distortion(pv, 1.0 - s, s)
-
-
-def _minus_complement_of(pv, u):
-    return -_complement(pv, u, 1.0 - u)
-
-
-# Nodes uniform in logit(x) from 8.5e-17 to 1/2, dense towards zero; below
-# the first the maps are linear to rounding unless some a_i is extreme.
-_NODES = 1.0 / (1.0 + np.exp(-np.linspace(-37.0, 0.0, 257)))
+# Cells of the start table; beyond its end nodes, w or r = 4.2e-18 (logit
+# 40), T and 1 - T are linear to rounding unless some a_i is extreme.
+_START_CELLS = 512
 
 
 @lru_cache(maxsize=256)
 @np.errstate(all="ignore")
-def _start_table(pv: ParameterVector, complement: bool, mixed: bool):
-    """(x, log x, ±log f) at the nodes, the sign making the last increasing in x."""
-    logf = np.log(np.abs(_maps(complement, mixed)[0](pv, _NODES)))
-    return _NODES, np.log(_NODES), -logf if mixed else logf
+def _start_table(pv: ParameterVector):
+    """T and 1 - T at w = 1/2, and per level side the logit of w at the root
+    on log levels in equal cells up to log(1/2): (least, cells per unit,
+    value, slope).  log T, a sum of logs, does not underflow for large q."""
+    half = np.full(1, 0.5)
+    sides = 0.5 * _bracket(pv, half, half)[0][0], _complement_wr(pv, half, half)[0]
+    t = np.linspace(-40.0, 40.0, 8 * _START_CELLS + 1)
+    w, r = 1.0 / (1.0 + np.exp(-t)), 1.0 / (1.0 + np.exp(t))
+    log_t = np.log(w) + sum(np.log(w + ci * r) for ci in _weights(pv)[0])
+    tables = []
+    for y, logit in ((log_t, t), (np.log(_complement_wr(pv, w, r))[::-1], t[::-1])):
+        y, logit = y[np.isfinite(y)], logit[np.isfinite(y)]
+        cell = (math.log(0.5) - y[0]) / _START_CELLS
+        roots = np.interp(y[0] + cell * np.arange(_START_CELLS + 1), y, logit)
+        tables.append((y[0], 1.0 / cell, roots[:-1], np.diff(roots)))
+    return sides, tables
 
 
 @np.errstate(all="ignore")
-def _invert(pv, level: np.ndarray, complement: bool, mixed: bool, tol: float = 1e-12, max_iter: int = 200):
-    """x in (0, 1/2] where the map of :func:`_maps` meets the level, negated
-    if ``mixed``, for levels with such a root; see distortion_inverse."""
-    out = np.empty_like(level)
-    if level.size == 0:
-        return out
-    sign = -1.0 if mixed else 1.0
-    f, df = _maps(complement, mixed)
-    x, t, y = _start_table(pv, complement, mixed)
-    ly = sign * np.log(level)
-    # linear in log-log; below the table along its first segment, with a
-    # bracket that reaches down to the smallest positive double
-    k = np.clip(np.searchsorted(y, ly, side="right") - 1, 0, y.size - 2)
-    guess = np.exp(t[k] + (ly - y[k]) * (t[k + 1] - t[k]) / (y[k + 1] - y[k]))
-    lo, hi = np.where(ly < y[0], 5e-324, x[k]), x[k + 1]
-    x = np.fmin(np.fmax(guess, lo), hi)  # a NaN guess starts at lo
-    idx, step, resid = np.arange(level.size), hi - lo, np.full_like(level, np.inf)
-    for _ in range(max_iter):
-        resid = np.asarray(f(pv, x)) - sign * level
-        slope = np.asarray(df(pv, x))
-        lo = np.where(resid < 0.0, x, lo)
-        hi = np.where(resid > 0.0, x, hi)
-        newton = x - resid / slope
-        fast = (newton > lo) & (newton < hi) & (np.abs(newton - x) <= 0.5 * np.abs(step))
+def _small_roots(pv: ParameterVector, level: np.ndarray, survival: bool, tol=1e-12, max_iter=200):
+    """(x, upper): the root of T(u) = p as x = u, or where ``upper`` as x = s = 1 - u,
+    which carries it to full relative precision; ``level`` holds p, or with
+    ``survival`` 1 - p, which keeps digits that p has lost."""
+    (t_half, c_half), tables = _start_table(pv)
+    small = np.fmin(level, 1.0 - level)  # exact: 1 - level is, where level >= 1/2
+    on_c = level <= 0.5 if survival else level > 0.5  # the smaller level is 1 - T
+    # w > 1/2 at the root where the smaller level lies beyond its value at w = 1/2
+    up = (on_c & (small < c_half)) | (~on_c & (small > t_half))
+    # sorted T-lower, T-upper, C-upper, C-lower: each level side is a slice, as are the roots in r
+    key = 2 * on_c.astype(np.uint8) + (on_c != up)
+    idx = np.argsort(key, kind="stable")
+    b1, b2, b3 = np.cumsum(np.bincount(key, minlength=4))[:3].tolist()
+    lam = small[idx]
+    # the start: logit t of w from the level side's table, x = w = 1 / (1 + e^-t) or r = 1 - w
+    x = np.empty_like(level)
+    for part, (least, per_cell, cells, slopes) in zip((slice(0, b2), slice(b2, None)), tables):
+        pos = (np.log(lam[part]) - least) * per_cell
+        k = np.clip(pos, 0, _START_CELLS - 1).astype(np.intp)
+        x[part] = cells[k] + (pos - k) * slopes[k]
+    x[b1:b3] *= -1.0
+    np.clip(1.0 / (1.0 + np.exp(-x)), 5e-324, 0.5, out=x)
+    # bracket [0, 1] in every group, as a root at 1/2 may round past it
+    cols, root = [x, np.full_like(x, 5e-324), np.ones_like(x), np.ones_like(x), lam, idx], np.empty_like(x)
+    del small, on_c, key, pos, k, x, lam, idx
+    for it in range(max_iter):
+        x, lo, hi, step, lam, idx = cols
+        w = np.concatenate((x[:b1], 1.0 - x[b1:b3], x[b3:]))
+        r = np.concatenate((1.0 - x[:b1], x[b1:b3], 1.0 - x[b3:]))
+        prod, newton = _bracket(pv, w, r)
+        resid = np.empty_like(x)
+        np.multiply(w[:b2], prod[:b2], out=resid[:b2])
+        del prod
+        resid[b2:] = _complement_wr(pv, w[b2:], r[b2:])
+        resid -= lam
+        resid[b1:b2] *= -1.0  # T falls in r, and 1 - T in w
+        resid[b3:] *= -1.0
+        # x - resid / slope, with the slope dT/dw = B / ((S/q) w + r) in every group
+        newton /= np.add(np.multiply(w, pv.sum_a / pv.q, out=w), r, out=w)
+        np.subtract(x, np.divide(resid, newton, out=newton), out=newton)
+        del w, r
+        # lo <= x <= hi: x * (resid < 0) moves lo up to x, x / (resid > 0) hi down
+        np.fmax(lo, x * (resid < 0.0), out=lo)
+        np.fmin(hi, x / (resid > 0.0), out=hi)
+        move = np.abs(newton - x)
+        fast = (newton > lo) & (newton < hi) & (move <= 0.5 * np.abs(step))
         # a Newton step leaves an error of the order of its square, so one
         # below sqrt(tol) / 100 of the iterate is the last
-        done = np.abs(newton - x) <= np.where(fast, 0.01 * math.sqrt(tol), tol) * x
+        done = move <= (tol + (0.01 * math.sqrt(tol) - tol) * fast) * x
         # geometric bisection: the bracket may span hundreds of decades
-        nxt = np.where(done | fast, newton, np.sqrt(lo) * np.sqrt(hi))
-        step = nxt - x
-        out[idx[done]] = nxt[done]
-        if done.all():
-            return out
-        if done.any():
-            keep = ~done
-            idx, level, lo, hi, step, resid, nxt = (a[keep] for a in (idx, level, lo, hi, step, resid, nxt))
-        x = nxt
-    if (worst := float(np.max(np.abs(resid) / level))) > 1e-9:
-        raise Nonconvergence(f"distortion inverse stalled at relative residual {worst:.3e}")
-    out[idx] = x
-    return out
+        if (bisect := np.flatnonzero(~(done | fast))).size:
+            newton[bisect] = np.sqrt(lo[bisect]) * np.sqrt(hi[bisect])
+        np.subtract(newton, x, out=step)
+        x[:] = newton
+        del move, fast, newton
+        if it == max_iter - 1 and (worst := float(np.max(np.abs(resid[~done]) / lam[~done], initial=0))) > 1e-9:
+            raise Nonconvergence(f"distortion inverse stalled at relative residual {worst:.3e}")
+        if it == max_iter - 1 or done.all():
+            root[idx] = x
+            break
+        if (stop := np.flatnonzero(done)).size:
+            root[idx[stop]] = x[stop]
+            keep = np.flatnonzero(~done)
+            b1, b2, b3 = np.searchsorted(keep, (b1, b2, b3)).tolist()
+            del x, lo, hi, step, lam, idx, resid, done, stop
+            for i, col in enumerate(cols):  # one by one, each old column freed at once
+                cols[i] = col[keep]
+            del col, keep
+    else:  # no passes at all
+        raise Nonconvergence(f"distortion inverse stalled at relative residual {math.inf:.3e}")
+    del cols, x, lo, hi, step, lam, idx, resid
+    # the smaller of u = S w / (S w + q r) and s = q r / (S w + q r); float * bool is exact
+    y = 1.0 - root
+    sw, qr = pv.sum_a * (root * ~up + y * up), pv.q * (y * ~up + root * up)
+    return np.fmin(sw, qr) / (sw + qr), qr < sw
 
 
 def composition_pair(pv: ParameterVector, b: float, u):

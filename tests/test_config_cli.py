@@ -27,6 +27,9 @@ GW_HALF = {
 }
 
 
+Q150 = {"baseline": {"family": "exponential"}, "a": [1.0 + 0.5 * math.sin(i) for i in range(150)], "seed": 3}
+
+
 class TestSpecParsing:
     def test_round_trip(self, tmp_path):
         spec = load_spec(write_spec(tmp_path, EXP_PMF))
@@ -242,3 +245,16 @@ def test_bad_numeric_argument_exits_2(tmp_path, monkeypatch, capsys, argv, moq_s
         rc = exc.code
     assert rc == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--sampler", "inverse-cdf", "--n", "50"],
+    ["curve", "--quantity", "cdf", "--lo", "0.5", "--hi", "5", "--step", "0.5"],
+    ["moment", "--r", "1"],
+])
+def test_q150_spec_runs(tmp_path, capsys, argv):
+    """q = 150: the q^q form raised a raw OverflowError from q = 144."""
+    spec = write_spec(tmp_path, Q150)
+    assert main([argv[0], "--spec", spec, *argv[1:]]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.out

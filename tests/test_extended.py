@@ -17,6 +17,15 @@ from moq import (
     validate_params,
 )
 
+def mp_distortion_and_deriv(mp, a, u):
+    """T(u) and T'(u) from the definition, at mpmath precision."""
+    aa = [mp.mpf(v) for v in a]
+    q, big_s = len(aa), mp.fsum(aa)
+    d = big_s - (big_s - q) * u
+    t = mp.mpf(q) ** q * u * mp.fprod(ai + (1 - ai) * u for ai in aa[1:]) / d**q
+    return t, t * (1 / u + mp.fsum((1 - ai) / (ai + (1 - ai) * u) for ai in aa[1:]) + q * (big_s - q) / d)
+
+
 CASES = [
     ExtendedDistribution(Exponential(1.0), validate_params(1, [1.0])),
     ExtendedDistribution(Exponential(1.0), validate_params(2, [1.5, 0.5])),
@@ -151,6 +160,21 @@ class TestHazard:
                 exact = mp.diff(t_map, 1 - s0) * z * s0 / (1 - t_map(1 - s0))
                 assert abs(hi - exact) <= 1e-10 * exact
 
+    @pytest.mark.parametrize("x", [6.0, 10.0])
+    def test_two_wave_density_and_hazard_from_both_levels(self, x):
+        """pdf and hazard take T' from the baseline's u and s; from u alone
+        they erred by 1.4e-13 at x = 6 and 6.0e-13 at x = 10."""
+        mp = pytest.importorskip("mpmath")
+        a = (1e-6, 0.15)
+        ed = ExtendedDistribution(Weibull(2.0, 2.0), validate_params(2, a))
+        with mp.workdps(60):
+            z = mp.mpf(x) / 2
+            s0 = mp.exp(-z * z)
+            t, dt = mp_distortion_and_deriv(mp, a, 1 - s0)
+            pdf = dt * z * s0
+            assert abs(ed.pdf(x) - pdf) <= 1e-14 * pdf
+            assert abs(ed.hazard(x) - pdf / (1 - t)) <= 1e-14 * pdf / (1 - t)
+
     def test_tiny_parameters_sf_against_closed_form(self):
         """With a tiny T(u) is within 1e-8 of one where u is still small, and
         1 - T(u) formed there kept about eps / 1e-8 of relative accuracy."""
@@ -262,3 +286,33 @@ class TestTailInverses:
         np.testing.assert_allclose(ed.quantile(p), exact, rtol=1e-14)
         np.testing.assert_allclose(ed.isf(1.0 - p), exact, rtol=1e-14)
         np.testing.assert_allclose(ed.sf(exact), 1.0 - p, rtol=1e-13)
+
+
+class TestLargeQ:
+    """q = 150 and q = 1000, a_i = 1 + 0.5 sin(i): nothing in the ratio forms
+    grows like q^q, which overflowed from q = 144.  Each factor of T adds a
+    few roundings, so the bound is 4 q eps relative."""
+
+    @pytest.mark.parametrize("q", [150, 1000])
+    def test_against_mpmath(self, q):
+        mp = pytest.importorskip("mpmath")
+        a = [1.0 + 0.5 * math.sin(i) for i in range(q)]
+        ed = ExtendedDistribution(Exponential(1.0), validate_params(q, a))
+        bound = 4 * q * np.finfo(float).eps
+
+        def exact(x):
+            """cdf, sf and pdf at x, with digits enough for 1 - T where s0 is tiny."""
+            with mp.workdps(40 + int(x / 2.3)):
+                xm = mp.mpf(float(x))
+                t, dt = mp_distortion_and_deriv(mp, a, -mp.expm1(-xm))
+                return t, 1 - t, dt * mp.exp(-xm)
+
+        for x in (1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0):
+            cdf, sf, pdf = exact(x)
+            for got, want in ((ed.cdf(x), cdf), (ed.sf(x), sf), (ed.pdf(x), pdf), (ed.hazard(x), pdf / sf)):
+                assert abs(got - want) <= bound * want, x
+        for level in (1e-300, 1e-100, 1e-12, 0.01, 0.3, 0.5, 0.9, 0.999):
+            for x, which in ((ed.quantile(level), 0), (ed.isf(level), 1)):
+                values = exact(x)
+                # first order in the residual: the relative error of x
+                assert abs(values[which] - level) <= bound * x * values[2], (level, which)

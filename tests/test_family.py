@@ -64,18 +64,17 @@ def mp_complement(mp, a, s):
 
 
 def count_passes(monkeypatch):
-    """Count the forward evaluations of the inversion, one per pass."""
+    """Count the passes of the inversion: each evaluates the bracket of T' once."""
     from moq import family
 
     seen = {"n": 0}
-    for name in ("distortion", "distortion_complement", "_minus_complement_of", "_minus_t_of_one_minus"):
-        original = getattr(family, name)
+    original = family._bracket
 
-        def counted(pv, x, original=original):
-            seen["n"] += 1
-            return original(pv, x)
+    def counted(pv, w, r):
+        seen["n"] += 1
+        return original(pv, w, r)
 
-        monkeypatch.setattr(family, name, counted)
+    monkeypatch.setattr(family, "_bracket", counted)
     return seen
 
 
@@ -153,6 +152,12 @@ class TestDistortionDeriv:
     def test_value_at_one_is_first_parameter(self):
         assert distortion_deriv(validate_params(3, [1.4, 0.9, 0.8]), 1.0) == pytest.approx(1.4, rel=1e-12)
         assert distortion_deriv(validate_params(2, [1e-6, 0.15]), 1.0) == pytest.approx(1e-6, rel=1e-12)
+
+    def test_value_at_one_is_first_parameter_bit_for_bit(self):
+        """T'(1) = a_1 exactly, so the pmf-regime envelope a_1 holds without slack."""
+        gen = np.random.default_rng(16)
+        for pv in random_vectors(gen, 200, q_max=12, lo=1e-6, hi=1e6):
+            assert distortion_deriv(pv, 1.0) == pv.a[0], pv.a
 
     def test_one_parameter_at_zero(self):
         # d/du [u/(2-u)] at 0 is 1/2
@@ -463,45 +468,47 @@ class TestInverse:
 
 
 class TestInverseAccuracy:
-    """The safeguarded Newton inversion of T and of the complement
-    C(s) = 1 - T(1 - s), each for roots in (0, 1/2]."""
+    """The safeguarded Newton inversion, one solve for all levels, in the
+    smaller ratio w or r = 1 - w, against the smaller level p or 1 - p."""
 
     @pytest.mark.parametrize(
-        "complement, mixed", [(False, False), (True, False), (False, True), (True, True)], ids=["T", "C", "1-T", "T(1-s)"]
+        "on_c, up", [(False, False), (True, True), (True, False), (False, True)], ids=["T", "C", "1-T", "T(1-s)"]
     )
-    def test_relative_residual_and_passes(self, complement, mixed, monkeypatch, log_uniform_vectors, lower_levels):
-        """Each of the four maps, for the levels whose root lies in (0, 1/2]:
-        T(u) = p, C(s) = 1 - p, and across 1 - T(u) = 1 - p, T(1 - s) = p."""
+    def test_relative_residual_and_passes(self, on_c, up, monkeypatch, log_uniform_vectors, lower_levels):
+        """Each (level side, root side): T = p with w <= 1/2, 1 - T = 1 - p
+        with r <= 1/2, and across 1 - T = 1 - p with w <= 1/2, T = p with
+        r <= 1/2; the level is p, or the survival level 1 - p."""
         hypothesis = pytest.importorskip("hypothesis")
-        from moq.family import _complement, _distortion, _invert
+        from moq.family import _complement, _distortion, _small_roots
 
-        forward = {
-            (False, False): distortion,
-            (True, False): distortion_complement,
-            (False, True): lambda pv, u: _complement(pv, u, 1.0 - u),
-            (True, True): lambda pv, s: _distortion(pv, 1.0 - s, s),
-        }[complement, mixed]
+        forward = _complement if on_c else _distortion
         passes = count_passes(monkeypatch)
 
         @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
         @hypothesis.given(pv=log_uniform_vectors, levels=lower_levels)
         def check(pv, levels):
             level = np.array(levels)
-            edge = forward(pv, 0.5)  # the levels with a root up to 1/2 lie on one side of it
-            if mixed:  # levels across lie in [edge, 1/2], empty for half the vectors
+            big_s, q = pv.sum_a, pv.q
+            # w = 1/2 at u = S / (S + q); the levels with a root there on one side of its value
+            edge = float(forward(pv, np.array(big_s / (big_s + q)), np.array(q / (big_s + q))))
+            if on_c != up:  # levels across lie in [edge, 1/2], empty for half the vectors
                 level = edge + (0.5 - edge) * 2.0 * level
                 if edge >= 0.5:
                     return
             else:
                 level = level[level <= edge]
                 hypothesis.assume(level.size)
-            _invert(pv, level[:1], complement, mixed)  # builds the cached start table
+            _small_roots(pv, level[:1], on_c)  # builds the cached start table
             passes["n"] = 0
-            x = _invert(pv, level, complement, mixed)
+            x, upper = _small_roots(pv, level, on_c)
             assert passes["n"] <= 10
-            assert np.all(x <= 0.5 + 1e-15)  # a root at 1/2 may land an ulp past it
-            resid = np.abs(np.asarray(forward(pv, x)) - level)
+            u, s = np.where(upper, 1.0 - x, x), np.where(upper, x, 1.0 - x)
+            w = q * u / (q * u + big_s * s)
+            assert np.all((1.0 - w if up else w) <= 0.5 + 1e-15)  # a root at 1/2 may land an ulp past it
+            resid = np.abs(forward(pv, u, s) - level)
             assert np.all(resid <= 1e-12 * level)
+            if not on_c:
+                np.testing.assert_array_equal(distortion_inverse(pv, level), u)
 
         check()
 
@@ -534,27 +541,47 @@ class TestInverseAccuracy:
     def test_each_root_against_the_smaller_level(self):
         """The smaller root, u or s = 1 - u, solved against the smaller
         level, p or 1 - p: T(1/2) = 0.375 for a = (1.5, 0.5), 0.625 for
-        a = (0.5, 1.5)."""
-        from moq.family import _complement, _distortion, _invert
+        a = (0.5, 1.5); with S = q, w = 1/2 where u = 1/2."""
+        from moq.family import _complement, _distortion, _small_roots
+
+        def roots(pv, p, upper_side):
+            x, upper = _small_roots(pv, p, False)
+            assert np.all(upper == upper_side)
+            if np.all(p >= 0.5):  # the survival levels 1 - p are exact
+                np.testing.assert_array_equal(_small_roots(pv, 1.0 - p, True)[0], x)
+            u = np.where(upper, 1.0 - x, x)
+            np.testing.assert_array_equal(distortion_inverse(pv, p), u)
+            return x
 
         pv = validate_params(2, [1.5, 0.5])
         assert distortion(pv, 0.5) == 0.375
         p = np.array([1e-300, 0.2, 0.37])  # T(u) = p
-        np.testing.assert_array_equal(distortion_inverse(pv, p), _invert(pv, p, False, False))
+        u = roots(pv, p, False)
+        np.testing.assert_allclose(distortion(pv, u), p, rtol=1e-14)
         p = np.array([0.5 + 2.0**-40, 0.75, 1.0 - 1e-13])  # C(s) = 1 - p
-        s = _invert(pv, 1.0 - p, True, False)
-        np.testing.assert_array_equal(distortion_inverse(pv, p), 1.0 - s)
+        s = roots(pv, p, True)
         np.testing.assert_allclose(distortion_complement(pv, s), 1.0 - p, rtol=1e-14)
         p = np.array([0.38, 0.45])  # T(1 - s) = p
-        s = _invert(pv, p, True, True)
-        np.testing.assert_array_equal(distortion_inverse(pv, p), 1.0 - s)
+        s = roots(pv, p, True)
         np.testing.assert_allclose(_distortion(pv, 1.0 - s, s), p, rtol=1e-14)
         pv = validate_params(2, [0.5, 1.5])
         assert distortion(pv, 0.5) == 0.625
         p = np.array([0.55, 0.6])  # 1 - T(u) = 1 - p
-        u = _invert(pv, 1.0 - p, False, True)
-        np.testing.assert_array_equal(distortion_inverse(pv, p), u)
+        u = roots(pv, p, False)
         np.testing.assert_allclose(_complement(pv, u, 1.0 - u), 1.0 - p, rtol=1e-14)
+
+    @pytest.mark.parametrize("p", [6.6e-300, 1e-305])
+    def test_subnormal_roots(self, p):
+        """T(u) is about 1.4e14 u here, so the roots are subnormal: in the
+        old u-form T underflowed first (Nonconvergence at 6.6e-300, and
+        1.39e-311 for the root 7.13e-320 at 1e-305)."""
+        mp = pytest.importorskip("mpmath")
+        a = (5.9e-15, 1.43e-14)
+        pv = validate_params(2, a)
+        u = distortion_inverse(pv, p)
+        with mp.workdps(60):
+            exact = mp.findroot(lambda t: mp_distortion(mp, a, t) - mp.mpf(p), mp.mpf(p) / mp.mpf(1.4e14))
+        assert abs(u - exact) <= 1e-13 * exact + 2 * 5e-324
 
     def test_concave_map_keeps_upper_cdf_levels_on_t(self):
         """With a_1 tiny T(1/2) is close to one, so even p = 0.9 has a root
