@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import Baseline, _check_prob, _ret
+from .baselines import Baseline, _ret
 from .errors import SurvivalUnderflow
 from .family import (
     ParameterVector,
@@ -76,8 +76,8 @@ class ExtendedDistribution:
     def _inverse(self, level, survival: bool):
         # a root u of T at most 1/2 maps through the baseline quantile, a
         # root s = 1 - u through the baseline isf
-        pp, scalar = _check_prob(level)
-        x, upper = _small_roots(self.pv, np.atleast_1d(pp), survival)
+        scalar = np.ndim(level) == 0
+        x, upper = _small_roots(self.pv, level, survival)  # checks the level
         x = np.fmax(x, np.finfo(float).tiny)  # roots that underflow (extreme a only)
         val = np.empty_like(x)
         if not upper.all():

@@ -130,10 +130,11 @@ def _as_unit_interval(u, *, slack: float = U_SLACK):
     """Coerce ``u`` to float array clamped to [0, 1]; reject anything further out."""
     arr = np.asarray(u, dtype=float)
     scalar = arr.ndim == 0
-    if not np.all(np.isfinite(arr)) or np.any(arr < -slack) or np.any(arr > 1.0 + slack):
+    lo, hi = np.minimum.reduce(arr, axis=None, initial=0.0), np.maximum.reduce(arr, axis=None, initial=1.0)
+    if not (lo >= -slack and hi <= 1.0 + slack):
         bad = arr if scalar else arr[~((arr >= -slack) & (arr <= 1.0 + slack))][:1]
         raise DomainError(f"u = {np.ravel(bad)[:1]} outside [0, 1] beyond tolerance {slack}")
-    return np.clip(arr, 0.0, 1.0), scalar
+    return (np.clip(arr, 0.0, 1.0) if lo < 0.0 or hi > 1.0 else arr), scalar
 
 
 def distortion(pv: ParameterVector, u):
@@ -145,8 +146,8 @@ def distortion(pv: ParameterVector, u):
     and T(1) = 1 are exact in floating point.
     """
     uu, scalar = _as_unit_interval(u)
-    # analytically in [0, 1]; rounding can poke a couple of ulp past 1
-    return _ret(np.clip(_distortion(pv, uu, 1.0 - uu), 0.0, 1.0), scalar)
+    t = _distortion(pv, uu, 1.0 - uu)  # in [0, 1] analytically; rounding can poke an ulp or two past 1
+    return _ret(np.minimum(t, 1.0, out=t), scalar)
 
 
 def _ratios(pv: ParameterVector, uu: np.ndarray, s: np.ndarray):
@@ -181,26 +182,30 @@ def distortion_deriv(pv: ParameterVector, u):
 def _deriv(pv: ParameterVector, uu: np.ndarray, s: np.ndarray) -> np.ndarray:
     """T'(u) from u and s = 1 - u, each with its own digits; see distortion_deriv."""
     w, r = _ratios(pv, uu, s)
-    bracket = _bracket(pv, w, r)[1]
+    bracket = _bracket(pv, w, r)
     return np.multiply(bracket, np.add(w, np.multiply(r, pv.q / pv.sum_a, out=r), out=r), out=bracket)
 
 
 def _bracket(pv: ParameterVector, w: np.ndarray, r: np.ndarray):
-    """(P, B) of distortion_deriv at the ratios (w, r), so T = w P.  In place:
-    at 1e5 elements a fresh array costs about four in-place passes."""
+    """B of distortion_deriv at the ratios (w, r).  In place: at 1e5
+    elements a fresh array costs about four in-place passes."""
     c, k, _ = _weights(pv)
-    prod, corr, f, term = np.ones_like(w), np.zeros_like(w), np.empty_like(w), np.empty_like(w)
-    for ci, ki in zip(c, k):
+    bracket = np.multiply(w, pv.a[0], out=np.empty_like(w))
+    bracket += r
+    if not c:  # q = 1: P = 1 and the sum is empty
+        return bracket
+    prod, corr = np.multiply(r, c[0], out=np.empty_like(w)), np.full_like(w, k[0])
+    prod += w  # P opens with the first factor and the sum with k_2, not with 1 and 0
+    f, term = np.empty_like(w), np.empty_like(w)
+    for ci, ki in zip(c[1:], k[1:]):
         np.add(w, np.multiply(r, ci, out=f), out=f)
         corr *= f
         corr += np.multiply(prod, ki, out=term)
         prod *= f
-    bracket = np.multiply(w, pv.a[0], out=f)
-    bracket += r
     bracket *= prod
     corr *= w
     corr *= r
-    return prod, np.add(bracket, corr, out=bracket)
+    return np.add(bracket, corr, out=bracket)
 
 
 @lru_cache(maxsize=256)
@@ -229,12 +234,9 @@ def distortion_complement(pv: ParameterVector, s):
 
 
 def _complement(pv: ParameterVector, uu: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """1 - T(u) from u and s = 1 - u, each with its own digits; see distortion_complement."""
-    return _complement_wr(pv, *_ratios(pv, uu, s))
-
-
-def _complement_wr(pv: ParameterVector, w: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """1 - T at the ratios (w, r), by Horner in r."""
+    """1 - T(u) from u and s = 1 - u, each with its own digits, by Horner in r;
+    see distortion_complement."""
+    w, r = _ratios(pv, uu, s)
     g = _weights(pv)[2]
     acc, wk, term = np.full_like(r, g[-1]), w.copy(), np.empty_like(w)
     for gk in g[-2:0:-1]:
@@ -244,18 +246,23 @@ def _complement_wr(pv: ParameterVector, w: np.ndarray, r: np.ndarray) -> np.ndar
     return np.multiply(acc, r, out=acc)
 
 
-def distortion_inverse(pv: ParameterVector, p, *, tol: float = 1e-12, max_iter: int = 200):
-    """Solve T(u) = p for u in [0, 1] by safeguarded Newton iteration.
+def distortion_inverse(
+    pv: ParameterVector, p, *, survival: bool = False, split: bool = False, tol: float = 1e-12, max_iter: int = 200
+):
+    """Solve T(u) = p, or with ``survival`` 1 - T(u) = p, for u in [0, 1].
 
-    The unknown is the smaller ratio at the root, w or r = 1 - w (see
-    :func:`distortion`; T(w = 1/2) = 2^-q prod (1 + c_i) decides which), the
-    residual T - p where p <= 1/2, else (1 - T) - (1 - p), signed to increase
-    in it.  All levels form one active set, started from a cached table on
-    log levels; Newton steps stay inside each bracket (rtsafe, Press et al.,
-    *Numerical Recipes*, §9.4), else bisect, until the step is below ``tol``
-    times the iterate, or sqrt(tol) / 100 times it for a step inside the
-    bracket, which leaves an error of the order of its square.  u and s =
-    1 - u come back with their own digits, down to subnormal u.
+    ``split`` returns (x, upper), arrays even for a scalar p: x = u, or where
+    ``upper`` 1 - u, the smaller of the two with its own digits.  As T(u) =
+    T_c(w) for c = q a / S and w = q u / (q u + S (1-u)) (see
+    :func:`composition_pair`), the unknown is the smaller of w and 1 - w at
+    the root, as T_c(1/2) = 2^-q prod (1 + c_i) decides, and the residual is
+    T_c - p where p <= 1/2, else (1 - T_c) - (1 - p), from :func:`distortion`
+    and :func:`distortion_complement` of c.  All levels form one active set,
+    started from a cached table on log levels; Newton steps stay inside each
+    bracket (rtsafe, Press et al., *Numerical Recipes*, §9.4), else bisect,
+    until the step is below ``tol`` times the iterate, or sqrt(tol) / 100
+    times it for a step inside the bracket, which leaves an error of the
+    order of its square.
 
     Raises
     ------
@@ -265,9 +272,16 @@ def distortion_inverse(pv: ParameterVector, p, *, tol: float = 1e-12, max_iter: 
         If ``max_iter`` passes leave a relative residual above 1e-9.
     """
     pp, scalar = _check_prob(p)
-    x, upper = _small_roots(pv, np.atleast_1d(pp), False, tol, max_iter)
+    x, upper = _newton(pv, np.atleast_1d(pp), survival, tol, max_iter)
+    if split:
+        return x, upper
     u = np.where(upper, 1.0 - x, x)
     return _ret(u[0] if scalar else u, scalar)
+
+
+def _small_roots(pv: ParameterVector, level, survival: bool, tol=1e-12, max_iter=200):
+    """distortion_inverse with ``split``, called by name so that wrappers installed on it see it."""
+    return distortion_inverse(pv, level, survival=survival, split=True, tol=tol, max_iter=max_iter)
 
 
 # Cells of the start table; beyond its end nodes, w or r = 4.2e-18 (logit
@@ -278,29 +292,29 @@ _START_CELLS = 512
 @lru_cache(maxsize=256)
 @np.errstate(all="ignore")
 def _start_table(pv: ParameterVector):
-    """T and 1 - T at w = 1/2, and per level side the logit of w at the root
-    on log levels in equal cells up to log(1/2): (least, cells per unit,
-    value, slope).  log T, a sum of logs, does not underflow for large q."""
+    """c of distortion_inverse, its sum set to q so that w takes no rounding; T_c and
+    1 - T_c at w = 1/2; per level side the logit of w at the root on log levels in
+    equal cells up to log(1/2): (least, cells per unit, value, slope).  log T_c,
+    a sum of logs, does not underflow for large q."""
+    pc = ParameterVector(pv.q, tuple(pv.q * (ai / pv.sum_a) for ai in pv.a), float(pv.q))
     half = np.full(1, 0.5)
-    sides = 0.5 * _bracket(pv, half, half)[0][0], _complement_wr(pv, half, half)[0]
+    sides = _distortion(pc, half, half)[0], _complement(pc, half, half)[0]
     t = np.linspace(-40.0, 40.0, 8 * _START_CELLS + 1)
     w, r = 1.0 / (1.0 + np.exp(-t)), 1.0 / (1.0 + np.exp(t))
-    log_t = np.log(w) + sum(np.log(w + ci * r) for ci in _weights(pv)[0])
+    log_t = np.log(w) + sum(np.log(w + ci * r) for ci in _weights(pc)[0])
     tables = []
-    for y, logit in ((log_t, t), (np.log(_complement_wr(pv, w, r))[::-1], t[::-1])):
+    for y, logit in ((log_t, t), (np.log(_complement(pc, w, r))[::-1], t[::-1])):
         y, logit = y[np.isfinite(y)], logit[np.isfinite(y)]
         cell = (math.log(0.5) - y[0]) / _START_CELLS
         roots = np.interp(y[0] + cell * np.arange(_START_CELLS + 1), y, logit)
         tables.append((y[0], 1.0 / cell, roots[:-1], np.diff(roots)))
-    return sides, tables
+    return pc, sides, tables
 
 
 @np.errstate(all="ignore")
-def _small_roots(pv: ParameterVector, level: np.ndarray, survival: bool, tol=1e-12, max_iter=200):
-    """(x, upper): the root of T(u) = p as x = u, or where ``upper`` as x = s = 1 - u,
-    which carries it to full relative precision; ``level`` holds p, or with
-    ``survival`` 1 - p, which keeps digits that p has lost."""
-    (t_half, c_half), tables = _start_table(pv)
+def _newton(pv: ParameterVector, level: np.ndarray, survival: bool, tol: float, max_iter: int):
+    """(x, upper) of distortion_inverse with ``split``; ``level`` holds p, or with ``survival`` 1 - p."""
+    pc, (t_half, c_half), tables = _start_table(pv)
     small = np.fmin(level, 1.0 - level)  # exact: 1 - level is, where level >= 1/2
     on_c = level <= 0.5 if survival else level > 0.5  # the smaller level is 1 - T
     # w > 1/2 at the root where the smaller level lies beyond its value at w = 1/2
@@ -314,10 +328,10 @@ def _small_roots(pv: ParameterVector, level: np.ndarray, survival: bool, tol=1e-
     x = np.empty_like(level)
     for part, (least, per_cell, cells, slopes) in zip((slice(0, b2), slice(b2, None)), tables):
         pos = (np.log(lam[part]) - least) * per_cell
-        k = np.clip(pos, 0, _START_CELLS - 1).astype(np.intp)
+        k = np.fmin(np.fmax(pos, 0.0), _START_CELLS - 1).astype(np.intp)
         x[part] = cells[k] + (pos - k) * slopes[k]
     x[b1:b3] *= -1.0
-    np.clip(1.0 / (1.0 + np.exp(-x)), 5e-324, 0.5, out=x)
+    np.fmin(np.fmax(1.0 / (1.0 + np.exp(-x)), 5e-324), 0.5, out=x)
     # bracket [0, 1] in every group, as a root at 1/2 may round past it
     cols, root = [x, np.full_like(x, 5e-324), np.ones_like(x), np.ones_like(x), lam, idx], np.empty_like(x)
     del small, on_c, key, pos, k, x, lam, idx
@@ -325,16 +339,15 @@ def _small_roots(pv: ParameterVector, level: np.ndarray, survival: bool, tol=1e-
         x, lo, hi, step, lam, idx = cols
         w = np.concatenate((x[:b1], 1.0 - x[b1:b3], x[b3:]))
         r = np.concatenate((1.0 - x[:b1], x[b1:b3], 1.0 - x[b3:]))
-        prod, newton = _bracket(pv, w, r)
-        resid = np.empty_like(x)
-        np.multiply(w[:b2], prod[:b2], out=resid[:b2])
-        del prod
-        resid[b2:] = _complement_wr(pv, w[b2:], r[b2:])
+        resid = np.empty_like(x)  # one public evaluation of T_c per pass, and of 1 - T_c if needed
+        resid[:b2] = distortion(pc, w[:b2])
+        if b2 < x.size:
+            resid[b2:] = distortion_complement(pc, r[b2:])
         resid -= lam
         resid[b1:b2] *= -1.0  # T falls in r, and 1 - T in w
         resid[b3:] *= -1.0
-        # x - resid / slope, with the slope dT/dw = B / ((S/q) w + r) in every group
-        newton /= np.add(np.multiply(w, pv.sum_a / pv.q, out=w), r, out=w)
+        # x - resid / slope, with the slope dT_c/dw = B (as S = q) in every group
+        newton = _bracket(pc, w, r)
         np.subtract(x, np.divide(resid, newton, out=newton), out=newton)
         del w, r
         # lo <= x <= hi: x * (resid < 0) moves lo up to x, x / (resid > 0) hi down
@@ -367,7 +380,8 @@ def _small_roots(pv: ParameterVector, level: np.ndarray, survival: bool, tol=1e-
     else:  # no passes at all
         raise Nonconvergence(f"distortion inverse stalled at relative residual {math.inf:.3e}")
     del cols, x, lo, hi, step, lam, idx, resid
-    # the smaller of u = S w / (S w + q r) and s = q r / (S w + q r); float * bool is exact
+    # back through the equal-parameter map: the smaller of u = S w / (S w + q r)
+    # and s = q r / (S w + q r); float * bool is exact
     y = 1.0 - root
     sw, qr = pv.sum_a * (root * ~up + y * up), pv.q * (y * ~up + root * up)
     return np.fmin(sw, qr) / (sw + qr), qr < sw

@@ -466,6 +466,44 @@ class TestInverse:
             with pytest.raises(DomainError):
                 distortion_inverse(pv, p)
 
+    def test_survival_and_split(self):
+        """``survival`` takes the levels 1 - p; ``split`` returns the smaller
+        of u and 1 - u with its own digits, as arrays also for a scalar."""
+        from moq.family import _small_roots
+
+        pv = validate_params(3, [2.5, 0.5, 0.8])
+        s = np.array([1e-200, 1e-9, 0.3, 0.7, 1.0 - 1e-9])
+        x, upper = distortion_inverse(pv, s, survival=True, split=True)
+        np.testing.assert_array_equal(x, _small_roots(pv, s, True)[0])
+        np.testing.assert_array_equal(upper, _small_roots(pv, s, True)[1])
+        np.testing.assert_array_equal(distortion_inverse(pv, s, survival=True), np.where(upper, 1.0 - x, x))
+        np.testing.assert_allclose(distortion_complement(pv, x[upper]), s[upper], rtol=1e-13)
+        np.testing.assert_allclose(distortion(pv, x[~upper]), 1.0 - s[~upper], rtol=1e-13)
+        x1, upper1 = distortion_inverse(pv, 0.3, split=True)
+        assert x1.shape == upper1.shape == (1,)
+
+    def test_every_pass_through_the_public_maps(self, monkeypatch):
+        """A quantile goes through distortion_inverse once, and each pass
+        evaluates T_c by distortion once and 1 - T_c by distortion_complement
+        where a level lies above 1/2: wrappers on the public names see them."""
+        from moq import ExtendedDistribution, Exponential, family
+
+        calls = {"distortion_inverse": 0, "distortion": 0, "distortion_complement": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(family, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(family, name, counted)
+        passes = count_passes(monkeypatch)
+        ed = ExtendedDistribution(Exponential(1.0), validate_params(2, [1.5, 0.5]))
+        ed.quantile(np.array([1e-9, 0.2, 0.45]))
+        assert calls == {"distortion_inverse": 1, "distortion": passes["n"], "distortion_complement": 0}
+        passes["n"] = 0
+        ed.isf(np.array([1e-9, 0.2, 0.45]))
+        assert calls["distortion_inverse"] == 2
+        assert calls["distortion_complement"] == passes["n"] > 0
+
 
 class TestInverseAccuracy:
     """The safeguarded Newton inversion, one solve for all levels, in the
