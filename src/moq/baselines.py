@@ -1,13 +1,12 @@
-"""Baseline distributions on [0, inf) with closed-form cdf, sf, pdf, quantile and isf.
+"""Baseline distributions on [0, inf), each fixed by its cumulative hazard.
 
-Four families: exponential, Weibull, a three-parameter generalized Weibull,
-and log-logistic.  Tails are computed through ``expm1``/``log1p`` style
-formulations so that survival values stay accurate deep into the tail,
-where the extended hazard quotient would otherwise lose everything to
-cancellation.  Densities with an integrable blow-up at the origin
-(shape < 1) return 0 at exactly x = 0; the discrepancy is on a null set
-and keeps every return value finite.
-"""
+A family gives H(z) = -log sf, log H'(z) and H^-1(y) at z = x / scale;
+:class:`Baseline` derives cdf = -expm1(-H), sf = exp(-H), pdf =
+exp(log H' - H) / scale, hazard = exp(log H') / scale, quantile =
+scale H^-1(-log1p(-p)) and isf = scale H^-1(-log s) from them, once.  The
+hazard so stays finite past where sf underflows; a log1p(z^k) in log H' is
+logaddexp(0, k log z), finite where z^k overflows.  A density that blows
+up at the origin (shape < 1) is 0 at exactly x = 0."""
 
 from __future__ import annotations
 
@@ -19,14 +18,7 @@ import numpy as np
 
 from .errors import DomainError, NonPositiveParameter
 
-__all__ = [
-    "Baseline",
-    "Exponential",
-    "Weibull",
-    "GeneralizedWeibull",
-    "LogLogistic",
-    "BASELINE_FAMILIES",
-]
+__all__ = ["Baseline", "Exponential", "Weibull", "GeneralizedWeibull", "LogLogistic", "BASELINE_FAMILIES"]
 
 
 def _ret(arr, scalar: bool):
@@ -46,11 +38,20 @@ def _check_prob(p):
     return arr, scalar
 
 
-class Baseline(ABC):
-    """A distribution with support interval [0, inf) and a smooth CDF on it."""
+def _log_power(z, e: float):
+    """e log z, as 0 for e = 0, where z = 0 would give 0 * -inf."""
+    return e * np.log(z) if e else 0.0
 
-    support_lo: float = 0.0
-    support_hi: float = math.inf
+
+class Baseline(ABC):
+    """A distribution on [0, inf) with cumulative hazard H(x / scale)."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # perfbench/tracing.py wraps each family's own cdf, sf, pdf and
+        # quantile (cls.__dict__[name]), so every family holds them itself
+        for name in ("cdf", "sf", "pdf", "quantile"):
+            setattr(cls, name, getattr(cls, name))
 
     def __post_init__(self):
         for f in fields(self):
@@ -63,187 +64,146 @@ class Baseline(ABC):
         return _FAMILY_NAMES[type(self)]
 
     @abstractmethod
+    def _H(self, z):
+        """Cumulative hazard at z = x / scale >= 0; 0 at z = 0."""
+
+    @abstractmethod
+    def _log_dH(self, z):
+        """log H'(z); +inf at z = 0 where the density blows up there."""
+
+    @abstractmethod
+    def _H_inv(self, y):
+        """The z >= 0 with H(z) = y."""
+
+    def _cum(self, x):
+        xx, scalar = _as_float(x)
+        with np.errstate(over="ignore"):  # NaN and x <= 0 read as z = 0
+            return self._H(np.fmax(xx, 0.0) / self.scale), scalar
+
     def cdf(self, x):
         """P(X <= x); 0 at and below the support's lower end."""
+        h, scalar = self._cum(x)
+        return _ret(-np.expm1(-h), scalar)
 
-    @abstractmethod
     def sf(self, x):
-        """P(X > x), evaluated directly rather than as 1 - cdf."""
+        """P(X > x) = exp(-H), evaluated directly rather than as 1 - cdf."""
+        h, scalar = self._cum(x)
+        return _ret(np.exp(-h), scalar)
 
-    @abstractmethod
     def pdf(self, x):
         """Density on the interior of the support, 0 outside."""
+        return self._rate(x, True)
 
-    @abstractmethod
+    def hazard(self, x):
+        """pdf / sf from log H' alone: finite where sf underflows."""
+        return self._rate(x, False)
+
+    def _rate(self, x, density: bool):
+        xx, scalar = _as_float(x)
+        z = np.fmax(xx, 0.0) / self.scale
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            log_rate = self._log_dH(z)
+            val = np.exp(log_rate - self._H(z) if density else log_rate) / self.scale
+        # a blow-up at the origin is pinned to 0 there
+        return _ret(np.where((xx > 0.0) | ((xx == 0.0) & (log_rate < np.inf)), val, 0.0), scalar)
+
     def quantile(self, p):
         """Unique x with cdf(x) = p, for p strictly inside (0, 1)."""
+        pp, scalar = _check_prob(p)
+        return _ret(self.scale * self._H_inv(-np.log1p(-pp)), scalar)
 
-    @abstractmethod
     def isf(self, s):
         """Unique x with sf(x) = s, for s strictly inside (0, 1)."""
+        ss, scalar = _check_prob(s)
+        return _ret(self.scale * self._H_inv(-np.log(ss)), scalar)
 
 
 @dataclass(frozen=True)
 class Exponential(Baseline):
-    """Exponential distribution with mean ``scale``."""
+    """Exponential distribution with mean ``scale``: H(z) = z."""
 
     scale: float = 1.0
 
-    def cdf(self, x):
-        xx, scalar = _as_float(x)
-        val = np.where(xx > 0.0, -np.expm1(-np.maximum(xx, 0.0) / self.scale), 0.0)
-        return _ret(val, scalar)
+    def _H(self, z):
+        return z
 
-    def sf(self, x):
-        xx, scalar = _as_float(x)
-        val = np.where(xx > 0.0, np.exp(-np.maximum(xx, 0.0) / self.scale), 1.0)
-        return _ret(val, scalar)
+    def _log_dH(self, z):
+        return 0.0
 
-    def pdf(self, x):
-        xx, scalar = _as_float(x)
-        val = np.where(xx >= 0.0, np.exp(-np.maximum(xx, 0.0) / self.scale) / self.scale, 0.0)
-        return _ret(val, scalar)
-
-    def quantile(self, p):
-        pp, scalar = _check_prob(p)
-        return _ret(-self.scale * np.log1p(-pp), scalar)
-
-    def isf(self, s):
-        ss, scalar = _check_prob(s)
-        return _ret(-self.scale * np.log(ss), scalar)
+    def _H_inv(self, y):
+        return y
 
 
 @dataclass(frozen=True)
 class Weibull(Baseline):
-    """Weibull distribution: cdf(x) = 1 - exp(-(x/scale)^shape)."""
+    """Weibull distribution: H(z) = z^shape."""
 
     scale: float
     shape: float
 
-    def cdf(self, x):
-        xx, scalar = _as_float(x)
-        z = np.maximum(xx, 0.0) / self.scale
-        val = np.where(xx > 0.0, -np.expm1(-(z**self.shape)), 0.0)
-        return _ret(val, scalar)
+    def _H(self, z):
+        return z**self.shape
 
-    def sf(self, x):
-        xx, scalar = _as_float(x)
-        z = np.maximum(xx, 0.0) / self.scale
-        val = np.where(xx > 0.0, np.exp(-(z**self.shape)), 1.0)
-        return _ret(val, scalar)
+    def _log_dH(self, z):
+        return math.log(self.shape) + _log_power(z, self.shape - 1.0)
 
-    def pdf(self, x):
-        # log form: (x/b1)^(b2-1) can overflow long after the density is 0.
-        xx, scalar = _as_float(x)
-        pos = xx > 0.0
-        z = np.where(pos, xx / self.scale, 1.0)
-        with np.errstate(over="ignore"):
-            logpdf = math.log(self.shape / self.scale) + (self.shape - 1.0) * np.log(z) - z**self.shape
-        val = np.where(pos, np.exp(logpdf), 0.0)
-        return _ret(val, scalar)
-
-    def quantile(self, p):
-        pp, scalar = _check_prob(p)
-        return _ret(self.scale * (-np.log1p(-pp)) ** (1.0 / self.shape), scalar)
-
-    def isf(self, s):
-        ss, scalar = _check_prob(s)
-        return _ret(self.scale * (-np.log(ss)) ** (1.0 / self.shape), scalar)
+    def _H_inv(self, y):
+        return y ** (1.0 / self.shape)
 
 
 @dataclass(frozen=True)
 class GeneralizedWeibull(Baseline):
-    """Three-parameter family: cdf(x) = 1 - exp(1 - (1 + (x/scale)^shape)^(1/shape2)).
-
-    Reduces to the exponential with the same scale when shape = shape2 = 1.
-    """
+    """Three-parameter family: H(z) = (1 + z^shape)^(1/shape2) - 1, formed as
+    expm1(log1p(z^shape) / shape2) to keep its digits where z^shape is below
+    eps.  Reduces to the exponential with the same scale at shape = shape2 = 1."""
 
     scale: float
     shape: float
     shape2: float
 
-    def _log_sf(self, z):
-        """1 - (1 + z^shape)^(1/shape2) as -expm1(log1p(z^shape) / shape2),
-        which keeps its digits where z^shape is below eps."""
-        with np.errstate(over="ignore"):
-            return -np.expm1(np.log1p(z**self.shape) / self.shape2)
+    def _H(self, z):
+        return np.expm1(np.log1p(z**self.shape) / self.shape2)
 
-    def cdf(self, x):
-        xx, scalar = _as_float(x)
-        inner = self._log_sf(np.maximum(xx, 0.0) / self.scale)
-        val = np.where(xx > 0.0, -np.expm1(inner), 0.0)
-        return _ret(val, scalar)
+    def _log_dH(self, z):
+        k, b = self.shape, self.shape2
+        return math.log(k / b) + _log_power(z, k - 1.0) + (1.0 / b - 1.0) * np.logaddexp(0.0, k * np.log(z))
 
-    def sf(self, x):
-        xx, scalar = _as_float(x)
-        inner = self._log_sf(np.maximum(xx, 0.0) / self.scale)
-        val = np.where(xx > 0.0, np.exp(inner), 1.0)
-        return _ret(val, scalar)
-
-    def pdf(self, x):
-        xx, scalar = _as_float(x)
-        pos = xx > 0.0
-        z = np.where(pos, xx / self.scale, 1.0)
-        with np.errstate(over="ignore"):
-            logpdf = (
-                self._log_sf(z)
-                + (1.0 / self.shape2 - 1.0) * np.log1p(z**self.shape)
-                + math.log(self.shape / (self.scale * self.shape2))
-                + (self.shape - 1.0) * np.log(z)
-            )
-        val = np.where(pos, np.exp(logpdf), 0.0)
-        return _ret(val, scalar)
-
-    def quantile(self, p):
-        pp, scalar = _check_prob(p)
-        # (1 - log sf)^shape2 - 1 without cancellation as sf -> 1
-        t = np.expm1(self.shape2 * np.log1p(-np.log1p(-pp)))
-        return _ret(self.scale * t ** (1.0 / self.shape), scalar)
-
-    def isf(self, s):
-        ss, scalar = _check_prob(s)
-        t = np.expm1(self.shape2 * np.log1p(-np.log(ss)))
-        return _ret(self.scale * t ** (1.0 / self.shape), scalar)
+    def _H_inv(self, y):
+        # (1 + y)^shape2 - 1 without cancellation as y -> 0
+        return np.expm1(self.shape2 * np.log1p(y)) ** (1.0 / self.shape)
 
 
 @dataclass(frozen=True)
 class LogLogistic(Baseline):
-    """Log-logistic distribution: cdf(x) = x^shape / (scale^shape + x^shape).
+    """Log-logistic distribution: H(z) = log1p(z^shape), cdf = z^shape / (1 + z^shape).
 
-    The defaults give the standard unit form x / (1 + x).
+    cdf, sf, quantile and isf keep the odds forms: exp(-log1p(z^shape))
+    would lose about H eps in sf.  The defaults give x / (1 + x).
     """
 
     scale: float = 1.0
     shape: float = 1.0
 
-    def cdf(self, x):
+    def _H(self, z):
+        return np.log1p(z**self.shape)
+
+    def _log_dH(self, z):
+        k = self.shape
+        return math.log(k) + _log_power(z, k - 1.0) - np.logaddexp(0.0, k * np.log(z))
+
+    def _H_inv(self, y):
+        return np.expm1(y) ** (1.0 / self.shape)
+
+    def _odds(self, x, sign: float):
         xx, scalar = _as_float(x)
-        pos = xx > 0.0
-        z = np.where(pos, xx / self.scale, 1.0)
-        with np.errstate(over="ignore"):
-            val = np.where(pos, 1.0 / (1.0 + z**-self.shape), 0.0)
-        return _ret(val, scalar)
+        with np.errstate(over="ignore", divide="ignore"):  # NaN and x <= 0 read as z = 0
+            return _ret(1.0 / (1.0 + (np.fmax(xx, 0.0) / self.scale) ** (sign * self.shape)), scalar)
+
+    def cdf(self, x):
+        return self._odds(x, -1.0)
 
     def sf(self, x):
-        xx, scalar = _as_float(x)
-        pos = xx > 0.0
-        z = np.where(pos, xx / self.scale, 1.0)
-        with np.errstate(over="ignore"):
-            val = np.where(pos, 1.0 / (1.0 + z**self.shape), 1.0)
-        return _ret(val, scalar)
-
-    def pdf(self, x):
-        xx, scalar = _as_float(x)
-        pos = xx > 0.0
-        z = np.where(pos, xx / self.scale, 1.0)
-        with np.errstate(over="ignore"):
-            logpdf = (
-                math.log(self.shape / self.scale)
-                + (self.shape - 1.0) * np.log(z)
-                - 2.0 * np.log1p(z**self.shape)
-            )
-        val = np.where(pos, np.exp(logpdf), 0.0)
-        return _ret(val, scalar)
+        return self._odds(x, 1.0)
 
     def quantile(self, p):
         pp, scalar = _check_prob(p)

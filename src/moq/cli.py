@@ -9,10 +9,11 @@ Subcommands::
 
 Exit codes: 0 success; 1 a verify check failed; 2 bad usage, a bad
 numeric argument or seed, or a spec parse failure (also unknown check
-names); 3 evaluation error while writing a curve; 4 a parameter-regime or
-domain condition was violated; 5 a series failed to converge, or
-quadrature could not meet its tolerance.  ``main`` maps the package's
-errors to these codes in one table, ``_EXIT_CODES``.
+names); 3 evaluation error while writing a curve, naming its x (a hazard
+has no survival in it, so none comes from an underflowing tail); 4 a
+parameter-regime or domain condition was violated; 5 a series failed to
+converge, or quadrature could not meet its tolerance.  ``main`` maps the
+package's errors to these codes in one table, ``_EXIT_CODES``.
 
 ``MOQ_SEED`` provides a default seed; an explicit ``--seed`` wins, then
 the spec file's ``seed`` field, then 0.

@@ -2,7 +2,7 @@
 
 __all__ = [
     "MoqError", "NonPositiveParameter", "LengthMismatch", "DomainError", "ConditionViolated",
-    "Nonconvergence", "ToleranceNotMet", "SurvivalUnderflow", "EnvelopeViolation", "SpecError",
+    "Nonconvergence", "ToleranceNotMet", "EnvelopeViolation", "SpecError",
 ]
 
 
@@ -32,10 +32,6 @@ class Nonconvergence(MoqError):
 
 class ToleranceNotMet(MoqError):
     """Quadrature exhausted its refinement budget above the requested tolerance."""
-
-
-class SurvivalUnderflow(MoqError):
-    """The survival function underflowed where a hazard value was requested."""
 
 
 class EnvelopeViolation(MoqError):

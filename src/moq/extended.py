@@ -7,18 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import Baseline, _ret
-from .errors import SurvivalUnderflow
 from .family import (
-    ParameterVector,
-    _complement,
-    _deriv,
-    _distortion,
-    _small_roots,
+    ParameterVector, _bracket, _complement, _complement_sum, _deriv, _distortion, _ratios, _small_roots,
 )
 
 __all__ = ["ExtendedDistribution"]
-
-_SF_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -34,10 +27,9 @@ class ExtendedDistribution:
     pv: ParameterVector
 
     def cdf(self, x):
-        # T(u) and 1 - T(u) from the baseline's u and s = 1 - u, each with
-        # its own digits, so that neither tail loses any to cancellation
+        # T(u) and 1 - T(u) from the baseline's u and s = 1 - u, each with its own
+        # digits; T is in [0, 1] analytically, but rounding can poke an ulp past 1
         _, u, s, scalar = self._levels(x)
-        # analytically in [0, 1]; rounding can poke a couple of ulp past 1
         return _ret(np.clip(_distortion(self.pv, u, s), 0.0, 1.0), scalar)
 
     def sf(self, x):
@@ -51,20 +43,17 @@ class ExtendedDistribution:
     def pdf(self, x):
         # T'(u) from the baseline's u and s, as cdf and sf take T and 1 - T
         xx, u, s, scalar = self._levels(x)
-        return _ret(self._density(xx, u, s), scalar)
-
-    def _density(self, xx, u, s):
-        f0 = np.asarray(self.baseline.pdf(xx))
-        return np.where(f0 > 0.0, _deriv(self.pv, u, s) * f0, 0.0)
+        return _ret(_deriv(self.pv, u, s) * self.baseline.pdf(xx), scalar)
 
     def hazard(self, x):
-        xx, u, s, scalar = self._levels(x)  # one read for the density and the survival
-        sf = _complement(self.pv, u, s)
-        inside = xx > self.baseline.support_lo
-        if np.any(inside & (sf < _SF_FLOOR)):
-            bad = np.atleast_1d(xx)[np.atleast_1d(inside & (sf < _SF_FLOOR))][0]
-            raise SurvivalUnderflow(f"survival below {_SF_FLOOR:g} at x = {bad!r}")
-        return _ret(self._density(xx, u, s) / sf, scalar)
+        # f / (1 - T) = h0 (q/S) B / sum_{k>=1} g_k w^(q-k) r^(k-1), as T' = (w + (q/S) r) B
+        # and 1 - T = s (S/D) times that sum: the baseline survival s cancels, so the
+        # hazard stays finite where s underflows, and at w = 1, r = 0 it is h0 exactly
+        xx, u, s, scalar = self._levels(x)
+        pv = self.pv
+        w, r = _ratios(pv, u, s)
+        ratio = _bracket(pv, w, r) * pv.q / pv.sum_a / _complement_sum(pv, w, r)
+        return _ret(ratio * self.baseline.hazard(xx), scalar)
 
     def quantile(self, p):
         return self._inverse(p, survival=False)

@@ -234,16 +234,22 @@ def distortion_complement(pv: ParameterVector, s):
 
 
 def _complement(pv: ParameterVector, uu: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """1 - T(u) from u and s = 1 - u, each with its own digits, by Horner in r;
-    see distortion_complement."""
+    """1 - T(u) from u and s = 1 - u, each with its own digits; see
+    distortion_complement."""
     w, r = _ratios(pv, uu, s)
+    acc = _complement_sum(pv, w, r)
+    return np.multiply(acc, r, out=acc)
+
+
+def _complement_sum(pv: ParameterVector, w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """(1 - T) / r = sum_{k>=1} g_k w^(q-k) r^(k-1) at the ratios (w, r), by Horner in r."""
     g = _weights(pv)[2]
     acc, wk, term = np.full_like(r, g[-1]), w.copy(), np.empty_like(w)
     for gk in g[-2:0:-1]:
         acc *= r
         acc += np.multiply(wk, gk, out=term)
         wk *= w
-    return np.multiply(acc, r, out=acc)
+    return acc
 
 
 def distortion_inverse(

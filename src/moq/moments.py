@@ -289,8 +289,15 @@ def moment_weibull_scaled(
     relation to the extended unit exponential at order r/shape."""
     if not (math.isfinite(scale) and scale > 0 and math.isfinite(shape) and shape > 0):
         raise DomainError("scale and shape must be strictly positive")
-    inner = moment_exponential(pv, r / shape, tol=tol / max(scale**r, 1.0), method=method)
-    return _scaled(inner, scale**r)
+    inner_tol = tol / max(scale**r, 1.0)  # a series stops on absolute error, the quadrature on relative
+    if method == "auto" and _short_series(pv, inner_tol):
+        try:
+            return _scaled(moment_exponential(pv, r / shape, tol=inner_tol, method="series_at_zero"), scale**r)
+        except Nonconvergence:
+            pass
+    if method in ("auto", "quadrature"):
+        method, inner_tol = "quadrature", tol
+    return _scaled(moment_exponential(pv, r / shape, tol=inner_tol, method=method), scale**r)
 
 
 def _scaled(inner: MomentResult, factor: float) -> MomentResult:

@@ -1,11 +1,14 @@
 """Tests for the baseline families."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from moq import (
+    BASELINE_FAMILIES,
     DomainError,
     Exponential,
     GeneralizedWeibull,
@@ -155,3 +158,84 @@ class TestFamilies:
         for p in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(DomainError):
                 Exponential(1.0).quantile(p)
+
+
+def mp_hazards(mp, bm, x):
+    """H and the hazard H' / scale at x, from each family's cumulative hazard
+    H(z), z = x / scale, at mpmath precision.  The generalized Weibull's H
+    goes through expm1 and log1p: (1 + t)^(1/shape2) - 1 cancels even at
+    50 digits for the smallest x."""
+    z, k = mp.mpf(x) / bm.scale, mp.mpf(getattr(bm, "shape", 1.0))
+    if isinstance(bm, Exponential):
+        big_h, dh = z, mp.mpf(1)
+    elif isinstance(bm, Weibull):
+        big_h, dh = z**k, k * z ** (k - 1)
+    elif isinstance(bm, GeneralizedWeibull):
+        inv = 1 / mp.mpf(bm.shape2)
+        big_h, dh = mp.expm1(inv * mp.log1p(z**k)), inv * (1 + z**k) ** (inv - 1) * k * z ** (k - 1)
+    else:
+        big_h, dh = mp.log1p(z**k), k * z ** (k - 1) / (1 + z**k)
+    return big_h, dh / bm.scale
+
+
+class TestAccuracyFromCumulativeHazard:
+    @pytest.mark.parametrize("bm", ALL, ids=lambda b: repr(b))
+    def test_against_mpmath(self, bm):
+        """Each quantity within a multiple of eps scaled by its conditioning:
+        1 + x h0 for cdf and sf (a rounding of x moves H by x h0 times it),
+        and |shape - 1| on top for the density and hazard, from z^(shape-1).
+        Exact values below the smallest normal double are left out."""
+        mp = pytest.importorskip("mpmath")
+        eps, k = np.finfo(float).eps, getattr(bm, "shape", 1.0)
+        for x in np.geomspace(1e-30, 1e60, 91):
+            with mp.workdps(50):
+                big_h, h0 = mp_hazards(mp, bm, x)
+                exact = {"cdf": -mp.expm1(-big_h), "sf": mp.exp(-big_h), "pdf": h0 * mp.exp(-big_h), "hazard": h0}
+                cond = float(x * h0)
+            bounds = {
+                "cdf": 16 * (1 + cond),
+                "sf": 16 * (1 + cond),
+                "pdf": 64 * (1 + abs(k - 1) + 2 * cond),
+                "hazard": 64 * (1 + abs(k - 1) + cond),
+            }
+            for name, value in exact.items():
+                value = float(value)
+                if value >= np.finfo(float).tiny:
+                    got = getattr(bm, name)(x)
+                    assert abs(got - value) / value <= bounds[name] * eps, (name, x, got, value)
+
+    def test_hazard_past_survival_underflow(self):
+        assert Exponential(2.0).sf(1e4) == 0.0
+        assert Exponential(2.0).hazard(1e4) == 0.5
+        np.testing.assert_allclose(Weibull(2.0, 2.0).hazard([0.0, 2.0, 1e3]), [0.0, 1.0, 500.0], rtol=4e-16, atol=0)
+        assert LogLogistic().hazard(-1.0) == 0.0
+        assert Weibull(1.0, 0.5).hazard(0.0) == 0.0  # the blow-up pinned, as for the density
+        assert Weibull(2.0, 1.0).pdf(0.0) == Weibull(2.0, 1.0).hazard(0.0) == 0.5
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracerContract:
+    def test_every_family_method_traced_and_restored(self):
+        """perfbench/tracing.py wraps cls.__dict__[m] for each family: each
+        must hold cdf, sf, pdf and quantile in its own namespace."""
+        methods = ("cdf", "sf", "pdf", "quantile")
+        originals = {(cls, m): cls.__dict__[m] for cls in BASELINE_FAMILIES.values() for m in methods}
+        tracer = _load_tracing().Tracer()
+        tracer.install()
+        try:
+            for cls in BASELINE_FAMILIES.values():
+                bm = next(b for b in ALL if type(b) is cls)
+                for m in methods:
+                    start = len(tracer.spans)
+                    getattr(bm, m)(0.5)
+                    assert f"baselines.{m}" in [span[0] for span in tracer.spans[start:]], (cls, m)
+        finally:
+            tracer.uninstall()
+        assert all(cls.__dict__[m] is fn for (cls, m), fn in originals.items())

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from moq import SpecError, load_spec, parse_spec
+from moq import DomainError, ExtendedDistribution, SpecError, load_spec, parse_spec
 from moq.cli import main
 
 
@@ -111,12 +111,29 @@ class TestCurveCommand:
         rc = main(["curve", "--spec", str(path), "--lo", "0", "--hi", "1", "--step", "0.5"])
         assert rc == 2
 
-    def test_evaluation_error_exits_3_and_names_x(self, tmp_path, capsys):
+    def test_hazard_past_survival_underflow(self, tmp_path, capsys):
+        """exp(-750) and exp(-800) underflow; the hazard is still exactly 1."""
+        spec = write_spec(tmp_path, EXP_ID)
+        rc = main(["curve", "--spec", spec, "--quantity", "hazard",
+                   "--lo", "700", "--hi", "800", "--step", "50"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == ["x,hazard", "700,1", "750,1", "800,1"]
+
+    def test_evaluation_error_exits_3_and_names_x(self, tmp_path, capsys, monkeypatch):
+        original = ExtendedDistribution.hazard
+
+        def failing(self, x):
+            if x > 720.0:
+                raise DomainError("no value here")
+            return original(self, x)
+
+        monkeypatch.setattr(ExtendedDistribution, "hazard", failing)
         spec = write_spec(tmp_path, EXP_ID)
         rc = main(["curve", "--spec", spec, "--quantity", "hazard",
                    "--lo", "700", "--hi", "800", "--step", "50"])
         assert rc == 3
-        assert "x = " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "x = 750" in err and "no value here" in err
 
 
 class TestSampleCommand:

@@ -11,7 +11,6 @@ from moq import (
     ExtendedDistribution,
     GeneralizedWeibull,
     LogLogistic,
-    SurvivalUnderflow,
     Weibull,
     integrate_semiinfinite,
     validate_params,
@@ -24,6 +23,34 @@ def mp_distortion_and_deriv(mp, a, u):
     d = big_s - (big_s - q) * u
     t = mp.mpf(q) ** q * u * mp.fprod(ai + (1 - ai) * u for ai in aa[1:]) / d**q
     return t, t * (1 / u + mp.fsum((1 - ai) / (ai + (1 - ai) * u) for ai in aa[1:]) + q * (big_s - q) / d)
+
+
+def mp_hazard(mp, a, h0, s):
+    """f / (1 - T) at u = 1 - s for baseline hazard h0, from the definition of T.
+
+    With D = S - (S - q) u, 1 - T = N(s) / D^q for the polynomial
+    N(s) = D^q - q^q (1 - s) prod_{i>=2} (1 - (1 - a_i) s), whose constant
+    term is 0: dividing it by s coefficient-wise leaves no cancellation,
+    where 1 - T(1 - s) formed at any fixed precision is 0 once s is tiny.
+    """
+    aa = [mp.mpf(v) for v in a]
+    q, big_s = len(aa), mp.fsum(aa)
+    _, dt = mp_distortion_and_deriv(mp, a, 1 - s)
+    d_poly, t_poly = [mp.mpf(1)], [mp.mpf(q) ** q, -mp.mpf(q) ** q]
+    for factor in [[mp.mpf(q), big_s - q]] * q:
+        d_poly = mp_polymul(d_poly, factor)
+    for ai in aa[1:]:
+        t_poly = mp_polymul(t_poly, [mp.mpf(1), ai - 1])
+    n_over_s = [dk - tk for dk, tk in zip(d_poly, t_poly)][1:]
+    return h0 * dt * (big_s - (big_s - q) * (1 - s)) ** q / mp.polyval(n_over_s[::-1], s)
+
+
+def mp_polymul(p, r):
+    out = [0] * (len(p) + len(r) - 1)
+    for i, pi in enumerate(p):
+        for j, rj in enumerate(r):
+            out[i + j] += pi * rj
+    return out
 
 
 CASES = [
@@ -189,10 +216,24 @@ class TestHazard:
                 exact = a * s0 / (a + (1 - a) * u)  # equal parameters: 1 - u / (a + (1 - a) u)
                 assert abs(si - exact) <= 1e-14 * exact, xi
 
-    def test_underflow_raises(self):
+    def test_identity_hazard_exact_past_survival_underflow(self):
+        """exp(-800) underflows to 0; the hazard has no survival in it."""
         ed = ExtendedDistribution(Exponential(1.0), validate_params(1, [1.0]))
-        with pytest.raises(SurvivalUnderflow):
-            ed.hazard(800.0)
+        assert ed.hazard(800.0) == 1.0
+        assert ed.hazard(1e4) == 1.0
+        np.testing.assert_array_equal(ed.hazard(np.array([800.0, 1e4])), [1.0, 1.0])
+
+    @pytest.mark.parametrize("x", [26.5, 53.0, 60.0, 100.0, 1000.0])
+    def test_two_wave_hazard_past_survival_underflow(self, x):
+        """The survival of the two-wave spec is below 1e-300 from x = 53 on,
+        and underflows to 0 before x = 100; its hazard stays h0 (q/S) B / sum."""
+        mp = pytest.importorskip("mpmath")
+        a = (1e-6, 0.15)
+        ed = ExtendedDistribution(Weibull(2.0, 2.0), validate_params(2, a))
+        with mp.workdps(60):
+            z = mp.mpf(x) / 2
+            exact = mp_hazard(mp, a, z, mp.exp(-z * z))
+            assert abs(ed.hazard(x) - exact) <= 1e-13 * exact
 
 
 class TestQuantile:

@@ -446,6 +446,17 @@ class TestQuadrature:
         assert math.isfinite(res.value)
         assert abs(res.value - mp_moment(mp, baseline, a, r)) <= res.error_estimate
 
+    @pytest.mark.parametrize("baseline, r", [(Weibull(100.0, 2.0), 2.0), (Exponential(30.0), 3.0)])
+    def test_scaled_quadrature_keeps_a_relative_tol(self, baseline, r):
+        """Through the power-scaling relation the quadrature's relative stop
+        was handed tol / scale^r, below the rounding floor: both raised
+        ToleranceNotMet.  The series keep the absolute tol / scale^r."""
+        mp = pytest.importorskip("mpmath")
+        a = (20.0, 0.5)
+        res = moment(baseline, validate_params(2, a), r)
+        assert res.method_used == "scaling(quadrature)"
+        assert abs(res.value - mp_moment(mp, baseline, a, r)) <= res.error_estimate <= 1e-10 * res.value
+
     @pytest.mark.parametrize("fraction", [0.93, 0.94, 0.97, -0.93, -0.97])
     def test_barely_existing_moment_raises_or_matches(self, fraction):
         """Near r = +-shape the log-logistic integrand decays too slowly
