@@ -15,6 +15,10 @@ parameter-regime or domain condition was violated; 5 a series failed to
 converge, or quadrature could not meet its tolerance.  ``main`` maps the
 package's errors to these codes in one table, ``_EXIT_CODES``.
 
+``moment --method`` takes its choices from :mod:`moq.moments`; ``auto`` lets
+:func:`moq.moments.moment` route the query.  ``--r`` may be any order at
+which the moment exists: r > -shape, or |r| < shape for the log-logistic.
+
 ``MOQ_SEED`` provides a default seed; an explicit ``--seed`` wins, then
 the spec file's ``seed`` field, then 0.
 """
@@ -38,7 +42,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .extended import ExtendedDistribution
-from .moments import moment
+from .moments import _METHODS, moment
 from .sampling import (
     RandomSource,
     sample_accept_reject,
@@ -49,7 +53,6 @@ from .verify import CHECKS, run_checks
 
 _QUANTITIES = ("cdf", "sf", "pdf", "hazard")
 _SAMPLERS = ("accept-reject", "random-maxima", "inverse-cdf")
-_METHODS = ("auto", "closed_form", "series_at_zero", "series_at_one", "scaling", "quadrature")
 # The exit code of each error a command lets through, after one "error:" line.
 _EXIT_CODES = {
     SpecError: 2,
@@ -188,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_moment = sub.add_parser("moment", help="compute a fractional or integer moment")
     p_moment.add_argument("--spec", required=True)
     p_moment.add_argument("--r", type=float, required=True)
-    p_moment.add_argument("--method", choices=_METHODS, default="auto")
+    p_moment.add_argument("--method", choices=_METHODS, default="auto", help="auto routes; the others pin a path")
     p_moment.add_argument("--tol", type=float, default=1e-10)
 
     p_verify = sub.add_parser("verify", help="run the cross-check battery")

@@ -252,9 +252,10 @@ def _complement_sum(pv: ParameterVector, w: np.ndarray, r: np.ndarray) -> np.nda
     return acc
 
 
-def distortion_inverse(
-    pv: ParameterVector, p, *, survival: bool = False, split: bool = False, tol: float = 1e-12, max_iter: int = 200
-):
+_INVERSE_TOL, _INVERSE_MAX_ITER = 1e-12, 200  # distortion_inverse's step tolerance and pass cap
+
+
+def distortion_inverse(pv: ParameterVector, p, *, survival: bool = False, split: bool = False):
     """Solve T(u) = p, or with ``survival`` 1 - T(u) = p, for u in [0, 1].
 
     ``split`` returns (x, upper), arrays even for a scalar p: x = u, or where
@@ -266,7 +267,7 @@ def distortion_inverse(
     and :func:`distortion_complement` of c.  All levels form one active set,
     started from a cached table on log levels; Newton steps stay inside each
     bracket (rtsafe, Press et al., *Numerical Recipes*, §9.4), else bisect,
-    until the step is below ``tol`` times the iterate, or sqrt(tol) / 100
+    until the step is below tol = 1e-12 times the iterate, or sqrt(tol) / 100
     times it for a step inside the bracket, which leaves an error of the
     order of its square.
 
@@ -275,19 +276,19 @@ def distortion_inverse(
     DomainError
         If ``p`` is outside (0, 1).
     Nonconvergence
-        If ``max_iter`` passes leave a relative residual above 1e-9.
+        If 200 passes leave a relative residual above 1e-9.
     """
     pp, scalar = _check_prob(p)
-    x, upper = _newton(pv, np.atleast_1d(pp), survival, tol, max_iter)
+    x, upper = _newton(pv, np.atleast_1d(pp), survival)
     if split:
         return x, upper
     u = np.where(upper, 1.0 - x, x)
     return _ret(u[0] if scalar else u, scalar)
 
 
-def _small_roots(pv: ParameterVector, level, survival: bool, tol=1e-12, max_iter=200):
+def _small_roots(pv: ParameterVector, level, survival: bool):
     """distortion_inverse with ``split``, called by name so that wrappers installed on it see it."""
-    return distortion_inverse(pv, level, survival=survival, split=True, tol=tol, max_iter=max_iter)
+    return distortion_inverse(pv, level, survival=survival, split=True)
 
 
 # Cells of the start table; beyond its end nodes, w or r = 4.2e-18 (logit
@@ -318,8 +319,9 @@ def _start_table(pv: ParameterVector):
 
 
 @np.errstate(all="ignore")
-def _newton(pv: ParameterVector, level: np.ndarray, survival: bool, tol: float, max_iter: int):
+def _newton(pv: ParameterVector, level: np.ndarray, survival: bool):
     """(x, upper) of distortion_inverse with ``split``; ``level`` holds p, or with ``survival`` 1 - p."""
+    tol, max_iter = _INVERSE_TOL, _INVERSE_MAX_ITER
     pc, (t_half, c_half), tables = _start_table(pv)
     small = np.fmin(level, 1.0 - level)  # exact: 1 - level is, where level >= 1/2
     on_c = level <= 0.5 if survival else level > 0.5  # the smaller level is 1 - T

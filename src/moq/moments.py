@@ -56,7 +56,7 @@ _SHORT_SERIES = 50
 _DE_SPAN = 6
 _DE_MIN_LEVEL, _DE_MAX_LEVEL = 3, 8
 # moment_exponential and moment_loglogistic take the first four
-_METHODS = ("auto", "series_at_zero", "series_at_one", "quadrature", "closed_form", "scaling")
+_METHODS = ("auto", "series_at_zero", "series_at_one", "quadrature", "closed_form")
 
 
 @dataclass(frozen=True)
@@ -162,20 +162,50 @@ def _check_query(method: str, tol: float, methods: tuple[str, ...]) -> None:
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
 
 
-def _series_or_quadrature(baseline, pv, r, tol, method, max_terms, at_zero, at_one) -> MomentResult:
-    """Route a unit-baseline moment to a pinned path, or for ``auto`` to the
-    series at zero where it is short (_short_series) and else to quadrature;
-    ``at_zero`` and ``at_one`` are the series' term functions."""
-    if method == "quadrature" or (method == "auto" and not _short_series(pv, tol)):
-        return _moment_quadrature(baseline, pv, r, tol)
+def _unit_moment(family, pv: ParameterVector, r: float, rel_tol: float, abs_tol: float, method: str,
+                 max_terms: int = _DEFAULT_MAX_TERMS) -> MomentResult:
+    """E(X^r) for the extension of the unit exponential (``family``
+    Exponential, r > -1) or the standard log-logistic (LogLogistic,
+    |r| < 1), in the pmf regime: a pinned series, or for ``auto`` the series
+    at zero where it is short (_short_series) and converges, and quadrature
+    everywhere else.  A series stops on the absolute error ``abs_tol``, the
+    quadrature on ``rel_tol`` times the value."""
+    _require_pmf(pv, f"the unit {family.__name__} moment series")
+    if r == 0.0:
+        return MomentResult(1.0, "closed_form", 1, 0.0)
+    if family is LogLogistic:
+        at_zero, at_one = lambda m, w: _m_beta(m, 1.0 - r, m + r), lambda m, w: _m_beta(m, m - r, 1.0 + r)
+    else:
+        pref = math.exp(log_gamma(1.0 + r))  # Gamma(1 + r) = r * Gamma(r)
+
+        def at_zero(m: np.ndarray, w: np.ndarray):
+            sums, failure = [], None
+            for mi, wi in zip(map(int, m.tolist()), w.tolist()):
+                inner, abssum = _alternating_binomial_inner(mi, r)
+                sums.append((inner, abssum))
+                ratio = abssum / abs(inner) if inner else 0.0
+                if ratio > _CANCEL_LIMIT and abs(pref * mi * wi * inner) > abs_tol * 1e-3:
+                    failure = Nonconvergence(
+                        f"inner alternating sum ill-conditioned at index {mi} (cancellation ratio {ratio:.2e})"
+                    )
+                    break
+            inner, abssum = np.array(sums).T
+            m = m[: inner.size]
+            return pref * m * inner, pref * m * abssum * _EPS, failure
+
+        def at_one(m: np.ndarray, w: np.ndarray):
+            f = pref * m ** (-r)
+            return f, 4.0 * _EPS * f, None
+
     if method == "series_at_one":
-        return _moment_series(pv, "at_one", at_one, tol, max_terms)
-    try:
-        return _moment_series(pv, "at_zero", at_zero, tol, max_terms)
-    except Nonconvergence:
-        if method != "auto":
-            raise
-    return _moment_quadrature(baseline, pv, r, tol)
+        return _moment_series(pv, "at_one", at_one, abs_tol, max_terms)
+    if method == "series_at_zero" or (method == "auto" and _short_series(pv, abs_tol)):
+        try:
+            return _moment_series(pv, "at_zero", at_zero, abs_tol, max_terms)
+        except Nonconvergence:
+            if method != "auto":
+                raise
+    return _moment_quadrature(family(), pv, r, rel_tol)
 
 
 def moment_exponential(
@@ -195,35 +225,12 @@ def moment_exponential(
     A series' error estimate bounds its tail and rounding against ``tol``;
     the quadrature's covers the discretization, the truncated ends and
     the rounding, and meets ``tol`` relative to the value or raises.
+    :func:`moment` takes the same series for -1 < r < 0.
     """
     _check_query(method, tol, _METHODS[:4])
-    _require_pmf(pv, "exponential-baseline moment series")
-    if r == 0.0:
-        return MomentResult(1.0, "closed_form", 1, 0.0)
-    if not (math.isfinite(r) and r > 0):
+    if not (math.isfinite(r) and r >= 0):
         raise DomainError(f"moment order must satisfy r > 0, got {r!r}")
-    pref = math.exp(math.log(r) + log_gamma(r))  # r * Gamma(r)
-
-    def at_zero(m: np.ndarray, w: np.ndarray):
-        sums, failure = [], None
-        for mi, wi in zip(map(int, m.tolist()), w.tolist()):
-            inner, abssum = _alternating_binomial_inner(mi, r)
-            sums.append((inner, abssum))
-            if abs(inner) > 0 and abssum / abs(inner) > _CANCEL_LIMIT and abs(pref * mi * wi * inner) > tol * 1e-3:
-                failure = Nonconvergence(
-                    f"inner alternating sum ill-conditioned at index {mi} "
-                    f"(cancellation ratio {abssum / abs(inner):.2e})"
-                )
-                break
-        inner, abssum = np.array(sums).T
-        m = m[: inner.size]
-        return pref * m * inner, pref * m * abssum * _EPS, failure
-
-    def at_one(m: np.ndarray, w: np.ndarray):
-        f = pref * m ** (-r)
-        return f, 4.0 * _EPS * f, None
-
-    return _series_or_quadrature(Exponential(1.0), pv, r, tol, method, max_terms, at_zero, at_one)
+    return _unit_moment(Exponential, pv, r, tol, tol, method, max_terms)
 
 
 def moment_loglogistic(
@@ -243,16 +250,9 @@ def moment_loglogistic(
     :func:`moment_exponential`.
     """
     _check_query(method, tol, _METHODS[:4])
-    _require_pmf(pv, "log-logistic-baseline moment series")
     if not (math.isfinite(r) and abs(r) < 1.0):
         raise DomainError(f"log-logistic moment series requires |r| < 1, got r = {r!r}")
-    if r == 0.0:
-        return MomentResult(1.0, "closed_form", 1, 0.0)
-
-    return _series_or_quadrature(
-        LogLogistic(), pv, r, tol, method, max_terms,
-        lambda m, w: _m_beta(m, 1.0 - r, m + r), lambda m, w: _m_beta(m, m - r, 1.0 + r),
-    )
+    return _unit_moment(LogLogistic, pv, r, tol, tol, method, max_terms)
 
 
 def moment_q2_loglogistic_closed(a1: float, a2: float, b1: float, b2: float, r: float) -> float:
@@ -285,25 +285,12 @@ def moment_weibull_scaled(
     tol: float = 1e-10,
     method: str = "auto",
 ) -> MomentResult:
-    """E(X^r) for the extended Weibull(scale, shape), via the power-scaling
-    relation to the extended unit exponential at order r/shape."""
+    """E(X^r) for the extended Weibull(scale, shape): :func:`moment` of it,
+    which in the pmf regime takes the power-scaling relation to the
+    extended unit exponential at order r/shape."""
     if not (math.isfinite(scale) and scale > 0 and math.isfinite(shape) and shape > 0):
         raise DomainError("scale and shape must be strictly positive")
-    inner_tol = tol / max(scale**r, 1.0)  # a series stops on absolute error, the quadrature on relative
-    if method == "auto" and _short_series(pv, inner_tol):
-        try:
-            return _scaled(moment_exponential(pv, r / shape, tol=inner_tol, method="series_at_zero"), scale**r)
-        except Nonconvergence:
-            pass
-    if method in ("auto", "quadrature"):
-        method, inner_tol = "quadrature", tol
-    return _scaled(moment_exponential(pv, r / shape, tol=inner_tol, method=method), scale**r)
-
-
-def _scaled(inner: MomentResult, factor: float) -> MomentResult:
-    """Carry a moment of the unit-scale variable over to scale**r times it."""
-    value, err = factor * inner.value, factor * inner.error_estimate
-    return MomentResult(value, f"scaling({inner.method_used})", inner.terms_used, err)
+    return moment(Weibull(scale, shape), pv, r, method=method, tol=tol)
 
 
 def moment_generalized_weibull(
@@ -488,59 +475,58 @@ def moment(
     method: str = "auto",
     tol: float = 1e-10,
 ) -> MomentResult:
-    """Front door used by the CLI: route a moment query to the right path.
+    """Front door used by the CLI, and the one place where a moment query
+    is routed.
 
-    ``method`` is one of ``auto``, ``closed_form``, ``series_at_zero``,
-    ``series_at_one``, ``scaling``, ``quadrature``; anything else, and a
-    ``tol`` that is not positive and finite, raise :class:`DomainError`.
-    Existence is checked before any path: T' is bounded and positive on
-    [0, 1], so E(X^r) is finite exactly where the baseline's moment is,
-    r > -shape for the exponential (shape 1), Weibull and generalized
-    Weibull, |r| < shape for the log-logistic; elsewhere DomainError.
+    ``method`` is one of ``auto``, ``series_at_zero``, ``series_at_one``,
+    ``quadrature``, ``closed_form``; anything else, and a ``tol`` that is
+    not positive and finite, raise :class:`DomainError`.  Existence is
+    checked before any path: T' is bounded and positive on [0, 1], so
+    E(X^r) is finite exactly where the baseline's moment is, r > -shape for
+    the exponential (shape 1), Weibull and generalized Weibull, |r| < shape
+    for the log-logistic; elsewhere DomainError.
 
-    ``auto`` takes the closed form where one exists (the two-parameter
-    log-logistic, and the binomial transform for generalized Weibull at
-    integer r).  Otherwise, in the pmf regime, it sums the series at zero
-    through the family's scaling relation where that series is short (see
-    moment_exponential), and everywhere else it integrates: tanh-sinh
-    quadrature in u, whose error estimate covers the discretization, the
-    truncated ends and the rounding, and meets ``tol`` relative to the
-    value or raises ToleranceNotMet.  ``scaling`` is ``auto`` without the
-    closed form; ``series_at_*`` pin the expansion.
+    ``auto`` takes the closed form where one exists: the two-parameter
+    log-logistic, and in the pmf regime the binomial transform for
+    generalized Weibull at integer r.  Otherwise, for the exponential,
+    Weibull and log-logistic in the pmf regime, it scales by scale^r the
+    moment of the unit baseline at order r/shape (-shape < r < 0 included):
+    the series at zero where it is short (see moment_exponential), with
+    the absolute error tol / max(scale^r, 1), else quadrature.  Everywhere
+    else it integrates: tanh-sinh quadrature in u, whose error estimate
+    covers the discretization, the truncated ends and the rounding, and
+    meets ``tol`` relative to the value or raises ToleranceNotMet.  The
+    other methods pin a path.
     """
     _check_query(method, tol, _METHODS)
     if isinstance(baseline, _FAMILIES):
         _check_exists(baseline, r)
-    quadrature = method == "quadrature" or (method == "auto" and not pv.pmf_ok)
-    series_method = method if method in ("series_at_zero", "series_at_one") else "auto"
-    if isinstance(baseline, LogLogistic):
-        if method == "closed_form" or (method == "auto" and pv.q == 2):
+    elif method != "quadrature":
+        raise DomainError(f"unsupported baseline {baseline!r}")
+    pinned = method != "auto"
+    if method in ("auto", "closed_form"):
+        if isinstance(baseline, LogLogistic) and (pv.q == 2 or pinned):
             if pv.q != 2:
                 raise ConditionViolated(f"closed form needs q = 2, got q = {pv.q}")
             val = moment_q2_loglogistic_closed(pv.a[0], pv.a[1], baseline.scale, baseline.shape, r)
             return MomentResult(val, "closed_form", 1, 4.0 * _EPS * abs(val))
-        if not quadrature:
-            inner = moment_loglogistic(pv, r / baseline.shape, tol=tol, method=series_method)
-            return _scaled(inner, baseline.scale**r)
-    elif isinstance(baseline, (Exponential, Weibull)):
-        if method == "closed_form":
-            raise DomainError(f"no closed form for {baseline.name} moments")
-        if not quadrature:
-            shape = baseline.shape if isinstance(baseline, Weibull) else 1.0
-            return moment_weibull_scaled(pv, baseline.scale, shape, r, tol=tol, method=series_method)
-    elif isinstance(baseline, GeneralizedWeibull):
-        r_int = round(r)
-        integer = abs(r - r_int) < 1e-12 and r_int >= 1
-        if method not in ("auto", "quadrature") and not (method == "closed_form" and integer):
-            raise DomainError(f"method {method!r} unavailable for {baseline.name} at r = {r}")
-        if integer and not quadrature:
+        m = round(r)
+        if isinstance(baseline, GeneralizedWeibull) and (pv.pmf_ok or pinned) and m >= 1 and abs(r - m) < 1e-12:
             try:
-                return moment_generalized_weibull(
-                    pv, baseline.scale, baseline.shape, baseline.shape2, r_int, tol=tol
-                )
+                return moment_generalized_weibull(pv, baseline.scale, baseline.shape, baseline.shape2, m, tol=tol)
             except DomainError:
-                if method == "closed_form":
+                if pinned:
                     raise
-    elif method != "quadrature":
-        raise DomainError(f"unsupported baseline {baseline!r}")
+        if pinned:
+            raise DomainError(f"no closed form for {baseline.name} moments at r = {r!r}")
+    # X = scale X1^(1/shape), X1 the unit exponential or standard log-logistic
+    unit = LogLogistic if isinstance(baseline, LogLogistic) else Exponential
+    if not isinstance(baseline, (unit, Weibull)):  # generalized Weibull, or not a family
+        if method.startswith("series_at"):
+            raise DomainError(f"method {method!r} unavailable for {baseline.name}")
+    elif method != "quadrature" and (pv.pmf_ok or pinned):
+        factor, shape = baseline.scale**r, getattr(baseline, "shape", 1.0)
+        inner = _unit_moment(unit, pv, r / shape, tol, tol / max(factor, 1.0), method)
+        return MomentResult(factor * inner.value, f"scaling({inner.method_used})", inner.terms_used,
+                            factor * inner.error_estimate)
     return _moment_quadrature(baseline, pv, r, tol)

@@ -210,6 +210,22 @@ class TestMomentCommand:
         assert "Traceback" not in err
         assert err.count("error:") == 1 and err.startswith("error:")
 
+    def test_negative_order_in_the_pmf_regime(self, tmp_path, capsys):
+        """E(X^-0.5) for EXP_PMF exists (r > -1); the unit-exponential
+        series hold there.  Mpmath: 1.4053666390427739 to 16 digits."""
+        spec = write_spec(tmp_path, EXP_PMF)
+        assert main(["moment", "--spec", spec, "--r", "-0.5"]) == 0
+        fields = dict(part.split("=", 1) for part in capsys.readouterr().out.split())
+        assert fields["method"] == "scaling(series_at_zero)"
+        assert float(fields["value"]) == pytest.approx(1.4053666390427739, rel=1e-12)
+
+    def test_scaling_is_not_a_method(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, EXP_PMF)
+        with pytest.raises(SystemExit) as exc:
+            main(["moment", "--spec", spec, "--r", "1", "--method", "scaling"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'scaling'" in capsys.readouterr().err
+
     def test_fractional_generalized_weibull_moment(self, tmp_path, capsys):
         """E(X^2.5) for GW_HALF, 13992009.375 by mpmath, which the x-space
         quadrature could not reach within its tolerance."""

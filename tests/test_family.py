@@ -571,10 +571,13 @@ class TestInverseAccuracy:
                     rel = (f(mp, a, x) - exact) / (x * mp.diff(lambda t: f(mp, a, t), x))
                     assert abs(rel) <= 1e-13, (survival, level, float(rel))
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        from moq import family
+
+        monkeypatch.setattr(family, "_INVERSE_MAX_ITER", 0)
         pv = validate_params(2, [1.5, 0.5])
         with pytest.raises(Nonconvergence):
-            distortion_inverse(pv, np.array([1e-200, 0.3, 0.9]), max_iter=0)
+            distortion_inverse(pv, np.array([1e-200, 0.3, 0.9]))
 
     def test_each_root_against_the_smaller_level(self):
         """The smaller root, u or s = 1 - u, solved against the smaller

@@ -5,6 +5,7 @@ one-parameter subfamily (geometric weights), classical special-function
 identities, and the adaptive quadrature of x^r times the density.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from moq import (
     ExtendedDistribution,
     GeneralizedWeibull,
     LogLogistic,
+    MoqError,
     Nonconvergence,
     ToleranceNotMet,
     Weibull,
@@ -526,3 +528,135 @@ class TestRouting:
         exact = mp_moment(mp, LogLogistic(), a, r)
         assert exact == pytest.approx(2.0480001528, rel=1e-10)
         assert abs(res.value - exact) <= res.error_estimate
+
+
+# The routing table of moment(): per family, parameter vector and method,
+# the path taken or the error raised at the negative, fractional and integer
+# orders of _ROUTE_FAMILIES.  "short" and "long" lie in the pmf regime, the
+# series at zero of "long" cancels past index 50 (so auto integrates), "mixed"
+# lies outside it, and "q2" has the log-logistic closed form.
+_ROUTE_FAMILIES = {
+    "exponential": (Exponential(2.0), (-0.5, 0.5, 2.0)),
+    "weibull": (Weibull(2.0, 2.0), (-1.5, 0.7, 2.0)),
+    "generalized_weibull": (GeneralizedWeibull(1.0, 0.5, 2.0), (-0.3, 0.7, 2.0)),
+    "loglogistic": (LogLogistic(1.5, 2.0), (-0.5, 0.7, 1.0)),
+}
+_ROUTE_VECTORS = {"short": (2.2, 0.5, 0.5), "long": (20.0, 0.5, 0.5), "mixed": (0.6, 0.3, 0.2), "q2": (1.5, 0.5)}
+_ROUTE_OUTCOMES = {
+    "z": "scaling(series_at_zero)", "o": "scaling(series_at_one)", "sq": "scaling(quadrature)",
+    "q": "quadrature", "c": "closed_form", "b": "binomial_transform",
+    "D": DomainError, "C": ConditionViolated, "N": Nonconvergence,
+}
+_ROUTES = """
+exponential          short  auto            z   z   z
+exponential          short  closed_form     D   D   D
+exponential          short  series_at_zero  z   z   z
+exponential          short  series_at_one   o   o   o
+exponential          short  quadrature      q   q   q
+exponential          long   auto            sq  sq  sq
+exponential          long   closed_form     D   D   D
+exponential          long   series_at_zero  N   N   N
+exponential          long   series_at_one   C   C   C
+exponential          long   quadrature      q   q   q
+exponential          mixed  auto            q   q   q
+exponential          mixed  closed_form     D   D   D
+exponential          mixed  series_at_zero  C   C   C
+exponential          mixed  series_at_one   C   C   C
+exponential          mixed  quadrature      q   q   q
+weibull              short  auto            z   z   z
+weibull              short  closed_form     D   D   D
+weibull              short  series_at_zero  z   z   z
+weibull              short  series_at_one   o   o   o
+weibull              short  quadrature      q   q   q
+weibull              long   auto            sq  sq  sq
+weibull              long   closed_form     D   D   D
+weibull              long   series_at_zero  N   N   N
+weibull              long   series_at_one   C   C   C
+weibull              long   quadrature      q   q   q
+weibull              mixed  auto            q   q   q
+weibull              mixed  closed_form     D   D   D
+weibull              mixed  series_at_zero  C   C   C
+weibull              mixed  series_at_one   C   C   C
+weibull              mixed  quadrature      q   q   q
+generalized_weibull  short  auto            q   q   b
+generalized_weibull  short  closed_form     D   D   b
+generalized_weibull  short  series_at_zero  D   D   D
+generalized_weibull  short  series_at_one   D   D   D
+generalized_weibull  short  quadrature      q   q   q
+generalized_weibull  long   auto            q   q   b
+generalized_weibull  long   closed_form     D   D   b
+generalized_weibull  long   series_at_zero  D   D   D
+generalized_weibull  long   series_at_one   D   D   D
+generalized_weibull  long   quadrature      q   q   q
+generalized_weibull  mixed  auto            q   q   q
+generalized_weibull  mixed  closed_form     D   D   C
+generalized_weibull  mixed  series_at_zero  D   D   D
+generalized_weibull  mixed  series_at_one   D   D   D
+generalized_weibull  mixed  quadrature      q   q   q
+loglogistic          short  auto            z   z   z
+loglogistic          short  closed_form     C   C   C
+loglogistic          short  series_at_zero  z   z   z
+loglogistic          short  series_at_one   o   o   o
+loglogistic          short  quadrature      q   q   q
+loglogistic          long   auto            sq  sq  sq
+loglogistic          long   closed_form     C   C   C
+loglogistic          long   series_at_zero  z   z   z
+loglogistic          long   series_at_one   C   C   C
+loglogistic          long   quadrature      q   q   q
+loglogistic          mixed  auto            q   q   q
+loglogistic          mixed  closed_form     C   C   C
+loglogistic          mixed  series_at_zero  C   C   C
+loglogistic          mixed  series_at_one   C   C   C
+loglogistic          mixed  quadrature      q   q   q
+loglogistic          q2     auto            c   c   c
+loglogistic          q2     closed_form     c   c   c
+loglogistic          q2     series_at_zero  z   z   z
+loglogistic          q2     series_at_one   o   o   o
+loglogistic          q2     quadrature      q   q   q
+"""
+
+
+def _route_rows():
+    for line in _ROUTES.strip().splitlines():
+        family, vector, method, *outcomes = line.split()
+        for r, outcome in zip(_ROUTE_FAMILIES[family][1], outcomes):
+            yield pytest.param(family, vector, method, r, outcome, id=f"{family}-{vector}-{method}-{r}")
+
+
+@functools.lru_cache(maxsize=None)
+def _route_reference(family, vector, r):
+    mp = pytest.importorskip("mpmath")
+    return float(mp_moment(mp, _ROUTE_FAMILIES[family][0], _ROUTE_VECTORS[vector], r))
+
+
+class TestRoutingTable:
+    @pytest.mark.parametrize("family, vector, method, r, outcome", _route_rows())
+    def test_route(self, family, vector, method, r, outcome):
+        """Each query takes its path, with a value within its error
+        estimate of mpmath, or raises its MoqError subclass."""
+        baseline, a, expected = _ROUTE_FAMILIES[family][0], _ROUTE_VECTORS[vector], _ROUTE_OUTCOMES[outcome]
+        pv = validate_params(len(a), a)
+        if isinstance(expected, type):
+            with pytest.raises(MoqError) as exc:
+                moment(baseline, pv, r, method=method)
+            assert type(exc.value) is expected
+            return
+        res = moment(baseline, pv, r, method=method)
+        assert res.method_used == expected
+        assert abs(res.value - _route_reference(family, vector, r)) <= res.error_estimate
+
+    @pytest.mark.parametrize("family", _ROUTE_FAMILIES)
+    def test_scaling_is_not_a_method(self, family):
+        with pytest.raises(DomainError, match="unknown method 'scaling'"):
+            moment(_ROUTE_FAMILIES[family][0], validate_params(3, _ROUTE_VECTORS["short"]), 0.5, method="scaling")
+
+    @pytest.mark.parametrize("baseline", [LogLogistic(1e4, 1.0), Weibull(1e4, 1.0)])
+    def test_scaled_series_stops_on_an_absolute_tol(self, baseline):
+        """Through power scaling a series stops on tol / scale^r, so its
+        error is absolute: LogLogistic(1e4, 1) reported 1.4e-8 here when
+        its series got tol itself, Weibull(1e4, 1) 4.7e-11."""
+        mp = pytest.importorskip("mpmath")
+        a, r, tol = (3.0, 0.5, 0.5), 0.6, 1e-10
+        res = moment(baseline, validate_params(3, a), r, tol=tol)
+        assert res.method_used == "scaling(series_at_zero)"
+        assert abs(res.value - mp_moment(mp, baseline, a, r)) <= res.error_estimate <= 2 * tol

@@ -5,7 +5,9 @@ Usage, from the root of a checkout:
     python3 tools/bench_record.py --pr N [--parent DIR]
 
 ``perfbench/run.py`` leaves one result file per workload, seed and trace
-mode in ``.perfbench_work/results/``.  This reads the full-size ones and
+mode in ``.perfbench_work/results/``.  This reads the full-size ones (and
+names each file of another size on stderr: a smaller run of the same seed,
+as the benchmark's self-test makes, overwrites a full-size one) and
 writes, per workload, the median of each metric over the seeds, with every
 run's value in seed order, the ops attempted and failed and the probes that
 failed: the end-to-end metrics of the untraced runs under ``workloads``,
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,6 +40,9 @@ def _records(checkout: Path, trace: int) -> dict[str, list[dict]]:
         record = json.loads(path.read_text())
         if record["size"] == "full":
             runs.setdefault(record["workload"], []).append(record)
+        else:
+            print(f"skipped {path.name}: {record['workload']} seed {record['seed']} is size {record['size']!r}",
+                  file=sys.stderr)
     return {name: sorted(records, key=lambda r: r["seed"]) for name, records in sorted(runs.items())}
 
 
