@@ -22,17 +22,20 @@ __all__ = ["Baseline", "Exponential", "Weibull", "GeneralizedWeibull", "LogLogis
 
 
 def _ret(arr, scalar: bool):
-    return float(arr) if scalar else arr
+    return arr.item() if scalar else arr
 
 
 def _as_float(x):
+    """``x`` as a float array of at least one dimension, and whether it was a
+    scalar.  A 0-d operand would come out of the first ufunc as an
+    np.float64, whose ``**`` is libm's pow rather than the array loop, so a
+    scalar call could differ in its last bits from the array call."""
     arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+    return (arr.reshape(1), True) if arr.ndim == 0 else (arr, False)
 
 
 def _check_prob(p):
-    arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
+    arr, scalar = _as_float(p)
     if not np.all((arr > 0.0) & (arr < 1.0)):  # NaN fails both
         raise DomainError("probability level must lie strictly inside (0, 1)")
     return arr, scalar

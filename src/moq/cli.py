@@ -9,11 +9,14 @@ Subcommands::
 
 Exit codes: 0 success; 1 a verify check failed; 2 bad usage, a bad
 numeric argument or seed, or a spec parse failure (also unknown check
-names); 3 evaluation error while writing a curve, naming its x (a hazard
-has no survival in it, so none comes from an underflowing tail); 4 a
-parameter-regime or domain condition was violated; 5 a series failed to
-converge, or quadrature could not meet its tolerance.  ``main`` maps the
-package's errors to these codes in one table, ``_EXIT_CODES``.
+names); 3 evaluation error while writing a curve, a typed error or a NaN
+value, naming the first x where it occurs (the grid is evaluated in one
+call, and x by x only after that call raised; a hazard has no survival in
+it, so none comes from an underflowing tail); 4 a parameter-regime or
+domain condition was violated (also a moment beyond the float range); 5
+a series failed to converge, or quadrature could not meet its tolerance.
+``main`` maps the package's errors to these codes in one table,
+``_EXIT_CODES``.
 
 ``moment --method`` takes its choices from :mod:`moq.moments`; ``auto`` lets
 :func:`moq.moments.moment` route the query.  ``--r`` may be any order at
@@ -93,16 +96,24 @@ def _cmd_curve(args, parser) -> int:
     count = int((args.hi - args.lo) / args.step + 1e-9) + 1
     xs = args.lo + args.step * np.arange(count)
     fn = getattr(ed, args.quantity)
-    rows = []
-    for x in xs:
-        try:
-            rows.append((x, fn(float(x))))
-        except MoqError as exc:
-            print(f"error: evaluation failed at x = {_fmt(x)}: {exc}", file=sys.stderr)
-            return 3
-    lines = [f"x,{args.quantity}"]
-    lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in rows]
-    _write_out(args.out, "\n".join(lines) + "\n")
+    try:
+        with np.errstate(invalid="ignore"):  # a NaN that reaches a row exits 3 below
+            vals = fn(xs)
+    except MoqError:
+        # only on error: evaluate x by x to name the first that fails
+        for x in xs:
+            try:
+                fn(float(x))
+            except MoqError as exc:
+                print(f"error: evaluation failed at x = {_fmt(x)}: {exc}", file=sys.stderr)
+                return 3
+        raise  # no single x fails: main reports the grid's error by its class
+    nan = np.flatnonzero(np.isnan(vals))
+    if nan.size:
+        print(f"error: evaluation failed at x = {_fmt(xs[nan[0]])}: {args.quantity} is NaN", file=sys.stderr)
+        return 3
+    rows = np.column_stack((xs, vals)).ravel().tolist()
+    _write_out(args.out, f"x,{args.quantity}\n", ("%.17g,%.17g\n" * count) % tuple(rows))
     return 0
 
 
@@ -125,8 +136,9 @@ def _cmd_sample(args, parser) -> int:
     header = f"# sampler={batch.sampler} seed={batch.seed} n={batch.values.size}"
     if batch.n_proposed is not None:
         header += f" n_proposed={batch.n_proposed} acceptance_rate={_fmt(batch.acceptance_rate)}"
-    body = "\n".join(_fmt(v) for v in batch.values)
-    _write_out(args.out, header + "\n" + body + "\n")
+    # "%.17g" % v formats as format(v, ".17g") does, in one call for the whole body
+    body = ("%.17g\n" * batch.values.size) % tuple(batch.values.tolist())
+    _write_out(args.out, header + "\n", body)
     return 0
 
 
@@ -161,12 +173,13 @@ def _cmd_verify(args, parser) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _write_out(out: str | None, text: str) -> None:
+def _write_out(out: str | None, *parts: str) -> None:
+    # the parts go out one after another, so the body is never copied into one text
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
 
 
 def build_parser() -> argparse.ArgumentParser:

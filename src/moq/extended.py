@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import Baseline, _ret
+from .baselines import Baseline, _as_float, _ret
 from .family import (
     ParameterVector, _bracket, _complement, _complement_sum, _deriv, _distortion, _ratios, _small_roots,
 )
@@ -37,8 +37,8 @@ class ExtendedDistribution:
         return _ret(_complement(self.pv, u, s), scalar)
 
     def _levels(self, x):
-        xx = np.asarray(x, dtype=float)
-        return xx, np.asarray(self.baseline.cdf(xx)), np.asarray(self.baseline.sf(xx)), xx.ndim == 0
+        xx, scalar = _as_float(x)
+        return xx, self.baseline.cdf(xx), self.baseline.sf(xx), scalar
 
     def pdf(self, x):
         # T'(u) from the baseline's u and s, as cdf and sf take T and 1 - T
@@ -73,4 +73,4 @@ class ExtendedDistribution:
             val[~upper] = self.baseline.quantile(x[~upper])
         if upper.any():
             val[upper] = self.baseline.isf(x[upper])
-        return _ret(val[0] if scalar else val, scalar)
+        return _ret(val, scalar)

@@ -279,11 +279,11 @@ def distortion_inverse(pv: ParameterVector, p, *, survival: bool = False, split:
         If 200 passes leave a relative residual above 1e-9.
     """
     pp, scalar = _check_prob(p)
-    x, upper = _newton(pv, np.atleast_1d(pp), survival)
+    x, upper = _newton(pv, pp, survival)
     if split:
         return x, upper
     u = np.where(upper, 1.0 - x, x)
-    return _ret(u[0] if scalar else u, scalar)
+    return _ret(u, scalar)
 
 
 def _small_roots(pv: ParameterVector, level, survival: bool):

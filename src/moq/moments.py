@@ -496,8 +496,20 @@ def moment(
     else it integrates: tanh-sinh quadrature in u, whose error estimate
     covers the discretization, the truncated ends and the rounding, and
     meets ``tol`` relative to the value or raises ToleranceNotMet.  The
-    other methods pin a path.
+    other methods pin a path.  A moment, or a factor of it, beyond the
+    float range raises DomainError.
     """
+    try:
+        res = _route(baseline, pv, r, method, tol)
+    except OverflowError as exc:  # Gamma(1 + r) or scale^r in float arithmetic
+        raise DomainError(f"the moment of order r = {r!r} of {baseline!r} overflows: {exc}") from exc
+    if not math.isfinite(res.value):
+        raise DomainError(f"the moment of order r = {r!r} of {baseline!r} overflows: {res.value!r}")
+    return res
+
+
+def _route(baseline: Baseline, pv: ParameterVector, r: float, method: str, tol: float) -> MomentResult:
+    """moment()'s routing, in the order its docstring gives."""
     _check_query(method, tol, _METHODS)
     if isinstance(baseline, _FAMILIES):
         _check_exists(baseline, r)

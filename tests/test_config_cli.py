@@ -2,12 +2,14 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from moq import DomainError, ExtendedDistribution, SpecError, load_spec, parse_spec
-from moq.cli import main
+from moq.cli import _fmt, main
+from moq.sampling import RandomSource, sample_accept_reject, sample_inverse_cdf, sample_random_maxima
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -123,7 +125,7 @@ class TestCurveCommand:
         original = ExtendedDistribution.hazard
 
         def failing(self, x):
-            if x > 720.0:
+            if np.any(np.asarray(x) > 720.0):
                 raise DomainError("no value here")
             return original(self, x)
 
@@ -134,6 +136,34 @@ class TestCurveCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert "x = 750" in err and "no value here" in err
+
+    def test_nan_value_exits_3_and_names_x(self, tmp_path, capsys):
+        """g_1 = q a_1 / S underflows and s underflows from x = 745: the hazard is 0/0."""
+        spec = write_spec(tmp_path, {"baseline": {"family": "exponential"}, "a": [1e-300, 1e300]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            rc = main(["curve", "--spec", spec, "--quantity", "hazard",
+                       "--lo", "700", "--hi", "800", "--step", "50"])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1 and "x = 750" in captured.err and "NaN" in captured.err
+
+    @pytest.mark.parametrize("quantity", ["cdf", "sf", "pdf", "hazard"])
+    def test_rows_are_the_scalar_values(self, tmp_path, quantity):
+        """The whole grid is one array call; each row holds what the scalar call gives."""
+        spec = write_spec(tmp_path, WEIBULL_FIG)
+        out = tmp_path / "c.csv"
+        assert main(["curve", "--spec", spec, "--quantity", quantity,
+                     "--lo", "0.003", "--hi", "60", "--step", "0.0371", "--out", str(out)]) == 0
+        lines = out.read_text().split("\n")
+        assert lines[0] == f"x,{quantity}" and lines[-1] == ""
+        loaded = load_spec(spec)
+        ed = ExtendedDistribution(loaded.baseline, loaded.pv)
+        xs = 0.003 + 0.0371 * np.arange(len(lines) - 2)
+        assert len(xs) == int((60 - 0.003) / 0.0371 + 1e-9) + 1
+        fn = getattr(ed, quantity)
+        assert lines[1:-1] == [f"{_fmt(x)},{_fmt(fn(float(x)))}" for x in xs]
 
 
 class TestSampleCommand:
@@ -166,6 +196,23 @@ class TestSampleCommand:
         assert "acceptance_rate=" in header and "n_proposed=" in header
         rate = float(header.split("acceptance_rate=")[1].split()[0])
         assert rate == pytest.approx(2.0 / 3.0, abs=0.02)
+
+    @pytest.mark.parametrize("sampler, sample", [
+        ("accept-reject", sample_accept_reject),
+        ("random-maxima", sample_random_maxima),
+        ("inverse-cdf", sample_inverse_cdf),
+    ])
+    def test_body_is_the_library_batch(self, tmp_path, sampler, sample):
+        data = {"baseline": {"family": "weibull", "scale": 1.0, "shape": 1.5}, "a": [2.0, 0.3, 0.9]}
+        spec = write_spec(tmp_path, data)
+        out = tmp_path / "draws.txt"
+        assert main(["sample", "--spec", spec, "--sampler", sampler, "--n", "3000", "--seed", "41",
+                     "--out", str(out)]) == 0
+        loaded = load_spec(spec)
+        batch = sample(ExtendedDistribution(loaded.baseline, loaded.pv), RandomSource(41), 3000)
+        header, body = out.read_text().split("\n", 1)
+        assert header.startswith(f"# sampler={batch.sampler} seed=41 n=3000")
+        assert body == "\n".join(format(v, ".17g") for v in batch.values) + "\n"
 
     def test_seed_resolution_order(self, tmp_path, monkeypatch):
         spec = write_spec(tmp_path, EXP_PMF)  # spec says seed=5
@@ -202,6 +249,16 @@ class TestMomentCommand:
     def test_order_beyond_shape_exits_4(self, tmp_path):
         spec = write_spec(tmp_path, LL_EQUAL)
         assert main(["moment", "--spec", spec, "--r", "1.5"]) == 4
+
+    @pytest.mark.parametrize("data, r", [
+        ({"baseline": {"family": "exponential"}, "a": [2.2, 0.5, 0.5]}, "200"),
+        ({"baseline": {"family": "weibull", "scale": 1e200, "shape": 2}, "a": [2.2, 0.5, 0.5]}, "2"),
+    ])
+    def test_overflowing_moment_exits_4(self, tmp_path, capsys, data, r):
+        assert main(["moment", "--spec", write_spec(tmp_path, data), "--r", r]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("error:") == 1 and err.startswith("error:") and "overflows" in err
 
     def test_quadrature_tolerance_failure_exits_5(self, tmp_path, capsys):
         spec = write_spec(tmp_path, GW_HALF)

@@ -357,3 +357,29 @@ class TestLargeQ:
                 values = exact(x)
                 # first order in the residual: the relative error of x
                 assert abs(values[which] - level) <= bound * x * values[2], (level, which)
+
+
+class TestScalarMatchesArray:
+    """A scalar call runs the same numpy loops as the array call, so it
+    returns the array's element bit for bit, tails included."""
+
+    BASELINES = [Exponential(0.7), Weibull(2.0, 1.5), Weibull(1.0, 0.5), GeneralizedWeibull(1.5, 0.7, 2.3),
+                 LogLogistic(2.0, 3.0)]
+    VECTORS = [(1.0,), (1.5, 0.5), (2.0, 0.3, 0.9), (1e-6, 0.15)]
+
+    @pytest.mark.parametrize("baseline", BASELINES, ids=repr)
+    def test_scalar_equals_array_element(self, baseline):
+        rng = np.random.default_rng(20261019)
+        x = np.concatenate([10.0 ** rng.uniform(-30, 0, 60), 10.0 ** rng.uniform(0, 2.5, 60), [0.0, 1.0]])
+        levels = np.concatenate([10.0 ** rng.uniform(-300, -0.3, 60), 1.0 - 10.0 ** rng.uniform(-15, -0.3, 60)])
+        dists = [baseline] + [ExtendedDistribution(baseline, validate_params(len(a), a)) for a in self.VECTORS]
+        for dist in dists:
+            for name in ("cdf", "sf", "pdf", "hazard", "quantile", "isf"):
+                fn = getattr(dist, name)
+                args = x if name in ("cdf", "sf", "pdf", "hazard") else levels
+                with np.errstate(all="ignore"):
+                    whole = fn(args)
+                    one_by_one = [fn(float(v)) for v in args]
+                for v, got, want in zip(args, one_by_one, whole):
+                    assert type(got) is float
+                    assert got == want or (math.isnan(got) and math.isnan(want)), (dist, name, v)

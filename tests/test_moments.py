@@ -345,6 +345,21 @@ class TestFrontDoor:
         with pytest.raises(DomainError):
             moment(LogLogistic(), validate_params(1, [1.0]), 1.0, method="quadrature")
 
+    @pytest.mark.parametrize("baseline, r", [
+        (Exponential(1.0), 200.0),  # Gamma(201) in the series prefactor
+        (Weibull(1e200, 2.0), 2.0),  # scale^r
+        (Weibull(1.2e154, 2.0), 2.0),  # scale^r is finite, the moment is not
+        (LogLogistic(1e300, 3.0), 2.0),
+        (GeneralizedWeibull(1e200, 1.0, 1.0), 2.0),  # the binomial transform's scale^m
+    ])
+    def test_overflowing_moment_is_a_domain_error(self, baseline, r):
+        with pytest.raises(DomainError, match="overflows"):
+            moment(baseline, validate_params(3, [2.2, 0.5, 0.5]), r)
+
+    def test_largest_finite_scaled_moment_returns(self):
+        res = moment(Weibull(1e154, 2.0), validate_params(3, [2.2, 0.5, 0.5]), 2.0)
+        assert math.isfinite(res.value) and res.value > 1e308
+
 
 def mp_moment(mp, baseline, a, r):
     """E(X^r) = int_0^inf x^r T'(F0(x)) f0(x) dx in mpmath, from the

@@ -10,8 +10,9 @@ names each file of another size on stderr: a smaller run of the same seed,
 as the benchmark's self-test makes, overwrites a full-size one) and
 writes, per workload, the median of each metric over the seeds, with every
 run's value in seed order, the ops attempted and failed and the probes that
-failed: the end-to-end metrics of the untraced runs under ``workloads``,
-the per-layer metrics of the traced runs under ``layers``.  It adds the
+failed, and the median latency of each op kind (``op_median_ms``, over
+every op of every run): the end-to-end metrics of the untraced runs under
+``workloads``, the per-layer metrics of the traced runs under ``layers``.  It adds the
 environment line of the runs and the line count of ``src/moq``.
 ``--parent DIR`` adds the same summary made from the results of another
 checkout (the parent commit, run on the same machine), so that the file
@@ -59,7 +60,18 @@ def _medians(records: list[dict]) -> dict:
         "failed": sum(r["failed"] for r in records),
         "failed_probes": sorted({p["name"] for r in records for p in r["probes"] if not p["passed"]}),
         "metrics": metrics,
+        "op_median_ms": _op_medians(records),
     }
+
+
+def _op_medians(records: list[dict]) -> dict[str, float]:
+    """Median latency in ms of each op kind, over every op of every run."""
+    latencies: dict[str, list[float]] = {}
+    for record in records:
+        ops = record.get("ops", {})
+        for kind, seconds in zip(ops.get("kind", []), ops.get("latency_s", [])):
+            latencies.setdefault(kind, []).append(seconds)
+    return {kind: 1e3 * statistics.median(values) for kind, values in sorted(latencies.items())}
 
 
 def summarize(checkout: Path) -> dict:
