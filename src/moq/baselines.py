@@ -197,6 +197,16 @@ class LogLogistic(Baseline):
     def _H_inv(self, y):
         return np.expm1(y) ** (1.0 / self.shape)
 
+    def hazard(self, x):
+        """As for every family below z = 1; above it k / z / (1 + z^-k) / scale
+        directly, as exp(log H') loses about |log z| eps to the rounding of
+        its exponent there."""
+        xx, scalar = _as_float(x)
+        z = xx / self.scale
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            tail = self.shape / z / (1.0 + z ** -self.shape) / self.scale
+        return _ret(np.where(z > 1.0, tail, self._rate(xx, False)), scalar)
+
     def _odds(self, x, sign: float):
         xx, scalar = _as_float(x)
         with np.errstate(over="ignore", divide="ignore"):  # NaN and x <= 0 read as z = 0

@@ -645,51 +645,70 @@ def _mode_coefficients(kind: str, sig: Sequence[float]) -> dict[int, float]:
     return {0: 1.0, **{j: sig[j] + sig[j - 1] for j in range(1, q + 1)}}
 
 
-@np.errstate(invalid="ignore", divide="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _geometric_walk(stream: _SeriesStream, term, tol: float, max_terms: int, m0: int, window: int = 1, growth=False):
-    """(outputs up to the stop, tail there) of ``term`` on blocks from m0,
-    or None if the tail is still above ``tol`` after ``max_terms``.
+    """(outputs up to the stop, tails there, failed there) of ``term`` on
+    blocks from m0, or None if a tail is still above ``tol`` after
+    ``max_terms``.
 
-    term(m, w, env) gives magnitudes, a tuple of output arrays, and None or
-    the error of its last index (past which it stops), raised unless the
-    walk stops first.  The tail from m = q + 2 on is the largest of the
-    last ``window`` magnitudes times rho / (1 - rho), rho the envelope
-    ratio, times (m+1)/m with ``growth``.
+    term(m, w, env) gives magnitudes, one row per series walked together,
+    a tuple of output arrays along m, and None or a mask of the terms that
+    failed, shaped like the magnitudes; float warnings are off, as a term
+    that overflows is to be marked failed.  A series is dead from its first
+    failed term on: its magnitudes stop counting, and it is reported failed
+    if the walk stops at or past that index.  The tail of a series from
+    m = q + 2 on is the largest of its last ``window`` magnitudes times
+    rho / (1 - rho), rho the envelope ratio, times (m+1)/m with ``growth``.
+    The walk stops at the first index where the tail of every live series
+    is below ``tol``, or where none is live.
     """
     q, lag, parts = stream.q, window - 1, []
-    recent = np.zeros(lag)
+    recent = dead = None
     rho = stream.envelope_ratio(q + 2) * ((q + 3) / (q + 2) if growth else 1.0)
     # the burn-in, and what a unit magnitude at its end would take to stop
     m1 = stream.next_end(q + 3, q + 3, rho / (1.0 - rho) if rho < 1.0 else math.inf, tol, rho, max_terms, lag)
     while m0 < m1:
         m = np.arange(m0, m1, dtype=float)
-        mag, out, failure = term(m, *stream.block(m0, m1))
-        m, mag = m[: mag.size], np.concatenate((recent, mag))
-        largest = np.maximum.reduce(mag[np.arange(window)[:, None] + np.arange(m.size)], axis=0)
+        mag, out, failed = term(m, *stream.block(m0, m1))
+        if recent is None:
+            recent = np.zeros((mag.shape[0], lag))
+        # dead: None until a series fails, then one column per index of the
+        # block, or the one column carried from the block before
+        if failed is not None:
+            failed = np.logical_or.accumulate(failed, axis=1)
+            dead = failed if dead is None else dead | failed
+            mag = np.where(dead, 0.0, mag)
+        mag = np.concatenate((recent, mag), axis=1)
+        largest = np.maximum.reduce(mag[:, np.arange(window)[:, None] + np.arange(m.size)], axis=1)
         rho = stream.envelope_ratio(m) * ((m + 1) / m if growth else 1.0)
         tail = largest * rho / (1.0 - rho)
-        stop = (m >= q + 2) & (rho < 1.0) & (tail < tol)
+        done = tail < tol
+        if dead is not None:
+            done |= dead
+        stop = (m >= q + 2) & (rho < 1.0) & done.all(axis=0)
+        if dead is not None:
+            stop |= dead.all(axis=0)
         i = int(stop.argmax())
-        if stop[i] and (failure is None or i < m.size - 1):
-            parts.append([o[: i + 1] for o in out])
-            return [np.concatenate(o) for o in zip(*parts)], float(tail[i])
-        if failure is not None:
-            raise failure
+        if stop[i]:
+            parts.append([o[..., : i + 1] for o in out])
+            failed = np.zeros(tail.shape[0], dtype=bool) if dead is None else dead.take(i, axis=1, mode="clip")
+            return [np.concatenate(o, axis=-1) for o in zip(*parts)], tail[:, i], failed
         parts.append(out)
-        recent = mag[m.size:]
-        m0, m1 = m1, stream.next_end(m0, m1, mag[-1] * rho[-1] / (1.0 - rho[-1]), tol, rho[-1], max_terms, lag)
+        recent = mag[:, m.size:]
+        dead = None if dead is None else dead[:, -1:]
+        m0, m1 = m1, stream.next_end(m0, m1, mag[:, -1].max() * rho[-1] / (1.0 - rho[-1]), tol, rho[-1], max_terms, lag)
     return None
 
 
 def _truncated_series(pv: ParameterVector, kind: str, tol: float, max_terms: int) -> SeriesCoefficients:
     stream = _SeriesStream(pv, kind)
     # from m = 0, which is the leading 1 at_one
-    walked = _geometric_walk(stream, lambda m, w, env: (env, (w, env), None), tol, max_terms, 0)
+    walked = _geometric_walk(stream, lambda m, w, env: (env[None], (w, env), None), tol, max_terms, 0)
     if walked is None:
         raise Nonconvergence(
             f"series {kind} for q={pv.q}, a={pv.a} still above tol={tol} after {max_terms} terms"
         )
-    (values, env), _ = walked
+    (values, env), _, _ = walked
     values = values[1:]
     m = values.size
     drift = math.fsum((stream.rounding(np.arange(1, m + 1)) * env[1:]).tolist())

@@ -29,7 +29,7 @@ from .baselines import Baseline, Exponential, GeneralizedWeibull, LogLogistic, W
 from .errors import ConditionViolated, DomainError, Nonconvergence, ToleranceNotMet
 from .extended import ExtendedDistribution
 from .family import ParameterVector, _deriv, _geometric_walk, _SeriesStream
-from .oracle import integrate_semiinfinite, log_gamma
+from .oracle import integrate_semiinfinite
 
 __all__ = [
     "MomentResult",
@@ -45,6 +45,8 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 _CANCEL_LIMIT = 1e12
 _DEFAULT_MAX_TERMS = 200_000
+# the inner alternating sums of a block are formed at most this many terms at a time
+_INNER_CELLS = 1 << 16
 # auto sums a series at zero only where its weights promise to reach tol
 # within this many terms: the exponential's inner alternating sums lose
 # every series past an index of about 50 to cancellation, and quadrature
@@ -76,59 +78,92 @@ def _require_pmf(pv: ParameterVector, what: str):
         )
 
 
-def _alternating_binomial_inner(m: int, r: float) -> tuple[float, float]:
-    """sum_{j=0}^{m-1} C(m-1, j) (-1)^j (j+1)^(-r-1), compensated.
+def _alternating_binomial_inner(m: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{j=0}^{m-1} C(m-1, j) (-1)^j (j+1)^(-r-1) for every order r
+    (rows) and index m (columns) at once, each sum compensated: math.fsum
+    rounds it exactly.  Where the absolute terms add up to more than 1e300
+    the value is NaN.
 
-    Returns (value, sum of absolute terms).  The second output is the
+    Returns (values, sums of absolute terms).  The second output is the
     cancellation mass: value / eps over it bounds the attainable relative
-    accuracy.
+    accuracy.  Each float term errs by at most (j + 2) eps of itself:
+    C(m-1, j) is a product of j rounded ratios, the power is within an ulp,
+    and one product joins them.
     """
-    total = comp = abssum = 0.0
-    binom, power, sign = 1.0, -r - 1.0, 1.0
-    for j in range(m):
-        jp1 = j + 1.0
-        term = binom * jp1**power  # >= 0
-        abssum += term
-        y = sign * term - comp
-        sign = -sign
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        binom *= (m - 1 - j) / jp1
-    return total, abssum
+    j = np.arange(m[-1])
+    ratios = m[:, None] - j
+    ratios[:, 1:] /= j[1:]
+    ratios[:, 0] = 1.0
+    binom = ratios.cumprod(axis=1)  # C(m-1, j) = prod_{i=1}^{j} (m - i) / i, zero from j = m
+    terms = binom * (j + 1.0) ** (-1.0 - r)[:, None, None]
+    abssum = terms.sum(axis=2)
+    terms[..., 1::2] *= -1.0
+    rows = zip(abssum.ravel().tolist(), terms.reshape(-1, j.size).tolist())
+    inner = [math.fsum(row) if mass <= 1e300 else math.nan for mass, row in rows]
+    return np.reshape(inner, abssum.shape), abssum
 
 
-def _moment_series(pv: ParameterVector, kind: str, term, tol: float, max_terms: int) -> MomentResult:
-    """Sum the moment series over the weights about u = 0 (``kind``
-    "at_zero") or u = 1 ("at_one"), m = 1, 2, ...
+def _ill_conditioned(t: np.ndarray, cond: np.ndarray, tol: float) -> np.ndarray:
+    """The terms t above tol / 1000 whose factor has a cancellation ratio
+    ``cond`` above _CANCEL_LIMIT: too large to carry its lost digits."""
+    return (cond > _CANCEL_LIMIT) & (np.abs(t) > tol * 1e-3)
 
-    ``term`` maps arrays of m and w_m to factors f_m, bounds on their
-    rounding per unit of weight envelope, and None or the Nonconvergence of
-    the last index, past which it stops, raised unless the series stops
-    first.  The series is sum f_m w_m about zero and sum (-1)^(m-1) f_m w_m
-    about one.  The weight-envelope ratio and the (m+1)/m growth of the m
-    factor bound the rest, from the largest |f_m| times the envelope of the
-    last q + 1 indices; each family's other factors shrink with m.  The
-    reported error is that bound plus the summed roundings of the terms,
-    the weights' own (see _SeriesStream.rounding) included.
+
+def _moment_series(pv: ParameterVector, kind: str, term, tol: float, max_terms: int) -> list:
+    """Sum the moment series of every order at once over the weights about
+    u = 0 (``kind`` "at_zero") or u = 1 ("at_one"), m = 1, 2, ...: one walk
+    serves every order, and stops where the tails of all live orders are
+    below ``tol``.
+
+    ``term`` maps arrays of m and w_m to factors f_m, one row per order,
+    bounds on their rounding per unit of weight envelope, and the
+    cancellation ratio of each factor, or None where nothing cancels; it is
+    called once per block, in order.  The series is sum f_m w_m about zero
+    and sum (-1)^(m-1) f_m w_m about one.  An order fails at its first term
+    whose magnitude is not finite or that is _ill_conditioned, unless the
+    walk stops before it.  The weight-envelope ratio and the (m+1)/m growth
+    of the m factor bound the rest of an order, from the largest |f_m|
+    times the envelope of the last q + 1 indices; each family's other
+    factors shrink with m.  The reported error is that bound plus the
+    summed roundings of the terms, the weights' own (see
+    _SeriesStream.rounding) included.  Returns one MomentResult per order,
+    or the Nonconvergence of an order that failed.
     """
     stream = _SeriesStream(pv, kind)
+    why = {}  # order -> the reason for its first failed term
 
     def block_term(m, w, env):
-        f, rounding, failure = term(m, w)
-        n = f.size
-        t = f * w[:n]
+        f, rounding, cond = term(m, w)
+        t = f * w
         if kind == "at_one":
-            t[m[:n] % 2 == 0] *= -1.0
-        mag = np.abs(f) * env[:n]
-        return mag, (t, mag, rounding * env[:n]), failure
+            t[:, int(m[0]) % 2::2] *= -1.0  # the even m
+        mag = np.abs(f) * env
+        failed = ~np.isfinite(mag)
+        if cond is not None:
+            failed |= _ill_conditioned(t, cond, tol)
+        out = t, mag, rounding * env
+        if not failed.any():
+            return mag, out, None
+        for o, k in zip(*np.nonzero(failed)):
+            if o not in why:
+                why[o] = (
+                    f"inner alternating sum ill-conditioned at index {m[k]:.0f} (cancellation ratio {cond[o, k]:.2e})"
+                    if math.isfinite(mag[o, k])
+                    else f"moment series ({kind.replace('_', ' ')}) term at index {m[k]:.0f} is not finite"
+                )
+        return mag, out, failed
 
     walked = _geometric_walk(stream, block_term, tol, max_terms, 1, pv.q + 1, growth=True)
     if walked is None:
         raise Nonconvergence(f"moment series ({kind.replace('_', ' ')}) exceeded {max_terms} terms")
-    (t, mag, rounding), tail = walked
-    rounding = rounding.sum() + (mag * stream.rounding(np.arange(1.0, t.size + 1))).sum()
-    return MomentResult(float(t.cumsum()[-1]), f"series_{kind}", t.size, tail + float(rounding))
+    (t, mag, rounding), tails, failed = walked
+    n = t.shape[1]
+    errors = tails + rounding.sum(axis=1) + (mag * stream.rounding(np.arange(1.0, n + 1))).sum(axis=1)
+    return [
+        Nonconvergence(why[o]) if failed[o] else
+        MomentResult(float(t[o].cumsum()[-1]), f"series_{kind}", n, float(errors[o]))
+        for o in range(t.shape[0])
+    ]
 
 
 def _short_series(pv: ParameterVector, tol: float) -> bool:
@@ -146,13 +181,45 @@ def _short_series(pv: ParameterVector, tol: float) -> bool:
     return m > 0 and math.comb(m + q - 1, q - 1) * ratio**m * (m + 1) / (1.0 - ratio) <= tol
 
 
-def _m_beta(m: np.ndarray, p, q):
-    """m * Beta(p, q) elementwise, the log-logistic series factors, with a
-    bound on its rounding and no failure; see _moment_series.  The exponent
-    sums three log-gammas, each within a few ulps of itself."""
-    lp, lq, lpq = log_gamma(p), log_gamma(q), log_gamma(p + q)
-    f = m * np.exp(lp + lq - lpq)
-    return f, _EPS * (4.0 * (np.abs(lp) + np.abs(lq) + np.abs(lpq)) + 5.0) * f, None
+def _m_beta(r: np.ndarray, kind: str):
+    """The log-logistic series factors of every order r, m B(1 - r, m + r)
+    about u = 0 and m B(m - r, 1 + r) about u = 1, as a term function for
+    _moment_series that carries log B from the last index of one block to
+    the first of the next.
+
+    B at m = 1 is B(1 - r, 1 + r) for both series, the sum of two
+    math.lgamma; from one index to the next B scales by (m + r) / (m + 1),
+    or by (m - r) / (m + 1): log B is a running sum of log1p(x), x = c / m
+    in (-1, 0) with c = r - 1 or -(1 + r), in index order, so that a
+    factor does not depend on the block that holds it.  The rounding bound
+    follows the error of that sum: each lgamma within 4 eps (|lgamma| + 1);
+    each log1p(x) within eps |log1p(x)| <= eps |x| / (1 + x), plus
+    2 eps |x| / (1 + x) for the rounding of x; each addition within eps of
+    its partial sum.  exp and the factor m add 2 eps of f.
+    """
+    starts = [(math.lgamma(1.0 - x), math.lgamma(1.0 + x)) for x in r.tolist()]
+    start = np.array([a + b for a, b in starts])
+    start_err = 4.0 * (np.abs(starts).sum(axis=1) + 2.0) + np.abs(start)  # in eps
+    c = (r - 1.0 if kind == "at_zero" else -1.0 - r)[:, None]
+    carry = [np.zeros(r.size), np.zeros(r.size)]  # log B and its error in eps at the index before the block
+
+    def term(m: np.ndarray, w: np.ndarray):
+        x = c / m
+        step = np.log1p(x)
+        err = -3.0 * x / (1.0 + x)
+        if m[0] == 1.0:
+            step[:, 0], err[:, 0] = start, start_err
+        step[:, 0] += carry[0]
+        log_b = step.cumsum(axis=1)
+        err += np.abs(log_b)
+        err[:, 0] += carry[1]
+        err = err.cumsum(axis=1)
+        carry[:] = log_b[:, -1], err[:, -1]
+        err = _EPS * err
+        f = m * np.exp(log_b)
+        return f, (err * (1.0 + err) + 2.0 * _EPS) * f, None
+
+    return term
 
 
 def _check_query(method: str, tol: float, methods: tuple[str, ...]) -> None:
@@ -162,50 +229,82 @@ def _check_query(method: str, tol: float, methods: tuple[str, ...]) -> None:
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
 
 
-def _unit_moment(family, pv: ParameterVector, r: float, rel_tol: float, abs_tol: float, method: str,
-                 max_terms: int = _DEFAULT_MAX_TERMS) -> MomentResult:
-    """E(X^r) for the extension of the unit exponential (``family``
-    Exponential, r > -1) or the standard log-logistic (LogLogistic,
-    |r| < 1), in the pmf regime: a pinned series, or for ``auto`` the series
-    at zero where it is short (_short_series) and converges, and quadrature
-    everywhere else.  A series stops on the absolute error ``abs_tol``, the
-    quadrature on ``rel_tol`` times the value."""
-    _require_pmf(pv, f"the unit {family.__name__} moment series")
-    if r == 0.0:
-        return MomentResult(1.0, "closed_form", 1, 0.0)
-    if family is LogLogistic:
-        at_zero, at_one = lambda m, w: _m_beta(m, 1.0 - r, m + r), lambda m, w: _m_beta(m, m - r, 1.0 + r)
-    else:
-        pref = math.exp(log_gamma(1.0 + r))  # Gamma(1 + r) = r * Gamma(r)
+def _gamma_factors(r: np.ndarray, kind: str, tol: float):
+    """The unit exponential's series factors of every order r as a term
+    function for _moment_series: Gamma(1 + r) m C_m about u = 0, C_m the
+    inner alternating sum of index m (see _alternating_binomial_inner),
+    and Gamma(1 + r) m^-r about u = 1, where nothing cancels.
 
-        def at_zero(m: np.ndarray, w: np.ndarray):
-            sums, failure = [], None
-            for mi, wi in zip(map(int, m.tolist()), w.tolist()):
-                inner, abssum = _alternating_binomial_inner(mi, r)
-                sums.append((inner, abssum))
-                ratio = abssum / abs(inner) if inner else 0.0
-                if ratio > _CANCEL_LIMIT and abs(pref * mi * wi * inner) > abs_tol * 1e-3:
-                    failure = Nonconvergence(
-                        f"inner alternating sum ill-conditioned at index {mi} (cancellation ratio {ratio:.2e})"
-                    )
-                    break
-            inner, abssum = np.array(sums).T
-            m = m[: inner.size]
-            return pref * m * inner, pref * m * abssum * _EPS, failure
+    Gamma(1 + r) = exp(lgamma(1 + r)) is within 4 eps (|lgamma| + 1) and
+    a rounding of itself; with the two products, a factor errs by at most
+    eps (4 |lgamma| + 8) of itself plus m eps per unit of C_m's absolute
+    terms.  About zero, the inner sums of a block are formed at most
+    _INNER_CELLS terms at a time, and no further once every order has a
+    term that is not finite or is _ill_conditioned at the absolute
+    tolerance ``tol``.
+    """
+    lg = [math.lgamma(1.0 + x) for x in r.tolist()]
+    pref = np.array([math.exp(v) for v in lg])[:, None]  # OverflowError past Gamma(171.6)
+    pref_err = np.array([4.0 * abs(v) + 8.0 for v in lg])[:, None]
+    if kind == "at_one":
+        neg_r, rel_err = -r[:, None], pref_err * _EPS
 
         def at_one(m: np.ndarray, w: np.ndarray):
-            f = pref * m ** (-r)
-            return f, 4.0 * _EPS * f, None
+            f = pref * m**neg_r
+            return f, rel_err * f, None
 
-    if method == "series_at_one":
-        return _moment_series(pv, "at_one", at_one, abs_tol, max_terms)
-    if method == "series_at_zero" or (method == "auto" and _short_series(pv, abs_tol)):
+        return at_one
+
+    def at_zero(m: np.ndarray, w: np.ndarray):
+        step, parts, dead = max(1, _INNER_CELLS // (r.size * int(m[-1]))), [], False
+        for i in range(0, m.size, step):
+            mi = m[i: i + step]
+            inner, abssum = _alternating_binomial_inner(mi, r)
+            f = pref * mi * inner
+            parts.append((f, pref * mi * abssum * _EPS * (mi + pref_err), abssum / np.abs(inner)))
+            if i + step < m.size:
+                t = f * w[i: i + step]
+                dead |= (~np.isfinite(t) | _ill_conditioned(t, parts[-1][2], tol)).any(axis=1)
+                if dead.all():  # the rest of the block is NaN, a failure
+                    parts.append([np.full((r.size, m.size - i - step), np.nan)] * 3)
+                    break
+        return parts[0] if len(parts) == 1 else tuple(np.concatenate(p, axis=1) for p in zip(*parts))
+
+    return at_zero
+
+
+def _unit_moment(family, pv: ParameterVector, r: np.ndarray, rel_tol: float, abs_tol: float, method: str,
+                 max_terms: int = _DEFAULT_MAX_TERMS) -> list[MomentResult]:
+    """E(X^r) for every order in ``r`` for the extension of the unit
+    exponential (``family`` Exponential, r > -1) or the standard
+    log-logistic (LogLogistic, |r| < 1), in the pmf regime: a pinned
+    series, or for ``auto`` the series at zero where it is short
+    (_short_series) and converges, and quadrature everywhere else.  One
+    series serves every order; under ``auto`` an order whose series fails
+    is integrated alone, while a pinned series raises.  A series stops on
+    the absolute error ``abs_tol``, the quadrature on ``rel_tol`` times the
+    value."""
+    _require_pmf(pv, f"the unit {family.__name__} moment series")
+    out = [MomentResult(1.0, "closed_form", 1, 0.0) if x == 0.0 else None for x in r.tolist()]
+    todo = [i for i, res in enumerate(out) if res is None]
+    if len(todo) < r.size:
+        r = r[todo]
+    series = [None] * r.size
+    if r.size and (method in ("series_at_zero", "series_at_one") or (method == "auto" and _short_series(pv, abs_tol))):
+        kind = "at_one" if method == "series_at_one" else "at_zero"
+        factors = _m_beta(r, kind) if family is LogLogistic else _gamma_factors(r, kind, abs_tol)
         try:
-            return _moment_series(pv, "at_zero", at_zero, abs_tol, max_terms)
+            series = _moment_series(pv, kind, factors, abs_tol, max_terms)
         except Nonconvergence:
             if method != "auto":
                 raise
-    return _moment_quadrature(family(), pv, r, rel_tol)
+    for i, x, res in zip(todo, r.tolist(), series):
+        if isinstance(res, Nonconvergence):
+            if method != "auto":
+                raise res
+            res = None
+        out[i] = res or _moment_quadrature(family(), pv, x, rel_tol)
+    return out
 
 
 def moment_exponential(
@@ -230,7 +329,7 @@ def moment_exponential(
     _check_query(method, tol, _METHODS[:4])
     if not (math.isfinite(r) and r >= 0):
         raise DomainError(f"moment order must satisfy r > 0, got {r!r}")
-    return _unit_moment(Exponential, pv, r, tol, tol, method, max_terms)
+    return _unit_moment(Exponential, pv, np.array([float(r)]), tol, tol, method, max_terms)[0]
 
 
 def moment_loglogistic(
@@ -252,7 +351,7 @@ def moment_loglogistic(
     _check_query(method, tol, _METHODS[:4])
     if not (math.isfinite(r) and abs(r) < 1.0):
         raise DomainError(f"log-logistic moment series requires |r| < 1, got r = {r!r}")
-    return _unit_moment(LogLogistic, pv, r, tol, tol, method, max_terms)
+    return _unit_moment(LogLogistic, pv, np.array([float(r)]), tol, tol, method, max_terms)[0]
 
 
 def moment_q2_loglogistic_closed(a1: float, a2: float, b1: float, b2: float, r: float) -> float:
@@ -305,9 +404,12 @@ def moment_generalized_weibull(
 
     Needs 1/shape and shape2 to be positive integers; the variable is then
     a polynomial transform of the extended unit exponential and the moment
-    reduces to a double binomial combination of its integer moments.  The
-    inner exponent is the plain binomial-expansion index, and the result is
-    only trusted against quadrature (see the test suite).
+    reduces to a double binomial combination of its integer moments, orders
+    0 to shape2 * m / shape.  One walk of the series at zero serves all of
+    them (see _unit_moment), at the absolute error tol / 1000; an order
+    whose series fails is integrated alone.  The inner exponent is the
+    plain binomial-expansion index, and the result is checked against
+    quadrature and mpmath in the test suite.
     """
     _require_pmf(pv, "generalized-Weibull moment formula")
     if not (isinstance(m, (int,)) and m >= 1):
@@ -320,8 +422,9 @@ def moment_generalized_weibull(
     m2 = int(round(inv_shape))
     b3 = int(round(shape2))
 
-    # moment_exponential returns exactly 1 at order 0
-    exp_moments = [moment_exponential(pv, float(j), tol=tol * 1e-3) for j in range(b3 * m * m2 + 1)]
+    _check_query("auto", tol * 1e-3, _METHODS)
+    # order 0 is exactly 1
+    exp_moments = _unit_moment(Exponential, pv, np.arange(b3 * m * m2 + 1.0), tol * 1e-3, tol * 1e-3, "auto")
     total = 0.0
     err = 0.0
     terms = 0
@@ -538,7 +641,7 @@ def _route(baseline: Baseline, pv: ParameterVector, r: float, method: str, tol: 
             raise DomainError(f"method {method!r} unavailable for {baseline.name}")
     elif method != "quadrature" and (pv.pmf_ok or pinned):
         factor, shape = baseline.scale**r, getattr(baseline, "shape", 1.0)
-        inner = _unit_moment(unit, pv, r / shape, tol, tol / max(factor, 1.0), method)
+        inner = _unit_moment(unit, pv, np.array([r / shape]), tol, tol / max(factor, 1.0), method)[0]
         return MomentResult(factor * inner.value, f"scaling({inner.method_used})", inner.terms_used,
                             factor * inner.error_estimate)
     return _moment_quadrature(baseline, pv, r, tol)

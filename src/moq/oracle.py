@@ -135,6 +135,11 @@ def integrate_semiinfinite(
 
     Raises ToleranceNotMet if the refinement budget is exhausted first, or
     if the error estimate is not a number (a non-finite integrand).
+
+    The integrand must be integrable on [lo, inf): nothing here detects a
+    divergent one.  x / (1 + x)^2, whose integral grows like log x, comes
+    back as a finite value (about 353.89) with an error estimate near
+    5e-11.
     """
     if not math.isfinite(lo):
         raise DomainError("lower limit must be finite")

@@ -1,9 +1,11 @@
-"""Hypothesis strategies shared by the property tests of the inversion.
-
-Each fixture skips the test that requests it when hypothesis is missing.
+"""Fixtures shared by the test modules: hypothesis strategies for the
+property tests of the inversion, each skipping the test that requests it
+when hypothesis is missing, and a wall-clock limit.
 """
 
+import contextlib
 import math
+import signal
 
 import pytest
 
@@ -28,3 +30,25 @@ def lower_levels():
         min_size=1,
         max_size=16,
     )
+
+
+@pytest.fixture
+def wall_clock_limit():
+    """A context manager that raises TimeoutError in a block still running
+    after ``seconds``, so that a call that would not return fails its test
+    instead of stalling the suite (SIGALRM: Unix, main thread)."""
+
+    @contextlib.contextmanager
+    def limit(seconds: float):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

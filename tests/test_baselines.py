@@ -204,6 +204,20 @@ class TestAccuracyFromCumulativeHazard:
                     got = getattr(bm, name)(x)
                     assert abs(got - value) / value <= bounds[name] * eps, (name, x, got, value)
 
+    def test_loglogistic_hazard_in_the_tail(self):
+        """Above z = 1 the log-logistic hazard is k / z / (1 + z^-k) / scale,
+        within 4 eps of 60-digit mpmath out to x = 1e300; exp(log H') was
+        277 eps off at 1e90."""
+        mp = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        xs = [1e50, 1e90, 1e200, 1e300]
+        for bm in (LogLogistic(1.0, 3.0), LogLogistic(2.0, 0.5)):
+            for x, got in zip(xs, bm.hazard(np.array(xs))):
+                with mp.workdps(60):
+                    exact = mp_hazards(mp, bm, x)[1]
+                assert got == bm.hazard(x)
+                assert abs(got - exact) <= 4 * eps * exact, (bm, x, got)
+
     def test_hazard_past_survival_underflow(self):
         assert Exponential(2.0).sf(1e4) == 0.0
         assert Exponential(2.0).hazard(1e4) == 0.5

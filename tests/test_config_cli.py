@@ -260,6 +260,16 @@ class TestMomentCommand:
         assert "Traceback" not in err
         assert err.count("error:") == 1 and err.startswith("error:") and "overflows" in err
 
+    def test_order_170_ends_in_a_typed_error(self, tmp_path, capsys, wall_clock_limit):
+        """The series terms of order 170 overflow from index 25: the series
+        fails there, and the quadrature it falls back on misses tol."""
+        spec = write_spec(tmp_path, {"baseline": {"family": "exponential"}, "a": [2.2, 0.5, 0.5]})
+        with wall_clock_limit(5.0):
+            assert main(["moment", "--spec", spec, "--r", "170"]) == 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("error:") == 1 and err.startswith("error:")
+
     def test_quadrature_tolerance_failure_exits_5(self, tmp_path, capsys):
         spec = write_spec(tmp_path, GW_HALF)
         assert main(["moment", "--spec", spec, "--r", "2.5", "--method", "quadrature", "--tol", "1e-300"]) == 5

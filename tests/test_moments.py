@@ -6,7 +6,9 @@ identities, and the adaptive quadrature of x^r times the density.
 """
 
 import functools
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,6 +98,22 @@ class TestExponentialMoments:
         res = moment_exponential(pv, 1.5)
         assert res.method_used == "quadrature"
         assert res.value == pytest.approx(quad_moment(Exponential(1.0), pv, 1.5), rel=1e-12)
+
+    def test_overflowing_terms_fail_the_series(self, wall_clock_limit):
+        """At order 170 the terms Gamma(171) m C_m overflow from index 25:
+        the series fails there, auto falls back on quadrature, which misses
+        tol, and a pinned series raises; neither runs on towards max_terms."""
+        pv = validate_params(3, [2.2, 0.5, 0.5])
+        with wall_clock_limit(5.0):
+            with pytest.raises(ToleranceNotMet):
+                moment(Exponential(1.0), pv, 170.0)
+            with pytest.raises(Nonconvergence, match="term at index 25 is not finite"):
+                moment(Exponential(1.0), pv, 170.0, method="series_at_zero")
+
+    def test_order_150_stays_a_series(self):
+        res = moment(Exponential(1.0), validate_params(3, [2.2, 0.5, 0.5]), 150.0)
+        assert (res.method_used, res.terms_used) == ("scaling(series_at_zero)", 237)
+        assert res.value == pytest.approx(1.2569444704181982e263, rel=1e-12)
 
 
 class TestLogLogisticMoments:
@@ -193,6 +211,102 @@ class TestBlockSizes:
             assert self.results() == sized
         finally:
             sampling._count_table.cache_clear()
+
+
+class TestOneWalk:
+    """One walk of the series at zero serves every order of the
+    generalized-Weibull binomial transform, and the log-logistic factors
+    come from a running sum of log ratios: both against the sums they
+    replaced and against mpmath."""
+
+    ORDERS = list(itertools.product((1, 2, 3), repeat=3))  # (1/shape, shape2, m)
+
+    @staticmethod
+    def per_order_transform(pv, inv_shape, shape2, m, tol=1e-10):
+        """The transform from one moment_exponential call per order, as it
+        was summed before: (value, error estimate)."""
+        n = inv_shape * m
+        moments = [moment_exponential(pv, float(j), tol=tol * 1e-3) for j in range(shape2 * n + 1)]
+        total = err = 0.0
+        for k in range(n + 1):
+            for j in range(shape2 * k + 1):
+                c = (-1.0) ** (n - k) * math.comb(n, k) * math.comb(shape2 * k, j)
+                total += c * moments[j].value
+                err += abs(c) * (moments[j].error_estimate + np.finfo(float).eps * abs(moments[j].value))
+        return total, err
+
+    @staticmethod
+    def exact_transform(a, inv_shape, shape2, m):
+        """E(X^m) for the extended GeneralizedWeibull(1, 1/inv_shape, shape2)
+        where sum(a) = q, so that T(u) = u prod_{i>=2} (a_i + (1 - a_i) u)
+        is a polynomial: X = ((1 + Y)^shape2 - 1)^inv_shape with Y the unit
+        exponential quantile of U, U of density T', so
+        E(X^m) = int_0^inf ((1 + y)^shape2 - 1)^(m inv_shape) T'(1 - e^-y) e^-y dy,
+        a sum of n! / c^(n+1), in exact rationals."""
+        t = [Fraction(0), Fraction(1)]  # T's coefficients, lowest power first
+        for ai in map(Fraction, a[1:]):
+            t = [x * ai + y * (1 - ai) for x, y in zip(t + [0], [0] + t)]
+        # T'(1 - e^-y) e^-y = sum_i d_i e^-(i+1)y
+        d = [Fraction(0)] * len(t)
+        for k in range(1, len(t)):
+            for i in range(k):
+                d[i] += k * t[k] * math.comb(k - 1, i) * (-1) ** i
+        # ((1 + y)^shape2 - 1)^(m inv_shape) = sum_n p_n y^n
+        base = [0] + [math.comb(shape2, n) for n in range(1, shape2 + 1)]
+        p = [1]
+        for _ in range(m * inv_shape):
+            p = [sum(p[i] * base[n - i] for i in range(len(p)) if 0 <= n - i < len(base))
+                 for n in range(len(p) + len(base) - 1)]
+        return sum(pn * di * Fraction(math.factorial(n), (i + 1) ** (n + 1))
+                   for n, pn in enumerate(p) for i, di in enumerate(d))
+
+    @pytest.mark.parametrize("a", [(1.5, 0.5), (1.2, 0.9, 0.9), (2.2, 0.5, 0.5)])
+    def test_binomial_transform_against_per_order_sums(self, a):
+        pv = validate_params(len(a), a)
+        for inv_shape, shape2, m in self.ORDERS:
+            res = moment_generalized_weibull(pv, 1.0, 1.0 / inv_shape, float(shape2), m)
+            value, err = self.per_order_transform(pv, inv_shape, shape2, m)
+            assert res.method_used == "binomial_transform"
+            assert abs(res.value - value) <= res.error_estimate + err, (inv_shape, shape2, m)
+
+    @pytest.mark.parametrize("a", [(1.5, 0.5), (1.2, 0.9, 0.9)])
+    def test_binomial_transform_estimate_bounds_the_error(self, a):
+        mp = pytest.importorskip("mpmath")
+        pv = validate_params(len(a), a)
+        for inv_shape, shape2, m in self.ORDERS:
+            res = moment_generalized_weibull(pv, 1.0, 1.0 / inv_shape, float(shape2), m)
+            exact = self.exact_transform(a, inv_shape, shape2, m)
+            with mp.workdps(40):
+                miss = abs(mp.mpf(res.value) - mp.mpf(exact.numerator) / exact.denominator)
+            assert miss <= res.error_estimate, (inv_shape, shape2, m, res)
+
+    @pytest.mark.parametrize("method, a", [
+        ("series_at_zero", (3.0, 0.5, 0.5)),
+        ("series_at_zero", (20.0, 0.5)),
+        ("series_at_zero", (200.0, 0.5)),
+        ("series_at_one", (1.8, 0.5)),
+        ("series_at_one", (3.4, 0.5)),
+    ])
+    def test_loglogistic_series_estimate_bounds_the_error(self, method, a):
+        """Up to 3,624 terms at zero (a_1 = 200, r = 0.9), 736 at one."""
+        mp = pytest.importorskip("mpmath")
+        pv = validate_params(len(a), a)
+        for r in (-0.5, 0.3, 0.5, 0.9):
+            res = moment_loglogistic(pv, r, method=method)
+            assert abs(res.value - mp_moment(mp, LogLogistic(), a, r)) <= res.error_estimate, (r, res)
+
+    def test_moment_table_ops_keep_path_and_terms(self):
+        """The two series of the benchmark's moment table that one walk and
+        the log ratios speed up: same path and terms, and the values of the
+        per-order sums and of the log-gamma factors within the estimates,
+        which were 9.66e-6 and 1.4936e-10; the second is no larger now."""
+        gw = moment(GeneralizedWeibull(1.0, 0.5, 2.0), validate_params(2, [1.5, 0.5]), 3.0)
+        assert (gw.method_used, gw.terms_used) == ("binomial_transform", 4)
+        assert abs(gw.value - 1866362371.874999) <= gw.error_estimate + 9.66e-06
+        ll = moment(LogLogistic(1.0, 1.0), validate_params(2, [200.0, 0.5]), 0.5, method="series_at_zero")
+        assert (ll.method_used, ll.terms_used) == ("scaling(series_at_zero)", 3107)
+        assert abs(ll.value - 23.552158035525906) <= ll.error_estimate + 1.4936e-10
+        assert ll.error_estimate <= 1.4936e-10
 
 
 class TestClosedForm:
@@ -361,6 +475,17 @@ class TestFrontDoor:
         assert math.isfinite(res.value) and res.value > 1e308
 
 
+def mp_t_deriv(mp, a, u):
+    """T'(u) in mpmath from T = q^q u prod f_i / D^q, f_i = a_i + (1 - a_i) u,
+    D = S + (q - S) u."""
+    a = [mp.mpf(v) for v in a]
+    q, big_s = len(a), mp.fsum(a)
+    f = [ai + (1 - ai) * u for ai in a[1:]]
+    d = big_s + (q - big_s) * u
+    log_slope = mp.fsum((1 - ai) / fi for ai, fi in zip(a[1:], f)) - q * (q - big_s) / d
+    return mp.mpf(q) ** q * mp.fprod(f) / d**q * (1 + u * log_slope)
+
+
 def mp_moment(mp, baseline, a, r):
     """E(X^r) = int_0^inf x^r T'(F0(x)) f0(x) dx in mpmath, from the
     definitions of the baselines and of T, sharing no code with moq.
@@ -375,8 +500,6 @@ def mp_moment(mp, baseline, a, r):
     family = type(baseline).__name__
     c, r = mp.mpf(baseline.scale), mp.mpf(r)
     k = mp.mpf(getattr(baseline, "shape", 1.0))
-    a = [mp.mpf(v) for v in a]
-    q, big_s = len(a), mp.fsum(a)
 
     def cdf_pdf(x):
         z = x / c
@@ -390,16 +513,9 @@ def mp_moment(mp, baseline, a, r):
             return -mp.expm1(log_sf), mp.exp(log_sf) * inv * (1 + z**k) ** (inv - 1) * k / c * z ** (k - 1)
         return z**k / (1 + z**k), k / c * z ** (k - 1) / (1 + z**k) ** 2
 
-    def t_deriv(u):
-        # T = q^q u prod f_i / D^q, f_i = a_i + (1 - a_i) u, D = S + (q - S) u
-        f = [ai + (1 - ai) * u for ai in a[1:]]
-        d = big_s + (q - big_s) * u
-        log_slope = mp.fsum((1 - ai) / fi for ai, fi in zip(a[1:], f)) - q * (q - big_s) / d
-        return mp.mpf(q) ** q * mp.fprod(f) / d**q * (1 + u * log_slope)
-
     def integrand(x):
         u, density = cdf_pdf(x)
-        return x**r * t_deriv(u) * density
+        return x**r * mp_t_deriv(mp, a, u) * density
 
     def substituted(power):
         return lambda v: integrand(c * v**power) * c * abs(power) * v ** (power - 1) if v > 0 else mp.mpf(0)
