@@ -647,20 +647,21 @@ def _mode_coefficients(kind: str, sig: Sequence[float]) -> dict[int, float]:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _geometric_walk(stream: _SeriesStream, term, tol: float, max_terms: int, m0: int, window: int = 1, growth=False):
-    """(outputs up to the stop, tails there, failed there) of ``term`` on
-    blocks from m0, or None if a tail is still above ``tol`` after
-    ``max_terms``.
+    """(outputs up to the stop, tails there, and None if no series failed,
+    else which failed there) of ``term`` on blocks from m0, or None if a
+    tail is still above ``tol`` after ``max_terms``.
 
-    term(m, w, env) gives magnitudes, one row per series walked together,
-    a tuple of output arrays along m, and None or a mask of the terms that
-    failed, shaped like the magnitudes; float warnings are off, as a term
-    that overflows is to be marked failed.  A series is dead from its first
-    failed term on: its magnitudes stop counting, and it is reported failed
-    if the walk stops at or past that index.  The tail of a series from
-    m = q + 2 on is the largest of its last ``window`` magnitudes times
-    rho / (1 - rho), rho the envelope ratio, times (m+1)/m with ``growth``.
-    The walk stops at the first index where the tail of every live series
-    is below ``tol``, or where none is live.
+    term(m, w, env) gives magnitudes, along the last axis for each of the
+    series walked together (a 1-D array for one), a tuple of output arrays
+    along m, and None or a mask of the terms that failed, shaped like the
+    magnitudes; float warnings are off, as a term that overflows is to be
+    marked failed.  A series is dead from its first failed term on: its
+    magnitudes stop counting, and it is reported failed if the walk stops
+    at or past that index.  The tail of a series from m = q + 2 on is the
+    largest of its last ``window`` magnitudes times rho / (1 - rho), rho
+    the envelope ratio, times (m+1)/m with ``growth``.  The walk stops at
+    the first index where the tail of every live series is below ``tol``,
+    or where none is live.
     """
     q, lag, parts = stream.q, window - 1, []
     recent = dead = None
@@ -671,39 +672,40 @@ def _geometric_walk(stream: _SeriesStream, term, tol: float, max_terms: int, m0:
         m = np.arange(m0, m1, dtype=float)
         mag, out, failed = term(m, *stream.block(m0, m1))
         if recent is None:
-            recent = np.zeros((mag.shape[0], lag))
+            recent, series_axes = np.zeros(mag.shape[:-1] + (lag,)), tuple(range(mag.ndim - 1))
         # dead: None until a series fails, then one column per index of the
         # block, or the one column carried from the block before
         if failed is not None:
-            failed = np.logical_or.accumulate(failed, axis=1)
+            failed = np.logical_or.accumulate(failed, axis=-1)
             dead = failed if dead is None else dead | failed
             mag = np.where(dead, 0.0, mag)
-        mag = np.concatenate((recent, mag), axis=1)
-        largest = np.maximum.reduce(mag[:, np.arange(window)[:, None] + np.arange(m.size)], axis=1)
+        mag = np.concatenate((recent, mag), axis=-1)
+        largest = np.maximum.reduce(mag[..., np.arange(window)[:, None] + np.arange(m.size)], axis=-2)
         rho = stream.envelope_ratio(m) * ((m + 1) / m if growth else 1.0)
         tail = largest * rho / (1.0 - rho)
         done = tail < tol
         if dead is not None:
             done |= dead
-        stop = (m >= q + 2) & (rho < 1.0) & done.all(axis=0)
+        stop = (m >= q + 2) & (rho < 1.0) & np.logical_and.reduce(done, axis=series_axes)
         if dead is not None:
-            stop |= dead.all(axis=0)
+            stop |= np.logical_and.reduce(dead, axis=series_axes)
         i = int(stop.argmax())
         if stop[i]:
             parts.append([o[..., : i + 1] for o in out])
-            failed = np.zeros(tail.shape[0], dtype=bool) if dead is None else dead.take(i, axis=1, mode="clip")
-            return [np.concatenate(o, axis=-1) for o in zip(*parts)], tail[:, i], failed
+            outs = parts[0] if len(parts) == 1 else [np.concatenate(o, axis=-1) for o in zip(*parts)]
+            return outs, tail[..., i], None if dead is None else dead.take(i, axis=-1, mode="clip")
         parts.append(out)
-        recent = mag[:, m.size:]
-        dead = None if dead is None else dead[:, -1:]
-        m0, m1 = m1, stream.next_end(m0, m1, mag[:, -1].max() * rho[-1] / (1.0 - rho[-1]), tol, rho[-1], max_terms, lag)
+        recent = mag[..., m.size:]
+        dead = None if dead is None else dead[..., -1:]
+        last = mag[..., -1].max() * rho[-1] / (1.0 - rho[-1])
+        m0, m1 = m1, stream.next_end(m0, m1, last, tol, rho[-1], max_terms, lag)
     return None
 
 
 def _truncated_series(pv: ParameterVector, kind: str, tol: float, max_terms: int) -> SeriesCoefficients:
     stream = _SeriesStream(pv, kind)
     # from m = 0, which is the leading 1 at_one
-    walked = _geometric_walk(stream, lambda m, w, env: (env[None], (w, env), None), tol, max_terms, 0)
+    walked = _geometric_walk(stream, lambda m, w, env: (env, (w, env), None), tol, max_terms, 0)
     if walked is None:
         raise Nonconvergence(
             f"series {kind} for q={pv.q}, a={pv.a} still above tol={tol} after {max_terms} terms"

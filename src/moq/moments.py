@@ -138,13 +138,14 @@ def _moment_series(pv: ParameterVector, kind: str, term, tol: float, max_terms: 
         if kind == "at_one":
             t[:, int(m[0]) % 2::2] *= -1.0  # the even m
         mag = np.abs(f) * env
+        out = t, mag, rounding * env
+        # the mask only where a magnitude is not finite or a ratio is large
+        if math.isfinite(mag.sum()) and (cond is None or not cond.max() > _CANCEL_LIMIT):
+            return mag, out, None
         failed = ~np.isfinite(mag)
         if cond is not None:
             failed |= _ill_conditioned(t, cond, tol)
-        out = t, mag, rounding * env
-        if not failed.any():
-            return mag, out, None
-        for o, k in zip(*np.nonzero(failed)):
+        for o, k in np.argwhere(failed):
             if o not in why:
                 why[o] = (
                     f"inner alternating sum ill-conditioned at index {m[k]:.0f} (cancellation ratio {cond[o, k]:.2e})"
@@ -158,11 +159,13 @@ def _moment_series(pv: ParameterVector, kind: str, term, tol: float, max_terms: 
         raise Nonconvergence(f"moment series ({kind.replace('_', ' ')}) exceeded {max_terms} terms")
     (t, mag, rounding), tails, failed = walked
     n = t.shape[1]
-    errors = tails + rounding.sum(axis=1) + (mag * stream.rounding(np.arange(1.0, n + 1))).sum(axis=1)
+    weights = mag * stream.rounding(np.arange(1.0, n + 1))  # the weights' own rounding
+    errors = tails + np.add.reduce(rounding, axis=1) + np.add.reduce(weights, axis=1)
+    failed = [False] * t.shape[0] if failed is None else failed.tolist()
+    rows = zip(t.cumsum(axis=1)[:, -1].tolist(), errors.tolist(), failed)
     return [
-        Nonconvergence(why[o]) if failed[o] else
-        MomentResult(float(t[o].cumsum()[-1]), f"series_{kind}", n, float(errors[o]))
-        for o in range(t.shape[0])
+        Nonconvergence(why[o]) if dead else MomentResult(value, f"series_{kind}", n, error)
+        for o, (value, error, dead) in enumerate(rows)
     ]
 
 
@@ -181,7 +184,7 @@ def _short_series(pv: ParameterVector, tol: float) -> bool:
     return m > 0 and math.comb(m + q - 1, q - 1) * ratio**m * (m + 1) / (1.0 - ratio) <= tol
 
 
-def _m_beta(r: np.ndarray, kind: str):
+def _m_beta(orders: list[float], kind: str):
     """The log-logistic series factors of every order r, m B(1 - r, m + r)
     about u = 0 and m B(m - r, 1 + r) about u = 1, as a term function for
     _moment_series that carries log B from the last index of one block to
@@ -197,11 +200,11 @@ def _m_beta(r: np.ndarray, kind: str):
     2 eps |x| / (1 + x) for the rounding of x; each addition within eps of
     its partial sum.  exp and the factor m add 2 eps of f.
     """
-    starts = [(math.lgamma(1.0 - x), math.lgamma(1.0 + x)) for x in r.tolist()]
+    starts = [(math.lgamma(1.0 - x), math.lgamma(1.0 + x)) for x in orders]
     start = np.array([a + b for a, b in starts])
-    start_err = 4.0 * (np.abs(starts).sum(axis=1) + 2.0) + np.abs(start)  # in eps
-    c = (r - 1.0 if kind == "at_zero" else -1.0 - r)[:, None]
-    carry = [np.zeros(r.size), np.zeros(r.size)]  # log B and its error in eps at the index before the block
+    start_err = np.array([4.0 * (abs(a) + abs(b) + 2.0) + abs(a + b) for a, b in starts])  # in eps
+    c = np.array([[x - 1.0 if kind == "at_zero" else -1.0 - x] for x in orders])
+    carry = [0.0, 0.0]  # log B and its error in eps at the index before the block
 
     def term(m: np.ndarray, w: np.ndarray):
         x = c / m
@@ -229,7 +232,7 @@ def _check_query(method: str, tol: float, methods: tuple[str, ...]) -> None:
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
 
 
-def _gamma_factors(r: np.ndarray, kind: str, tol: float):
+def _gamma_factors(orders: list[float], kind: str, tol: float):
     """The unit exponential's series factors of every order r as a term
     function for _moment_series: Gamma(1 + r) m C_m about u = 0, C_m the
     inner alternating sum of index m (see _alternating_binomial_inner),
@@ -243,17 +246,20 @@ def _gamma_factors(r: np.ndarray, kind: str, tol: float):
     term that is not finite or is _ill_conditioned at the absolute
     tolerance ``tol``.
     """
-    lg = [math.lgamma(1.0 + x) for x in r.tolist()]
-    pref = np.array([math.exp(v) for v in lg])[:, None]  # OverflowError past Gamma(171.6)
-    pref_err = np.array([4.0 * abs(v) + 8.0 for v in lg])[:, None]
+    lg = [math.lgamma(1.0 + x) for x in orders]
+    # per order: Gamma(1 + r) (OverflowError past 171.6), its error bound in eps, and -r
+    cols = np.array([[math.exp(v), 4.0 * abs(v) + 8.0, -x] for v, x in zip(lg, orders)])
+    pref, pref_err = cols[:, :1], cols[:, 1:2]
     if kind == "at_one":
-        neg_r, rel_err = -r[:, None], pref_err * _EPS
+        neg_r, rel_err = cols[:, 2:], _EPS * pref_err
 
         def at_one(m: np.ndarray, w: np.ndarray):
             f = pref * m**neg_r
             return f, rel_err * f, None
 
         return at_one
+
+    r = np.array(orders)
 
     def at_zero(m: np.ndarray, w: np.ndarray):
         step, parts, dead = max(1, _INNER_CELLS // (r.size * int(m[-1]))), [], False
@@ -265,7 +271,7 @@ def _gamma_factors(r: np.ndarray, kind: str, tol: float):
             if i + step < m.size:
                 t = f * w[i: i + step]
                 dead |= (~np.isfinite(t) | _ill_conditioned(t, parts[-1][2], tol)).any(axis=1)
-                if dead.all():  # the rest of the block is NaN, a failure
+                if np.all(dead):  # the rest of the block is NaN, a failure
                     parts.append([np.full((r.size, m.size - i - step), np.nan)] * 3)
                     break
         return parts[0] if len(parts) == 1 else tuple(np.concatenate(p, axis=1) for p in zip(*parts))
@@ -273,9 +279,9 @@ def _gamma_factors(r: np.ndarray, kind: str, tol: float):
     return at_zero
 
 
-def _unit_moment(family, pv: ParameterVector, r: np.ndarray, rel_tol: float, abs_tol: float, method: str,
+def _unit_moment(family, pv: ParameterVector, orders: list[float], rel_tol: float, abs_tol: float, method: str,
                  max_terms: int = _DEFAULT_MAX_TERMS) -> list[MomentResult]:
-    """E(X^r) for every order in ``r`` for the extension of the unit
+    """E(X^r) for every order r in ``orders`` for the extension of the unit
     exponential (``family`` Exponential, r > -1) or the standard
     log-logistic (LogLogistic, |r| < 1), in the pmf regime: a pinned
     series, or for ``auto`` the series at zero where it is short
@@ -285,25 +291,22 @@ def _unit_moment(family, pv: ParameterVector, r: np.ndarray, rel_tol: float, abs
     the absolute error ``abs_tol``, the quadrature on ``rel_tol`` times the
     value."""
     _require_pmf(pv, f"the unit {family.__name__} moment series")
-    out = [MomentResult(1.0, "closed_form", 1, 0.0) if x == 0.0 else None for x in r.tolist()]
-    todo = [i for i, res in enumerate(out) if res is None]
-    if len(todo) < r.size:
-        r = r[todo]
-    series = [None] * r.size
-    if r.size and (method in ("series_at_zero", "series_at_one") or (method == "auto" and _short_series(pv, abs_tol))):
+    todo = [x for x in orders if x != 0.0]
+    series = [None] * len(todo)
+    if todo and (method in ("series_at_zero", "series_at_one") or (method == "auto" and _short_series(pv, abs_tol))):
         kind = "at_one" if method == "series_at_one" else "at_zero"
-        factors = _m_beta(r, kind) if family is LogLogistic else _gamma_factors(r, kind, abs_tol)
+        factors = _m_beta(todo, kind) if family is LogLogistic else _gamma_factors(todo, kind, abs_tol)
         try:
             series = _moment_series(pv, kind, factors, abs_tol, max_terms)
         except Nonconvergence:
             if method != "auto":
                 raise
-    for i, x, res in zip(todo, r.tolist(), series):
-        if isinstance(res, Nonconvergence):
-            if method != "auto":
-                raise res
-            res = None
-        out[i] = res or _moment_quadrature(family(), pv, x, rel_tol)
+    out, series = [], iter(series)
+    for x in orders:
+        res = MomentResult(1.0, "closed_form", 1, 0.0) if x == 0.0 else next(series)
+        if isinstance(res, Nonconvergence) and method != "auto":
+            raise res
+        out.append(res if isinstance(res, MomentResult) else _moment_quadrature(family(), pv, x, rel_tol))
     return out
 
 
@@ -329,7 +332,7 @@ def moment_exponential(
     _check_query(method, tol, _METHODS[:4])
     if not (math.isfinite(r) and r >= 0):
         raise DomainError(f"moment order must satisfy r > 0, got {r!r}")
-    return _unit_moment(Exponential, pv, np.array([float(r)]), tol, tol, method, max_terms)[0]
+    return _unit_moment(Exponential, pv, [float(r)], tol, tol, method, max_terms)[0]
 
 
 def moment_loglogistic(
@@ -351,7 +354,7 @@ def moment_loglogistic(
     _check_query(method, tol, _METHODS[:4])
     if not (math.isfinite(r) and abs(r) < 1.0):
         raise DomainError(f"log-logistic moment series requires |r| < 1, got r = {r!r}")
-    return _unit_moment(LogLogistic, pv, np.array([float(r)]), tol, tol, method, max_terms)[0]
+    return _unit_moment(LogLogistic, pv, [float(r)], tol, tol, method, max_terms)[0]
 
 
 def moment_q2_loglogistic_closed(a1: float, a2: float, b1: float, b2: float, r: float) -> float:
@@ -424,7 +427,8 @@ def moment_generalized_weibull(
 
     _check_query("auto", tol * 1e-3, _METHODS)
     # order 0 is exactly 1
-    exp_moments = _unit_moment(Exponential, pv, np.arange(b3 * m * m2 + 1.0), tol * 1e-3, tol * 1e-3, "auto")
+    exp_moments = _unit_moment(Exponential, pv, [float(j) for j in range(b3 * m * m2 + 1)], tol * 1e-3, tol * 1e-3,
+                               "auto")
     total = 0.0
     err = 0.0
     terms = 0
@@ -641,7 +645,7 @@ def _route(baseline: Baseline, pv: ParameterVector, r: float, method: str, tol: 
             raise DomainError(f"method {method!r} unavailable for {baseline.name}")
     elif method != "quadrature" and (pv.pmf_ok or pinned):
         factor, shape = baseline.scale**r, getattr(baseline, "shape", 1.0)
-        inner = _unit_moment(unit, pv, np.array([r / shape]), tol, tol / max(factor, 1.0), method)[0]
+        inner = _unit_moment(unit, pv, [r / shape], tol, tol / max(factor, 1.0), method)[0]
         return MomentResult(factor * inner.value, f"scaling({inner.method_used})", inner.terms_used,
                             factor * inner.error_estimate)
     return _moment_quadrature(baseline, pv, r, tol)
