@@ -647,24 +647,24 @@ def _mode_coefficients(kind: str, sig: Sequence[float]) -> dict[int, float]:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _geometric_walk(stream: _SeriesStream, term, tol: float, max_terms: int, m0: int, window: int = 1, growth=False):
-    """(outputs up to the stop, tails there, and None if no series failed,
-    else which failed there) of ``term`` on blocks from m0, or None if a
-    tail is still above ``tol`` after ``max_terms``.
+    """(outputs up to the stop, and per series the number of terms it
+    takes, its tail there and, unless no term failed, whether it failed) of
+    ``term`` on blocks from m0, or None if a series is still open after
+    ``max_terms``.
 
-    term(m, w, env) gives magnitudes, along the last axis for each of the
-    series walked together (a 1-D array for one), a tuple of output arrays
-    along m, and None or a mask of the terms that failed, shaped like the
-    magnitudes; float warnings are off, as a term that overflows is to be
-    marked failed.  A series is dead from its first failed term on: its
-    magnitudes stop counting, and it is reported failed if the walk stops
-    at or past that index.  The tail of a series from m = q + 2 on is the
-    largest of its last ``window`` magnitudes times rho / (1 - rho), rho
-    the envelope ratio, times (m+1)/m with ``growth``.  The walk stops at
-    the first index where the tail of every live series is below ``tol``,
-    or where none is live.
+    term(m, w, env) gives magnitudes, one row per series walked together,
+    a tuple of output arrays along m, and None or a mask of the terms that
+    failed, shaped like the magnitudes; float warnings are off, as a term
+    that overflows is to be marked failed.  The tail of a series from
+    m = q + 2 on is the largest of its last ``window`` magnitudes times
+    rho / (1 - rho), rho the envelope ratio, times (m+1)/m with ``growth``.
+    A series closes at its first index where that tail is below ``tol``,
+    where a walk of it alone would stop, or at its first failed term, and
+    fails there; nothing after that counts for it.  The walk stops where
+    the last series closes.
     """
-    q, lag, parts = stream.q, window - 1, []
-    recent = dead = None
+    q, lag, parts, failures, first = stream.q, window - 1, [], [], m0
+    recent = None
     rho = stream.envelope_ratio(q + 2) * ((q + 3) / (q + 2) if growth else 1.0)
     # the burn-in, and what a unit magnitude at its end would take to stop
     m1 = stream.next_end(q + 3, q + 3, rho / (1.0 - rho) if rho < 1.0 else math.inf, tol, rho, max_terms, lag)
@@ -672,32 +672,31 @@ def _geometric_walk(stream: _SeriesStream, term, tol: float, max_terms: int, m0:
         m = np.arange(m0, m1, dtype=float)
         mag, out, failed = term(m, *stream.block(m0, m1))
         if recent is None:
-            recent, series_axes = np.zeros(mag.shape[:-1] + (lag,)), tuple(range(mag.ndim - 1))
-        # dead: None until a series fails, then one column per index of the
-        # block, or the one column carried from the block before
-        if failed is not None:
-            failed = np.logical_or.accumulate(failed, axis=-1)
-            dead = failed if dead is None else dead | failed
-            mag = np.where(dead, 0.0, mag)
-        mag = np.concatenate((recent, mag), axis=-1)
-        largest = np.maximum.reduce(mag[..., np.arange(window)[:, None] + np.arange(m.size)], axis=-2)
+            recent, shut = np.zeros((mag.shape[0], lag)), False
+        mag = np.concatenate((recent, mag), axis=1)
+        largest = np.maximum.reduce(mag[:, np.arange(window)[:, None] + np.arange(m.size)], axis=1)
         rho = stream.envelope_ratio(m) * ((m + 1) / m if growth else 1.0)
         tail = largest * rho / (1.0 - rho)
-        done = tail < tol
-        if dead is not None:
-            done |= dead
-        stop = (m >= q + 2) & (rho < 1.0) & np.logical_and.reduce(done, axis=series_axes)
-        if dead is not None:
-            stop |= np.logical_and.reduce(dead, axis=series_axes)
+        closes = (m >= q + 2) & (rho < 1.0) & (tail < tol)
+        if failed is not None:
+            closes |= failed
+            failures.append((m0 - first, failed))
+        shut = np.logical_or.accumulate(closes, axis=1) | shut
+        stop = np.logical_and.reduce(shut, axis=0)
         i = int(stop.argmax())
         if stop[i]:
-            parts.append([o[..., : i + 1] for o in out])
-            outs = parts[0] if len(parts) == 1 else [np.concatenate(o, axis=-1) for o in zip(*parts)]
-            return outs, tail[..., i], None if dead is None else dead.take(i, axis=-1, mode="clip")
-        parts.append(out)
-        recent = mag[..., m.size:]
-        dead = None if dead is None else dead[..., -1:]
-        last = mag[..., -1].max() * rho[-1] / (1.0 - rho[-1])
+            parts.append([o[..., : i + 1] for o in (*out, closes, tail)])
+            *outs, closes, tail = parts[0] if len(parts) == 1 else [np.concatenate(o, axis=-1) for o in zip(*parts)]
+            ends, rows = closes.argmax(axis=1), np.arange(closes.shape[0])
+            fails = np.zeros(rows.size, dtype=bool) if failures else None
+            for offset, failed in failures:  # the failed mask at each end that falls in a block with failures
+                at = ends - offset
+                inside = (at >= 0) & (at < failed.shape[1])
+                fails[inside] = failed[rows[inside], at[inside]]
+            return outs, ends + 1, tail[rows, ends], fails
+        parts.append((*out, closes, tail))
+        recent, shut = mag[:, m.size:], shut[:, -1:]
+        last = mag[~shut[:, 0], -1].max() * rho[-1] / (1.0 - rho[-1])
         m0, m1 = m1, stream.next_end(m0, m1, last, tol, rho[-1], max_terms, lag)
     return None
 
@@ -705,12 +704,12 @@ def _geometric_walk(stream: _SeriesStream, term, tol: float, max_terms: int, m0:
 def _truncated_series(pv: ParameterVector, kind: str, tol: float, max_terms: int) -> SeriesCoefficients:
     stream = _SeriesStream(pv, kind)
     # from m = 0, which is the leading 1 at_one
-    walked = _geometric_walk(stream, lambda m, w, env: (env, (w, env), None), tol, max_terms, 0)
+    walked = _geometric_walk(stream, lambda m, w, env: (env[None], (w, env), None), tol, max_terms, 0)
     if walked is None:
         raise Nonconvergence(
             f"series {kind} for q={pv.q}, a={pv.a} still above tol={tol} after {max_terms} terms"
         )
-    (values, env), _, _ = walked
+    (values, env), *_ = walked
     values = values[1:]
     m = values.size
     drift = math.fsum((stream.rounding(np.arange(1, m + 1)) * env[1:]).tolist())

@@ -112,16 +112,17 @@ def _ill_conditioned(t: np.ndarray, cond: np.ndarray, tol: float) -> np.ndarray:
 def _moment_series(pv: ParameterVector, kind: str, term, tol: float, max_terms: int) -> list:
     """Sum the moment series of every order at once over the weights about
     u = 0 (``kind`` "at_zero") or u = 1 ("at_one"), m = 1, 2, ...: one walk
-    serves every order, and stops where the tails of all live orders are
-    below ``tol``.
+    serves every order, and stops where the last order ends.
 
     ``term`` maps arrays of m and w_m to factors f_m, one row per order,
     bounds on their rounding per unit of weight envelope, and the
     cancellation ratio of each factor, or None where nothing cancels; it is
     called once per block, in order.  The series is sum f_m w_m about zero
-    and sum (-1)^(m-1) f_m w_m about one.  An order fails at its first term
-    whose magnitude is not finite or that is _ill_conditioned, unless the
-    walk stops before it.  The weight-envelope ratio and the (m+1)/m growth
+    and sum (-1)^(m-1) f_m w_m about one.  Each order ends where a walk of
+    it alone would (see _geometric_walk), so its result does not depend on
+    the other orders; it fails at a term whose magnitude is not finite or
+    that is _ill_conditioned, unless it ends before that term.  The
+    weight-envelope ratio and the (m+1)/m growth
     of the m factor bound the rest of an order, from the largest |f_m|
     times the envelope of the last q + 1 indices; each family's other
     factors shrink with m.  The reported error is that bound plus the
@@ -157,15 +158,15 @@ def _moment_series(pv: ParameterVector, kind: str, term, tol: float, max_terms: 
     walked = _geometric_walk(stream, block_term, tol, max_terms, 1, pv.q + 1, growth=True)
     if walked is None:
         raise Nonconvergence(f"moment series ({kind.replace('_', ' ')}) exceeded {max_terms} terms")
-    (t, mag, rounding), tails, failed = walked
-    n = t.shape[1]
-    weights = mag * stream.rounding(np.arange(1.0, n + 1))  # the weights' own rounding
-    errors = tails + np.add.reduce(rounding, axis=1) + np.add.reduce(weights, axis=1)
-    failed = [False] * t.shape[0] if failed is None else failed.tolist()
-    rows = zip(t.cumsum(axis=1)[:, -1].tolist(), errors.tolist(), failed)
+    (t, mag, rounding), ends, tails, failed = walked
+    weights = mag * stream.rounding(np.arange(1.0, t.shape[1] + 1))  # the weights' own rounding
+    # each order's sums, in index order, up to its own end
+    value, rounding, weights = np.cumsum((t, rounding, weights), axis=2)[:, np.arange(t.shape[0]), ends - 1]
+    failed = [False] * ends.size if failed is None else failed.tolist()
+    rows = zip(value.tolist(), (tails + rounding + weights).tolist(), failed, ends.tolist())
     return [
         Nonconvergence(why[o]) if dead else MomentResult(value, f"series_{kind}", n, error)
-        for o, (value, error, dead) in enumerate(rows)
+        for o, (value, error, dead, n) in enumerate(rows)
     ]
 
 

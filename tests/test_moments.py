@@ -295,6 +295,22 @@ class TestOneWalk:
             res = moment_loglogistic(pv, r, method=method)
             assert abs(res.value - mp_moment(mp, LogLogistic(), a, r)) <= res.error_estimate, (r, res)
 
+    def test_each_order_ends_as_it_would_alone(self):
+        """For a = (4, 0.5, 0.5) at tol 1e-13 the inner sums of order 0.3
+        cancel past the limit before its series ends, while orders 1 and 8
+        end after 45 and 60 terms in the same walk: auto integrates order
+        0.3 alone, a pinned series raises for it, and every result is the
+        one a call for that order alone returns."""
+        from moq.moments import _unit_moment
+
+        pv, orders = validate_params(3, [4.0, 0.5, 0.5]), [0.3, 1.0, 8.0]
+        res = _unit_moment(Exponential, pv, orders, 1e-13, 1e-13, "auto")
+        assert [(r.method_used, r.terms_used) for r in res[1:]] == [("series_at_zero", 45), ("series_at_zero", 60)]
+        assert res == [moment_exponential(pv, r, tol=1e-13) for r in orders]
+        assert res[0].method_used == "quadrature"
+        with pytest.raises(Nonconvergence, match="ill-conditioned"):
+            _unit_moment(Exponential, pv, orders, 1e-13, 1e-13, "series_at_zero")
+
     def test_moment_table_ops_keep_path_and_terms(self):
         """The two series of the benchmark's moment table that one walk and
         the log ratios speed up: same path and terms, and the values of the
