@@ -29,14 +29,6 @@ from .family import ParameterVector, validate_params
 
 __all__ = ["DistributionSpec", "parse_spec", "load_spec"]
 
-_OPTIONAL_DEFAULTS = {
-    "exponential": {"scale": 1.0},
-    "weibull": {},
-    "generalized_weibull": {},
-    "loglogistic": {"scale": 1.0, "shape": 1.0},
-}
-
-
 @dataclass(frozen=True)
 class DistributionSpec:
     baseline: Baseline
@@ -71,13 +63,14 @@ def parse_spec(data: dict, source: str = "<spec>") -> DistributionSpec:
             f"{source}.baseline.family: unknown family {family!r} "
             f"(choose from {sorted(BASELINE_FAMILIES)})"
         )
-    wanted = {f.name for f in dataclasses.fields(cls)}
+    fields = dataclasses.fields(cls)
+    wanted = {f.name for f in fields}
     given = set(bl) - {"family"}
     if given - wanted:
         raise SpecError(
             f"{source}.baseline: unknown key {sorted(given - wanted)[0]!r} for {family}"
         )
-    params = dict(_OPTIONAL_DEFAULTS[family])
+    params = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
     for key in given:
         params[key] = _require_number(bl[key], f"{source}.baseline.{key}")
     missing = wanted - set(params)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import Baseline, _as_float, _ret
+from .errors import DomainError
 from .family import (
     ParameterVector, _bracket, _complement, _complement_sum, _deriv, _distortion, _ratios, _small_roots,
 )
@@ -46,13 +47,21 @@ class ExtendedDistribution:
         return _ret(_deriv(self.pv, u, s) * self.baseline.pdf(xx), scalar)
 
     def hazard(self, x):
-        # f / (1 - T) = h0 (q/S) B / sum_{k>=1} g_k w^(q-k) r^(k-1), as T' = (w + (q/S) r) B
-        # and 1 - T = s (S/D) times that sum: the baseline survival s cancels, so the
-        # hazard stays finite where s underflows, and at w = 1, r = 0 it is h0 exactly
+        """f / (1 - T) = h0 (q/S) B / sum_{k>=1} g_k w^(q-k) r^(k-1), as T' = (w + (q/S) r) B
+        and 1 - T = s (S/D) times that sum: the baseline survival s cancels, so the
+        hazard stays finite where s underflows, and at w = 1, r = 0 it is h0 exactly.
+
+        Raises DomainError where that sum is 0: at r = 0 it is g_1 = q a_1 / S,
+        which underflows for extreme a (a = (1e-300, 1e300)), and the ratio is 0/0.
+        """
         xx, u, s, scalar = self._levels(x)
         pv = self.pv
         w, r = _ratios(pv, u, s)
-        ratio = _bracket(pv, w, r) * pv.q / pv.sum_a / _complement_sum(pv, w, r)
+        den = _complement_sum(pv, w, r)
+        if not den.all():
+            raise DomainError(f"hazard at x = {float(np.extract(den == 0.0, xx)[0])!r} is 0/0: the extended "
+                              "density and survival both underflow")
+        ratio = _bracket(pv, w, r) * pv.q / pv.sum_a / den
         return _ret(ratio * self.baseline.hazard(xx), scalar)
 
     def quantile(self, p):

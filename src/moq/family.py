@@ -567,11 +567,6 @@ class _SeriesStream:
             value[(m0 + 1) % 2::2] *= -1.0
         return value, np.add.reduce(terms, axis=1) * scale
 
-    def value_and_envelope(self, m: int) -> tuple[float, float]:
-        """The weight of index m together with its envelope; see :meth:`block`."""
-        value, env = self.block(m, m + 1)
-        return float(value[0]), float(env[0])
-
     def rounding(self, m):
         """Relative bound on the float error of :meth:`block` at m.
 
@@ -648,14 +643,13 @@ def _mode_coefficients(kind: str, sig: Sequence[float]) -> dict[int, float]:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _geometric_walk(stream: _SeriesStream, term, tol: float, max_terms: int, m0: int, window: int = 1, growth=False):
     """(outputs up to the stop, and per series the number of terms it
-    takes, its tail there and, unless no term failed, whether it failed) of
-    ``term`` on blocks from m0, or None if a series is still open after
-    ``max_terms``.
+    takes, its tail there and whether it failed) of ``term`` on blocks from
+    m0, or None if a series is still open after ``max_terms``.
 
     term(m, w, env) gives magnitudes, one row per series walked together,
-    a tuple of output arrays along m, and None or a mask of the terms that
-    failed, shaped like the magnitudes; float warnings are off, as a term
-    that overflows is to be marked failed.  The tail of a series from
+    a tuple of output arrays along m, and a mask of the terms that failed,
+    shaped like the magnitudes or a constant; float warnings are off, as a
+    term that overflows is to be marked failed.  The tail of a series from
     m = q + 2 on is the largest of its last ``window`` magnitudes times
     rho / (1 - rho), rho the envelope ratio, times (m+1)/m with ``growth``.
     A series closes at its first index where that tail is below ``tol``,
@@ -663,8 +657,7 @@ def _geometric_walk(stream: _SeriesStream, term, tol: float, max_terms: int, m0:
     fails there; nothing after that counts for it.  The walk stops where
     the last series closes.
     """
-    q, lag, parts, failures, first = stream.q, window - 1, [], [], m0
-    recent = None
+    q, lag, parts, recent, live = stream.q, window - 1, [], None, True
     rho = stream.envelope_ratio(q + 2) * ((q + 3) / (q + 2) if growth else 1.0)
     # the burn-in, and what a unit magnitude at its end would take to stop
     m1 = stream.next_end(q + 3, q + 3, rho / (1.0 - rho) if rho < 1.0 else math.inf, tol, rho, max_terms, lag)
@@ -672,39 +665,35 @@ def _geometric_walk(stream: _SeriesStream, term, tol: float, max_terms: int, m0:
         m = np.arange(m0, m1, dtype=float)
         mag, out, failed = term(m, *stream.block(m0, m1))
         if recent is None:
-            recent, shut = np.zeros((mag.shape[0], lag)), False
+            recent = np.zeros((mag.shape[0], lag))
         mag = np.concatenate((recent, mag), axis=1)
         largest = np.maximum.reduce(mag[:, np.arange(window)[:, None] + np.arange(m.size)], axis=1)
         rho = stream.envelope_ratio(m) * ((m + 1) / m if growth else 1.0)
         tail = largest * rho / (1.0 - rho)
-        closes = (m >= q + 2) & (rho < 1.0) & (tail < tol)
-        if failed is not None:
-            closes |= failed
-            failures.append((m0 - first, failed))
-        shut = np.logical_or.accumulate(closes, axis=1) | shut
-        stop = np.logical_and.reduce(shut, axis=0)
-        i = int(stop.argmax())
-        if stop[i]:
-            parts.append([o[..., : i + 1] for o in (*out, closes, tail)])
-            *outs, closes, tail = parts[0] if len(parts) == 1 else [np.concatenate(o, axis=-1) for o in zip(*parts)]
+        closes = (m >= q + 2) & (rho < 1.0) & (tail < tol) | failed
+        parts.append((*out, closes & failed, closes, tail))  # closes & failed: the mask, an array even for False
+        live &= ~closes.any(axis=1)
+        if not live.any():
+            cols = parts[0] if len(parts) == 1 else [np.concatenate(c, axis=-1) for c in zip(*parts)]
+            *outs, failed, closes, tail = cols
             ends, rows = closes.argmax(axis=1), np.arange(closes.shape[0])
-            fails = np.zeros(rows.size, dtype=bool) if failures else None
-            for offset, failed in failures:  # the failed mask at each end that falls in a block with failures
-                at = ends - offset
-                inside = (at >= 0) & (at < failed.shape[1])
-                fails[inside] = failed[rows[inside], at[inside]]
-            return outs, ends + 1, tail[rows, ends], fails
-        parts.append((*out, closes, tail))
-        recent, shut = mag[:, m.size:], shut[:, -1:]
-        last = mag[~shut[:, 0], -1].max() * rho[-1] / (1.0 - rho[-1])
+            return [o[..., : ends.max() + 1] for o in outs], ends + 1, tail[rows, ends], failed[rows, ends]
+        recent = mag[:, m.size:]
+        last = mag[live, -1].max() * rho[-1] / (1.0 - rho[-1])
         m0, m1 = m1, stream.next_end(m0, m1, last, tol, rho[-1], max_terms, lag)
     return None
 
 
+@lru_cache(maxsize=256)
+def _series_stream(pv: ParameterVector, kind: str) -> _SeriesStream:
+    """The one _SeriesStream of a vector and an expansion, cached per vector."""
+    return _SeriesStream(pv, kind)
+
+
 def _truncated_series(pv: ParameterVector, kind: str, tol: float, max_terms: int) -> SeriesCoefficients:
-    stream = _SeriesStream(pv, kind)
+    stream = _series_stream(pv, kind)
     # from m = 0, which is the leading 1 at_one
-    walked = _geometric_walk(stream, lambda m, w, env: (env[None], (w, env), None), tol, max_terms, 0)
+    walked = _geometric_walk(stream, lambda m, w, env: (env[None], (w, env), False), tol, max_terms, 0)
     if walked is None:
         raise Nonconvergence(
             f"series {kind} for q={pv.q}, a={pv.a} still above tol={tol} after {max_terms} terms"

@@ -28,7 +28,7 @@ import numpy as np
 from .baselines import Baseline, Exponential, GeneralizedWeibull, LogLogistic, Weibull
 from .errors import ConditionViolated, DomainError, Nonconvergence, ToleranceNotMet
 from .extended import ExtendedDistribution
-from .family import ParameterVector, _deriv, _geometric_walk, _SeriesStream
+from .family import ParameterVector, _deriv, _geometric_walk, _series_stream
 from .oracle import integrate_semiinfinite
 
 __all__ = [
@@ -103,10 +103,12 @@ def _alternating_binomial_inner(m: np.ndarray, r: np.ndarray) -> tuple[np.ndarra
     return np.reshape(inner, abssum.shape), abssum
 
 
-def _ill_conditioned(t: np.ndarray, cond: np.ndarray, tol: float) -> np.ndarray:
-    """The terms t above tol / 1000 whose factor has a cancellation ratio
-    ``cond`` above _CANCEL_LIMIT: too large to carry its lost digits."""
-    return (cond > _CANCEL_LIMIT) & (np.abs(t) > tol * 1e-3)
+def _failed(mag: np.ndarray, t: np.ndarray, cond: np.ndarray, tol: float) -> np.ndarray:
+    """The series terms that fail their order: a magnitude ``mag`` that is
+    not finite, or a term t above tol / 1000 whose factor has a
+    cancellation ratio ``cond`` above _CANCEL_LIMIT, too large to carry its
+    lost digits."""
+    return ~np.isfinite(mag) | ((cond > _CANCEL_LIMIT) & (np.abs(t) > tol * 1e-3))
 
 
 def _moment_series(pv: ParameterVector, kind: str, term, tol: float, max_terms: int) -> list:
@@ -114,59 +116,49 @@ def _moment_series(pv: ParameterVector, kind: str, term, tol: float, max_terms: 
     u = 0 (``kind`` "at_zero") or u = 1 ("at_one"), m = 1, 2, ...: one walk
     serves every order, and stops where the last order ends.
 
-    ``term`` maps arrays of m and w_m to factors f_m, one row per order,
-    bounds on their rounding per unit of weight envelope, and the
-    cancellation ratio of each factor, or None where nothing cancels; it is
-    called once per block, in order.  The series is sum f_m w_m about zero
-    and sum (-1)^(m-1) f_m w_m about one.  Each order ends where a walk of
-    it alone would (see _geometric_walk), so its result does not depend on
-    the other orders; it fails at a term whose magnitude is not finite or
-    that is _ill_conditioned, unless it ends before that term.  The
-    weight-envelope ratio and the (m+1)/m growth
-    of the m factor bound the rest of an order, from the largest |f_m|
-    times the envelope of the last q + 1 indices; each family's other
-    factors shrink with m.  The reported error is that bound plus the
-    summed roundings of the terms, the weights' own (see
+    ``term`` maps arrays of m, w_m and their envelopes to factors f_m, one
+    row per order, bounds on their rounding per unit of weight envelope,
+    and the cancellation ratio of each factor, 1 where nothing cancels;
+    it is called once per block, in order.  The series is sum f_m w_m
+    about zero and sum (-1)^(m-1) f_m w_m about one.  Each order ends where
+    a walk of it alone would (see _geometric_walk), so its result does not
+    depend on the other orders; it fails at its first term that is
+    _failed, unless it ends before that term.  The weight-envelope ratio
+    and the (m+1)/m growth of the m factor bound the rest of an order, from
+    the largest |f_m| times the envelope of the last q + 1 indices; each
+    family's other factors shrink with m.  The reported error is that bound
+    plus the summed roundings of the terms, the weights' own (see
     _SeriesStream.rounding) included.  Returns one MomentResult per order,
-    or the Nonconvergence of an order that failed.
+    or the Nonconvergence of an order that failed, its reason read at the
+    index where it ends.
     """
-    stream = _SeriesStream(pv, kind)
-    why = {}  # order -> the reason for its first failed term
+    stream = _series_stream(pv, kind)
 
     def block_term(m, w, env):
-        f, rounding, cond = term(m, w)
+        f, rounding, cond = term(m, w, env)
         t = f * w
         if kind == "at_one":
             t[:, int(m[0]) % 2::2] *= -1.0  # the even m
         mag = np.abs(f) * env
-        out = t, mag, rounding * env
-        # the mask only where a magnitude is not finite or a ratio is large
-        if math.isfinite(mag.sum()) and (cond is None or not cond.max() > _CANCEL_LIMIT):
-            return mag, out, None
-        failed = ~np.isfinite(mag)
-        if cond is not None:
-            failed |= _ill_conditioned(t, cond, tol)
-        for o, k in np.argwhere(failed):
-            if o not in why:
-                why[o] = (
-                    f"inner alternating sum ill-conditioned at index {m[k]:.0f} (cancellation ratio {cond[o, k]:.2e})"
-                    if math.isfinite(mag[o, k])
-                    else f"moment series ({kind.replace('_', ' ')}) term at index {m[k]:.0f} is not finite"
-                )
-        return mag, out, failed
+        return mag, (t, mag, rounding * env, cond), _failed(mag, t, cond, tol)
+
+    def why(n: int, mag: float, cond: float) -> str:
+        if math.isfinite(mag):
+            return f"inner alternating sum ill-conditioned at index {n} (cancellation ratio {cond:.2e})"
+        return f"moment series ({kind.replace('_', ' ')}) term at index {n} is not finite"
 
     walked = _geometric_walk(stream, block_term, tol, max_terms, 1, pv.q + 1, growth=True)
     if walked is None:
         raise Nonconvergence(f"moment series ({kind.replace('_', ' ')}) exceeded {max_terms} terms")
-    (t, mag, rounding), ends, tails, failed = walked
+    (t, mag, rounding, cond), ends, tails, failed = walked
     weights = mag * stream.rounding(np.arange(1.0, t.shape[1] + 1))  # the weights' own rounding
     # each order's sums, in index order, up to its own end
     value, rounding, weights = np.cumsum((t, rounding, weights), axis=2)[:, np.arange(t.shape[0]), ends - 1]
-    failed = [False] * ends.size if failed is None else failed.tolist()
-    rows = zip(value.tolist(), (tails + rounding + weights).tolist(), failed, ends.tolist())
+    results = zip(value.tolist(), (tails + rounding + weights).tolist(), failed.tolist(), ends.tolist())
     return [
-        Nonconvergence(why[o]) if dead else MomentResult(value, f"series_{kind}", n, error)
-        for o, (value, error, dead, n) in enumerate(rows)
+        Nonconvergence(why(n, mag[o, n - 1], cond[o, n - 1])) if dead
+        else MomentResult(value, f"series_{kind}", n, error)
+        for o, (value, error, dead, n) in enumerate(results)
     ]
 
 
@@ -207,7 +199,7 @@ def _m_beta(orders: list[float], kind: str):
     c = np.array([[x - 1.0 if kind == "at_zero" else -1.0 - x] for x in orders])
     carry = [0.0, 0.0]  # log B and its error in eps at the index before the block
 
-    def term(m: np.ndarray, w: np.ndarray):
+    def term(m: np.ndarray, w: np.ndarray, env: np.ndarray):
         x = c / m
         step = np.log1p(x)
         err = -3.0 * x / (1.0 + x)
@@ -221,7 +213,7 @@ def _m_beta(orders: list[float], kind: str):
         carry[:] = log_b[:, -1], err[:, -1]
         err = _EPS * err
         f = m * np.exp(log_b)
-        return f, (err * (1.0 + err) + 2.0 * _EPS) * f, None
+        return f, (err * (1.0 + err) + 2.0 * _EPS) * f, np.ones_like(f)
 
     return term
 
@@ -244,8 +236,7 @@ def _gamma_factors(orders: list[float], kind: str, tol: float):
     eps (4 |lgamma| + 8) of itself plus m eps per unit of C_m's absolute
     terms.  About zero, the inner sums of a block are formed at most
     _INNER_CELLS terms at a time, and no further once every order has a
-    term that is not finite or is _ill_conditioned at the absolute
-    tolerance ``tol``.
+    term that is _failed at the absolute tolerance ``tol``.
     """
     lg = [math.lgamma(1.0 + x) for x in orders]
     # per order: Gamma(1 + r) (OverflowError past 171.6), its error bound in eps, and -r
@@ -254,24 +245,24 @@ def _gamma_factors(orders: list[float], kind: str, tol: float):
     if kind == "at_one":
         neg_r, rel_err = cols[:, 2:], _EPS * pref_err
 
-        def at_one(m: np.ndarray, w: np.ndarray):
+        def at_one(m: np.ndarray, w: np.ndarray, env: np.ndarray):
             f = pref * m**neg_r
-            return f, rel_err * f, None
+            return f, rel_err * f, np.ones_like(f)
 
         return at_one
 
     r = np.array(orders)
 
-    def at_zero(m: np.ndarray, w: np.ndarray):
+    def at_zero(m: np.ndarray, w: np.ndarray, env: np.ndarray):
         step, parts, dead = max(1, _INNER_CELLS // (r.size * int(m[-1]))), [], False
         for i in range(0, m.size, step):
-            mi = m[i: i + step]
+            cut = slice(i, i + step)
+            mi = m[cut]
             inner, abssum = _alternating_binomial_inner(mi, r)
             f = pref * mi * inner
             parts.append((f, pref * mi * abssum * _EPS * (mi + pref_err), abssum / np.abs(inner)))
             if i + step < m.size:
-                t = f * w[i: i + step]
-                dead |= (~np.isfinite(t) | _ill_conditioned(t, parts[-1][2], tol)).any(axis=1)
+                dead |= _failed(np.abs(f) * env[cut], f * w[cut], parts[-1][2], tol).any(axis=1)
                 if np.all(dead):  # the rest of the block is NaN, a failure
                     parts.append([np.full((r.size, m.size - i - step), np.nan)] * 3)
                     break

@@ -1,7 +1,7 @@
 """Independent numerical machinery used to cross-check the analytic paths.
 
-Adaptive Gauss-Kronrod quadrature on semi-infinite domains, log-gamma and
-Beta, and Kolmogorov-Smirnov statistics.  Nothing in this module touches
+Adaptive Gauss-Kronrod quadrature on semi-infinite domains and
+Kolmogorov-Smirnov statistics.  Nothing in this module touches
 the series machinery it is used to validate: the whole point is that a
 series value and a quadrature value reaching agreement is evidence, not
 tautology.
@@ -21,8 +21,6 @@ from .errors import DomainError, ToleranceNotMet
 __all__ = [
     "QuadratureResult",
     "integrate_semiinfinite",
-    "log_gamma",
-    "beta_fn",
     "ks_one_sample",
     "ks_two_sample",
     "ks_threshold_one_sample",
@@ -53,6 +51,11 @@ _GW[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 _EPS = np.finfo(float).eps
 
+# The tail panels at u <= _FAR_U, x >= lo + 1e150, may carry at most the
+# tail's tol: an integrand that still has mass there is not integrable in
+# doubles, as (1 + x)^2 overflows from x = 1.3e154.
+_FAR_U = 1e-150
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -78,26 +81,29 @@ def _gk15(f: Callable, a: float, b: float) -> tuple[float, float]:
     return resk, err
 
 
-def _adaptive(f: Callable, a: float, b: float, tol: float, max_panels: int) -> tuple[float, float, int]:
+def _adaptive(f: Callable, a: float, b: float, tol: float, max_panels: int,
+              far: float = -math.inf) -> tuple[float, float, int, float]:
     """Adaptive bisection of [a, b] until the summed panel errors drop below tol.
 
     The worst panel is split first; panels near machine width are frozen,
     which makes termination unconditional.  Integrable endpoint
     singularities are handled by the refinement piling panels toward the
     offending end (the open 15-point rule never evaluates an endpoint).
+    Returns the value, the error estimate, the evaluations, and the
+    absolute mass of the panels that end at or below ``far``.
     """
     val, err = _gk15(f, a, b)
     evals = 15
     counter = 0
     active = [(-err, counter, a, b, val, err)]
-    frozen: list[tuple[float, float]] = []
+    frozen = []
     err_sum = err
 
     while active and err_sum > tol and evals < 15 * max_panels:
         _, _, pa, pb, pval, perr = heapq.heappop(active)
         pm = 0.5 * (pa + pb)
         if not (pa < pm < pb):
-            frozen.append((pval, perr))
+            frozen.append((pa, pb, pval, perr))
             continue
         v1, e1 = _gk15(f, pa, pm)
         v2, e2 = _gk15(f, pm, pb)
@@ -108,14 +114,15 @@ def _adaptive(f: Callable, a: float, b: float, tol: float, max_panels: int) -> t
         counter += 1
         heapq.heappush(active, (-e2, counter, pm, pb, v2, e2))
 
-    value = math.fsum(v for v, _ in frozen) + math.fsum(item[4] for item in active)
-    err = math.fsum(e for _, e in frozen) + math.fsum(item[5] for item in active)
+    active = [item[2:] for item in active]
+    value = math.fsum(v for *_, v, _ in frozen) + math.fsum(v for *_, v, _ in active)
+    err = math.fsum(e for *_, e in frozen) + math.fsum(e for *_, e in active)
     # a NaN estimate (from a non-finite integrand) compares false with tol
     if not err <= tol:
         raise ToleranceNotMet(
             f"quadrature error estimate {err:.3e} above tol {tol:.3e} after {evals} evaluations"
         )
-    return value, err, evals
+    return value, err, evals, math.fsum(abs(v) for _, pb, v, _ in frozen + active if pb <= far)
 
 
 def integrate_semiinfinite(
@@ -133,13 +140,13 @@ def integrate_semiinfinite(
     become endpoint singularities at u = 0, where subdivision has the full
     density of floats available to it.
 
-    Raises ToleranceNotMet if the refinement budget is exhausted first, or
-    if the error estimate is not a number (a non-finite integrand).
-
-    The integrand must be integrable on [lo, inf): nothing here detects a
-    divergent one.  x / (1 + x)^2, whose integral grows like log x, comes
-    back as a finite value (about 353.89) with an error estimate near
-    5e-11.
+    Raises ToleranceNotMet if the refinement budget is exhausted first, if
+    the error estimate is not a number (a non-finite integrand), or if the
+    tail panels beyond x = lo + 1e150 carry more than half of tol: there
+    the integrand decays too slowly to be integrated in doubles, as where
+    it is not integrable.  x / (1 + x)^2, whose integral grows like log x,
+    would otherwise come back as about 353.89 with an error estimate near
+    5e-11, cut off where (1 + x)^2 overflows.
     """
     if not math.isfinite(lo):
         raise DomainError("lower limit must be finite")
@@ -150,25 +157,12 @@ def integrate_semiinfinite(
     def tail(u):
         return np.asarray(f(lo + 1.0 / u), dtype=float) / (u * u)
 
-    v1, e1, n1 = _adaptive(head, 0.0, 1.0, 0.5 * tol, max_panels)
-    v2, e2, n2 = _adaptive(tail, 0.0, 1.0, 0.5 * tol, max_panels)
+    v1, e1, n1, _ = _adaptive(head, 0.0, 1.0, 0.5 * tol, max_panels)
+    v2, e2, n2, far = _adaptive(tail, 0.0, 1.0, 0.5 * tol, max_panels, far=_FAR_U)
+    if far > 0.5 * tol:
+        raise ToleranceNotMet(f"the integrand carries {far:.3e} beyond x = lo + 1e150, above tol / 2 = "
+                              f"{0.5 * tol:.3e}: it decays too slowly to integrate in doubles, or diverges")
     return QuadratureResult(value=v1 + v2, error_estimate=e1 + e2, evaluations=n1 + n2)
-
-
-def log_gamma(x):
-    """Natural log of the gamma function for x > 0, elementwise over arrays."""
-    if isinstance(x, np.ndarray):
-        if not np.all(np.isfinite(x) & (x > 0)):
-            raise DomainError("log_gamma requires x > 0 at every element")
-        return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
-def beta_fn(p, q):
-    """Beta(p, q) for p, q > 0, via log-gamma, elementwise over arrays."""
-    return np.exp(log_gamma(p) + log_gamma(q) - log_gamma(p + q))
 
 
 def ks_one_sample(values: Sequence[float], cdf: Callable) -> float:

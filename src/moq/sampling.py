@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConditionViolated, DomainError, EnvelopeViolation, Nonconvergence
 from .extended import ExtendedDistribution
-from .family import _EPS, ParameterVector, _SeriesStream, distortion_deriv
+from .family import _EPS, ParameterVector, _series_stream, distortion_deriv
 from .baselines import Baseline
 
 __all__ = [
@@ -58,17 +58,14 @@ class RandomSource:
     """A named, reproducible stream of randomness (PCG64 under the hood)."""
 
     seed: int
-    algorithm: str = "pcg64"
 
     def generator(self) -> np.random.Generator:
-        if self.algorithm != "pcg64":
-            raise DomainError(f"unknown generator algorithm {self.algorithm!r}")
         return np.random.Generator(np.random.PCG64(self.seed))
 
     def spawn(self, n: int) -> list["RandomSource"]:
         """Derive ``n`` independent child sources deterministically."""
         states = np.random.SeedSequence(self.seed).generate_state(n, dtype=np.uint64)
-        return [RandomSource(int(s), self.algorithm) for s in states]
+        return [RandomSource(int(s)) for s in states]
 
 
 @dataclass(frozen=True)
@@ -194,7 +191,7 @@ class _CountTable:
     """
 
     def __init__(self, pv: ParameterVector):
-        self.stream = _SeriesStream(pv, "at_zero")
+        self.stream = _series_stream(pv, "at_zero")
         self.cum = self.stream.block(1, 2)[0]
         self.lock = threading.Lock()
 

@@ -223,6 +223,23 @@ class TestHazard:
         assert ed.hazard(1e4) == 1.0
         np.testing.assert_array_equal(ed.hazard(np.array([800.0, 1e4])), [1.0, 1.0])
 
+    def test_underflowing_ratio_is_a_domain_error(self):
+        """For a = (1e-300, 1e300), g_1 = q a_1 / S underflows, and from
+        x = 745.2 so does the baseline survival: there the hazard is 0/0
+        (its true value is 2), a DomainError that names the first such x,
+        while at x = 0.5 and 10 it keeps its values."""
+        mp = pytest.importorskip("mpmath")
+        a = (1e-300, 1e300)
+        ed = ExtendedDistribution(Exponential(1.0), validate_params(2, a))
+        with mp.workdps(700):
+            for x in (0.5, 10.0):
+                exact = mp_hazard(mp, a, mp.mpf(1), mp.exp(-mp.mpf(x)))
+                assert abs(ed.hazard(x) - exact) <= 1e-13 * exact, x
+        np.testing.assert_array_equal(ed.hazard(np.array([0.5, 10.0])), [ed.hazard(0.5), ed.hazard(10.0)])
+        for x in (750.0, np.array([700.0, 750.0, 800.0])):
+            with pytest.raises(DomainError, match=r"hazard at x = 750\.0 is 0/0"):
+                ed.hazard(x)
+
     @pytest.mark.parametrize("x", [26.5, 53.0, 60.0, 100.0, 1000.0])
     def test_two_wave_hazard_past_survival_underflow(self, x):
         """The survival of the two-wave spec is below 1e-300 from x = 53 on,

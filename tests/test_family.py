@@ -353,7 +353,7 @@ class TestSeriesStream:
         with mp.workdps(50):
             pref, srat = mp.exp(mp.mpf(stream.log_pref)), mp.mpf(stream.srat)
             for m in range(1, terms + 1):
-                value, env = stream.value_and_envelope(m)
+                value, env = np.ravel(stream.block(m, m + 1)).tolist()
                 modes = [
                     mp.mpf(c) * mp.binomial(m - j + q - 1, q - 1) * srat ** (m - j)
                     for j, c in stream.coeff.items()

@@ -311,6 +311,23 @@ class TestOneWalk:
         with pytest.raises(Nonconvergence, match="ill-conditioned"):
             _unit_moment(Exponential, pv, orders, 1e-13, 1e-13, "series_at_zero")
 
+    def test_failed_orders_keep_their_own_reason(self):
+        """For a = (4, 0.5, 0.5) at tol 1e-13 the inner sums of order 0.3
+        cancel past the limit at index 42, and the terms of order 170
+        overflow from index 25, while order 1 ends after 45 terms: in one
+        walk each failed order gives the Nonconvergence that a walk of it
+        alone raises, and order 1 the result it gives alone."""
+        from moq.moments import _gamma_factors, _moment_series
+
+        pv, orders, tol = validate_params(3, [4.0, 0.5, 0.5]), [0.3, 170.0, 1.0], 1e-13
+        joint = _moment_series(pv, "at_zero", _gamma_factors(orders, "at_zero", tol), tol, 10**5)
+        for r, res in zip(orders[:2], joint):
+            with pytest.raises(Nonconvergence) as alone:
+                moment_exponential(pv, r, tol=tol, method="series_at_zero")
+            assert isinstance(res, Nonconvergence) and str(res) == str(alone.value)
+        assert "ill-conditioned at index 42" in str(joint[0]) and "term at index 25 is not finite" in str(joint[1])
+        assert joint[2] == moment_exponential(pv, 1.0, tol=tol, method="series_at_zero")
+
     def test_moment_table_ops_keep_path_and_terms(self):
         """The two series of the benchmark's moment table that one walk and
         the log ratios speed up: same path and terms, and the values of the

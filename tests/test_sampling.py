@@ -372,7 +372,3 @@ class TestRandomSource:
         kids2 = RandomSource(5).spawn(4)
         assert [k.seed for k in kids1] == [k.seed for k in kids2]
         assert len({k.seed for k in kids1}) == 4
-
-    def test_unknown_algorithm(self):
-        with pytest.raises(DomainError):
-            RandomSource(1, algorithm="mt19937").generator()
