@@ -197,15 +197,25 @@ class LogLogistic(Baseline):
     def _H_inv(self, y):
         return np.expm1(y) ** (1.0 / self.shape)
 
+    def pdf(self, x):
+        return self._tail_rate(x, True)
+
     def hazard(self, x):
-        """As for every family below z = 1; above it k / z / (1 + z^-k) / scale
-        directly, as exp(log H') loses about |log z| eps to the rounding of
-        its exponent there."""
+        return self._tail_rate(x, False)
+
+    def _tail_rate(self, x, density: bool):
+        """As for every family below z = 1; above it the hazard k / z / (1 + z^-k)
+        / scale and the density k z^(-k-1) / (1 + z^-k)^2 / scale directly, as
+        exp(log H' - H) loses about |log z| eps to the rounding of its exponent
+        there."""
         xx, scalar = _as_float(x)
         z = xx / self.scale
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            tail = self.shape / z / (1.0 + z ** -self.shape) / self.scale
-        return _ret(np.where(z > 1.0, tail, self._rate(xx, False)), scalar)
+            zk = z ** -self.shape
+            tail = self.shape / z / (1.0 + zk) / self.scale
+            if density:
+                tail *= zk / (1.0 + zk)
+        return _ret(np.where(z > 1.0, tail, self._rate(xx, density)), scalar)
 
     def _odds(self, x, sign: float):
         xx, scalar = _as_float(x)

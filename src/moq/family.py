@@ -265,11 +265,13 @@ def distortion_inverse(pv: ParameterVector, p, *, survival: bool = False, split:
     the root, as T_c(1/2) = 2^-q prod (1 + c_i) decides, and the residual is
     T_c - p where p <= 1/2, else (1 - T_c) - (1 - p), from :func:`distortion`
     and :func:`distortion_complement` of c.  All levels form one active set,
-    started from a cached table on log levels; Newton steps stay inside each
-    bracket (rtsafe, Press et al., *Numerical Recipes*, §9.4), else bisect,
-    until the step is below tol = 1e-12 times the iterate, or sqrt(tol) / 100
-    times it for a step inside the bracket, which leaves an error of the
-    order of its square.
+    started from a cached cubic table on log levels (:func:`_start_table`);
+    Newton steps stay inside each bracket (rtsafe, Press et al., *Numerical
+    Recipes*, §9.4), else bisect, until the step is below tol = 1e-12 times
+    the iterate, or sqrt(tol) / 100 times it for a step inside the bracket,
+    which leaves an error of the order of its square.  The start errs by a
+    few 1e-9 at most in the logit of the root, so the first step is below
+    that bound and one pass ends nearly every level.
 
     Raises
     ------
@@ -291,30 +293,68 @@ def _small_roots(pv: ParameterVector, level, survival: bool):
     return distortion_inverse(pv, level, survival=survival, split=True)
 
 
-# Cells of the start table; beyond its end nodes, w or r = 4.2e-18 (logit
-# 40), T and 1 - T are linear to rounding unless some a_i is extreme.
-_START_CELLS = 512
+# Cells of the start table per level side.  The cubic errs as the fourth
+# power of the cell: at 4096 cells by at most 1.5e-9 in the logit on the
+# benchmark's sampling specs and 4.8e-9 on 100 random vectors (q <= 6, a
+# log-uniform in [1e-3, 1e3]), below the 1e-8 of the one-pass stop; 2048
+# left 1.02 passes per level on the two-wave spec.
+# Beyond the first node, w or r = 4.2e-18 (logit 40), T and 1 - T are linear
+# to rounding unless some a_i is extreme.
+_START_CELLS = 4096
 
 
-@lru_cache(maxsize=256)
+def _log_distortion(pc: ParameterVector, w: np.ndarray, r: np.ndarray):
+    """log T_c and its derivative in the logit t of w at the ratios (w, r), for
+    c of S = q: a sum of logs, and w r T' / T = r B / P (see distortion_deriv)
+    as a sum of terms >= 0, so neither cancels nor underflows for large q."""
+    c, k, _ = _weights(pc)
+    log_t, acc, f = np.log(w), np.zeros_like(w), np.empty_like(w)
+    for ci, ki in zip(c, k):
+        np.add(w, np.multiply(r, ci, out=f), out=f)
+        acc += ki / f
+        log_t += np.log(f)
+    return log_t, r * (r + pc.a[0] * w + w * r * acc)
+
+
+@lru_cache(maxsize=64)
 @np.errstate(all="ignore")
 def _start_table(pv: ParameterVector):
     """c of distortion_inverse, its sum set to q so that w takes no rounding; T_c and
-    1 - T_c at w = 1/2; per level side the logit of w at the root on log levels in
-    equal cells up to log(1/2): (least, cells per unit, value, slope).  log T_c,
-    a sum of logs, does not underflow for large q."""
+    1 - T_c at w = 1/2; per level side the logit t of w at the root on log levels y
+    in equal cells up to log(1/2), as a cubic in the fraction of a cell:
+    (least, cells per unit, coefficients of shape (4, cells), constant term first).
+    Each node's t takes two Newton steps in t from a linear interpolation on a
+    grid of t, which leave it to rounding.  A cell's cubic is the Hermite one
+    of its end nodes' t and dt/dy, from :func:`_log_distortion`: 1 / (d log
+    T_c / dt), or on the 1 - T_c side -(1 - T_c) / (T_c d log T_c / dt).  A
+    table holds 262 kB, so the cache keeps 64.  The coefficients are gathered
+    row by row: as one (levels, 4) block, 1e5 levels would take 3.2 MB that
+    malloc maps afresh, page faults included, on every call."""
     pc = ParameterVector(pv.q, tuple(pv.q * (ai / pv.sum_a) for ai in pv.a), float(pv.q))
     half = np.full(1, 0.5)
     sides = _distortion(pc, half, half)[0], _complement(pc, half, half)[0]
-    t = np.linspace(-40.0, 40.0, 8 * _START_CELLS + 1)
+    t = np.linspace(-40.0, 40.0, 4097)  # interpolated on it, a node's t starts within about 3e-5
     w, r = 1.0 / (1.0 + np.exp(-t)), 1.0 / (1.0 + np.exp(t))
-    log_t = np.log(w) + sum(np.log(w + ci * r) for ci in _weights(pc)[0])
-    tables = []
-    for y, logit in ((log_t, t), (np.log(_complement(pc, w, r))[::-1], t[::-1])):
+    ends, nodes, roots = [], [], []
+    for y, logit in ((_log_distortion(pc, w, r)[0], t), (np.log(_complement(pc, w, r))[::-1], t[::-1])):
         y, logit = y[np.isfinite(y)], logit[np.isfinite(y)]
         cell = (math.log(0.5) - y[0]) / _START_CELLS
-        roots = np.interp(y[0] + cell * np.arange(_START_CELLS + 1), y, logit)
-        tables.append((y[0], 1.0 / cell, roots[:-1], np.diff(roots)))
+        ends.append((y[0], cell))
+        nodes.append(y[0] + cell * np.arange(_START_CELLS + 1))
+        roots.append(np.interp(nodes[-1], y, logit))
+    n, nodes, t = _START_CELLS + 1, np.concatenate(nodes), np.concatenate(roots)
+    for _ in range(2):  # on both sides at once, the 1 - T_c side from t[n] on
+        w, r = 1.0 / (1.0 + np.exp(-t)), 1.0 / (1.0 + np.exp(t))
+        y, slope = _log_distortion(pc, w, r)
+        comp = _complement(pc, w[n:], r[n:])
+        slope[n:] *= -np.exp(y[n:]) / comp  # d log(1 - T) / dt = -T / (1 - T) d log T / dt
+        y[n:] = np.log(comp)
+        t -= (y - nodes) / slope
+    # dt per cell at each node, from before the last step, which moves t by a few 1e-10 at most
+    dt = np.repeat([cell for _, cell in ends], n) / slope
+    rise = np.diff(t)
+    coef = np.stack((t[:-1], dt[:-1], 3.0 * rise - 2.0 * dt[:-1] - dt[1:], dt[:-1] + dt[1:] - 2.0 * rise))
+    tables = [(least, 1.0 / cell, part) for (least, cell), part in zip(ends, (coef[:, : n - 1], coef[:, n:]))]
     return pc, sides, tables
 
 
@@ -332,17 +372,26 @@ def _newton(pv: ParameterVector, level: np.ndarray, survival: bool):
     idx = np.argsort(key, kind="stable")
     b1, b2, b3 = np.cumsum(np.bincount(key, minlength=4))[:3].tolist()
     lam = small[idx]
-    # the start: logit t of w from the level side's table, x = w = 1 / (1 + e^-t) or r = 1 - w
+    # the start: logit t of w from the level side's table, x = w = 1 / (1 + e^-t) or r = 1 - w;
+    # below the first node only the linear term counts, as T and 1 - T are linear there
     x = np.empty_like(level)
-    for part, (least, per_cell, cells, slopes) in zip((slice(0, b2), slice(b2, None)), tables):
+    for part, (least, per_cell, coef) in zip((slice(0, b2), slice(b2, None)), tables):
         pos = (np.log(lam[part]) - least) * per_cell
         k = np.fmin(np.fmax(pos, 0.0), _START_CELLS - 1).astype(np.intp)
-        x[part] = cells[k] + (pos - k) * slopes[k]
+        frac = pos - k
+        cubic = np.fmax(frac, 0.0)
+        start = coef[3][k]
+        start *= cubic
+        start += coef[2][k]
+        start *= cubic
+        start += coef[1][k]
+        start *= frac
+        x[part] = np.add(start, coef[0][k], out=start)
     x[b1:b3] *= -1.0
     np.fmin(np.fmax(1.0 / (1.0 + np.exp(-x)), 5e-324), 0.5, out=x)
     # bracket [0, 1] in every group, as a root at 1/2 may round past it
     cols, root = [x, np.full_like(x, 5e-324), np.ones_like(x), np.ones_like(x), lam, idx], np.empty_like(x)
-    del small, on_c, key, pos, k, x, lam, idx
+    del small, on_c, key, pos, k, frac, cubic, start, x, lam, idx
     for it in range(max_iter):
         x, lo, hi, step, lam, idx = cols
         w = np.concatenate((x[:b1], 1.0 - x[b1:b3], x[b3:]))

@@ -539,7 +539,7 @@ class TestInverseAccuracy:
             _small_roots(pv, level[:1], on_c)  # builds the cached start table
             passes["n"] = 0
             x, upper = _small_roots(pv, level, on_c)
-            assert passes["n"] <= 10
+            assert passes["n"] == 1
             u, s = np.where(upper, 1.0 - x, x), np.where(upper, x, 1.0 - x)
             w = q * u / (q * u + big_s * s)
             assert np.all((1.0 - w if up else w) <= 0.5 + 1e-15)  # a root at 1/2 may land an ulp past it
@@ -654,6 +654,66 @@ class TestInverseAccuracy:
         x, upper = _small_roots(pv, p, False)
         assert upper.all()
         np.testing.assert_allclose(distortion_complement(pv, x), 1.0 - p, rtol=1e-14)
+
+
+class TestStartTable:
+    """The cubic start of the inversion: one Newton pass per level, the
+    start being accurate to far below the sqrt(tol) / 100 stop."""
+
+    @pytest.mark.parametrize("a", SAMPLED_SPECS, ids=lambda a: f"q{len(a)}-{a[0]:g}")
+    def test_one_pass_per_call(self, a, monkeypatch):
+        """1e5 uniform levels, as the inverse-cdf sampler draws them."""
+        from moq import ExtendedDistribution, Exponential
+        from moq.family import _start_table
+
+        pv = validate_params(len(a), a)
+        ed = ExtendedDistribution(Exponential(1.0), pv)
+        _start_table(pv)  # built first: its passes are not the calls'
+        passes = count_passes(monkeypatch)
+        levels = np.random.default_rng(19).uniform(size=100_000)
+        for inverse in (ed.quantile, ed.isf):
+            passes["n"] = 0
+            inverse(levels)
+            assert passes["n"] == 1, inverse.__name__
+
+    @pytest.mark.parametrize("a", [SAMPLED_SPECS[0], SAMPLED_SPECS[1], SAMPLED_SPECS[5]], ids=lambda a: f"q{len(a)}")
+    def test_one_pass_in_both_tails(self, a, monkeypatch):
+        """Below the first node, at logit 40 from 1/2, the start goes on
+        linearly in the log level, as T and 1 - T are linear there; a cubic
+        would run away over hundreds of decades."""
+        from moq.family import _small_roots, _start_table
+
+        pv = validate_params(len(a), a)
+        _start_table(pv)
+        passes = count_passes(monkeypatch)
+        for survival in (False, True):
+            for level in (1e-30, 1e-100, 1e-300, 1.0 - 1e-12):
+                passes["n"] = 0
+                _small_roots(pv, np.array([level]), survival)
+                assert passes["n"] == 1, (survival, level)
+
+    @pytest.mark.parametrize("a", SAMPLED_SPECS, ids=lambda a: f"q{len(a)}-{a[0]:g}")
+    def test_nodes_solved_to_rounding(self, a):
+        """At each node's logit t, 60-digit T (or 1 - T on its side) of
+        w = 1 / (1 + e^-t) gives back the node's log level y within
+        (q + 4) eps max(1, |y|): the rounding of a sum of q + 1 logs.
+        Every 16th node and the last 16 are checked."""
+        mp = pytest.importorskip("mpmath")
+        from moq.family import _START_CELLS, _start_table
+
+        eps, q = np.finfo(float).eps, len(a)
+        _, _, tables = _start_table(validate_params(q, a))
+        with mp.workdps(60):
+            big_s = mp.fsum(mp.mpf(x) for x in a)
+            c = [q * mp.mpf(x) / big_s for x in a[1:]]
+            for on_c, (least, _, coef) in zip((False, True), tables):
+                t = np.append(coef[0], coef[:, -1].sum())  # the last node closes the last cell
+                y = least + (math.log(0.5) - least) / _START_CELLS * np.arange(_START_CELLS + 1)
+                for k in np.r_[0 : _START_CELLS : 16, _START_CELLS - 15 : _START_CELLS + 1]:
+                    w = 1 / (1 + mp.exp(-mp.mpf(float(t[k]))))
+                    level = w * mp.fprod(w + ci * (1 - w) for ci in c)
+                    got = mp.log(1 - level if on_c else level)
+                    assert abs(got - mp.mpf(float(y[k]))) <= (q + 4) * eps * max(1.0, abs(y[k])), (on_c, k)
 
 
 class TestComposition:
