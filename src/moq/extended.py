@@ -6,11 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import family
 from .baselines import Baseline, _as_float, _ret
 from .errors import DomainError
-from .family import (
-    ParameterVector, _bracket, _complement, _complement_sum, _deriv, _distortion, _ratios, _small_roots,
-)
+from .family import ParameterVector, _bracket, _complement, _complement_sum, _deriv, _distortion, _ratios
 
 __all__ = ["ExtendedDistribution"]
 
@@ -75,7 +74,8 @@ class ExtendedDistribution:
         # a root u of T at most 1/2 maps through the baseline quantile, a
         # root s = 1 - u through the baseline isf
         scalar = np.ndim(level) == 0
-        x, upper = _small_roots(self.pv, level, survival)  # checks the level
+        # through the module, so that wrappers installed on it see the call; it checks the level
+        x, upper = family.distortion_inverse(self.pv, level, survival=survival, split=True)
         x = np.fmax(x, np.finfo(float).tiny)  # roots that underflow (extreme a only)
         val = np.empty_like(x)
         if not upper.all():

@@ -288,11 +288,6 @@ def distortion_inverse(pv: ParameterVector, p, *, survival: bool = False, split:
     return _ret(u, scalar)
 
 
-def _small_roots(pv: ParameterVector, level, survival: bool):
-    """distortion_inverse with ``split``, called by name so that wrappers installed on it see it."""
-    return distortion_inverse(pv, level, survival=survival, split=True)
-
-
 # Cells of the start table per level side.  The cubic errs as the fourth
 # power of the cell: at 4096 cells by at most 1.5e-9 in the logit on the
 # benchmark's sampling specs and 4.8e-9 on 100 random vectors (q <= 6, a
@@ -525,7 +520,7 @@ class SeriesCoefficients:
 
 class _SeriesStream:
     """Block evaluator for the series weights, shared by the truncated
-    builders, the moment series, and the lazily extended sampling tables.
+    builders (the samplers' count CDF among them) and the moment series.
 
     Each weight of index m is a finite sum over shifts j of
 

@@ -19,15 +19,14 @@ concurrently.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConditionViolated, DomainError, EnvelopeViolation, Nonconvergence
+from .errors import ConditionViolated, DomainError, EnvelopeViolation
 from .extended import ExtendedDistribution
-from .family import _EPS, ParameterVector, _series_stream, distortion_deriv
+from .family import _EPS, ParameterVector, distortion_deriv, series_at_zero
 from .baselines import Baseline
 
 __all__ = [
@@ -182,59 +181,31 @@ def sample_accept_reject(
     return SampleBatch(values=values, sampler="accept-reject", seed=rng.seed, n_proposed=proposed)
 
 
-class _CountTable:
-    """Lazily extended cumulative sums of the series-at-zero weights.
-
-    Append-only: readers take the current array, writers replace it by a
-    longer one, so concurrent draws over the same parameter vector stay
-    consistent.
-    """
-
-    def __init__(self, pv: ParameterVector):
-        self.stream = _series_stream(pv, "at_zero")
-        self.cum = self.stream.block(1, 2)[0]
-        self.lock = threading.Lock()
-
-    def extended_to(self, target: float, max_terms: int) -> np.ndarray:
-        if self.cum[-1] <= target:
-            with self.lock:
-                while self.cum[-1] <= target:
-                    m1 = self.cum.size + 1
-                    if m1 > max_terms:
-                        raise Nonconvergence(
-                            f"count distribution stalled at mass {self.cum[-1]} after {max_terms} terms"
-                        )
-                    # the mass left, 1 - cum, falls geometrically to 1 - target
-                    rho = self.stream.envelope_ratio(m1 - 1) if m1 > self.stream.q + 1 else math.inf
-                    end = self.stream.next_end(1, m1, 1.0 - self.cum[-1], 1.0 - target, rho, max_terms)
-                    more = np.concatenate((self.cum[-1:], self.stream.block(m1, end)[0])).cumsum()
-                    self.cum = np.concatenate((self.cum, more[1:]))
-        return self.cum
-
-
 @lru_cache(maxsize=256)
-def _count_table(pv: ParameterVector) -> _CountTable:
+def _count_cdf(pv: ParameterVector, max_terms: int) -> np.ndarray:
+    """Cumulative sums of the series-at-zero weights, from the one series
+    walk, up to where the mass left is below 2^-53, the resolution of a
+    uniform draw.  Cached per vector and term budget."""
     if not pv.pmf_ok:
         raise ConditionViolated(
             "random sample counts require sum(a) >= q and a_i <= 1 for i >= 2 "
             f"(weights are not a pmf for a = {pv.a})"
         )
-    return _CountTable(pv)
+    return np.cumsum(series_at_zero(pv, 2.0**-53, max_terms).values)
 
 
 def _draw_counts(pv: ParameterVector, gen: np.random.Generator, n: int, max_terms: int) -> np.ndarray:
-    """n counts from n uniforms of ``gen``; the table extends just far
-    enough to cover the largest uniform drawn."""
-    table = _count_table(pv)
-    u = gen.random(n)
-    cum = table.extended_to(float(u.max()), max_terms)
-    return np.searchsorted(cum, u, side="right") + 1
+    """n counts from n uniforms of ``gen`` by the count CDF; a uniform above
+    its last sum takes the count one past the table."""
+    return np.searchsorted(_count_cdf(pv, max_terms), gen.random(n), side="right") + 1
 
 
 def sample_count(pv: ParameterVector, rng: RandomSource, n: int | None = None, max_terms: int = 10**6):
     """Draw the random baseline-draw count N with P(N = m) = series weight m.
 
     Returns a single int for ``n=None``, otherwise an int array of length n.
+    ``max_terms`` bounds the terms of the count CDF; a vector whose weights
+    need more raises :class:`Nonconvergence`.
     """
     counts = _draw_counts(pv, rng.generator(), 1 if n is None else int(n), max_terms)
     return int(counts[0]) if n is None else counts
@@ -243,20 +214,18 @@ def sample_count(pv: ParameterVector, rng: RandomSource, n: int | None = None, m
 def sample_random_maxima(ed: ExtendedDistribution, rng: RandomSource, n: int) -> SampleBatch:
     """Draw ``n`` values as maxima of random-size batches of baseline draws.
 
-    Only valid in the pmf regime; outside it the weights are signed and the
-    construction has no sampling meaning, so this refuses rather than
-    renormalizing.
+    The maximum of N uniforms has the law of V^(1/N) for one uniform V, so
+    each draw takes a count N and one V, and V^(1/N) goes through the
+    baseline quantile: identical in law to transforming N draws and then
+    taking the max.  Only valid in the pmf regime; outside it the weights
+    are signed and the construction has no sampling meaning, so this
+    refuses rather than renormalizing.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     gen = rng.generator()
     counts = _draw_counts(ed.pv, gen, n, 10**6)
-    total = int(counts.sum())
-    draws = gen.random(total)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    # max of the uniforms, then one monotone transform: identical in law to
-    # transforming each draw and then taking the max.
-    top = np.maximum.reduceat(draws, starts)
+    top = gen.random(n) ** (1.0 / counts)
     values = ed.baseline.quantile(np.clip(top, np.finfo(float).tiny, None))
     return SampleBatch(values=np.asarray(values), sampler="random-maxima", seed=rng.seed)
 

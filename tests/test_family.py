@@ -397,6 +397,23 @@ class TestSeriesBlock:
                 assert abs(values[m - 1] - pref * mp.fsum(modes)) <= bound
                 assert abs(envs[m - 1] - pref * mp.fsum(map(abs, modes))) <= bound
 
+    def test_exact_binomial_where_the_float_product_overflows(self):
+        """q = 200 at m = 1e6: every C(k+q-1, q-1) of the block exceeds the
+        largest double, so each log binomial comes from the exact integer."""
+        mp = pytest.importorskip("mpmath")
+        from moq.family import _SeriesStream
+
+        q, m = 200, 10**6
+        stream = _SeriesStream(validate_params(q, (1e6 - 179.1,) + (0.9,) * (q - 1)), "at_zero")
+        assert math.comb(m - max(stream.coeff) + q - 1, q - 1) > float(np.finfo(float).max)
+        value, env = np.ravel(stream.block(m, m + 1)).tolist()
+        with mp.workdps(80):
+            pref, srat = mp.exp(mp.mpf(stream.log_pref)), mp.mpf(stream.srat)
+            modes = [mp.mpf(c) * mp.binomial(m - j + q - 1, q - 1) * srat ** (m - j) for j, c in stream.coeff.items()]
+            bound = stream.rounding(m) * env
+            assert abs(value - pref * mp.fsum(modes)) <= bound
+            assert abs(env - pref * mp.fsum(map(abs, modes))) <= bound
+
 
 class TestComplement:
     def test_matches_one_minus_distortion(self):
@@ -469,13 +486,9 @@ class TestInverse:
     def test_survival_and_split(self):
         """``survival`` takes the levels 1 - p; ``split`` returns the smaller
         of u and 1 - u with its own digits, as arrays also for a scalar."""
-        from moq.family import _small_roots
-
         pv = validate_params(3, [2.5, 0.5, 0.8])
         s = np.array([1e-200, 1e-9, 0.3, 0.7, 1.0 - 1e-9])
         x, upper = distortion_inverse(pv, s, survival=True, split=True)
-        np.testing.assert_array_equal(x, _small_roots(pv, s, True)[0])
-        np.testing.assert_array_equal(upper, _small_roots(pv, s, True)[1])
         np.testing.assert_array_equal(distortion_inverse(pv, s, survival=True), np.where(upper, 1.0 - x, x))
         np.testing.assert_allclose(distortion_complement(pv, x[upper]), s[upper], rtol=1e-13)
         np.testing.assert_allclose(distortion(pv, x[~upper]), 1.0 - s[~upper], rtol=1e-13)
@@ -517,7 +530,7 @@ class TestInverseAccuracy:
         with r <= 1/2, and across 1 - T = 1 - p with w <= 1/2, T = p with
         r <= 1/2; the level is p, or the survival level 1 - p."""
         hypothesis = pytest.importorskip("hypothesis")
-        from moq.family import _complement, _distortion, _small_roots
+        from moq.family import _complement, _distortion
 
         forward = _complement if on_c else _distortion
         passes = count_passes(monkeypatch)
@@ -536,9 +549,9 @@ class TestInverseAccuracy:
             else:
                 level = level[level <= edge]
                 hypothesis.assume(level.size)
-            _small_roots(pv, level[:1], on_c)  # builds the cached start table
+            distortion_inverse(pv, level[:1], survival=on_c, split=True)  # builds the cached start table
             passes["n"] = 0
-            x, upper = _small_roots(pv, level, on_c)
+            x, upper = distortion_inverse(pv, level, survival=on_c, split=True)
             assert passes["n"] == 1
             u, s = np.where(upper, 1.0 - x, x), np.where(upper, x, 1.0 - x)
             w = q * u / (q * u + big_s * s)
@@ -556,13 +569,11 @@ class TestInverseAccuracy:
         for survival levels, against a 350-digit residual; 60 digits cannot
         even resolve 1 - s at s = 1e-59."""
         mp = pytest.importorskip("mpmath")
-        from moq.family import _small_roots
-
         pv = validate_params(len(a), a)
         levels = np.array([1e-300, 1e-100, 1e-59, 1e-13, 1e-5, 0.1, 0.37, 0.5])
         with mp.workdps(350):
             for survival in (False, True):
-                roots, upper = _small_roots(pv, levels, survival)
+                roots, upper = distortion_inverse(pv, levels, survival=survival, split=True)
                 for level, x, on_c in zip(levels, roots, upper):
                     f = mp_complement if on_c else mp_distortion
                     exact = mp.mpf(float(level)) if survival == on_c else 1 - mp.mpf(float(level))
@@ -579,17 +590,43 @@ class TestInverseAccuracy:
         with pytest.raises(Nonconvergence):
             distortion_inverse(pv, np.array([1e-200, 0.3, 0.9]))
 
+    def test_safeguards_of_a_wide_vector(self, monkeypatch):
+        """Parameters over 26 decades: the start misses by far more than the
+        one-pass stop, so the solve bisects, drops the levels it has ended
+        from the active set, and still meets the residual; capped at one
+        pass, it raises."""
+        from moq import family
+        from moq.family import _complement, _distortion
+
+        pv = validate_params(3, [1.3e-13, 7.82e-12, 2.82e13])
+        levels = np.array([1e-300, 1e-100, 1e-30, 1e-8, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-8, 1.0 - 1e-15])
+        small = np.fmin(levels, 1.0 - levels)
+        family._start_table(pv)
+        passes = count_passes(monkeypatch)
+        for survival in (False, True):
+            passes["n"] = 0
+            x, upper = distortion_inverse(pv, levels, survival=survival, split=True)
+            assert passes["n"] > 1, survival
+            u, s = np.where(upper, 1.0 - x, x), np.where(upper, x, 1.0 - x)
+            on_c = (levels <= 0.5) if survival else (levels > 0.5)  # the smaller level is 1 - T
+            forward = np.where(on_c, _complement(pv, u, s), _distortion(pv, u, s))
+            assert np.all(np.abs(forward - small) <= 1e-12 * small), survival
+        monkeypatch.setattr(family, "_INVERSE_MAX_ITER", 1)
+        for survival in (False, True):
+            with pytest.raises(Nonconvergence):
+                distortion_inverse(pv, levels, survival=survival)
+
     def test_each_root_against_the_smaller_level(self):
         """The smaller root, u or s = 1 - u, solved against the smaller
         level, p or 1 - p: T(1/2) = 0.375 for a = (1.5, 0.5), 0.625 for
         a = (0.5, 1.5); with S = q, w = 1/2 where u = 1/2."""
-        from moq.family import _complement, _distortion, _small_roots
+        from moq.family import _complement, _distortion
 
         def roots(pv, p, upper_side):
-            x, upper = _small_roots(pv, p, False)
+            x, upper = distortion_inverse(pv, p, survival=False, split=True)
             assert np.all(upper == upper_side)
             if np.all(p >= 0.5):  # the survival levels 1 - p are exact
-                np.testing.assert_array_equal(_small_roots(pv, 1.0 - p, True)[0], x)
+                np.testing.assert_array_equal(distortion_inverse(pv, 1.0 - p, survival=True, split=True)[0], x)
             u = np.where(upper, 1.0 - x, x)
             np.testing.assert_array_equal(distortion_inverse(pv, p), u)
             return x
@@ -628,11 +665,9 @@ class TestInverseAccuracy:
         """With a_1 tiny T(1/2) is close to one, so even p = 0.9 has a root
         u far below 1/2 and must be solved on T: on the complement it would
         come back as 1 - s, which cannot hold u = 2.3e-20."""
-        from moq.family import _small_roots
-
         pv = validate_params(2, [1e-20, 1e-20])
         p = np.array([0.5, 0.7, 0.9])
-        x, upper = _small_roots(pv, p, False)
+        x, upper = distortion_inverse(pv, p, survival=False, split=True)
         assert not upper.any()
         np.testing.assert_allclose(x, 1e-20 * p / (1.0 - p), rtol=1e-14)
         np.testing.assert_array_equal(distortion_inverse(pv, p), x)
@@ -641,8 +676,6 @@ class TestInverseAccuracy:
         """S = 1e200: the expanded complement polynomial overflowed at
         (S - q)^q; the roots s ~ 1e-200 of C need its relative accuracy."""
         mp = pytest.importorskip("mpmath")
-        from moq.family import _small_roots
-
         a = (1e200, 1.0)
         pv = validate_params(2, a)
         s = np.array([1e-300, 1e-201, 1e-3, 0.5, 0.9])
@@ -651,7 +684,7 @@ class TestInverseAccuracy:
                 exact = mp_complement(mp, a, mp.mpf(float(si)))
                 assert abs(ci - exact) <= 1e-14 * exact
         p = np.array([1e-300, 0.1, 0.9])
-        x, upper = _small_roots(pv, p, False)
+        x, upper = distortion_inverse(pv, p, survival=False, split=True)
         assert upper.all()
         np.testing.assert_allclose(distortion_complement(pv, x), 1.0 - p, rtol=1e-14)
 
@@ -681,7 +714,7 @@ class TestStartTable:
         """Below the first node, at logit 40 from 1/2, the start goes on
         linearly in the log level, as T and 1 - T are linear there; a cubic
         would run away over hundreds of decades."""
-        from moq.family import _small_roots, _start_table
+        from moq.family import _start_table
 
         pv = validate_params(len(a), a)
         _start_table(pv)
@@ -689,7 +722,7 @@ class TestStartTable:
         for survival in (False, True):
             for level in (1e-30, 1e-100, 1e-300, 1.0 - 1e-12):
                 passes["n"] = 0
-                _small_roots(pv, np.array([level]), survival)
+                distortion_inverse(pv, np.array([level]), survival=survival, split=True)
                 assert passes["n"] == 1, (survival, level)
 
     @pytest.mark.parametrize("a", SAMPLED_SPECS, ids=lambda a: f"q{len(a)}-{a[0]:g}")

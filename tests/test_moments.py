@@ -201,7 +201,7 @@ class TestBlockSizes:
         from moq import family, sampling
 
         sized = self.results()
-        sampling._count_table.cache_clear()
+        sampling._count_cdf.cache_clear()
 
         def one_index(self, m0, m1, tail, tol, rho, max_terms, lag=0):
             return min(m1 + 1 if m0 < m1 else 2, max_terms + 1)
@@ -210,7 +210,7 @@ class TestBlockSizes:
         try:
             assert self.results() == sized
         finally:
-            sampling._count_table.cache_clear()
+            sampling._count_cdf.cache_clear()
 
 
 class TestOneWalk:

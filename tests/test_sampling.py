@@ -14,6 +14,7 @@ from moq import (
     ExtendedDistribution,
     LogLogistic,
     MoqError,
+    Nonconvergence,
     RandomSource,
     SampleBatch,
     Weibull,
@@ -262,6 +263,30 @@ class TestSampleCount:
         with pytest.raises(ConditionViolated):
             sample_count(validate_params(2, [1e-6, 0.15]), RandomSource(1))
 
+    def test_uniform_above_the_last_sum(self):
+        """For the benchmark's ll-q5-pmf vector the float sum of the weights
+        stops short of one; a uniform above it takes the count one past
+        the count CDF at once, where a table extended to cover it ran
+        through 1e6 terms and raised."""
+
+        class Top:
+            def random(self, n):
+                return np.full(n, 1.0 - 2.0**-53)
+
+        pv = validate_params(5, [3.0, 0.3, 0.4, 0.9, 0.6])
+        cdf = sampling._count_cdf(pv, 10**6)
+        assert cdf[-1] < 1.0 - 2.0**-53
+        np.testing.assert_array_equal(sampling._draw_counts(pv, Top(), 3, 10**6), cdf.size + 1)
+
+    def test_term_budget_depends_on_the_vector_alone(self):
+        """The count CDF covers the mass to 2^-53, about 20 a_1 terms at
+        q = 2: a_1 = 1e4 fits the default budget of 1e6 terms and 5e4 does
+        not, whatever the seed."""
+        for seed in (1, 2):
+            assert sample_count(validate_params(2, [1e4, 0.5]), RandomSource(seed), 10).min() >= 1
+            with pytest.raises(Nonconvergence):
+                sample_count(validate_params(2, [5e4, 0.5]), RandomSource(seed), 10)
+
 
 class TestRandomMaxima:
     def test_identity_is_baseline(self):
@@ -282,6 +307,15 @@ class TestRandomMaxima:
         ed = ExtendedDistribution(Weibull(2.0, 2.0), validate_params(2, [1e-6, 0.15]))
         with pytest.raises(ConditionViolated):
             sample_random_maxima(ed, RandomSource(17), 10)
+
+    def test_large_first_parameter(self):
+        """a_1 = 2000: counts average 2000, yet each draw takes one uniform
+        V^(1/N), not N of them.  One-sample KS at the DKW bound for
+        alpha = 1e-6."""
+        n = 200_000
+        ed = ExtendedDistribution(Exponential(1.0), validate_params(2, [2000.0, 0.5]))
+        batch = sample_random_maxima(ed, RandomSource(18), n)
+        assert ks_one_sample(batch.values, ed.cdf) < math.sqrt(math.log(2.0 / 1e-6) / (2 * n))
 
 
 class TestInverseCdf:
