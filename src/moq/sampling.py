@@ -14,6 +14,14 @@ seeded PCG64 generator: a fixed seed reproduces every batch bit for bit.
 Samplers own their generator for the duration of a call; distribution
 objects stay immutable, so distinct calls with distinct seeds may run
 concurrently.
+
+Samplers pass their draws through each map (the extended quantile, T',
+the baseline quantile) in blocks of ``_BLOCK`` = 8192 levels.  A map makes
+some twenty temporaries per call.  At 1e5 levels each is 0.8 MB: malloc
+maps it afresh and returns it to the kernel, which faults its pages in
+again on every call.  At 8192 levels each is 64 KiB, which malloc reuses
+from block to block and which stays in cache.  Every map is elementwise,
+so the draws do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConditionViolated, DomainError, EnvelopeViolation
+from .errors import ConditionViolated, DomainError, EnvelopeViolation, Nonconvergence
 from .extended import ExtendedDistribution
 from .family import _EPS, ParameterVector, distortion_deriv, series_at_zero
 from .baselines import Baseline
@@ -50,6 +58,9 @@ _NODES = np.array([np.arange(_ENVELOPE_PIECES + 1), np.arange(_ENVELOPE_PIECES, 
 # Most proposals one accept-reject chunk draws: memory stays bounded however
 # large n * M grows.
 _MAX_PROPOSALS = 1 << 20
+
+# Most levels one call of a map sees; see the module docstring.
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -81,6 +92,17 @@ class SampleBatch:
         if self.n_proposed is None or self.n_proposed == 0:
             return None
         return self.values.size / self.n_proposed
+
+
+def _blockwise(fn, x: np.ndarray) -> np.ndarray:
+    """``fn(x)`` for an elementwise float map ``fn`` of a 1-d float array
+    ``x``, taken ``_BLOCK`` elements at a time into one output array."""
+    if x.size <= _BLOCK:
+        return np.asarray(fn(x))
+    out = np.empty_like(x)
+    for start in range(0, x.size, _BLOCK):
+        out[start : start + _BLOCK] = fn(x[start : start + _BLOCK])
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -150,7 +172,9 @@ def sample_accept_reject(
         raise DomainError("n must be >= 1")
     m_const = envelope_constant(ed.pv) if envelope is None else float(envelope)
     gen = rng.generator()
-    out: list[np.ndarray] = []
+    # allocated before the chunk arrays, so that malloc hands their pages
+    # back to the kernel as this call ends, not when the caller frees the draws
+    values = np.empty(n)
     got = 0
     proposed = 0
     rate = 1.0 / m_const if m_const > 1.0 else 1.0
@@ -158,7 +182,8 @@ def sample_accept_reject(
         chunk = min(int((n - got) / max(rate, 1e-3) * 1.2) + 16, _MAX_PROPOSALS)
         u_prop = gen.random(chunk)
         u_acc = gen.random(chunk)
-        ratio = np.asarray(distortion_deriv(ed.pv, u_prop)) / m_const
+        ratio = _blockwise(lambda u: distortion_deriv(ed.pv, u), u_prop)
+        ratio /= m_const
         if np.any(ratio > 1.0 + _RATIO_SLACK):
             raise EnvelopeViolation(
                 f"density ratio {float(ratio.max()):.6g} exceeds 1 with constant {m_const:.6g}"
@@ -173,31 +198,38 @@ def sample_accept_reject(
             proposed += chunk
         # F0(quantile(u)) = u, so accepted levels map straight through the
         # baseline inverse.
-        keep = u_prop[hits]
-        out.append(ed.baseline.quantile(keep) if keep.size else np.empty(0))
+        if hits.size:
+            values[got : got + hits.size] = _blockwise(ed.baseline.quantile, u_prop[hits])
         got += hits.size
         rate = max(got / proposed, 1e-6)
-    values = np.concatenate(out)
     return SampleBatch(values=values, sampler="accept-reject", seed=rng.seed, n_proposed=proposed)
 
 
 @lru_cache(maxsize=256)
-def _count_cdf(pv: ParameterVector, max_terms: int) -> np.ndarray:
+def _count_cdf(pv: ParameterVector, max_terms: int) -> np.ndarray | str:
     """Cumulative sums of the series-at-zero weights, from the one series
     walk, up to where the mass left is below 2^-53, the resolution of a
-    uniform draw.  Cached per vector and term budget."""
+    uniform draw; or, where the walk needs more than ``max_terms`` terms,
+    the message of its :class:`Nonconvergence`, so that the refusal is
+    cached too.  Cached per vector and term budget."""
     if not pv.pmf_ok:
         raise ConditionViolated(
             "random sample counts require sum(a) >= q and a_i <= 1 for i >= 2 "
             f"(weights are not a pmf for a = {pv.a})"
         )
-    return np.cumsum(series_at_zero(pv, 2.0**-53, max_terms).values)
+    try:
+        return np.cumsum(series_at_zero(pv, 2.0**-53, max_terms).values)
+    except Nonconvergence as exc:
+        return str(exc)
 
 
 def _draw_counts(pv: ParameterVector, gen: np.random.Generator, n: int, max_terms: int) -> np.ndarray:
     """n counts from n uniforms of ``gen`` by the count CDF; a uniform above
     its last sum takes the count one past the table."""
-    return np.searchsorted(_count_cdf(pv, max_terms), gen.random(n), side="right") + 1
+    cdf = _count_cdf(pv, max_terms)
+    if isinstance(cdf, str):
+        raise Nonconvergence(cdf)
+    return np.searchsorted(cdf, gen.random(n), side="right") + 1
 
 
 def sample_count(pv: ParameterVector, rng: RandomSource, n: int | None = None, max_terms: int = 10**6):
@@ -226,8 +258,8 @@ def sample_random_maxima(ed: ExtendedDistribution, rng: RandomSource, n: int) ->
     gen = rng.generator()
     counts = _draw_counts(ed.pv, gen, n, 10**6)
     top = gen.random(n) ** (1.0 / counts)
-    values = ed.baseline.quantile(np.clip(top, np.finfo(float).tiny, None))
-    return SampleBatch(values=np.asarray(values), sampler="random-maxima", seed=rng.seed)
+    values = _blockwise(ed.baseline.quantile, np.maximum(top, np.finfo(float).tiny, out=top))
+    return SampleBatch(values=values, sampler="random-maxima", seed=rng.seed)
 
 
 def sample_inverse_cdf(ed: ExtendedDistribution, rng: RandomSource, n: int) -> SampleBatch:
@@ -235,9 +267,9 @@ def sample_inverse_cdf(ed: ExtendedDistribution, rng: RandomSource, n: int) -> S
     if n < 1:
         raise DomainError("n must be >= 1")
     gen = rng.generator()
-    u = np.clip(gen.random(n), np.finfo(float).tiny, None)
-    values = ed.quantile(u)
-    return SampleBatch(values=np.asarray(values), sampler="inverse-cdf", seed=rng.seed)
+    u = gen.random(n)
+    values = _blockwise(ed.quantile, np.maximum(u, np.finfo(float).tiny, out=u))
+    return SampleBatch(values=values, sampler="inverse-cdf", seed=rng.seed)
 
 
 def logistic_transform(

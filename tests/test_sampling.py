@@ -29,6 +29,7 @@ from moq import (
     sample_count,
     sample_inverse_cdf,
     sample_random_maxima,
+    series_at_zero,
     validate_params,
 )
 from moq import sampling
@@ -195,7 +196,7 @@ class TestAcceptReject:
 
     def test_chunks_capped(self, monkeypatch):
         """The wave spec needs about 1.3e6 proposals for 5e4 draws: more
-        than one chunk holds."""
+        than one chunk holds, and T' sees them a block at a time."""
         sizes = []
 
         def spy(pv, u):
@@ -205,7 +206,7 @@ class TestAcceptReject:
         monkeypatch.setattr(sampling, "distortion_deriv", spy)
         batch = sample_accept_reject(WAVE, RandomSource(44), 50_000)
         assert batch.values.size == 50_000
-        assert len(sizes) >= 2 and max(sizes) <= sampling._MAX_PROPOSALS
+        assert sum(sizes) > sampling._MAX_PROPOSALS and max(sizes) <= sampling._BLOCK
 
     @pytest.mark.parametrize(
         "a, proposed, digest",
@@ -246,8 +247,6 @@ class TestSampleCount:
         assert counts.mean() == pytest.approx(2.0, abs=0.01)
 
     def test_matches_series_weights(self):
-        from moq import series_at_zero
-
         pv = validate_params(2, [1.5, 0.5])
         sc = series_at_zero(pv, tol=1e-12)
         counts = sample_count(pv, RandomSource(11), 1_000_000)
@@ -286,6 +285,27 @@ class TestSampleCount:
             assert sample_count(validate_params(2, [1e4, 0.5]), RandomSource(seed), 10).min() >= 1
             with pytest.raises(Nonconvergence):
                 sample_count(validate_params(2, [5e4, 0.5]), RandomSource(seed), 10)
+
+    def test_refusal_is_cached(self, monkeypatch):
+        """A count CDF over the term budget raises on every call, from one
+        walk of the series; a vector within the budget still draws."""
+        walks = []
+
+        def spy(*args):
+            walks.append(args)
+            return series_at_zero(*args)
+
+        sampling._count_cdf.cache_clear()
+        monkeypatch.setattr(sampling, "series_at_zero", spy)
+        messages = []
+        for seed in (1, 2):
+            with pytest.raises(Nonconvergence) as exc:
+                sample_count(validate_params(2, [5e4, 0.5]), RandomSource(seed), 10)
+            messages.append(str(exc.value))
+        assert len(walks) == 1 and messages[0] == messages[1] != ""
+        pv = validate_params(2, [1e4, 0.5])
+        assert sample_count(pv, RandomSource(1), 10).min() >= 1
+        assert sampling._count_cdf(pv, 10**6).size == 202_301
 
 
 class TestRandomMaxima:
@@ -342,6 +362,55 @@ class TestInverseCdf:
         expected = moment_exponential(ED.pv, 1.0).value
         sd = float(batch.values.std(ddof=1)) / math.sqrt(N)
         assert abs(float(batch.values.mean()) - expected) <= 4 * sd
+
+
+def _spy(monkeypatch, owner, name, sizes):
+    """Replace ``owner.name`` by a wrapper that records the size of its last argument."""
+    fn = getattr(owner, name)
+
+    def spy(*args):
+        sizes.append(np.size(args[-1]))
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+class TestBlocks:
+    """Each sampler maps its draws in blocks of ``sampling._BLOCK`` levels,
+    and the draws are those of one call over the whole batch."""
+
+    CASES = {
+        "inverse-cdf": (sample_inverse_cdf, MIXED["exp-q8-mixed"], [(ExtendedDistribution, "quantile")]),
+        "accept-reject": (
+            sample_accept_reject,
+            MIXED["exp-q8-mixed"],
+            [(sampling, "distortion_deriv"), (Exponential, "quantile")],
+        ),
+        "random-maxima": (sample_random_maxima, ED, [(Exponential, "quantile")]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bit_identical_to_one_call(self, monkeypatch, name):
+        sampler, ed, maps = self.CASES[name]
+        n = 2 * sampling._BLOCK + 3
+        with monkeypatch.context() as m:
+            m.setattr(sampling, "_BLOCK", sampling._MAX_PROPOSALS)  # above n and every chunk
+            whole = sampler(ed, RandomSource(50), n)
+        sizes = []
+        for owner, attr in maps:
+            _spy(monkeypatch, owner, attr, sizes)
+        blocked = sampler(ed, RandomSource(50), n)
+        assert blocked.values.tobytes() == whole.values.tobytes()
+        assert blocked.n_proposed == whole.n_proposed
+        assert sum(sizes) >= n and max(sizes) <= sampling._BLOCK
+
+    def test_envelope_violation_over_blocks(self, monkeypatch):
+        sizes = []
+        _spy(monkeypatch, sampling, "distortion_deriv", sizes)
+        ed = MIXED["exp-q8-mixed"]
+        with pytest.raises(EnvelopeViolation):
+            sample_accept_reject(ed, RandomSource(5), 2 * sampling._BLOCK + 3, envelope=envelope_constant(ed.pv) / 2.0)
+        assert len(sizes) > 1 and max(sizes) <= sampling._BLOCK
 
 
 class TestSamplerPairwiseAgreement:
