@@ -43,14 +43,15 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+_ETA = 2.0**-1074  # the spacing of the subnormals: a rounding below the normal range errs by at most this
 _CANCEL_LIMIT = 1e12
 _DEFAULT_MAX_TERMS = 200_000
 # the inner alternating sums of a block are formed at most this many terms at a time
 _INNER_CELLS = 1 << 16
 # auto sums a series at zero only where its weights promise to reach tol
 # within this many terms: the exponential's inner alternating sums lose
-# every series past an index of about 50 to cancellation, and quadrature
-# beats a longer series anyway.
+# every series past an index of about 50 to cancellation.  A single order
+# takes it only where quadrature misses tol.
 _SHORT_SERIES = 50
 # The tanh-sinh rule's nodes lie on |t| <= _DE_SPAN, where u and 1 - u stay
 # above 1e-275; its step starts at 1/2 and halves _DE_MIN_LEVEL to
@@ -275,30 +276,43 @@ def _unit_moment(family, pv: ParameterVector, orders: list[float], rel_tol: floa
                  max_terms: int = _DEFAULT_MAX_TERMS) -> list[MomentResult]:
     """E(X^r) for every order r in ``orders`` for the extension of the unit
     exponential (``family`` Exponential, r > -1) or the standard
-    log-logistic (LogLogistic, |r| < 1), in the pmf regime: a pinned
-    series, or for ``auto`` the series at zero where it is short
-    (_short_series) and converges, and quadrature everywhere else.  One
-    series serves every order; under ``auto`` an order whose series fails
-    is integrated alone, while a pinned series raises.  A series stops on
-    the absolute error ``abs_tol``, the quadrature on ``rel_tol`` times the
-    value."""
+    log-logistic (LogLogistic, |r| < 1), in the pmf regime: a pinned path,
+    or for ``auto`` with a single nonzero order, quadrature first and, where
+    it raises ToleranceNotMet and the series at zero is short
+    (_short_series), that series, which keeps its digits near r = -1 where
+    the rule's outermost nodes miss real mass; if the series fails too, the
+    quadrature's error is raised.  With several orders ``auto`` takes one
+    walk of the series at zero for all of them where it is short, and
+    integrates each order whose series fails alone, while a pinned series
+    raises.  A series stops on the absolute error ``abs_tol``, the
+    quadrature on ``rel_tol`` times the value."""
     _require_pmf(pv, f"the unit {family.__name__} moment series")
     todo = [x for x in orders if x != 0.0]
-    series = [None] * len(todo)
-    if todo and (method in ("series_at_zero", "series_at_one") or (method == "auto" and _short_series(pv, abs_tol))):
+    results, missed = [None] * len(todo), None
+    if method == "auto" and len(todo) == 1:
+        try:
+            results = [_moment_quadrature(family(), pv, todo[0], rel_tol)]
+        except ToleranceNotMet as exc:
+            missed = exc
+    pinned = method in ("series_at_zero", "series_at_one")
+    if todo and results[0] is None and (pinned or (method == "auto" and _short_series(pv, abs_tol))):
         kind = "at_one" if method == "series_at_one" else "at_zero"
         factors = _m_beta(todo, kind) if family is LogLogistic else _gamma_factors(todo, kind, abs_tol)
         try:
-            series = _moment_series(pv, kind, factors, abs_tol, max_terms)
+            results = _moment_series(pv, kind, factors, abs_tol, max_terms)
         except Nonconvergence:
-            if method != "auto":
+            if pinned:
                 raise
-    out, series = [], iter(series)
+    out, results = [], iter(results)
     for x in orders:
-        res = MomentResult(1.0, "closed_form", 1, 0.0) if x == 0.0 else next(series)
-        if isinstance(res, Nonconvergence) and method != "auto":
+        res = MomentResult(1.0, "closed_form", 1, 0.0) if x == 0.0 else next(results)
+        if isinstance(res, Nonconvergence) and pinned:
             raise res
-        out.append(res if isinstance(res, MomentResult) else _moment_quadrature(family(), pv, x, rel_tol))
+        if not isinstance(res, MomentResult):
+            if missed is not None:
+                raise missed
+            res = _moment_quadrature(family(), pv, x, rel_tol)
+        out.append(res)
     return out
 
 
@@ -312,10 +326,11 @@ def moment_exponential(
     """E(X^r) for the extended unit exponential, r > 0.
 
     ``method`` is one of ``auto``, ``series_at_zero``, ``series_at_one``,
-    ``quadrature``.  ``auto`` sums the series at zero where its weights
-    promise to reach ``tol`` within 50 terms, and integrates everywhere
-    else, and where the series' inner alternating sums become too
-    ill-conditioned to trust: past an index of about 50 they always do.
+    ``quadrature``.  ``auto`` integrates; where the quadrature misses
+    ``tol`` and the series at zero promises to reach it within 50 terms,
+    it sums that series instead, unless the series' inner alternating
+    sums become too ill-conditioned to trust: past an index of about 50
+    they always do.  Then the quadrature's ToleranceNotMet is raised.
     A series' error estimate bounds its tail and rounding against ``tol``;
     the quadrature's covers the discretization, the truncated ends and
     the rounding, and meets ``tol`` relative to the value or raises.
@@ -338,9 +353,10 @@ def moment_loglogistic(
 
     The series at zero has non-negative terms in the pmf regime, so unlike
     the exponential case it never cancels; the one at one alternates.
-    ``auto`` sums the series at zero where its weights promise to reach
-    ``tol`` within 50 terms, and integrates everywhere else, or where the
-    series still runs past ``max_terms``.  Error estimates as for
+    ``auto`` integrates, and where the quadrature misses ``tol`` sums the
+    series at zero if its weights promise to reach ``tol`` within 50
+    terms and it ends within ``max_terms``; otherwise the quadrature's
+    ToleranceNotMet is raised.  Error estimates as for
     :func:`moment_exponential`.
     """
     _check_query(method, tol, _METHODS[:4])
@@ -355,20 +371,34 @@ def moment_q2_loglogistic_closed(a1: float, a2: float, b1: float, b2: float, r: 
     Valid for any strictly positive (a1, a2) and |r| < b2; at r = 0 the
     analytic limit is 1.
     """
+    return _q2_loglogistic_closed(a1, a2, b1, b2, r)[0]
+
+
+def _q2_loglogistic_closed(a1: float, a2: float, b1: float, b2: float, r: float) -> tuple[float, float]:
+    """The closed form of moment_q2_loglogistic_closed and a bound on its
+    rounding error: each rounding, in eps of the value, times the condition
+    number of what it feeds.  The rounded s = r / b2 passes to m^s,
+    m = (a1 + a2) / 2, with |s log m| and to sin(pi s) with
+    |pi s cot(pi s)|, the rounded pi s (2.2 eps) to the sine with the
+    latter; the last factor 1 + d, d = s (a1 - a2) / (a1 + a2), carries the
+    5 eps of d times |d / (1 + d)|; m's rounding adds |s| and the other
+    eleven operations at most 10.2 eps together.  The value is a product of
+    four positive factors; where one of the two powers or a partial
+    product falls below the normal range, its rounding errs by up to
+    _ETA, times the factors that multiply it afterwards."""
     for name, v in (("a1", a1), ("a2", a2), ("b1", b1), ("b2", b2)):
         if not (math.isfinite(v) and v > 0):
             raise DomainError(f"{name} must be strictly positive, got {v!r}")
     if not (math.isfinite(r) and abs(r) < b2):
         raise DomainError(f"closed form requires |r| < b2 = {b2}, got r = {r!r}")
     if r == 0.0:
-        return 1.0
+        return 1.0, 0.0
     s = r / b2
-    return (
-        b1**r
-        * ((a1 + a2) / 2.0) ** s
-        * (r * math.pi / (b2 * math.sin(math.pi * s)))
-        * (s * (a1 - a2) / (a1 + a2) + 1.0)
-    )
+    m, x, d = (a1 + a2) / 2.0, math.pi * s, s * (a1 - a2) / (a1 + a2)
+    p1, p2, p3, p4 = b1**r, m**s, r * math.pi / (b2 * math.sin(x)), d + 1.0
+    val = p1 * p2 * p3 * p4
+    cond = 12.0 + abs(s) * (1.0 + abs(math.log(m))) + 3.0 * abs(x / math.tan(x)) + 5.0 * abs(d / p4)
+    return val, cond * _EPS * val + _ETA * (1.0 + p4 + p3 * p4 * (1.0 + p1 + p2))
 
 
 def moment_weibull_scaled(
@@ -402,7 +432,8 @@ def moment_generalized_weibull(
     reduces to a double binomial combination of its integer moments, orders
     0 to shape2 * m / shape.  One walk of the series at zero serves all of
     them (see _unit_moment), at the absolute error tol / 1000; an order
-    whose series fails is integrated alone.  The inner exponent is the
+    whose series fails is integrated alone.  Where one order is nonzero
+    (shape = shape2 = m = 1) it is routed as a single order is.  The inner exponent is the
     plain binomial-expansion index, and the result is checked against
     quadrature and mpmath in the test suite.
     """
@@ -439,15 +470,18 @@ def moment_generalized_weibull(
 
 @lru_cache(maxsize=None)
 def _de_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The nodes that level ``level`` of the tanh-sinh rule adds, step
-    2^-(level + 1): all of |t| <= _DE_SPAN at level 0, the odd multiples
-    after that.  Returns u = 1 / (1 + exp(-pi sinh t)) and s = 1 - u, each
-    from its own formula so that the smaller one keeps its digits, the
-    weights du/dt = pi cosh(t) u s, and the number of nodes with t <= 0.
+    """The nodes of level ``level`` of the tanh-sinh rule, step
+    2^-(level + 1) on |t| <= _DE_SPAN: at _DE_MIN_LEVEL all of them, which
+    are the nodes of levels 0 to _DE_MIN_LEVEL together (t = k / 16 is
+    exact, so each is the node its own level would make), and above it the
+    odd multiples of the step, the nodes that the level adds.  Returns
+    u = 1 / (1 + exp(-pi sinh t)) and s = 1 - u, each from its own formula
+    so that the smaller one keeps its digits, the weights
+    du/dt = pi cosh(t) u s, and the number of nodes with t <= 0.
     """
     h = 0.5 ** (level + 1)
     n = round(_DE_SPAN / h)
-    t = h * (np.arange(-n, n + 1.0) if level == 0 else np.arange(1.0 - n, n, 2))
+    t = h * (np.arange(-n, n + 1.0) if level == _DE_MIN_LEVEL else np.arange(1.0 - n, n, 2))
     x = np.pi * np.sinh(t)
     u, s = 1.0 / (1.0 + np.exp(-x)), 1.0 / (1.0 + np.exp(x))
     out = u, s, np.pi * np.cosh(t) * u * s
@@ -457,7 +491,7 @@ def _de_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
 
 
 def _de_terms(baseline: Baseline, pv: ParameterVector, r: float, level: int):
-    """Q0(u)^r T'(u) du/dt at the new nodes of ``level`` (see _de_level),
+    """Q0(u)^r T'(u) du/dt at the nodes of ``level`` (see _de_level),
     and where they are known: not where the power of the abscissa
     overflows, which happens only on an outer run of nodes on either side.
     The abscissa is the baseline quantile of u where u <= 1/2 and its isf
@@ -495,25 +529,31 @@ def _moment_quadrature(baseline: Baseline, pv: ParameterVector, r: float, tol: f
     """E(X^r) = int_0^1 Q0(u)^r T'(u) du by the tanh-sinh rule (Takahasi &
     Mori, 1974), Q0 the baseline quantile; see _de_terms for the nodes.
 
-    The step starts at 1/2 on |t| <= _DE_SPAN and halves, one numpy call
-    per level over its new nodes, at least _DE_MIN_LEVEL times, until the
-    error estimate is at most ``tol`` times the value (a relative stop).
-    The estimate is the difference between the two levels before the last,
-    which the rule's quadratic convergence makes far larger than the last
-    level's error, plus the terms beyond the outermost known nodes
-    (_edge_tail), plus 16 (q + |r| + 4) eps times the sum for rounding.
-    Where it stays above, as where a moment barely exists, the rule raises
-    ToleranceNotMet, at once where the last two parts alone exceed it:
-    they do not shrink with the step.  ``terms_used`` is the number of
-    nodes evaluated.
+    The step starts at 1/2 on |t| <= _DE_SPAN and halves at least
+    _DE_MIN_LEVEL times, until the error estimate is at most ``tol`` times
+    the value (a relative stop).  One numpy call evaluates the nodes of
+    levels 0 to _DE_MIN_LEVEL, of step 2^-(_DE_MIN_LEVEL + 1), and each
+    level's sum is taken from its strided slice of them; each later level
+    is one call over the nodes it adds.  The estimate is the difference
+    between the two levels before the last, which the rule's quadratic
+    convergence makes far larger than the last level's error, plus the
+    terms beyond the outermost known nodes (_edge_tail), plus
+    16 (q + |r| + 4) eps times the sum for rounding.  Where it stays above,
+    as where a moment barely exists, the rule raises ToleranceNotMet, at
+    once where the last two parts alone exceed it: they do not shrink with
+    the step.  ``terms_used`` is the number of nodes evaluated.
     """
+    stride = 1 << _DE_MIN_LEVEL  # level 0's nodes in the first call, stride apart
+    g, known = _de_terms(baseline, pv, r, _DE_MIN_LEVEL)
     h = 0.5
-    g, known = _de_terms(baseline, pv, r, 0)
-    sums = [h * g.sum()]
+    sums = [h * g[::stride].sum()]
     for level in range(1, _DE_MAX_LEVEL + 1):
         h /= 2
-        new, new_known = _de_terms(baseline, pv, r, level)
-        g, known = _interleave(g, new), _interleave(known, new_known)
+        if level <= _DE_MIN_LEVEL:
+            new = g[stride >> level :: stride >> (level - 1)]
+        else:
+            new, new_known = _de_terms(baseline, pv, r, level)
+            g, known = _interleave(g, new), _interleave(known, new_known)
         sums.append(sums[-1] / 2 + h * new.sum())
         if level >= _DE_MIN_LEVEL:
             value = sums[-1]
@@ -590,13 +630,15 @@ def moment(
     generalized Weibull at integer r.  Otherwise, for the exponential,
     Weibull and log-logistic in the pmf regime, it scales by scale^r the
     moment of the unit baseline at order r/shape (-shape < r < 0 included):
-    the series at zero where it is short (see moment_exponential), with
-    the absolute error tol / max(scale^r, 1), else quadrature.  Everywhere
-    else it integrates: tanh-sinh quadrature in u, whose error estimate
-    covers the discretization, the truncated ends and the rounding, and
-    meets ``tol`` relative to the value or raises ToleranceNotMet.  The
-    other methods pin a path.  A moment, or a factor of it, beyond the
-    float range raises DomainError.
+    quadrature, and where it misses tol the series at zero if it is short
+    (see moment_exponential), with the absolute error tol / max(scale^r, 1);
+    it keeps its digits near r = -shape, where the quadrature's outermost
+    nodes miss real mass.  Everywhere else it integrates.  The tanh-sinh
+    quadrature in u has an error estimate that covers the discretization,
+    the truncated ends and the rounding, and meets ``tol`` relative to the
+    value or raises ToleranceNotMet.  The other methods pin a path.  A
+    moment, or a factor of it, beyond the float range raises DomainError.
+    The closed form's estimate bounds its rounding, underflow included.
     """
     try:
         res = _route(baseline, pv, r, method, tol)
@@ -619,8 +661,8 @@ def _route(baseline: Baseline, pv: ParameterVector, r: float, method: str, tol: 
         if isinstance(baseline, LogLogistic) and (pv.q == 2 or pinned):
             if pv.q != 2:
                 raise ConditionViolated(f"closed form needs q = 2, got q = {pv.q}")
-            val = moment_q2_loglogistic_closed(pv.a[0], pv.a[1], baseline.scale, baseline.shape, r)
-            return MomentResult(val, "closed_form", 1, 4.0 * _EPS * abs(val))
+            val, err = _q2_loglogistic_closed(pv.a[0], pv.a[1], baseline.scale, baseline.shape, r)
+            return MomentResult(val, "closed_form", 1, err)
         m = round(r)
         if isinstance(baseline, GeneralizedWeibull) and (pv.pmf_ok or pinned) and m >= 1 and abs(r - m) < 1e-12:
             try:

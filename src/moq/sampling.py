@@ -95,11 +95,12 @@ class SampleBatch:
 
 
 def _blockwise(fn, x: np.ndarray) -> np.ndarray:
-    """``fn(x)`` for an elementwise float map ``fn`` of a 1-d float array
-    ``x``, taken ``_BLOCK`` elements at a time into one output array."""
+    """``fn(x)`` for an elementwise map ``fn`` of a 1-d array ``x`` to
+    floats, taken ``_BLOCK`` elements at a time, in order, into one output
+    array."""
     if x.size <= _BLOCK:
         return np.asarray(fn(x))
-    out = np.empty_like(x)
+    out = np.empty(x.size)
     for start in range(0, x.size, _BLOCK):
         out[start : start + _BLOCK] = fn(x[start : start + _BLOCK])
     return out
@@ -249,16 +250,20 @@ def sample_random_maxima(ed: ExtendedDistribution, rng: RandomSource, n: int) ->
     The maximum of N uniforms has the law of V^(1/N) for one uniform V, so
     each draw takes a count N and one V, and V^(1/N) goes through the
     baseline quantile: identical in law to transforming N draws and then
-    taking the max.  Only valid in the pmf regime; outside it the weights
-    are signed and the construction has no sampling meaning, so this
-    refuses rather than renormalizing.
+    taking the max.  The n counts come first; then the V are drawn a block
+    at a time, which gives the doubles of one call.  Only valid in the pmf
+    regime; outside it the weights are signed and the construction has no
+    sampling meaning, so this refuses rather than renormalizing.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     gen = rng.generator()
-    counts = _draw_counts(ed.pv, gen, n, 10**6)
-    top = gen.random(n) ** (1.0 / counts)
-    values = _blockwise(ed.baseline.quantile, np.maximum(top, np.finfo(float).tiny, out=top))
+
+    def maxima(counts: np.ndarray) -> np.ndarray:
+        top = gen.random(counts.size) ** (1.0 / counts)
+        return ed.baseline.quantile(np.maximum(top, np.finfo(float).tiny, out=top))
+
+    values = _blockwise(maxima, _draw_counts(ed.pv, gen, n, 10**6))
     return SampleBatch(values=values, sampler="random-maxima", seed=rng.seed)
 
 

@@ -101,11 +101,12 @@ class TestExponentialMoments:
 
     def test_overflowing_terms_fail_the_series(self, wall_clock_limit):
         """At order 170 the terms Gamma(171) m C_m overflow from index 25:
-        the series fails there, auto falls back on quadrature, which misses
-        tol, and a pinned series raises; neither runs on towards max_terms."""
+        auto integrates first, which misses tol, and the series it falls
+        back on fails there, so the quadrature's error is raised; a pinned
+        series raises its own; neither runs on towards max_terms."""
         pv = validate_params(3, [2.2, 0.5, 0.5])
         with wall_clock_limit(5.0):
-            with pytest.raises(ToleranceNotMet):
+            with pytest.raises(ToleranceNotMet, match="quadrature error estimate inf"):
                 moment(Exponential(1.0), pv, 170.0)
             with pytest.raises(Nonconvergence, match="term at index 25 is not finite"):
                 moment(Exponential(1.0), pv, 170.0, method="series_at_zero")
@@ -223,10 +224,11 @@ class TestOneWalk:
 
     @staticmethod
     def per_order_transform(pv, inv_shape, shape2, m, tol=1e-10):
-        """The transform from one moment_exponential call per order, as it
-        was summed before: (value, error estimate)."""
+        """The transform from one series-at-zero call per order, as it was
+        summed before: (value, error estimate)."""
         n = inv_shape * m
-        moments = [moment_exponential(pv, float(j), tol=tol * 1e-3) for j in range(shape2 * n + 1)]
+        moments = [moment_exponential(pv, float(j), tol=tol * 1e-3, method="series_at_zero")
+                   for j in range(shape2 * n + 1)]
         total = err = 0.0
         for k in range(n + 1):
             for j in range(shape2 * k + 1):
@@ -300,13 +302,15 @@ class TestOneWalk:
         cancel past the limit before its series ends, while orders 1 and 8
         end after 45 and 60 terms in the same walk: auto integrates order
         0.3 alone, a pinned series raises for it, and every result is the
-        one a call for that order alone returns."""
+        one a call for that order alone returns: the series at zero for
+        orders 1 and 8, the quadrature for order 0.3."""
         from moq.moments import _unit_moment
 
         pv, orders = validate_params(3, [4.0, 0.5, 0.5]), [0.3, 1.0, 8.0]
         res = _unit_moment(Exponential, pv, orders, 1e-13, 1e-13, "auto")
         assert [(r.method_used, r.terms_used) for r in res[1:]] == [("series_at_zero", 45), ("series_at_zero", 60)]
-        assert res == [moment_exponential(pv, r, tol=1e-13) for r in orders]
+        assert res[1:] == [moment_exponential(pv, r, tol=1e-13, method="series_at_zero") for r in orders[1:]]
+        assert res[0] == moment_exponential(pv, orders[0], tol=1e-13, method="quadrature")
         assert res[0].method_used == "quadrature"
         with pytest.raises(Nonconvergence, match="ill-conditioned"):
             _unit_moment(Exponential, pv, orders, 1e-13, 1e-13, "series_at_zero")
@@ -371,6 +375,35 @@ class TestClosedForm:
     def test_order_domain(self):
         with pytest.raises(DomainError):
             moment_q2_loglogistic_closed(1.0, 1.0, 1.0, 1.0, 1.0)
+
+    def test_estimate_bounds_the_rounding(self):
+        """The reported error bounds the rounding of the formula, against
+        the formula in mpmath.  The first query reached 4.8 eps, above the
+        4 eps once reported: there s = r / b2 = 0.81, m = (a1 + a2) / 2 = 33,
+        so the rounding of s costs |s log m| = 2.8 eps in m^s, and the last
+        factor cancels to 0.19.  The others are a log-uniform in
+        [1e-3, 1e3] and s in (-1, 1), seed 3; a value past the float range
+        raises DomainError, and one below it must still be bounded."""
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(3)
+        queries = [(0.026651525595684934, 65.67754677903876, 1.0338529551378393, 1.392515821530706,
+                    1.1241900559307938)]
+        for _ in range(300):
+            a1, a2, b1, b2 = 10 ** rng.uniform(-3, 3, 4)
+            queries.append((a1, a2, b1, b2, b2 * rng.uniform(-0.9999, 0.9999)))
+        for a1, a2, b1, b2, r in (map(float, query) for query in queries):
+            try:
+                res = moment(LogLogistic(b1, b2), validate_params(2, [a1, a2]), r)
+            except DomainError as exc:
+                assert "overflows" in str(exc)
+                continue
+            assert res.method_used == "closed_form"
+            with mp.workdps(40):
+                a1_, a2_, b1_, b2_, r_ = map(mp.mpf, (a1, a2, b1, b2, r))
+                s = r_ / b2_
+                exact = (b1_**r_ * ((a1_ + a2_) / 2) ** s * r_ * mp.pi / (b2_ * mp.sin(mp.pi * s))
+                         * (s * (a1_ - a2_) / (a1_ + a2_) + 1))
+                assert abs(res.value - exact) <= res.error_estimate, (a1, a2, b1, b2, r)
 
 
 class TestWeibullScaling:
@@ -648,6 +681,82 @@ class TestQuadrature:
         assert res.value == pytest.approx(float(mp_moment(mp, baseline, a, m)), rel=1e-12)
 
 
+def per_level_quadrature(baseline, pv, r, tol=1e-10):
+    """The tanh-sinh rule as it ran with one numpy call per level: the 25
+    nodes of step 1/2 first, then the odd multiples of each halved step,
+    with the stop rule and the estimate of _moment_quadrature.  Returns
+    (value, error estimate, nodes evaluated)."""
+    from moq.family import _deriv
+    from moq.moments import _DE_MAX_LEVEL, _DE_MIN_LEVEL, _DE_SPAN, _EPS, _edge_tail
+
+    def level_terms(level):
+        h = 0.5 ** (level + 1)
+        n = round(_DE_SPAN / h)
+        t = h * (np.arange(-n, n + 1.0) if level == 0 else np.arange(1.0 - n, n, 2))
+        x = np.pi * np.sinh(t)
+        u, s = 1.0 / (1.0 + np.exp(-x)), 1.0 / (1.0 + np.exp(x))
+        weight, k = np.pi * np.cosh(t) * u * s, np.count_nonzero(t <= 0.0)
+        power = np.concatenate((baseline.quantile(u[:k]), baseline.isf(s[k:]))) ** r
+        known = ~np.isinf(power)
+        return np.where(known, power * weight * _deriv(pv, u, s), 0.0), known
+
+    def interleave(old, new):
+        out = np.empty(old.size + new.size, dtype=old.dtype)
+        out[0::2], out[1::2] = old, new
+        return out
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        h = 0.5
+        g, known = level_terms(0)
+        sums = [h * g.sum()]
+        for level in range(1, _DE_MAX_LEVEL + 1):
+            h /= 2
+            new, new_known = level_terms(level)
+            g, known = interleave(g, new), interleave(known, new_known)
+            sums.append(sums[-1] / 2 + h * new.sum())
+            if level >= _DE_MIN_LEVEL:
+                floor = _edge_tail(g, known, h) + 16 * (pv.q + abs(r) + 4) * _EPS * h * np.abs(g).sum()
+                estimate = abs(sums[-2] - sums[-3]) + floor
+                if estimate <= tol * abs(sums[-1]):
+                    return float(sums[-1]), float(estimate), g.size
+                if not floor <= tol * abs(sums[-1]):
+                    break
+    raise ToleranceNotMet(f"per-level rule: estimate {estimate:.3e}")
+
+
+class TestOneCallLevels:
+    """Levels 0 to _DE_MIN_LEVEL of the rule come from one call over the
+    193 nodes of step 1/16: against the per-level loop, the same nodes
+    evaluated, values within 4 ulps and estimates within 1%."""
+
+    @pytest.mark.parametrize("baseline, a, r", [
+        (Exponential(1.0), (20.0, 0.5), 1.5),  # the moment table's exp-a20-fallback
+        (GeneralizedWeibull(1.0, 1.0, 1.5), (2.0, 0.5), 1.5),  # gw-q2-quadrature
+        (LogLogistic(1.0, 3.0), (2.0, 0.5, 0.5), 1.5),  # ll-q3-quadrature
+        (Weibull(2.0, 2.0), (1e-6, 0.15), 1.0),  # weib-wave-quadrature, outside the pmf regime
+        (Weibull(1.824, 0.837), (5.613, 226.6), -0.00139),  # outside the pmf regime, 769 nodes
+        (Exponential(1.0), (3.0, 0.3, 0.4, 0.9, 0.6), -0.5),
+    ])
+    def test_matches_the_per_level_loop(self, baseline, a, r):
+        from moq.moments import _moment_quadrature
+
+        pv = validate_params(len(a), a)
+        value, estimate, nodes = per_level_quadrature(baseline, pv, r)
+        res = _moment_quadrature(baseline, pv, r, 1e-10)
+        assert res.terms_used == nodes
+        assert abs(res.value - value) <= 4 * np.spacing(abs(value))
+        assert res.error_estimate == pytest.approx(estimate, rel=0.01)
+
+    def test_first_call_holds_levels_zero_to_three(self):
+        from moq.moments import _DE_MIN_LEVEL, _de_level
+
+        u = _de_level(_DE_MIN_LEVEL)[0]
+        assert u.size == 193
+        first = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(np.arange(-6.0, 6.5, 0.5))))
+        assert np.array_equal(u[::8], first)
+        assert _de_level(_DE_MIN_LEVEL + 1)[0].size == 192
+
+
 class TestRouting:
     @pytest.mark.parametrize(
         "baseline, a, r",
@@ -665,6 +774,57 @@ class TestRouting:
         with pytest.raises(DomainError, match="moments need"):
             moment(baseline, validate_params(len(a), a), r, method="quadrature")
 
+    @staticmethod
+    def spy_paths(monkeypatch) -> list[str]:
+        """The names of the quadrature and series-walk calls of moq.moments,
+        in the order they are made."""
+        from moq import moments
+
+        calls = []
+        for name in ("_moment_quadrature", "_moment_series"):
+            def spy(*args, _real=getattr(moments, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(moments, name, spy)
+        return calls
+
+    def test_series_takes_over_near_minus_one(self, monkeypatch):
+        """At r = -0.99 the rule's outermost nodes miss mass that is real
+        (estimate 1.2e-2): auto integrates once, then sums the short series
+        at zero, which meets tol."""
+        calls = self.spy_paths(monkeypatch)
+        a = (3.0, 0.3, 0.4, 0.9, 0.6)
+        res = moment(Exponential(1.0), validate_params(5, a), -0.99)
+        assert calls == ["_moment_quadrature", "_moment_series"]
+        assert res.method_used == "scaling(series_at_zero)" and res.error_estimate <= 1e-10
+        mp = pytest.importorskip("mpmath")
+        assert abs(res.value - mp_moment(mp, Exponential(1.0), a, -0.99)) <= res.error_estimate
+        with pytest.raises(ToleranceNotMet, match="estimate 1.2"):
+            moment(Exponential(1.0), validate_params(5, a), -0.99, method="quadrature")
+
+    def test_both_paths_fail_once(self, monkeypatch):
+        """Order 170: the quadrature misses tol and the series fails at
+        index 25; the quadrature's error is raised, without integrating
+        again."""
+        calls = self.spy_paths(monkeypatch)
+        with pytest.raises(ToleranceNotMet):
+            moment(Exponential(1.0), validate_params(3, [2.2, 0.5, 0.5]), 170.0)
+        assert calls == ["_moment_quadrature", "_moment_series"]
+
+    def test_order_zero_keeps_its_place(self):
+        """Orders [0, 1] have one nonzero order, which auto integrates; the
+        result list still has one entry per order, as the binomial
+        transform of shape = shape2 = 1 needs."""
+        from moq.moments import _unit_moment
+
+        pv = validate_params(2, [1.5, 0.5])
+        res = _unit_moment(Exponential, pv, [0.0, 1.0], 1e-13, 1e-13, "auto")
+        assert [r.method_used for r in res] == ["closed_form", "quadrature"]
+        gw = moment_generalized_weibull(pv, 1.0, 1.0, 1.0, 1)
+        assert gw.method_used == "binomial_transform"
+        assert abs(gw.value - res[1].value) <= gw.error_estimate
+
     def test_auto_skips_a_long_series(self, monkeypatch):
         """a = (20, 0.5) needs hundreds of terms at zero, whose inner sums
         cancel from index 50: auto integrates without trying them."""
@@ -677,9 +837,11 @@ class TestRouting:
         res = moment(Exponential(1.0), validate_params(2, [20.0, 0.5]), 1.5)
         assert res.method_used == "scaling(quadrature)"
 
-    def test_auto_takes_a_short_series(self):
+    def test_auto_integrates_a_short_series(self):
+        """The series at zero of a = (2.2, 0.6, 0.7, 0.9) is short, but the
+        quadrature of its single order meets tol first: auto integrates."""
         res = moment(Weibull(1.0, 0.8), validate_params(4, [2.2, 0.6, 0.7, 0.9]), 0.5)
-        assert res.method_used == "scaling(series_at_zero)"
+        assert res.method_used == "scaling(quadrature)"
 
     def test_series_at_one_error_is_a_bound(self):
         """The alternating series at one where its modes cancel: the last
@@ -712,7 +874,7 @@ _ROUTE_OUTCOMES = {
     "D": DomainError, "C": ConditionViolated, "N": Nonconvergence,
 }
 _ROUTES = """
-exponential          short  auto            z   z   z
+exponential          short  auto            sq  sq  sq
 exponential          short  closed_form     D   D   D
 exponential          short  series_at_zero  z   z   z
 exponential          short  series_at_one   o   o   o
@@ -727,7 +889,7 @@ exponential          mixed  closed_form     D   D   D
 exponential          mixed  series_at_zero  C   C   C
 exponential          mixed  series_at_one   C   C   C
 exponential          mixed  quadrature      q   q   q
-weibull              short  auto            z   z   z
+weibull              short  auto            sq  sq  sq
 weibull              short  closed_form     D   D   D
 weibull              short  series_at_zero  z   z   z
 weibull              short  series_at_one   o   o   o
@@ -757,7 +919,7 @@ generalized_weibull  mixed  closed_form     D   D   C
 generalized_weibull  mixed  series_at_zero  D   D   D
 generalized_weibull  mixed  series_at_one   D   D   D
 generalized_weibull  mixed  quadrature      q   q   q
-loglogistic          short  auto            z   z   z
+loglogistic          short  auto            sq  sq  sq
 loglogistic          short  closed_form     C   C   C
 loglogistic          short  series_at_zero  z   z   z
 loglogistic          short  series_at_one   o   o   o
@@ -821,6 +983,51 @@ class TestRoutingTable:
         its series got tol itself, Weibull(1e4, 1) 4.7e-11."""
         mp = pytest.importorskip("mpmath")
         a, r, tol = (3.0, 0.5, 0.5), 0.6, 1e-10
-        res = moment(baseline, validate_params(3, a), r, tol=tol)
+        res = moment(baseline, validate_params(3, a), r, tol=tol, method="series_at_zero")
         assert res.method_used == "scaling(series_at_zero)"
         assert abs(res.value - mp_moment(mp, baseline, a, r)) <= res.error_estimate <= 2 * tol
+
+
+def contract_query(rng):
+    """One (baseline, a, r) for the auto contract: the exponential, Weibull
+    or log-logistic, q in 2..6, and a log-uniform in [1e-3, 1e3], or half
+    the time in the pmf regime (a_i in [1e-3, 1] for i >= 2, a_1 up to 1e3
+    times what S >= q needs); r up to 0.99 of the way to the ends of the
+    existence domain, and up to 4 shape where it has no upper end."""
+    q = int(rng.integers(2, 7))
+    if rng.random() < 0.5:
+        rest = list(10 ** rng.uniform(-3, 0, q - 1))
+        a = [max(q - sum(rest), 1e-3) * 10 ** rng.uniform(0, 3), *rest]
+    else:
+        a = list(10 ** rng.uniform(-3, 3, q))
+    scale, shape = 10 ** rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-0.5, 0.6)
+    family = int(rng.integers(3))
+    baseline = (Exponential(scale), Weibull(scale, shape), LogLogistic(scale, shape))[family]
+    k = getattr(baseline, "shape", 1.0)
+    return baseline, [float(v) for v in a], float(k * rng.uniform(-0.99, 0.99 if family == 2 else 4.0))
+
+
+class TestAutoContract:
+    """A first slice of the property contract: moment(method="auto") over
+    the exponential, Weibull and log-logistic, in the pmf regime and out of
+    it, returns a value within its error estimate of mpmath, or raises a
+    MoqError subclass.  Another exception, a NaN or a miss fails.
+    Hypothesis draws the seed of each query, derandomized: in 24 examples
+    its own float draws cluster at their bounds."""
+
+    def test_value_within_estimate_or_typed_error(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        mp = pytest.importorskip("mpmath")
+
+        @hypothesis.settings(max_examples=24, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(hypothesis.strategies.integers(0, 2**32 - 1))
+        def check(seed):
+            baseline, a, r = contract_query(np.random.default_rng(seed))
+            try:
+                res = moment(baseline, validate_params(len(a), a), r)
+            except MoqError:
+                return
+            assert math.isfinite(res.value) and math.isfinite(res.error_estimate), res
+            assert abs(res.value - mp_moment(mp, baseline, a, r)) <= res.error_estimate, res
+
+        check()
