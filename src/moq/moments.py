@@ -8,6 +8,10 @@ be played against each other:
 * tanh-sinh quadrature of Q0(u)^r T'(u) over u in [0, 1], Q0 the
   baseline quantile.
 
+The exponential, Weibull and log-logistic always take the power-scaling
+relation X = scale X1^(1/shape), X1 the unit baseline; the quadrature of
+the baseline itself serves only the others.
+
 The series for the exponential baseline contains an inner alternating
 binomial sum that loses digits catastrophically once indices reach the
 several dozens; its conditioning is tracked term by term, and the
@@ -72,11 +76,13 @@ class MomentResult:
     error_estimate: float
 
 
+_ORDER_ZERO = MomentResult(1.0, "closed_form", 1, 0.0)
+_UNITS = {Exponential: Exponential(), LogLogistic: LogLogistic()}  # the unit baselines of the scaling relation
+
+
 def _require_pmf(pv: ParameterVector, what: str):
     if not pv.pmf_ok:
-        raise ConditionViolated(
-            f"{what} requires sum(a) >= q and a_i <= 1 for i >= 2; got a = {pv.a}"
-        )
+        raise ConditionViolated(f"{what} requires sum(a) >= q and a_i <= 1 for i >= 2; got a = {pv.a}")
 
 
 def _alternating_binomial_inner(m: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,48 +278,54 @@ def _gamma_factors(orders: list[float], kind: str, tol: float):
     return at_zero
 
 
-def _unit_moment(family, pv: ParameterVector, orders: list[float], rel_tol: float, abs_tol: float, method: str,
-                 max_terms: int = _DEFAULT_MAX_TERMS) -> list[MomentResult]:
-    """E(X^r) for every order r in ``orders`` for the extension of the unit
-    exponential (``family`` Exponential, r > -1) or the standard
-    log-logistic (LogLogistic, |r| < 1), in the pmf regime: a pinned path,
-    or for ``auto`` with a single nonzero order, quadrature first and, where
-    it raises ToleranceNotMet and the series at zero is short
-    (_short_series), that series, which keeps its digits near r = -1 where
-    the rule's outermost nodes miss real mass; if the series fails too, the
-    quadrature's error is raised.  With several orders ``auto`` takes one
-    walk of the series at zero for all of them where it is short, and
-    integrates each order whose series fails alone, while a pinned series
-    raises.  A series stops on the absolute error ``abs_tol``, the
-    quadrature on ``rel_tol`` times the value."""
-    _require_pmf(pv, f"the unit {family.__name__} moment series")
-    todo = [x for x in orders if x != 0.0]
-    results, missed = [None] * len(todo), None
-    if method == "auto" and len(todo) == 1:
+def _unit_moment(family, pv: ParameterVector, r: float, rel_tol: float, abs_tol: float, method: str,
+                 max_terms: int = _DEFAULT_MAX_TERMS) -> MomentResult:
+    """E(X^r) for the extension of the unit exponential (``family``
+    Exponential, r > -1) or the standard log-logistic (LogLogistic,
+    |r| < 1).  Order 0 is exactly 1, unless ``method`` pins the quadrature.
+    A pinned series needs the pmf regime and raises where it fails; other
+    methods integrate, to ``rel_tol`` times the value.  Only under
+    ``auto`` in the pmf regime, where that raises ToleranceNotMet and the
+    series at zero is short (_short_series), that series is summed: it
+    keeps its digits near r = -1, where the rule's outermost nodes miss
+    real mass; if it fails too, the quadrature's error is raised.  A
+    series stops on the absolute error ``abs_tol``."""
+    pinned, missed = method in ("series_at_zero", "series_at_one"), None
+    if pinned:
+        _require_pmf(pv, f"the unit {family.__name__} moment series")
+    if r == 0.0 and method != "quadrature":
+        return _ORDER_ZERO
+    if not pinned:
         try:
-            results = [_moment_quadrature(family(), pv, todo[0], rel_tol)]
+            return _moment_quadrature(_UNITS[family], pv, r, rel_tol)
         except ToleranceNotMet as exc:
-            missed = exc
-    pinned = method in ("series_at_zero", "series_at_one")
-    if todo and results[0] is None and (pinned or (method == "auto" and _short_series(pv, abs_tol))):
-        kind = "at_one" if method == "series_at_one" else "at_zero"
-        factors = _m_beta(todo, kind) if family is LogLogistic else _gamma_factors(todo, kind, abs_tol)
-        try:
-            results = _moment_series(pv, kind, factors, abs_tol, max_terms)
-        except Nonconvergence:
-            if pinned:
+            if method != "auto" or not (pv.pmf_ok and _short_series(pv, abs_tol)):
                 raise
-    out, results = [], iter(results)
-    for x in orders:
-        res = MomentResult(1.0, "closed_form", 1, 0.0) if x == 0.0 else next(results)
-        if isinstance(res, Nonconvergence) and pinned:
-            raise res
-        if not isinstance(res, MomentResult):
-            if missed is not None:
-                raise missed
-            res = _moment_quadrature(family(), pv, x, rel_tol)
-        out.append(res)
-    return out
+            missed = exc
+    kind = "at_one" if method == "series_at_one" else "at_zero"
+    factors = _m_beta([r], kind) if family is LogLogistic else _gamma_factors([r], kind, abs_tol)
+    try:
+        (res,) = _moment_series(pv, kind, factors, abs_tol, max_terms)
+    except Nonconvergence as exc:
+        res = exc
+    if isinstance(res, Nonconvergence):
+        raise missed or res
+    return res
+
+
+def _exponential_moments(pv: ParameterVector, orders: list[float], tol: float) -> list[MomentResult]:
+    """E(X^r) of the extended unit exponential for the nonzero ``orders``
+    in the pmf regime: one walk of the series at zero, to the absolute
+    error ``tol``, where it is short; each order whose series fails or is
+    long is integrated alone, to ``tol`` times the value."""
+    walked = [None] * len(orders)
+    if _short_series(pv, tol):
+        try:
+            walked = _moment_series(pv, "at_zero", _gamma_factors(orders, "at_zero", tol), tol, _DEFAULT_MAX_TERMS)
+        except Nonconvergence:
+            pass
+    return [res if isinstance(res, MomentResult) else _moment_quadrature(_UNITS[Exponential], pv, r, tol)
+            for r, res in zip(orders, walked)]
 
 
 def moment_exponential(
@@ -323,23 +335,23 @@ def moment_exponential(
     method: str = "auto",
     max_terms: int = _DEFAULT_MAX_TERMS,
 ) -> MomentResult:
-    """E(X^r) for the extended unit exponential, r > 0.
+    """E(X^r) for the extended unit exponential, r > 0, in the pmf regime
+    (ConditionViolated elsewhere); :func:`moment` takes the same route for
+    every r > -1 and in every regime (see _unit_moment).
 
     ``method`` is one of ``auto``, ``series_at_zero``, ``series_at_one``,
-    ``quadrature``.  ``auto`` integrates; where the quadrature misses
-    ``tol`` and the series at zero promises to reach it within 50 terms,
-    it sums that series instead, unless the series' inner alternating
-    sums become too ill-conditioned to trust: past an index of about 50
-    they always do.  Then the quadrature's ToleranceNotMet is raised.
-    A series' error estimate bounds its tail and rounding against ``tol``;
-    the quadrature's covers the discretization, the truncated ends and
-    the rounding, and meets ``tol`` relative to the value or raises.
-    :func:`moment` takes the same series for -1 < r < 0.
+    ``quadrature``.  ``auto`` integrates, and where that misses ``tol``
+    sums the series at zero if it promises to reach ``tol`` within 50
+    terms; past an index of about 50 its inner alternating sums always
+    cancel too far to trust.  A series' error estimate bounds its tail and
+    rounding against ``tol``; the quadrature's meets ``tol`` relative to
+    the value or raises ToleranceNotMet.
     """
     _check_query(method, tol, _METHODS[:4])
     if not (math.isfinite(r) and r >= 0):
         raise DomainError(f"moment order must satisfy r > 0, got {r!r}")
-    return _unit_moment(Exponential, pv, [float(r)], tol, tol, method, max_terms)[0]
+    _require_pmf(pv, "the unit Exponential moment series")
+    return _unit_moment(Exponential, pv, float(r), tol, tol, method, max_terms)
 
 
 def moment_loglogistic(
@@ -349,20 +361,16 @@ def moment_loglogistic(
     method: str = "auto",
     max_terms: int = _DEFAULT_MAX_TERMS,
 ) -> MomentResult:
-    """E(X^r) for the extended standard log-logistic, |r| < 1.
-
-    The series at zero has non-negative terms in the pmf regime, so unlike
-    the exponential case it never cancels; the one at one alternates.
-    ``auto`` integrates, and where the quadrature misses ``tol`` sums the
-    series at zero if its weights promise to reach ``tol`` within 50
-    terms and it ends within ``max_terms``; otherwise the quadrature's
-    ToleranceNotMet is raised.  Error estimates as for
-    :func:`moment_exponential`.
+    """E(X^r) for the extended standard log-logistic, |r| < 1, routed as
+    :func:`moment_exponential` is.  The series at zero has non-negative
+    terms in the pmf regime, so unlike the exponential's it never cancels;
+    the one at one alternates.
     """
     _check_query(method, tol, _METHODS[:4])
     if not (math.isfinite(r) and abs(r) < 1.0):
         raise DomainError(f"log-logistic moment series requires |r| < 1, got r = {r!r}")
-    return _unit_moment(LogLogistic, pv, [float(r)], tol, tol, method, max_terms)[0]
+    _require_pmf(pv, "the unit LogLogistic moment series")
+    return _unit_moment(LogLogistic, pv, float(r), tol, tol, method, max_terms)
 
 
 def moment_q2_loglogistic_closed(a1: float, a2: float, b1: float, b2: float, r: float) -> float:
@@ -410,11 +418,19 @@ def moment_weibull_scaled(
     method: str = "auto",
 ) -> MomentResult:
     """E(X^r) for the extended Weibull(scale, shape): :func:`moment` of it,
-    which in the pmf regime takes the power-scaling relation to the
-    extended unit exponential at order r/shape."""
+    which takes the power-scaling relation to the extended unit
+    exponential at order r/shape."""
     if not (math.isfinite(scale) and scale > 0 and math.isfinite(shape) and shape > 0):
         raise DomainError("scale and shape must be strictly positive")
     return moment(Weibull(scale, shape), pv, r, method=method, tol=tol)
+
+
+def _integer_shapes(shape: float, shape2: float) -> tuple[int, int] | None:
+    """1/shape and shape2 as positive integers, each within 1e-9, or None."""
+    pair = (1.0 / shape, shape2)
+    if all(math.isfinite(x) and x >= 0.5 and abs(x - round(x)) <= 1e-9 for x in pair):
+        return round(pair[0]), round(pair[1])
+    return None
 
 
 def moment_generalized_weibull(
@@ -430,42 +446,28 @@ def moment_generalized_weibull(
     Needs 1/shape and shape2 to be positive integers; the variable is then
     a polynomial transform of the extended unit exponential and the moment
     reduces to a double binomial combination of its integer moments, orders
-    0 to shape2 * m / shape.  One walk of the series at zero serves all of
-    them (see _unit_moment), at the absolute error tol / 1000; an order
-    whose series fails is integrated alone.  Where one order is nonzero
-    (shape = shape2 = m = 1) it is routed as a single order is.  The inner exponent is the
-    plain binomial-expansion index, and the result is checked against
-    quadrature and mpmath in the test suite.
+    0 to shape2 * m / shape: 1 at order 0, and _exponential_moments at the
+    absolute error tol / 1000 for the others.
     """
     _require_pmf(pv, "generalized-Weibull moment formula")
     if not (isinstance(m, (int,)) and m >= 1):
         raise DomainError(f"moment order must be a positive integer, got {m!r}")
-    inv_shape = 1.0 / shape
-    if abs(inv_shape - round(inv_shape)) > 1e-9 or round(inv_shape) < 1:
-        raise DomainError(f"1/shape must be a positive integer, got 1/{shape}")
-    if abs(shape2 - round(shape2)) > 1e-9 or round(shape2) < 1:
-        raise DomainError(f"shape2 must be a positive integer, got {shape2!r}")
-    m2 = int(round(inv_shape))
-    b3 = int(round(shape2))
+    shapes = _integer_shapes(shape, shape2)
+    if shapes is None:
+        raise DomainError(f"1/shape and shape2 must be positive integers, got 1/{shape} and {shape2!r}")
+    m2, b3 = shapes
 
     _check_query("auto", tol * 1e-3, _METHODS)
-    # order 0 is exactly 1
-    exp_moments = _unit_moment(Exponential, pv, [float(j) for j in range(b3 * m * m2 + 1)], tol * 1e-3, tol * 1e-3,
-                               "auto")
-    total = 0.0
-    err = 0.0
-    terms = 0
+    exp_moments = [_ORDER_ZERO, *_exponential_moments(pv, [float(j) for j in range(1, b3 * m * m2 + 1)], tol * 1e-3)]
+    total, err = 0.0, 0.0
     for k in range(m * m2 + 1):
         sign = -1.0 if (m * m2 - k) % 2 else 1.0
-        outer = math.comb(m * m2, k)
-        for j in range(b3 * k + 1):
-            c = sign * outer * math.comb(b3 * k, j)
-            mom = exp_moments[j]
+        for j, mom in enumerate(exp_moments[: b3 * k + 1]):
+            c = sign * math.comb(m * m2, k) * math.comb(b3 * k, j)
             total += c * mom.value
             err += abs(c) * (mom.error_estimate + _EPS * abs(mom.value))
-            terms = max(terms, mom.terms_used)
     factor = scale**m
-    return MomentResult(factor * total, "binomial_transform", terms, factor * err)
+    return MomentResult(factor * total, "binomial_transform", max(mom.terms_used for mom in exp_moments), factor * err)
 
 
 @lru_cache(maxsize=None)
@@ -580,7 +582,8 @@ def moment_bound_check(
     """Return (E|X|^r for the extension, a_1 * E|X0|^r for the baseline).
 
     In the pmf regime the first never exceeds the second.  With
-    ``n_mc == 0`` both sides come from quadrature; with ``n_mc > 0`` the
+    ``n_mc == 0`` both sides come from quadrature, the left one from
+    :func:`moment` with ``method="quadrature"``; with ``n_mc > 0`` the
     left side is a Monte-Carlo estimate from ``n_mc`` inverse-CDF draws.
     """
     _require_pmf(pv, "moment domination bound")
@@ -591,7 +594,7 @@ def moment_bound_check(
         batch = sample_inverse_cdf(ExtendedDistribution(baseline, pv), RandomSource(seed), n_mc)
         lhs = float((batch.values**r).mean())
     else:
-        lhs = _moment_quadrature(baseline, pv, r, tol).value
+        lhs = moment(baseline, pv, r, method="quadrature", tol=tol).value
     return lhs, rhs
 
 
@@ -627,18 +630,16 @@ def moment(
 
     ``auto`` takes the closed form where one exists: the two-parameter
     log-logistic, and in the pmf regime the binomial transform for
-    generalized Weibull at integer r.  Otherwise, for the exponential,
-    Weibull and log-logistic in the pmf regime, it scales by scale^r the
-    moment of the unit baseline at order r/shape (-shape < r < 0 included):
-    quadrature, and where it misses tol the series at zero if it is short
-    (see moment_exponential), with the absolute error tol / max(scale^r, 1);
-    it keeps its digits near r = -shape, where the quadrature's outermost
-    nodes miss real mass.  Everywhere else it integrates.  The tanh-sinh
-    quadrature in u has an error estimate that covers the discretization,
-    the truncated ends and the rounding, and meets ``tol`` relative to the
-    value or raises ToleranceNotMet.  The other methods pin a path.  A
-    moment, or a factor of it, beyond the float range raises DomainError.
-    The closed form's estimate bounds its rounding, underflow included.
+    generalized Weibull at integer r, 1/shape and shape2.  Otherwise the
+    exponential, Weibull and log-logistic, in every regime and under every
+    method, scale by scale^r the unit baseline's moment at order r/shape
+    (see _unit_moment), a series with the absolute error
+    tol / max(scale^r, 1); the estimate adds the rounding of the scaling.
+    The generalized Weibull, and any other baseline under ``quadrature``,
+    integrate the baseline itself.  The tanh-sinh quadrature in u covers
+    its discretization, truncated ends and rounding, and meets ``tol``
+    relative to the value or raises ToleranceNotMet.  A moment, or a
+    factor of it, beyond the float range raises DomainError.
     """
     try:
         res = _route(baseline, pv, r, method, tol)
@@ -664,22 +665,20 @@ def _route(baseline: Baseline, pv: ParameterVector, r: float, method: str, tol: 
             val, err = _q2_loglogistic_closed(pv.a[0], pv.a[1], baseline.scale, baseline.shape, r)
             return MomentResult(val, "closed_form", 1, err)
         m = round(r)
-        if isinstance(baseline, GeneralizedWeibull) and (pv.pmf_ok or pinned) and m >= 1 and abs(r - m) < 1e-12:
-            try:
-                return moment_generalized_weibull(pv, baseline.scale, baseline.shape, baseline.shape2, m, tol=tol)
-            except DomainError:
-                if pinned:
-                    raise
+        if (isinstance(baseline, GeneralizedWeibull) and (pv.pmf_ok or pinned) and m >= 1 and abs(r - m) < 1e-12
+                and (pinned or _integer_shapes(baseline.shape, baseline.shape2))):
+            return moment_generalized_weibull(pv, baseline.scale, baseline.shape, baseline.shape2, m, tol=tol)
         if pinned:
             raise DomainError(f"no closed form for {baseline.name} moments at r = {r!r}")
-    # X = scale X1^(1/shape), X1 the unit exponential or standard log-logistic
-    unit = LogLogistic if isinstance(baseline, LogLogistic) else Exponential
-    if not isinstance(baseline, (unit, Weibull)):  # generalized Weibull, or not a family
-        if method.startswith("series_at"):
-            raise DomainError(f"method {method!r} unavailable for {baseline.name}")
-    elif method != "quadrature" and (pv.pmf_ok or pinned):
-        factor, shape = baseline.scale**r, getattr(baseline, "shape", 1.0)
-        inner = _unit_moment(unit, pv, [r / shape], tol, tol / max(factor, 1.0), method)[0]
-        return MomentResult(factor * inner.value, f"scaling({inner.method_used})", inner.terms_used,
-                            factor * inner.error_estimate)
+    if isinstance(baseline, (Exponential, Weibull, LogLogistic)):
+        # X = scale X1^(1/shape), X1 the unit exponential or standard log-logistic
+        unit = LogLogistic if isinstance(baseline, LogLogistic) else Exponential
+        factor = baseline.scale**r
+        inner = _unit_moment(unit, pv, r / getattr(baseline, "shape", 1.0), tol, tol / max(factor, 1.0), method)
+        value = factor * inner.value
+        # the roundings of scale^r and of the product, each within eps, or _ETA below the normal range
+        error = factor * inner.error_estimate + 2.0 * _EPS * abs(value) + _ETA * (1.0 + abs(inner.value))
+        return MomentResult(value, f"scaling({inner.method_used})", inner.terms_used, error)
+    if method.startswith("series_at"):
+        raise DomainError(f"method {method!r} unavailable for {baseline.name}")
     return _moment_quadrature(baseline, pv, r, tol)

@@ -253,6 +253,7 @@ class TestMomentCommand:
     @pytest.mark.parametrize("data, r", [
         ({"baseline": {"family": "exponential"}, "a": [2.2, 0.5, 0.5]}, "200"),
         ({"baseline": {"family": "weibull", "scale": 1e200, "shape": 2}, "a": [2.2, 0.5, 0.5]}, "2"),
+        ({"baseline": {"family": "weibull", "scale": 1e200, "shape": 2}, "a": [0.6, 0.3, 0.2]}, "2"),
     ])
     def test_overflowing_moment_exits_4(self, tmp_path, capsys, data, r):
         assert main(["moment", "--spec", write_spec(tmp_path, data), "--r", r]) == 4
@@ -286,6 +287,12 @@ class TestMomentCommand:
         fields = dict(part.split("=", 1) for part in capsys.readouterr().out.split())
         assert fields["method"] == "scaling(series_at_zero)"
         assert float(fields["value"]) == pytest.approx(1.4053666390427739, rel=1e-12)
+
+    def test_pinned_quadrature_scales_the_unit_baseline(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, WEIBULL_FIG)
+        assert main(["moment", "--spec", spec, "--r", "1", "--method", "quadrature"]) == 0
+        fields = dict(part.split("=", 1) for part in capsys.readouterr().out.split())
+        assert fields["method"] == "scaling(quadrature)"
 
     def test_scaling_is_not_a_method(self, tmp_path, capsys):
         spec = write_spec(tmp_path, EXP_PMF)

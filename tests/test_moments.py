@@ -300,20 +300,20 @@ class TestOneWalk:
     def test_each_order_ends_as_it_would_alone(self):
         """For a = (4, 0.5, 0.5) at tol 1e-13 the inner sums of order 0.3
         cancel past the limit before its series ends, while orders 1 and 8
-        end after 45 and 60 terms in the same walk: auto integrates order
-        0.3 alone, a pinned series raises for it, and every result is the
-        one a call for that order alone returns: the series at zero for
-        orders 1 and 8, the quadrature for order 0.3."""
-        from moq.moments import _unit_moment
+        end after 45 and 60 terms in the same walk: the multi-order walk
+        integrates order 0.3 alone, a pinned series raises for it, and every
+        result is the one a call for that order alone returns: the series
+        at zero for orders 1 and 8, the quadrature for order 0.3."""
+        from moq.moments import _exponential_moments, _unit_moment
 
         pv, orders = validate_params(3, [4.0, 0.5, 0.5]), [0.3, 1.0, 8.0]
-        res = _unit_moment(Exponential, pv, orders, 1e-13, 1e-13, "auto")
+        res = _exponential_moments(pv, orders, 1e-13)
         assert [(r.method_used, r.terms_used) for r in res[1:]] == [("series_at_zero", 45), ("series_at_zero", 60)]
         assert res[1:] == [moment_exponential(pv, r, tol=1e-13, method="series_at_zero") for r in orders[1:]]
         assert res[0] == moment_exponential(pv, orders[0], tol=1e-13, method="quadrature")
         assert res[0].method_used == "quadrature"
         with pytest.raises(Nonconvergence, match="ill-conditioned"):
-            _unit_moment(Exponential, pv, orders, 1e-13, 1e-13, "series_at_zero")
+            _unit_moment(Exponential, pv, orders[0], 1e-13, 1e-13, "series_at_zero")
 
     def test_failed_orders_keep_their_own_reason(self):
         """For a = (4, 0.5, 0.5) at tol 1e-13 the inner sums of order 0.3
@@ -493,7 +493,7 @@ class TestFrontDoor:
     def test_quadrature_method(self):
         pv = validate_params(2, [1e-6, 0.15])  # outside the pmf regime
         res = moment(Weibull(2.0, 2.0), pv, 1.0, method="quadrature")
-        assert res.method_used == "quadrature"
+        assert res.method_used == "scaling(quadrature)"
         assert res.value == pytest.approx(quad_moment(Weibull(2.0, 2.0), pv, 1.0), rel=1e-9)
 
     def test_loglogistic_order_beyond_shape_rejected(self):
@@ -508,7 +508,7 @@ class TestFrontDoor:
     def test_auto_outside_pmf_regime_integrates(self):
         pv = validate_params(2, [1e-6, 0.15])
         res = moment(Weibull(2.0, 2.0), pv, 1.0)
-        assert res.method_used == "quadrature"
+        assert res.method_used == "scaling(quadrature)"
         assert res.value == moment(Weibull(2.0, 2.0), pv, 1.0, method="quadrature").value
 
     @pytest.mark.parametrize("baseline", [Exponential(1.0), Weibull(2.0, 2.0), LogLogistic()])
@@ -539,6 +539,34 @@ class TestFrontDoor:
     def test_largest_finite_scaled_moment_returns(self):
         res = moment(Weibull(1e154, 2.0), validate_params(3, [2.2, 0.5, 0.5]), 2.0)
         assert math.isfinite(res.value) and res.value > 1e308
+
+    @pytest.mark.parametrize("baseline", [Weibull(1e200, 2.0), LogLogistic(1e300, 3.0)])
+    def test_overflow_outside_the_pmf_regime_is_a_domain_error(self, baseline):
+        """Outside the pmf regime scale^r overflows before any quadrature,
+        as in it; the quadrature of the baseline raised ToleranceNotMet."""
+        with pytest.raises(DomainError, match="overflows"):
+            moment(baseline, validate_params(3, [0.6, 0.3, 0.2]), 2.0)
+
+    def test_scaled_moment_near_the_float_range_returns(self):
+        """scale^2 = 1.44e308 is finite and the unit mean 0.788 below 1, so
+        the moment is finite; the baseline's own quadrature overflowed."""
+        res = moment(Weibull(1.2e154, 2.0), validate_params(3, [0.6, 0.3, 0.2]), 2.0)
+        unit = moment(Exponential(1.0), validate_params(3, [0.6, 0.3, 0.2]), 1.0)
+        assert res.method_used == "scaling(quadrature)" and math.isfinite(res.value)
+        assert res.value == pytest.approx(1.2e154**2 * unit.value, rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200])
+    def test_subnormal_scaled_moment_bounds_its_rounding(self, scale):
+        """scale^2 is subnormal (1e-320) or underflows to 0 (1e-400): the
+        estimate counts that rounding, against scale^r times the unit
+        moment in mpmath, which the x-space integral of mp_moment cannot
+        resolve at these scales."""
+        mp = pytest.importorskip("mpmath")
+        a = (2.2, 0.5, 0.5)
+        res = moment(Weibull(scale, 2.0), validate_params(3, a), 2.0)
+        with mp.workdps(30):
+            exact = mp.mpf(scale) ** 2 * mp_moment(mp, Exponential(1.0), a, 1.0)
+            assert 0 < abs(res.value - exact) <= res.error_estimate
 
 
 def mp_t_deriv(mp, a, u):
@@ -609,7 +637,6 @@ def random_queries(n, seed):
         if i // 4 % 2:
             rest = 10 ** rng.uniform(-3, 0, q - 1)
             a = [max(q - rest.sum(), 1e-3) * 10 ** rng.uniform(0, 3), *rest]
-            a[0] = max(a[0], q - rest.sum())
         else:
             a = list(10 ** rng.uniform(-3, 3, q))
         scale, shape = 10 ** rng.uniform(-0.5, 0.5), 10 ** rng.uniform(-0.5, 0.6)
@@ -630,18 +657,25 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("baseline, a, r", random_queries(100, 11))
     def test_error_estimate_covers_error(self, baseline, a, r):
+        """The exponential, Weibull and log-logistic integrate their unit
+        baseline by the scaling relation, the generalized Weibull itself."""
         mp = pytest.importorskip("mpmath")
         res = moment(baseline, validate_params(len(a), a), r, method="quadrature")
-        assert res.method_used == "quadrature"
+        expected = "quadrature" if isinstance(baseline, GeneralizedWeibull) else "scaling(quadrature)"
+        assert res.method_used == expected
         exact = mp_moment(mp, baseline, a, r)
         assert abs(res.value - exact) <= res.error_estimate <= 1e-10 * res.value
 
     def test_abscissa_underflow_gives_a_finite_value(self):
-        """At r < 0 the quantile of the outermost node underflows to 0,
-        where the term's limit is 0, not inf."""
+        """At r < 0 the Weibull quantile of the outermost node underflows
+        to 0, where the term's limit is 0, not inf.  moment() takes the
+        unit exponential here, whose abscissa does not underflow, so the
+        rule is called on the Weibull itself."""
+        from moq.moments import _moment_quadrature
+
         mp = pytest.importorskip("mpmath")
         baseline, a, r = Weibull(1.824, 0.837), (5.613, 226.6), -0.00139
-        res = moment(baseline, validate_params(2, a), r, method="quadrature")
+        res = _moment_quadrature(baseline, validate_params(2, a), r, 1e-10)
         assert math.isfinite(res.value)
         assert abs(res.value - mp_moment(mp, baseline, a, r)) <= res.error_estimate
 
@@ -670,6 +704,38 @@ class TestQuadrature:
         except ToleranceNotMet:
             return
         assert abs(res.value - mp_moment(mp, baseline, a, r)) <= res.error_estimate
+
+    @staticmethod
+    def q1_loglogistic(baseline, a, r):
+        """E(X^r) of the q = 1 extension of LogLogistic(c, k) with parameter
+        a: c^r a^rho pi rho / sin(pi rho), rho = r / k."""
+        rho = r / baseline.shape
+        return baseline.scale**r * a**rho * math.pi * rho / math.sin(math.pi * rho)
+
+    def test_scaled_quadrature_meets_its_estimate(self):
+        """The quadrature of this log-logistic itself took 3,073 nodes and
+        returned 3.8924496069026358 with estimate 1.05e-7, while its error
+        was 1.41e-7; the unit log-logistic at order r / shape takes 193."""
+        baseline, a, r = LogLogistic(0.8524320806838607, 0.3832202547818613), 4.707372913197539, -0.36023282638438825
+        res = moment(baseline, validate_params(1, [a]), r, method="quadrature", tol=4.321844028020049e-08)
+        assert (res.method_used, res.terms_used) == ("scaling(quadrature)", 193)
+        assert abs(res.value - self.q1_loglogistic(baseline, a, r)) <= res.error_estimate
+
+    @pytest.mark.parametrize("method", ["quadrature", "auto"])
+    @pytest.mark.parametrize("shape, a, fraction, tol, scale", [
+        (0.3, 0.5, 0.97, 1e-10, 2.0), (0.3, 20.0, -0.97, 1e-8, 1.0), (0.5, 2.0, 0.94, 1e-6, 2.0),
+        (0.5, 0.5, -0.94, 1e-10, 1.0), (0.7, 20.0, 0.9, 1e-10, 2.0), (0.7, 2.0, -0.9, 1e-8, 2.0),
+        (1.0, 0.5, 0.97, 1e-8, 1.0), (1.0, 20.0, -0.97, 1e-6, 2.0), (1.0, 2.0, 0.94, 1e-10, 1.0),
+    ])
+    def test_barely_existing_q1_moment_meets_its_estimate(self, method, shape, a, fraction, tol, scale):
+        """Near r = +-shape the q = 1 log-logistic has a closed form: each
+        query returns within its estimate of it, or raises ToleranceNotMet."""
+        baseline, r = LogLogistic(scale, shape), fraction * shape
+        try:
+            res = moment(baseline, validate_params(1, [a]), r, method=method, tol=tol)
+        except ToleranceNotMet:
+            return
+        assert abs(res.value - self.q1_loglogistic(baseline, a, r)) <= res.error_estimate
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_binomial_transform_against_mpmath(self, m):
@@ -813,17 +879,18 @@ class TestRouting:
         assert calls == ["_moment_quadrature", "_moment_series"]
 
     def test_order_zero_keeps_its_place(self):
-        """Orders [0, 1] have one nonzero order, which auto integrates; the
-        result list still has one entry per order, as the binomial
-        transform of shape = shape2 = 1 needs."""
-        from moq.moments import _unit_moment
+        """The binomial transform of shape = shape2 = m = 1 combines orders
+        0 and 1: order 0 is exactly 1, the walk returns one result for its
+        one nonzero order, and the transform is that order's moment."""
+        from moq.moments import MomentResult, _exponential_moments, _unit_moment
 
         pv = validate_params(2, [1.5, 0.5])
-        res = _unit_moment(Exponential, pv, [0.0, 1.0], 1e-13, 1e-13, "auto")
-        assert [r.method_used for r in res] == ["closed_form", "quadrature"]
+        assert _unit_moment(Exponential, pv, 0.0, 1e-13, 1e-13, "auto") == MomentResult(1.0, "closed_form", 1, 0.0)
+        res = _exponential_moments(pv, [1.0], 1e-13)
+        assert [r.method_used for r in res] == ["series_at_zero"]
         gw = moment_generalized_weibull(pv, 1.0, 1.0, 1.0, 1)
         assert gw.method_used == "binomial_transform"
-        assert abs(gw.value - res[1].value) <= gw.error_estimate
+        assert abs(gw.value - res[0].value) <= gw.error_estimate
 
     def test_auto_skips_a_long_series(self, monkeypatch):
         """a = (20, 0.5) needs hundreds of terms at zero, whose inner sums
@@ -878,32 +945,32 @@ exponential          short  auto            sq  sq  sq
 exponential          short  closed_form     D   D   D
 exponential          short  series_at_zero  z   z   z
 exponential          short  series_at_one   o   o   o
-exponential          short  quadrature      q   q   q
+exponential          short  quadrature      sq  sq  sq
 exponential          long   auto            sq  sq  sq
 exponential          long   closed_form     D   D   D
 exponential          long   series_at_zero  N   N   N
 exponential          long   series_at_one   C   C   C
-exponential          long   quadrature      q   q   q
-exponential          mixed  auto            q   q   q
+exponential          long   quadrature      sq  sq  sq
+exponential          mixed  auto            sq  sq  sq
 exponential          mixed  closed_form     D   D   D
 exponential          mixed  series_at_zero  C   C   C
 exponential          mixed  series_at_one   C   C   C
-exponential          mixed  quadrature      q   q   q
+exponential          mixed  quadrature      sq  sq  sq
 weibull              short  auto            sq  sq  sq
 weibull              short  closed_form     D   D   D
 weibull              short  series_at_zero  z   z   z
 weibull              short  series_at_one   o   o   o
-weibull              short  quadrature      q   q   q
+weibull              short  quadrature      sq  sq  sq
 weibull              long   auto            sq  sq  sq
 weibull              long   closed_form     D   D   D
 weibull              long   series_at_zero  N   N   N
 weibull              long   series_at_one   C   C   C
-weibull              long   quadrature      q   q   q
-weibull              mixed  auto            q   q   q
+weibull              long   quadrature      sq  sq  sq
+weibull              mixed  auto            sq  sq  sq
 weibull              mixed  closed_form     D   D   D
 weibull              mixed  series_at_zero  C   C   C
 weibull              mixed  series_at_one   C   C   C
-weibull              mixed  quadrature      q   q   q
+weibull              mixed  quadrature      sq  sq  sq
 generalized_weibull  short  auto            q   q   b
 generalized_weibull  short  closed_form     D   D   b
 generalized_weibull  short  series_at_zero  D   D   D
@@ -923,22 +990,22 @@ loglogistic          short  auto            sq  sq  sq
 loglogistic          short  closed_form     C   C   C
 loglogistic          short  series_at_zero  z   z   z
 loglogistic          short  series_at_one   o   o   o
-loglogistic          short  quadrature      q   q   q
+loglogistic          short  quadrature      sq  sq  sq
 loglogistic          long   auto            sq  sq  sq
 loglogistic          long   closed_form     C   C   C
 loglogistic          long   series_at_zero  z   z   z
 loglogistic          long   series_at_one   C   C   C
-loglogistic          long   quadrature      q   q   q
-loglogistic          mixed  auto            q   q   q
+loglogistic          long   quadrature      sq  sq  sq
+loglogistic          mixed  auto            sq  sq  sq
 loglogistic          mixed  closed_form     C   C   C
 loglogistic          mixed  series_at_zero  C   C   C
 loglogistic          mixed  series_at_one   C   C   C
-loglogistic          mixed  quadrature      q   q   q
+loglogistic          mixed  quadrature      sq  sq  sq
 loglogistic          q2     auto            c   c   c
 loglogistic          q2     closed_form     c   c   c
 loglogistic          q2     series_at_zero  z   z   z
 loglogistic          q2     series_at_one   o   o   o
-loglogistic          q2     quadrature      q   q   q
+loglogistic          q2     quadrature      sq  sq  sq
 """
 
 
