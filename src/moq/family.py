@@ -686,45 +686,38 @@ def _mode_coefficients(kind: str, sig: Sequence[float]) -> dict[int, float]:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _geometric_walk(stream: _SeriesStream, term, tol: float, max_terms: int, m0: int, window: int = 1, growth=False):
-    """(outputs up to the stop, and per series the number of terms it
-    takes, its tail there and whether it failed) of ``term`` on blocks from
-    m0, or None if a series is still open after ``max_terms``.
+    """(outputs up to the stop, the number of terms the series takes, its
+    tail there and whether it failed) of ``term`` on blocks from m0, or
+    None if the series is still open after ``max_terms``.
 
-    term(m, w, env) gives magnitudes, one row per series walked together,
-    a tuple of output arrays along m, and a mask of the terms that failed,
-    shaped like the magnitudes or a constant; float warnings are off, as a
-    term that overflows is to be marked failed.  The tail of a series from
-    m = q + 2 on is the largest of its last ``window`` magnitudes times
-    rho / (1 - rho), rho the envelope ratio, times (m+1)/m with ``growth``.
-    A series closes at its first index where that tail is below ``tol``,
-    where a walk of it alone would stop, or at its first failed term, and
-    fails there; nothing after that counts for it.  The walk stops where
-    the last series closes.
+    term(m, w, env) gives magnitudes, a tuple of output arrays along m, and
+    a mask of the terms that failed, shaped like the magnitudes or a
+    constant; float warnings are off, as a term that overflows is to be
+    marked failed.  The tail from m = q + 2 on is the largest of the last
+    ``window`` magnitudes times rho / (1 - rho), rho the envelope ratio,
+    times (m+1)/m with ``growth``.  The series closes at its first index
+    where that tail is below ``tol``, or at its first failed term, and
+    fails there; nothing after that counts.
     """
-    q, lag, parts, recent, live = stream.q, window - 1, [], None, True
+    q, lag, first, parts, recent = stream.q, window - 1, m0, [], np.zeros(window - 1)
     rho = stream.envelope_ratio(q + 2) * ((q + 3) / (q + 2) if growth else 1.0)
     # the burn-in, and what a unit magnitude at its end would take to stop
     m1 = stream.next_end(q + 3, q + 3, rho / (1.0 - rho) if rho < 1.0 else math.inf, tol, rho, max_terms, lag)
     while m0 < m1:
         m = np.arange(m0, m1, dtype=float)
         mag, out, failed = term(m, *stream.block(m0, m1))
-        if recent is None:
-            recent = np.zeros((mag.shape[0], lag))
-        mag = np.concatenate((recent, mag), axis=1)
-        largest = np.maximum.reduce(mag[:, np.arange(window)[:, None] + np.arange(m.size)], axis=1)
+        mag = np.concatenate((recent, mag))
+        largest = np.maximum.reduce(mag[np.arange(window)[:, None] + np.arange(m.size)], axis=0)
         rho = stream.envelope_ratio(m) * ((m + 1) / m if growth else 1.0)
         tail = largest * rho / (1.0 - rho)
         closes = (m >= q + 2) & (rho < 1.0) & (tail < tol) | failed
-        parts.append((*out, closes & failed, closes, tail))  # closes & failed: the mask, an array even for False
-        live &= ~closes.any(axis=1)
-        if not live.any():
-            cols = parts[0] if len(parts) == 1 else [np.concatenate(c, axis=-1) for c in zip(*parts)]
-            *outs, failed, closes, tail = cols
-            ends, rows = closes.argmax(axis=1), np.arange(closes.shape[0])
-            return [o[..., : ends.max() + 1] for o in outs], ends + 1, tail[rows, ends], failed[rows, ends]
-        recent = mag[:, m.size:]
-        last = mag[live, -1].max() * rho[-1] / (1.0 - rho[-1])
-        m0, m1 = m1, stream.next_end(m0, m1, last, tol, rho[-1], max_terms, lag)
+        parts.append(out)
+        if closes.any():
+            end = int(closes.argmax())
+            n = m0 - first + end + 1
+            return [np.concatenate(c)[:n] for c in zip(*parts)], n, float(tail[end]), bool((closes & failed)[end])
+        recent = mag[m.size:]
+        m0, m1 = m1, stream.next_end(m0, m1, mag[-1] * rho[-1] / (1.0 - rho[-1]), tol, rho[-1], max_terms, lag)
     return None
 
 
@@ -737,7 +730,7 @@ def _series_stream(pv: ParameterVector, kind: str) -> _SeriesStream:
 def _truncated_series(pv: ParameterVector, kind: str, tol: float, max_terms: int) -> SeriesCoefficients:
     stream = _series_stream(pv, kind)
     # from m = 0, which is the leading 1 at_one
-    walked = _geometric_walk(stream, lambda m, w, env: (env[None], (w, env), False), tol, max_terms, 0)
+    walked = _geometric_walk(stream, lambda m, w, env: (env, (w, env), False), tol, max_terms, 0)
     if walked is None:
         raise Nonconvergence(
             f"series {kind} for q={pv.q}, a={pv.a} still above tol={tol} after {max_terms} terms"

@@ -10,7 +10,9 @@ be played against each other:
 
 The exponential, Weibull and log-logistic always take the power-scaling
 relation X = scale X1^(1/shape), X1 the unit baseline; the quadrature of
-the baseline itself serves only the others.
+the baseline itself serves only the others.  The generalized Weibull's
+binomial transform answers only a pinned ``closed_form``; ``auto``
+integrates that baseline.  Each series sums one order.
 
 The series for the exponential baseline contains an inner alternating
 binomial sum that loses digits catastrophically once indices reach the
@@ -54,8 +56,8 @@ _DEFAULT_MAX_TERMS = 200_000
 _INNER_CELLS = 1 << 16
 # auto sums a series at zero only where its weights promise to reach tol
 # within this many terms: the exponential's inner alternating sums lose
-# every series past an index of about 50 to cancellation.  A single order
-# takes it only where quadrature misses tol.
+# every series past an index of about 50 to cancellation.  It is taken only
+# where the quadrature misses tol.
 _SHORT_SERIES = 50
 # The tanh-sinh rule's nodes lie on |t| <= _DE_SPAN, where u and 1 - u stay
 # above 1e-275; its step starts at 1/2 and halves _DE_MIN_LEVEL to
@@ -85,11 +87,10 @@ def _require_pmf(pv: ParameterVector, what: str):
         raise ConditionViolated(f"{what} requires sum(a) >= q and a_i <= 1 for i >= 2; got a = {pv.a}")
 
 
-def _alternating_binomial_inner(m: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{j=0}^{m-1} C(m-1, j) (-1)^j (j+1)^(-r-1) for every order r
-    (rows) and index m (columns) at once, each sum compensated: math.fsum
-    rounds it exactly.  Where the absolute terms add up to more than 1e300
-    the value is NaN.
+def _alternating_binomial_inner(m: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{j=0}^{m-1} C(m-1, j) (-1)^j (j+1)^(-r-1) for every index m at
+    once, each sum compensated: math.fsum rounds it exactly.  Where the
+    absolute terms add up to more than 1e300 the value is NaN.
 
     Returns (values, sums of absolute terms).  The second output is the
     cancellation mass: value / eps over it bounds the attainable relative
@@ -102,12 +103,11 @@ def _alternating_binomial_inner(m: np.ndarray, r: np.ndarray) -> tuple[np.ndarra
     ratios[:, 1:] /= j[1:]
     ratios[:, 0] = 1.0
     binom = ratios.cumprod(axis=1)  # C(m-1, j) = prod_{i=1}^{j} (m - i) / i, zero from j = m
-    terms = binom * (j + 1.0) ** (-1.0 - r)[:, None, None]
-    abssum = terms.sum(axis=2)
-    terms[..., 1::2] *= -1.0
-    rows = zip(abssum.ravel().tolist(), terms.reshape(-1, j.size).tolist())
-    inner = [math.fsum(row) if mass <= 1e300 else math.nan for mass, row in rows]
-    return np.reshape(inner, abssum.shape), abssum
+    terms = binom * (j + 1.0) ** (-1.0 - r)
+    abssum = terms.sum(axis=1)
+    terms[:, 1::2] *= -1.0
+    inner = [math.fsum(row) if mass <= 1e300 else math.nan for mass, row in zip(abssum.tolist(), terms.tolist())]
+    return np.array(inner), abssum
 
 
 def _failed(mag: np.ndarray, t: np.ndarray, cond: np.ndarray, tol: float) -> np.ndarray:
@@ -118,26 +118,23 @@ def _failed(mag: np.ndarray, t: np.ndarray, cond: np.ndarray, tol: float) -> np.
     return ~np.isfinite(mag) | ((cond > _CANCEL_LIMIT) & (np.abs(t) > tol * 1e-3))
 
 
-def _moment_series(pv: ParameterVector, kind: str, term, tol: float, max_terms: int) -> list:
-    """Sum the moment series of every order at once over the weights about
-    u = 0 (``kind`` "at_zero") or u = 1 ("at_one"), m = 1, 2, ...: one walk
-    serves every order, and stops where the last order ends.
+def _moment_series(pv: ParameterVector, kind: str, term, tol: float, max_terms: int) -> MomentResult:
+    """Sum a moment series over the weights about u = 0 (``kind``
+    "at_zero") or u = 1 ("at_one"), m = 1, 2, ...
 
-    ``term`` maps arrays of m, w_m and their envelopes to factors f_m, one
-    row per order, bounds on their rounding per unit of weight envelope,
-    and the cancellation ratio of each factor, 1 where nothing cancels;
-    it is called once per block, in order.  The series is sum f_m w_m
-    about zero and sum (-1)^(m-1) f_m w_m about one.  Each order ends where
-    a walk of it alone would (see _geometric_walk), so its result does not
-    depend on the other orders; it fails at its first term that is
-    _failed, unless it ends before that term.  The weight-envelope ratio
-    and the (m+1)/m growth of the m factor bound the rest of an order, from
-    the largest |f_m| times the envelope of the last q + 1 indices; each
-    family's other factors shrink with m.  The reported error is that bound
-    plus the summed roundings of the terms, the weights' own (see
-    _SeriesStream.rounding) included.  Returns one MomentResult per order,
-    or the Nonconvergence of an order that failed, its reason read at the
-    index where it ends.
+    ``term`` maps arrays of m, w_m and their envelopes to factors f_m,
+    bounds on their rounding per unit of weight envelope, and the
+    cancellation ratio of each factor, 1 where nothing cancels; it is
+    called once per block, in order.  The series is sum f_m w_m about zero
+    and sum (-1)^(m-1) f_m w_m about one.  It ends where _geometric_walk
+    closes it, and fails at its first term that is _failed, unless it ends
+    before that term.  The weight-envelope ratio and the (m+1)/m growth of
+    the m factor bound the rest of the series, from the largest |f_m| times
+    the envelope of the last q + 1 indices; each family's other factors
+    shrink with m.  The reported error is that bound plus the summed
+    roundings of the terms, the weights' own (see _SeriesStream.rounding)
+    included.  Raises Nonconvergence where the series fails, its reason
+    read at the index where it ends.
     """
     stream = _series_stream(pv, kind)
 
@@ -145,28 +142,23 @@ def _moment_series(pv: ParameterVector, kind: str, term, tol: float, max_terms: 
         f, rounding, cond = term(m, w, env)
         t = f * w
         if kind == "at_one":
-            t[:, int(m[0]) % 2::2] *= -1.0  # the even m
+            t[int(m[0]) % 2::2] *= -1.0  # the even m
         mag = np.abs(f) * env
         return mag, (t, mag, rounding * env, cond), _failed(mag, t, cond, tol)
 
-    def why(n: int, mag: float, cond: float) -> str:
-        if math.isfinite(mag):
-            return f"inner alternating sum ill-conditioned at index {n} (cancellation ratio {cond:.2e})"
-        return f"moment series ({kind.replace('_', ' ')}) term at index {n} is not finite"
-
+    name = f"moment series ({kind.replace('_', ' ')})"
     walked = _geometric_walk(stream, block_term, tol, max_terms, 1, pv.q + 1, growth=True)
     if walked is None:
-        raise Nonconvergence(f"moment series ({kind.replace('_', ' ')}) exceeded {max_terms} terms")
-    (t, mag, rounding, cond), ends, tails, failed = walked
-    weights = mag * stream.rounding(np.arange(1.0, t.shape[1] + 1))  # the weights' own rounding
-    # each order's sums, in index order, up to its own end
-    value, rounding, weights = np.cumsum((t, rounding, weights), axis=2)[:, np.arange(t.shape[0]), ends - 1]
-    results = zip(value.tolist(), (tails + rounding + weights).tolist(), failed.tolist(), ends.tolist())
-    return [
-        Nonconvergence(why(n, mag[o, n - 1], cond[o, n - 1])) if dead
-        else MomentResult(value, f"series_{kind}", n, error)
-        for o, (value, error, dead, n) in enumerate(results)
-    ]
+        raise Nonconvergence(f"{name} exceeded {max_terms} terms")
+    (t, mag, rounding, cond), n, tail, failed = walked
+    if failed and math.isfinite(mag[-1]):
+        raise Nonconvergence(f"inner alternating sum ill-conditioned at index {n} (cancellation ratio {cond[-1]:.2e})")
+    if failed:
+        raise Nonconvergence(f"{name} term at index {n} is not finite")
+    weights = mag * stream.rounding(np.arange(1.0, n + 1))  # the weights' own rounding
+    # the sums in index order
+    value, rounding, weights = np.cumsum((t, rounding, weights), axis=1)[:, -1].tolist()
+    return MomentResult(value, f"series_{kind}", n, tail + rounding + weights)
 
 
 def _short_series(pv: ParameterVector, tol: float) -> bool:
@@ -184,9 +176,9 @@ def _short_series(pv: ParameterVector, tol: float) -> bool:
     return m > 0 and math.comb(m + q - 1, q - 1) * ratio**m * (m + 1) / (1.0 - ratio) <= tol
 
 
-def _m_beta(orders: list[float], kind: str):
-    """The log-logistic series factors of every order r, m B(1 - r, m + r)
-    about u = 0 and m B(m - r, 1 + r) about u = 1, as a term function for
+def _m_beta(r: float, kind: str):
+    """The log-logistic series factors of order r, m B(1 - r, m + r) about
+    u = 0 and m B(m - r, 1 + r) about u = 1, as a term function for
     _moment_series that carries log B from the last index of one block to
     the first of the next.
 
@@ -200,10 +192,9 @@ def _m_beta(orders: list[float], kind: str):
     2 eps |x| / (1 + x) for the rounding of x; each addition within eps of
     its partial sum.  exp and the factor m add 2 eps of f.
     """
-    starts = [(math.lgamma(1.0 - x), math.lgamma(1.0 + x)) for x in orders]
-    start = np.array([a + b for a, b in starts])
-    start_err = np.array([4.0 * (abs(a) + abs(b) + 2.0) + abs(a + b) for a, b in starts])  # in eps
-    c = np.array([[x - 1.0 if kind == "at_zero" else -1.0 - x] for x in orders])
+    a, b = math.lgamma(1.0 - r), math.lgamma(1.0 + r)
+    start, start_err = a + b, 4.0 * (abs(a) + abs(b) + 2.0) + abs(a + b)  # the error in eps
+    c = r - 1.0 if kind == "at_zero" else -1.0 - r
     carry = [0.0, 0.0]  # log B and its error in eps at the index before the block
 
     def term(m: np.ndarray, w: np.ndarray, env: np.ndarray):
@@ -211,13 +202,13 @@ def _m_beta(orders: list[float], kind: str):
         step = np.log1p(x)
         err = -3.0 * x / (1.0 + x)
         if m[0] == 1.0:
-            step[:, 0], err[:, 0] = start, start_err
-        step[:, 0] += carry[0]
-        log_b = step.cumsum(axis=1)
+            step[0], err[0] = start, start_err
+        step[0] += carry[0]
+        log_b = step.cumsum()
         err += np.abs(log_b)
-        err[:, 0] += carry[1]
-        err = err.cumsum(axis=1)
-        carry[:] = log_b[:, -1], err[:, -1]
+        err[0] += carry[1]
+        err = err.cumsum()
+        carry[:] = log_b[-1], err[-1]
         err = _EPS * err
         f = m * np.exp(log_b)
         return f, (err * (1.0 + err) + 2.0 * _EPS) * f, np.ones_like(f)
@@ -232,48 +223,42 @@ def _check_query(method: str, tol: float, methods: tuple[str, ...]) -> None:
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
 
 
-def _gamma_factors(orders: list[float], kind: str, tol: float):
-    """The unit exponential's series factors of every order r as a term
-    function for _moment_series: Gamma(1 + r) m C_m about u = 0, C_m the
-    inner alternating sum of index m (see _alternating_binomial_inner),
-    and Gamma(1 + r) m^-r about u = 1, where nothing cancels.
+def _gamma_factors(r: float, kind: str, tol: float):
+    """The unit exponential's series factors of order r as a term function
+    for _moment_series: Gamma(1 + r) m C_m about u = 0, C_m the inner
+    alternating sum of index m (see _alternating_binomial_inner), and
+    Gamma(1 + r) m^-r about u = 1, where nothing cancels.
 
     Gamma(1 + r) = exp(lgamma(1 + r)) is within 4 eps (|lgamma| + 1) and
     a rounding of itself; with the two products, a factor errs by at most
     eps (4 |lgamma| + 8) of itself plus m eps per unit of C_m's absolute
     terms.  About zero, the inner sums of a block are formed at most
-    _INNER_CELLS terms at a time, and no further once every order has a
-    term that is _failed at the absolute tolerance ``tol``.
+    _INNER_CELLS terms at a time, and no further once a term is _failed at
+    the absolute tolerance ``tol``.
     """
-    lg = [math.lgamma(1.0 + x) for x in orders]
-    # per order: Gamma(1 + r) (OverflowError past 171.6), its error bound in eps, and -r
-    cols = np.array([[math.exp(v), 4.0 * abs(v) + 8.0, -x] for v, x in zip(lg, orders)])
-    pref, pref_err = cols[:, :1], cols[:, 1:2]
+    lg = math.lgamma(1.0 + r)
+    pref, pref_err = math.exp(lg), 4.0 * abs(lg) + 8.0  # Gamma(1 + r) (OverflowError past 171.6), its error in eps
     if kind == "at_one":
-        neg_r, rel_err = cols[:, 2:], _EPS * pref_err
+        rel_err = _EPS * pref_err
 
         def at_one(m: np.ndarray, w: np.ndarray, env: np.ndarray):
-            f = pref * m**neg_r
+            f = pref * m**-r
             return f, rel_err * f, np.ones_like(f)
 
         return at_one
 
-    r = np.array(orders)
-
     def at_zero(m: np.ndarray, w: np.ndarray, env: np.ndarray):
-        step, parts, dead = max(1, _INNER_CELLS // (r.size * int(m[-1]))), [], False
+        step, parts = max(1, _INNER_CELLS // int(m[-1])), []
         for i in range(0, m.size, step):
             cut = slice(i, i + step)
             mi = m[cut]
             inner, abssum = _alternating_binomial_inner(mi, r)
             f = pref * mi * inner
             parts.append((f, pref * mi * abssum * _EPS * (mi + pref_err), abssum / np.abs(inner)))
-            if i + step < m.size:
-                dead |= _failed(np.abs(f) * env[cut], f * w[cut], parts[-1][2], tol).any(axis=1)
-                if np.all(dead):  # the rest of the block is NaN, a failure
-                    parts.append([np.full((r.size, m.size - i - step), np.nan)] * 3)
-                    break
-        return parts[0] if len(parts) == 1 else tuple(np.concatenate(p, axis=1) for p in zip(*parts))
+            if i + step < m.size and _failed(np.abs(f) * env[cut], f * w[cut], parts[-1][2], tol).any():
+                parts.append([np.full(m.size - i - step, np.nan)] * 3)  # the rest of the block fails
+                break
+        return parts[0] if len(parts) == 1 else tuple(np.concatenate(p) for p in zip(*parts))
 
     return at_zero
 
@@ -303,29 +288,13 @@ def _unit_moment(family, pv: ParameterVector, r: float, rel_tol: float, abs_tol:
                 raise
             missed = exc
     kind = "at_one" if method == "series_at_one" else "at_zero"
-    factors = _m_beta([r], kind) if family is LogLogistic else _gamma_factors([r], kind, abs_tol)
+    factors = _m_beta(r, kind) if family is LogLogistic else _gamma_factors(r, kind, abs_tol)
     try:
-        (res,) = _moment_series(pv, kind, factors, abs_tol, max_terms)
-    except Nonconvergence as exc:
-        res = exc
-    if isinstance(res, Nonconvergence):
-        raise missed or res
-    return res
-
-
-def _exponential_moments(pv: ParameterVector, orders: list[float], tol: float) -> list[MomentResult]:
-    """E(X^r) of the extended unit exponential for the nonzero ``orders``
-    in the pmf regime: one walk of the series at zero, to the absolute
-    error ``tol``, where it is short; each order whose series fails or is
-    long is integrated alone, to ``tol`` times the value."""
-    walked = [None] * len(orders)
-    if _short_series(pv, tol):
-        try:
-            walked = _moment_series(pv, "at_zero", _gamma_factors(orders, "at_zero", tol), tol, _DEFAULT_MAX_TERMS)
-        except Nonconvergence:
-            pass
-    return [res if isinstance(res, MomentResult) else _moment_quadrature(_UNITS[Exponential], pv, r, tol)
-            for r, res in zip(orders, walked)]
+        return _moment_series(pv, kind, factors, abs_tol, max_terms)
+    except Nonconvergence:
+        if missed is None:
+            raise
+    raise missed
 
 
 def moment_exponential(
@@ -425,14 +394,6 @@ def moment_weibull_scaled(
     return moment(Weibull(scale, shape), pv, r, method=method, tol=tol)
 
 
-def _integer_shapes(shape: float, shape2: float) -> tuple[int, int] | None:
-    """1/shape and shape2 as positive integers, each within 1e-9, or None."""
-    pair = (1.0 / shape, shape2)
-    if all(math.isfinite(x) and x >= 0.5 and abs(x - round(x)) <= 1e-9 for x in pair):
-        return round(pair[0]), round(pair[1])
-    return None
-
-
 def moment_generalized_weibull(
     pv: ParameterVector,
     scale: float,
@@ -446,19 +407,24 @@ def moment_generalized_weibull(
     Needs 1/shape and shape2 to be positive integers; the variable is then
     a polynomial transform of the extended unit exponential and the moment
     reduces to a double binomial combination of its integer moments, orders
-    0 to shape2 * m / shape: 1 at order 0, and _exponential_moments at the
-    absolute error tol / 1000 for the others.
+    0 to shape2 * m / shape.  Order 0 is exactly 1; every other order takes
+    the single-order route of :func:`moment` (see _unit_moment), so it
+    meets tol / 1000 relative to its value or raises.  The estimate is
+    absolute: the combination of those estimates and of the rounding of
+    each moment, times scale^m.  :func:`moment` takes this route only
+    under a pinned ``closed_form``.
     """
     _require_pmf(pv, "generalized-Weibull moment formula")
     if not (isinstance(m, (int,)) and m >= 1):
         raise DomainError(f"moment order must be a positive integer, got {m!r}")
-    shapes = _integer_shapes(shape, shape2)
-    if shapes is None:
+    pair = (1.0 / shape, shape2)  # each a positive integer within 1e-9
+    if not all(math.isfinite(x) and x >= 0.5 and abs(x - round(x)) <= 1e-9 for x in pair):
         raise DomainError(f"1/shape and shape2 must be positive integers, got 1/{shape} and {shape2!r}")
-    m2, b3 = shapes
+    m2, b3 = round(pair[0]), round(pair[1])
 
-    _check_query("auto", tol * 1e-3, _METHODS)
-    exp_moments = [_ORDER_ZERO, *_exponential_moments(pv, [float(j) for j in range(1, b3 * m * m2 + 1)], tol * 1e-3)]
+    tol *= 1e-3  # per exponential moment
+    _check_query("auto", tol, _METHODS)
+    exp_moments = [_unit_moment(Exponential, pv, float(j), tol, tol, "auto") for j in range(b3 * m * m2 + 1)]
     total, err = 0.0, 0.0
     for k in range(m * m2 + 1):
         sign = -1.0 if (m * m2 - k) % 2 else 1.0
@@ -466,7 +432,7 @@ def moment_generalized_weibull(
             c = sign * math.comb(m * m2, k) * math.comb(b3 * k, j)
             total += c * mom.value
             err += abs(c) * (mom.error_estimate + _EPS * abs(mom.value))
-    factor = scale**m
+    factor = math.pow(scale, m)
     return MomentResult(factor * total, "binomial_transform", max(mom.terms_used for mom in exp_moments), factor * err)
 
 
@@ -628,18 +594,20 @@ def moment(
     the exponential (shape 1), Weibull and generalized Weibull, |r| < shape
     for the log-logistic; elsewhere DomainError.
 
-    ``auto`` takes the closed form where one exists: the two-parameter
-    log-logistic, and in the pmf regime the binomial transform for
-    generalized Weibull at integer r, 1/shape and shape2.  Otherwise the
-    exponential, Weibull and log-logistic, in every regime and under every
-    method, scale by scale^r the unit baseline's moment at order r/shape
-    (see _unit_moment), a series with the absolute error
+    ``auto`` takes the closed form of the two-parameter log-logistic.  A
+    pinned ``closed_form`` also serves the generalized Weibull at integer
+    r, 1/shape and shape2, by the binomial transform of
+    :func:`moment_generalized_weibull`, whose estimate is absolute.
+    Otherwise the exponential, Weibull and log-logistic, in every regime
+    and under every method, scale by scale^r the unit baseline's moment at
+    order r/shape (see _unit_moment), a series with the absolute error
     tol / max(scale^r, 1); the estimate adds the rounding of the scaling.
-    The generalized Weibull, and any other baseline under ``quadrature``,
-    integrate the baseline itself.  The tanh-sinh quadrature in u covers
-    its discretization, truncated ends and rounding, and meets ``tol``
-    relative to the value or raises ToleranceNotMet.  A moment, or a
-    factor of it, beyond the float range raises DomainError.
+    The generalized Weibull under ``auto`` at every order, and any other
+    baseline under ``quadrature``, integrate the baseline itself.  The
+    tanh-sinh quadrature in u covers its discretization, truncated ends and
+    rounding, and meets ``tol`` relative to the value or raises
+    ToleranceNotMet.  A moment, or a factor of it, beyond the float range
+    raises DomainError: scale^r is formed before the quadrature too.
     """
     try:
         res = _route(baseline, pv, r, method, tol)
@@ -664,11 +632,10 @@ def _route(baseline: Baseline, pv: ParameterVector, r: float, method: str, tol: 
                 raise ConditionViolated(f"closed form needs q = 2, got q = {pv.q}")
             val, err = _q2_loglogistic_closed(pv.a[0], pv.a[1], baseline.scale, baseline.shape, r)
             return MomentResult(val, "closed_form", 1, err)
-        m = round(r)
-        if (isinstance(baseline, GeneralizedWeibull) and (pv.pmf_ok or pinned) and m >= 1 and abs(r - m) < 1e-12
-                and (pinned or _integer_shapes(baseline.shape, baseline.shape2))):
-            return moment_generalized_weibull(pv, baseline.scale, baseline.shape, baseline.shape2, m, tol=tol)
         if pinned:
+            m = round(r)
+            if isinstance(baseline, GeneralizedWeibull) and m >= 1 and abs(r - m) < 1e-12:
+                return moment_generalized_weibull(pv, baseline.scale, baseline.shape, baseline.shape2, m, tol=tol)
             raise DomainError(f"no closed form for {baseline.name} moments at r = {r!r}")
     if isinstance(baseline, (Exponential, Weibull, LogLogistic)):
         # X = scale X1^(1/shape), X1 the unit exponential or standard log-logistic
@@ -681,4 +648,5 @@ def _route(baseline: Baseline, pv: ParameterVector, r: float, method: str, tol: 
         return MomentResult(value, f"scaling({inner.method_used})", inner.terms_used, error)
     if method.startswith("series_at"):
         raise DomainError(f"method {method!r} unavailable for {baseline.name}")
+    math.pow(baseline.scale, r)  # X = scale Z: E(X^r) overflows where scale^r does, as OverflowError
     return _moment_quadrature(baseline, pv, r, tol)

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .baselines import Exponential, LogLogistic, Weibull
+from .baselines import Exponential, GeneralizedWeibull, LogLogistic, Weibull
 from .config import DistributionSpec
 from .errors import EnvelopeViolation
 from .extended import ExtendedDistribution
@@ -75,22 +75,26 @@ def count_interior_extrema(values: np.ndarray) -> int:
     return int(np.sum(d[1:] != d[:-1]))
 
 
+_SERIES = ("series_at_zero", "auto")
+# (baseline, (q, a), r, methods)
 _MOMENT_CASES = [
-    (Exponential(1.0), (1, [1.0]), 1.0),
-    (Exponential(1.0), (1, [2.0]), 0.5),
-    (Exponential(1.0), (2, [1.5, 0.5]), 2.0),
-    (Weibull(2.0, 2.0), (2, [1.5, 0.5]), 1.0),
-    (LogLogistic(), (2, [1.5, 0.5]), 0.5),
-    (LogLogistic(), (3, [2.0, 0.6, 0.7]), -0.5),
+    (Exponential(1.0), (1, [1.0]), 1.0, _SERIES),
+    (Exponential(1.0), (1, [2.0]), 0.5, _SERIES),
+    (Exponential(1.0), (2, [1.5, 0.5]), 2.0, _SERIES),
+    (Weibull(2.0, 2.0), (2, [1.5, 0.5]), 1.0, _SERIES),
+    (LogLogistic(), (2, [1.5, 0.5]), 0.5, _SERIES),
+    (LogLogistic(), (3, [2.0, 0.6, 0.7]), -0.5, _SERIES),
+    (GeneralizedWeibull(1.0, 1.0, 3.0), (3, [2.0, 0.6, 0.7]), 2.0, ("closed_form", "auto")),
 ]
 
 
 def _check_moments(spec: DistributionSpec | None, budget: int, seed: int) -> CheckResult:
     # The fixed cases check the series at zero as well as auto, which
-    # integrates most single orders itself; the spec's case checks auto alone,
-    # since the series need not apply to it.
+    # integrates most single orders itself, and the generalized Weibull's
+    # binomial transform, which auto never takes; the spec's case checks auto
+    # alone, since the series need not apply to it.
     worst = 0.0
-    cases = [(*case, ("series_at_zero", "auto")) for case in _MOMENT_CASES]
+    cases = list(_MOMENT_CASES)
     if spec is not None:
         cases.append((spec.baseline, (spec.pv.q, list(spec.pv.a)), 0.5, ("auto",)))
     for baseline, (q, a), r, methods in cases:

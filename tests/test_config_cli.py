@@ -261,6 +261,16 @@ class TestMomentCommand:
         assert "Traceback" not in err
         assert err.count("error:") == 1 and err.startswith("error:") and "overflows" in err
 
+    @pytest.mark.parametrize("a, r, method", [
+        ([2.2, 0.5, 0.5], "2.5", "auto"), ([2.2, 0.5, 0.5], "2", "quadrature"), ([0.6, 0.3, 0.2], "2", "auto"),
+    ])
+    def test_generalized_weibull_overflow_exits_4(self, tmp_path, capsys, a, r, method):
+        data = {"baseline": {"family": "generalized_weibull", "scale": 1e200, "shape": 1, "shape2": 1}, "a": a}
+        assert main(["moment", "--spec", write_spec(tmp_path, data), "--r", r, "--method", method]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("error:") == 1 and err.startswith("error:") and "overflows" in err
+
     def test_order_170_ends_in_a_typed_error(self, tmp_path, capsys, wall_clock_limit):
         """The quadrature of order 170 misses tol, and the series it falls
         back on fails where its terms overflow, from index 25: the

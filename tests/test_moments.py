@@ -215,10 +215,11 @@ class TestBlockSizes:
 
 
 class TestOneWalk:
-    """One walk of the series at zero serves every order of the
-    generalized-Weibull binomial transform, and the log-logistic factors
-    come from a running sum of log ratios: both against the sums they
-    replaced and against mpmath."""
+    """The generalized-Weibull binomial transform against the per-order
+    series sums it was once built from and against exact rationals; the
+    log-logistic factors from a running sum of log ratios against mpmath;
+    and the single-order series of the unit exponential, which ends or
+    fails on its own terms."""
 
     ORDERS = list(itertools.product((1, 2, 3), repeat=3))  # (1/shape, shape2, m)
 
@@ -298,47 +299,33 @@ class TestOneWalk:
             assert abs(res.value - mp_moment(mp, LogLogistic(), a, r)) <= res.error_estimate, (r, res)
 
     def test_each_order_ends_as_it_would_alone(self):
-        """For a = (4, 0.5, 0.5) at tol 1e-13 the inner sums of order 0.3
-        cancel past the limit before its series ends, while orders 1 and 8
-        end after 45 and 60 terms in the same walk: the multi-order walk
-        integrates order 0.3 alone, a pinned series raises for it, and every
-        result is the one a call for that order alone returns: the series
-        at zero for orders 1 and 8, the quadrature for order 0.3."""
-        from moq.moments import _exponential_moments, _unit_moment
-
-        pv, orders = validate_params(3, [4.0, 0.5, 0.5]), [0.3, 1.0, 8.0]
-        res = _exponential_moments(pv, orders, 1e-13)
-        assert [(r.method_used, r.terms_used) for r in res[1:]] == [("series_at_zero", 45), ("series_at_zero", 60)]
-        assert res[1:] == [moment_exponential(pv, r, tol=1e-13, method="series_at_zero") for r in orders[1:]]
-        assert res[0] == moment_exponential(pv, orders[0], tol=1e-13, method="quadrature")
-        assert res[0].method_used == "quadrature"
-        with pytest.raises(Nonconvergence, match="ill-conditioned"):
-            _unit_moment(Exponential, pv, orders[0], 1e-13, 1e-13, "series_at_zero")
+        """For a = (4, 0.5, 0.5) at tol 1e-13 the series at zero of order 8
+        ends after 60 terms, within its estimate of the quadrature's value."""
+        pv = validate_params(3, [4.0, 0.5, 0.5])
+        res = moment_exponential(pv, 8.0, tol=1e-13, method="series_at_zero")
+        assert (res.method_used, res.terms_used) == ("series_at_zero", 60)
+        quad = moment_exponential(pv, 8.0, tol=1e-13, method="quadrature")
+        assert abs(res.value - quad.value) <= res.error_estimate + quad.error_estimate
 
     def test_failed_orders_keep_their_own_reason(self):
         """For a = (4, 0.5, 0.5) at tol 1e-13 the inner sums of order 0.3
         cancel past the limit at index 42, and the terms of order 170
-        overflow from index 25, while order 1 ends after 45 terms: in one
-        walk each failed order gives the Nonconvergence that a walk of it
-        alone raises, and order 1 the result it gives alone."""
-        from moq.moments import _gamma_factors, _moment_series
-
-        pv, orders, tol = validate_params(3, [4.0, 0.5, 0.5]), [0.3, 170.0, 1.0], 1e-13
-        joint = _moment_series(pv, "at_zero", _gamma_factors(orders, "at_zero", tol), tol, 10**5)
-        for r, res in zip(orders[:2], joint):
-            with pytest.raises(Nonconvergence) as alone:
+        overflow from index 25, while order 1 ends after 45 terms: each
+        pinned series raises its own reason or ends on its own."""
+        pv, tol = validate_params(3, [4.0, 0.5, 0.5]), 1e-13
+        for r, reason in ((0.3, "ill-conditioned at index 42"), (170.0, "term at index 25 is not finite")):
+            with pytest.raises(Nonconvergence, match=reason):
                 moment_exponential(pv, r, tol=tol, method="series_at_zero")
-            assert isinstance(res, Nonconvergence) and str(res) == str(alone.value)
-        assert "ill-conditioned at index 42" in str(joint[0]) and "term at index 25 is not finite" in str(joint[1])
-        assert joint[2] == moment_exponential(pv, 1.0, tol=tol, method="series_at_zero")
+        res = moment_exponential(pv, 1.0, tol=tol, method="series_at_zero")
+        assert (res.method_used, res.terms_used) == ("series_at_zero", 45)
 
     def test_moment_table_ops_keep_path_and_terms(self):
-        """The two series of the benchmark's moment table that one walk and
-        the log ratios speed up: same path and terms, and the values of the
-        per-order sums and of the log-gamma factors within the estimates,
-        which were 9.66e-6 and 1.4936e-10; the second is no larger now."""
+        """Two series of the benchmark's moment table: path and terms, and
+        the values of the binomial transform and of the log-gamma factors
+        within the estimates, which were 9.66e-6 and 1.4936e-10; the second
+        is no larger now.  Under auto the generalized Weibull integrates."""
         gw = moment(GeneralizedWeibull(1.0, 0.5, 2.0), validate_params(2, [1.5, 0.5]), 3.0)
-        assert (gw.method_used, gw.terms_used) == ("binomial_transform", 4)
+        assert (gw.method_used, gw.terms_used) == ("quadrature", 385)
         assert abs(gw.value - 1866362371.874999) <= gw.error_estimate + 9.66e-06
         ll = moment(LogLogistic(1.0, 1.0), validate_params(2, [200.0, 0.5]), 0.5, method="series_at_zero")
         assert (ll.method_used, ll.terms_used) == ("scaling(series_at_zero)", 3107)
@@ -530,17 +517,28 @@ class TestFrontDoor:
         (Weibull(1e200, 2.0), 2.0),  # scale^r
         (Weibull(1.2e154, 2.0), 2.0),  # scale^r is finite, the moment is not
         (LogLogistic(1e300, 3.0), 2.0),
-        (GeneralizedWeibull(1e200, 1.0, 1.0), 2.0),  # the binomial transform's scale^m
+        (GeneralizedWeibull(1e200, 1.0, 1.0), 2.0),  # scale^r, before the quadrature
+        (GeneralizedWeibull(1e200, 1.0, 1.0), 2.5),
+        (GeneralizedWeibull(np.float64(1e200), 1.0, 1.0), 2.5),
     ])
     def test_overflowing_moment_is_a_domain_error(self, baseline, r):
         with pytest.raises(DomainError, match="overflows"):
             moment(baseline, validate_params(3, [2.2, 0.5, 0.5]), r)
 
+    def test_pinned_quadrature_overflow_is_a_domain_error(self):
+        """scale^r is formed before the quadrature of the baseline, whose
+        infinite estimate raised ToleranceNotMet."""
+        with pytest.raises(DomainError, match="overflows"):
+            moment(GeneralizedWeibull(1e200, 1.0, 1.0), validate_params(3, [2.2, 0.5, 0.5]), 2.0,
+                   method="quadrature")
+
     def test_largest_finite_scaled_moment_returns(self):
         res = moment(Weibull(1e154, 2.0), validate_params(3, [2.2, 0.5, 0.5]), 2.0)
         assert math.isfinite(res.value) and res.value > 1e308
 
-    @pytest.mark.parametrize("baseline", [Weibull(1e200, 2.0), LogLogistic(1e300, 3.0)])
+    @pytest.mark.parametrize("baseline", [
+        Weibull(1e200, 2.0), LogLogistic(1e300, 3.0), GeneralizedWeibull(1e200, 1.0, 1.0),
+    ])
     def test_overflow_outside_the_pmf_regime_is_a_domain_error(self, baseline):
         """Outside the pmf regime scale^r overflows before any quadrature,
         as in it; the quadrature of the baseline raised ToleranceNotMet."""
@@ -880,17 +878,16 @@ class TestRouting:
 
     def test_order_zero_keeps_its_place(self):
         """The binomial transform of shape = shape2 = m = 1 combines orders
-        0 and 1: order 0 is exactly 1, the walk returns one result for its
-        one nonzero order, and the transform is that order's moment."""
-        from moq.moments import MomentResult, _exponential_moments, _unit_moment
+        0 and 1: order 0 is exactly 1, and the transform is the unit
+        moment of order 1."""
+        from moq.moments import MomentResult, _unit_moment
 
         pv = validate_params(2, [1.5, 0.5])
         assert _unit_moment(Exponential, pv, 0.0, 1e-13, 1e-13, "auto") == MomentResult(1.0, "closed_form", 1, 0.0)
-        res = _exponential_moments(pv, [1.0], 1e-13)
-        assert [r.method_used for r in res] == ["series_at_zero"]
+        res = _unit_moment(Exponential, pv, 1.0, 1e-13, 1e-13, "auto")
         gw = moment_generalized_weibull(pv, 1.0, 1.0, 1.0, 1)
         assert gw.method_used == "binomial_transform"
-        assert abs(gw.value - res[0].value) <= gw.error_estimate
+        assert abs(gw.value - res.value) <= gw.error_estimate
 
     def test_auto_skips_a_long_series(self, monkeypatch):
         """a = (20, 0.5) needs hundreds of terms at zero, whose inner sums
@@ -971,12 +968,12 @@ weibull              mixed  closed_form     D   D   D
 weibull              mixed  series_at_zero  C   C   C
 weibull              mixed  series_at_one   C   C   C
 weibull              mixed  quadrature      sq  sq  sq
-generalized_weibull  short  auto            q   q   b
+generalized_weibull  short  auto            q   q   q
 generalized_weibull  short  closed_form     D   D   b
 generalized_weibull  short  series_at_zero  D   D   D
 generalized_weibull  short  series_at_one   D   D   D
 generalized_weibull  short  quadrature      q   q   q
-generalized_weibull  long   auto            q   q   b
+generalized_weibull  long   auto            q   q   q
 generalized_weibull  long   closed_form     D   D   b
 generalized_weibull  long   series_at_zero  D   D   D
 generalized_weibull  long   series_at_one   D   D   D
