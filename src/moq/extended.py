@@ -77,9 +77,4 @@ class ExtendedDistribution:
         # through the module, so that wrappers installed on it see the call; it checks the level
         x, upper = family.distortion_inverse(self.pv, level, survival=survival, split=True)
         x = np.fmax(x, np.finfo(float).tiny)  # roots that underflow (extreme a only)
-        val = np.empty_like(x)
-        if not upper.all():
-            val[~upper] = self.baseline.quantile(x[~upper])
-        if upper.any():
-            val[upper] = self.baseline.isf(x[upper])
-        return _ret(val, scalar)
+        return _ret(np.where(upper, self.baseline.isf(x), self.baseline.quantile(x)), scalar)

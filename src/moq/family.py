@@ -271,7 +271,10 @@ def distortion_inverse(pv: ParameterVector, p, *, survival: bool = False, split:
     the iterate, or sqrt(tol) / 100 times it for a step inside the bracket,
     which leaves an error of the order of its square.  The start errs by a
     few 1e-9 at most in the logit of the root, so the first step is below
-    that bound and one pass ends nearly every level.
+    that bound and one pass ends nearly every level.  Until a pass leaves a
+    level open, the bracket is [0, 1] and the last step 1 for every level,
+    as scalars; levels that end drop out, and each root is the one its
+    level alone would get.
 
     Raises
     ------
@@ -318,8 +321,10 @@ def _start_table(pv: ParameterVector):
     1 - T_c at w = 1/2; per level side the logit t of w at the root on log levels y
     in equal cells up to log(1/2), as a cubic in the fraction of a cell:
     (least, cells per unit, coefficients of shape (4, cells), constant term first).
-    Each node's t takes two Newton steps in t from a linear interpolation on a
-    grid of t, which leave it to rounding.  A cell's cubic is the Hermite one
+    The two coefficient blocks are views of one array, the 1 - T_c side's from
+    its column _START_CELLS + 1 on, so that a start takes one gather per
+    coefficient.  Each node's t takes two Newton steps in t from a linear
+    interpolation on a grid of t, which leave it to rounding.  A cell's cubic is the Hermite one
     of its end nodes' t and dt/dy, from :func:`_log_distortion`: 1 / (d log
     T_c / dt), or on the 1 - T_c side -(1 - T_c) / (T_c d log T_c / dt).  A
     table holds 262 kB, so the cache keeps 64.  The coefficients are gathered
@@ -365,32 +370,38 @@ def _newton(pv: ParameterVector, level: np.ndarray, survival: bool):
     # sorted T-lower, T-upper, C-upper, C-lower: each level side is a slice, as are the roots in r
     key = 2 * on_c.astype(np.uint8) + (on_c != up)
     idx = np.argsort(key, kind="stable")
-    b1, b2, b3 = np.cumsum(np.bincount(key, minlength=4))[:3].tolist()
+    b1, b2, b3 = (np.count_nonzero(key <= j) for j in range(3))
     lam = small[idx]
     # the start: logit t of w from the level side's table, x = w = 1 / (1 + e^-t) or r = 1 - w;
     # below the first node only the linear term counts, as T and 1 - T are linear there
-    x = np.empty_like(level)
-    for part, (least, per_cell, coef) in zip((slice(0, b2), slice(b2, None)), tables):
-        pos = (np.log(lam[part]) - least) * per_cell
-        k = np.fmin(np.fmax(pos, 0.0), _START_CELLS - 1).astype(np.intp)
-        frac = pos - k
-        cubic = np.fmax(frac, 0.0)
-        start = coef[3][k]
-        start *= cubic
-        start += coef[2][k]
-        start *= cubic
-        start += coef[1][k]
-        start *= frac
-        x[part] = np.add(start, coef[0][k], out=start)
+    pos = np.log(lam)
+    for part, (least, per_cell, _) in zip((slice(0, b2), slice(b2, None)), tables):
+        pos[part] -= least
+        pos[part] *= per_cell
+    k = np.fmin(np.fmax(pos, 0.0), _START_CELLS - 1).astype(np.intp)
+    frac = np.subtract(pos, k, out=pos)
+    k[b2:] += _START_CELLS + 1  # the side tables are views of one array, the 1 - T_c side's after a gap of one
+    coef, cubic = tables[0][2].base, np.fmax(frac, 0.0)
+    x = coef[3][k]
+    x *= cubic
+    x += coef[2][k]
+    x *= cubic
+    x += coef[1][k]
+    x *= frac
+    x += coef[0][k]
     x[b1:b3] *= -1.0
     np.fmin(np.fmax(1.0 / (1.0 + np.exp(-x)), 5e-324), 0.5, out=x)
-    # bracket [0, 1] in every group, as a root at 1/2 may round past it
-    cols, root = [x, np.full_like(x, 5e-324), np.ones_like(x), np.ones_like(x), lam, idx], np.empty_like(x)
-    del small, on_c, key, pos, k, frac, cubic, start, x, lam, idx
+    del small, on_c, up, key, k, frac, cubic, pos
+
+    def ratios(x, b1, b3):  # (w, r) from the smaller of the two, r = x between b1 and b3
+        return (np.concatenate((x[:b1], 1.0 - x[b1:b3], x[b3:])),
+                np.concatenate((1.0 - x[:b1], x[b1:b3], 1.0 - x[b3:])))
+
+    # bracket [0, 1] in every group, as a root at 1/2 may round past it; the bracket
+    # and the last step are scalars until the first pass makes them columns
+    lo, hi, step, edges, open_at = 5e-324, 1.0, 1.0, (b1, b3), None
     for it in range(max_iter):
-        x, lo, hi, step, lam, idx = cols
-        w = np.concatenate((x[:b1], 1.0 - x[b1:b3], x[b3:]))
-        r = np.concatenate((1.0 - x[:b1], x[b1:b3], 1.0 - x[b3:]))
+        w, r = ratios(x, b1, b3)
         resid = np.empty_like(x)  # one public evaluation of T_c per pass, and of 1 - T_c if needed
         resid[:b2] = distortion(pc, w[:b2])
         if b2 < x.size:
@@ -403,8 +414,7 @@ def _newton(pv: ParameterVector, level: np.ndarray, survival: bool):
         np.subtract(x, np.divide(resid, newton, out=newton), out=newton)
         del w, r
         # lo <= x <= hi: x * (resid < 0) moves lo up to x, x / (resid > 0) hi down
-        np.fmax(lo, x * (resid < 0.0), out=lo)
-        np.fmin(hi, x / (resid > 0.0), out=hi)
+        lo, hi = np.fmax(lo, x * (resid < 0.0)), np.fmin(hi, x / (resid > 0.0))
         move = np.abs(newton - x)
         fast = (newton > lo) & (newton < hi) & (move <= 0.5 * np.abs(step))
         # a Newton step leaves an error of the order of its square, so one
@@ -413,30 +423,35 @@ def _newton(pv: ParameterVector, level: np.ndarray, survival: bool):
         # geometric bisection: the bracket may span hundreds of decades
         if (bisect := np.flatnonzero(~(done | fast))).size:
             newton[bisect] = np.sqrt(lo[bisect]) * np.sqrt(hi[bisect])
-        np.subtract(newton, x, out=step)
-        x[:] = newton
+        x, step = newton, np.subtract(newton, x, out=x)
         del move, fast, newton
         if it == max_iter - 1 and (worst := float(np.max(np.abs(resid[~done]) / lam[~done], initial=0))) > 1e-9:
             raise Nonconvergence(f"distortion inverse stalled at relative residual {worst:.3e}")
         if it == max_iter - 1 or done.all():
-            root[idx] = x
             break
         if (stop := np.flatnonzero(done)).size:
-            root[idx[stop]] = x[stop]
+            if open_at is None:  # the first levels to end: the open ones are tracked from here
+                root, open_at = np.empty_like(x), np.arange(x.size)
+            root[open_at[stop]] = x[stop]
             keep = np.flatnonzero(~done)
             b1, b2, b3 = np.searchsorted(keep, (b1, b2, b3)).tolist()
-            del x, lo, hi, step, lam, idx, resid, done, stop
-            for i, col in enumerate(cols):  # one by one, each old column freed at once
-                cols[i] = col[keep]
-            del col, keep
+            x, lo, hi, step, lam, open_at = x[keep], lo[keep], hi[keep], step[keep], lam[keep], open_at[keep]
+            del keep
     else:  # no passes at all
         raise Nonconvergence(f"distortion inverse stalled at relative residual {math.inf:.3e}")
-    del cols, x, lo, hi, step, lam, idx, resid
-    # back through the equal-parameter map: the smaller of u = S w / (S w + q r)
-    # and s = q r / (S w + q r); float * bool is exact
-    y = 1.0 - root
-    sw, qr = pv.sum_a * (root * ~up + y * up), pv.q * (y * ~up + root * up)
-    return np.fmin(sw, qr) / (sw + qr), qr < sw
+    if open_at is None:
+        root = x
+    else:
+        root[open_at] = x
+    del x, lo, hi, step, lam, resid, done
+    # back through the equal-parameter map, in sorted order: the smaller of
+    # u = S w / (S w + q r) and s = q r / (S w + q r)
+    sw, qr = ratios(root, *edges)
+    sw *= pv.sum_a
+    qr *= pv.q
+    x, upper = np.empty_like(root), np.empty(root.shape, dtype=bool)
+    x[idx], upper[idx] = np.fmin(sw, qr) / (sw + qr), qr < sw
+    return x, upper
 
 
 def composition_pair(pv: ParameterVector, b: float, u):

@@ -15,13 +15,16 @@ Samplers own their generator for the duration of a call; distribution
 objects stay immutable, so distinct calls with distinct seeds may run
 concurrently.
 
-Samplers pass their draws through each map (the extended quantile, T',
-the baseline quantile) in blocks of ``_BLOCK`` = 8192 levels.  A map makes
-some twenty temporaries per call.  At 1e5 levels each is 0.8 MB: malloc
-maps it afresh and returns it to the kernel, which faults its pages in
-again on every call.  At 8192 levels each is 64 KiB, which malloc reuses
-from block to block and which stays in cache.  Every map is elementwise,
-so the draws do not depend on the block size.
+Samplers draw their uniforms and pass them through each map (the extended
+quantile, T', the baseline quantile) in blocks of ``_BLOCK`` = 8192
+levels.  A map makes some twenty temporaries per call.  At 1e5 levels each
+is 0.8 MB: malloc maps it afresh and returns it to the kernel, which faults
+its pages in again on every call.  At 8192 levels each is 64 KiB, which
+malloc reuses from block to block and which stays in cache.  A sampler
+that takes two streams from one generator, n uniforms and then n more,
+draws the second from a copy of the PCG64 advanced n draws (:func:`_twin`),
+so that both come a block at a time.  Every map is elementwise and a
+PCG64 double takes one draw, so the draws do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -94,16 +97,30 @@ class SampleBatch:
         return self.values.size / self.n_proposed
 
 
-def _blockwise(fn, x: np.ndarray) -> np.ndarray:
-    """``fn(x)`` for an elementwise map ``fn`` of a 1-d array ``x`` to
-    floats, taken ``_BLOCK`` elements at a time, in order, into one output
-    array."""
-    if x.size <= _BLOCK:
-        return np.asarray(fn(x))
-    out = np.empty(x.size)
-    for start in range(0, x.size, _BLOCK):
-        out[start : start + _BLOCK] = fn(x[start : start + _BLOCK])
+def _blockwise(fn, n: int) -> np.ndarray:
+    """The floats of ``n`` draws, as ``fn(size)`` makes them for the next
+    ``size``, called for blocks of ``_BLOCK`` in order, in one output."""
+    if n <= _BLOCK:
+        return np.asarray(fn(n))
+    out = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        out[start : start + _BLOCK] = fn(min(_BLOCK, n - start))
     return out
+
+
+def _twin(gen: np.random.Generator, n: int) -> np.random.Generator:
+    """A generator that draws what ``gen`` draws after its next ``n``: a copy
+    of its PCG64 advanced ``n`` draws, so that two streams, the next n
+    uniforms and the n after them, can both be drawn a block at a time.
+    For n <= ``_BLOCK`` it is ``gen`` itself, as the first stream is then
+    one block drawn before the second.  Otherwise a caller that draws on
+    from ``gen`` advances it past the second stream itself."""
+    if n <= _BLOCK:
+        return gen
+    bits = np.random.PCG64()
+    bits.state = gen.bit_generator.state
+    bits.advance(n)
+    return np.random.Generator(bits)
 
 
 @lru_cache(maxsize=256)
@@ -166,42 +183,46 @@ def sample_accept_reject(
     expected acceptance rate is exactly 1/M.  ``envelope`` overrides the
     computed constant for fault-injection diagnostics only; a ratio above
     one raises :class:`EnvelopeViolation`, which always indicates a wrong
-    constant rather than bad luck.  Proposals are drawn in chunks of at
-    most ``_MAX_PROPOSALS`` (2^20), so memory does not grow with n * M.
+    constant rather than bad luck; it is raised after the chunk in which it
+    occurs, with the chunk's largest ratio.
+
+    Proposals are drawn in chunks of at most ``_MAX_PROPOSALS`` (2^20): a
+    chunk's proposal levels, then as many acceptance uniforms.  Both are
+    drawn a block at a time, the acceptance uniforms from a copy of the
+    generator advanced past the proposals, so memory grows neither with
+    n * M nor with the chunk.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     m_const = envelope_constant(ed.pv) if envelope is None else float(envelope)
     gen = rng.generator()
-    # allocated before the chunk arrays, so that malloc hands their pages
-    # back to the kernel as this call ends, not when the caller frees the draws
     values = np.empty(n)
     got = 0
     proposed = 0
     rate = 1.0 / m_const if m_const > 1.0 else 1.0
     while got < n:
         chunk = min(int((n - got) / max(rate, 1e-3) * 1.2) + 16, _MAX_PROPOSALS)
-        u_prop = gen.random(chunk)
-        u_acc = gen.random(chunk)
-        ratio = _blockwise(lambda u: distortion_deriv(ed.pv, u), u_prop)
-        ratio /= m_const
-        if np.any(ratio > 1.0 + _RATIO_SLACK):
-            raise EnvelopeViolation(
-                f"density ratio {float(ratio.max()):.6g} exceeds 1 with constant {m_const:.6g}"
-            )
-        hits = np.flatnonzero(u_acc < ratio)
-        if got + hits.size >= n:
-            # stop at the proposal that produced the n-th acceptance, so
-            # n_proposed is the exact number of proposals consumed
-            hits = hits[: n - got]
-            proposed += int(hits[-1]) + 1
-        else:
-            proposed += chunk
-        # F0(quantile(u)) = u, so accepted levels map straight through the
-        # baseline inverse.
-        if hits.size:
-            values[got : got + hits.size] = _blockwise(ed.baseline.quantile, u_prop[hits])
-        got += hits.size
+        # the chunk's proposals, then its acceptance uniforms, a block of each at a time
+        acc, worst, used = _twin(gen, chunk), 0.0, chunk
+        for start in range(0, chunk, _BLOCK):
+            u_prop = gen.random(min(_BLOCK, chunk - start))
+            u_acc = acc.random(u_prop.size)
+            ratio = distortion_deriv(ed.pv, u_prop)
+            ratio /= m_const
+            worst = max(worst, float(ratio.max()))
+            if got < n and (hits := np.flatnonzero(u_acc < ratio)[: n - got]).size:
+                # F0(quantile(u)) = u, so accepted levels map straight
+                # through the baseline inverse
+                values[got : got + hits.size] = ed.baseline.quantile(u_prop[hits])
+                got += hits.size
+                if got == n:  # n_proposed ends at the proposal of the n-th acceptance
+                    used = start + int(hits[-1]) + 1
+        if acc is not gen:
+            gen.bit_generator.advance(chunk)
+        # T' is checked on every proposal of the chunk, those past the n-th acceptance too
+        if worst > 1.0 + _RATIO_SLACK:
+            raise EnvelopeViolation(f"density ratio {worst:.6g} exceeds 1 with constant {m_const:.6g}")
+        proposed += used
         rate = max(got / proposed, 1e-6)
     return SampleBatch(values=values, sampler="accept-reject", seed=rng.seed, n_proposed=proposed)
 
@@ -250,30 +271,38 @@ def sample_random_maxima(ed: ExtendedDistribution, rng: RandomSource, n: int) ->
     The maximum of N uniforms has the law of V^(1/N) for one uniform V, so
     each draw takes a count N and one V, and V^(1/N) goes through the
     baseline quantile: identical in law to transforming N draws and then
-    taking the max.  The n counts come first; then the V are drawn a block
-    at a time, which gives the doubles of one call.  Only valid in the pmf
+    taking the max.  The n count uniforms come first in the stream, then
+    the n V; both are drawn a block at a time, the V from a copy of the
+    generator advanced past the counts.  Only valid in the pmf
     regime; outside it the weights are signed and the construction has no
     sampling meaning, so this refuses rather than renormalizing.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     gen = rng.generator()
+    tops = _twin(gen, n)
 
-    def maxima(counts: np.ndarray) -> np.ndarray:
-        top = gen.random(counts.size) ** (1.0 / counts)
+    def maxima(size: int) -> np.ndarray:
+        counts = _draw_counts(ed.pv, gen, size, 10**6)  # before the draws of tops, which may be gen's
+        top = tops.random(size) ** (1.0 / counts)
         return ed.baseline.quantile(np.maximum(top, np.finfo(float).tiny, out=top))
 
-    values = _blockwise(maxima, _draw_counts(ed.pv, gen, n, 10**6))
+    values = _blockwise(maxima, n)
     return SampleBatch(values=values, sampler="random-maxima", seed=rng.seed)
 
 
 def sample_inverse_cdf(ed: ExtendedDistribution, rng: RandomSource, n: int) -> SampleBatch:
-    """Draw ``n`` values by applying the extended quantile to uniforms."""
+    """Draw ``n`` values by applying the extended quantile to uniforms,
+    drawn a block at a time."""
     if n < 1:
         raise DomainError("n must be >= 1")
     gen = rng.generator()
-    u = gen.random(n)
-    values = _blockwise(ed.quantile, np.maximum(u, np.finfo(float).tiny, out=u))
+
+    def quantiles(size: int) -> np.ndarray:
+        u = gen.random(size)
+        return ed.quantile(np.maximum(u, np.finfo(float).tiny, out=u))
+
+    values = _blockwise(quantiles, n)
     return SampleBatch(values=values, sampler="inverse-cdf", seed=rng.seed)
 
 

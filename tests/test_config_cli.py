@@ -331,6 +331,14 @@ class TestVerifyCommand:
         assert out.count("PASS") == 2
         assert "hazard-extrema\tPASS" in out
 
+    def test_envelope_canary_line_pinned(self, capsys):
+        """The canary reports the largest ratio over the whole chunk in
+        which its halved constant fails, at the default budget and seed."""
+        assert main(["verify", "envelope-canary"]) == 0
+        assert capsys.readouterr().out == (
+            "envelope-canary\tPASS\thalved constant was detected: density ratio 1.99988 exceeds 1 with constant 0.75\n"
+        )
+
     def test_full_battery_small_budget(self, capsys):
         rc = main(["verify", "--budget", "4000", "--seed", "1"])
         out = capsys.readouterr().out

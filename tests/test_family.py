@@ -616,6 +616,28 @@ class TestInverseAccuracy:
             with pytest.raises(Nonconvergence):
                 distortion_inverse(pv, levels, survival=survival)
 
+    def test_levels_solved_apart(self, monkeypatch):
+        """The levels of the wide vector take from 1 to many passes.  Each
+        root of a batch is the one that its level alone gets, bit for bit,
+        and the batch takes as many passes as its slowest level: a level
+        that ends leaves the others as they were."""
+        from moq import family
+
+        pv = validate_params(3, [1.3e-13, 7.82e-12, 2.82e13])
+        levels = np.array([1e-300, 1e-100, 1e-30, 1e-8, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-8, 1.0 - 1e-15])
+        family._start_table(pv)
+        passes = count_passes(monkeypatch)
+        for survival in (False, True):
+            alone = []
+            for level in levels:
+                passes["n"] = 0
+                alone.append((distortion_inverse(pv, level, survival=survival, split=True), passes["n"]))
+            passes["n"] = 0
+            x, upper = distortion_inverse(pv, levels, survival=survival, split=True)
+            assert passes["n"] == max(n for _, n in alone) > min(n for _, n in alone), survival
+            np.testing.assert_array_equal(x, np.concatenate([xi for (xi, _), _ in alone]))
+            np.testing.assert_array_equal(upper, np.concatenate([ui for (_, ui), _ in alone]))
+
     def test_each_root_against_the_smaller_level(self):
         """The smaller root, u or s = 1 - u, solved against the smaller
         level, p or 1 - p: T(1/2) = 0.375 for a = (1.5, 0.5), 0.625 for

@@ -12,6 +12,7 @@ from moq import (
     EnvelopeViolation,
     Exponential,
     ExtendedDistribution,
+    GeneralizedWeibull,
     LogLogistic,
     MoqError,
     Nonconvergence,
@@ -411,6 +412,53 @@ class TestBlocks:
         with pytest.raises(EnvelopeViolation):
             sample_accept_reject(ed, RandomSource(5), 2 * sampling._BLOCK + 3, envelope=envelope_constant(ed.pv) / 2.0)
         assert len(sizes) > 1 and max(sizes) <= sampling._BLOCK
+
+
+class TestStreamsPinned:
+    """Digests of the benchmark's simulate specs, at sizes of several blocks
+    and chunks: each sampler's draws, and accept-reject's proposal count,
+    stay those of drawing every stream in one call."""
+
+    SPECS = {
+        "exp-q2-pmf": ExtendedDistribution(Exponential(1.0), validate_params(2, [1.5, 0.5])),
+        "weib-q2-wave": WAVE,
+        "ll-q5-pmf": ExtendedDistribution(LogLogistic(1.0, 1.0), validate_params(5, [3.0, 0.3, 0.4, 0.9, 0.6])),
+        "gw-q3-pmf": ExtendedDistribution(GeneralizedWeibull(1.0, 0.5, 2.0), validate_params(3, [2.5, 0.5, 0.8])),
+        **MIXED,
+    }
+
+    @pytest.mark.parametrize(
+        "key, digest",
+        [
+            ("exp-q2-pmf", "61d24d4e4bbee1501ac00c20c2e3dc86cff78ea8b6046bb9198f77b9f2ad89f9"),
+            ("weib-q2-wave", "159d983b243b30343740b6da497be3ca32940a2b9ef8eb9925063840b3d2d177"),
+            ("ll-q5-pmf", "720ffe10b7fc4cb0a335b20063f81701331731ce907bbae407ed576bb8bcbb53"),
+            ("gw-q3-pmf", "102df5ed66a3829d77bf0d4f9501f42bbf2c720be14b5d20d157b7afd179936d"),
+            ("weib-q4-mixed", "79259280dd2a36644c584a4e3cc08acbbba14752573699d75fa8b379f4032e3e"),
+            ("exp-q8-mixed", "1993d06c54df30119f7b9aefa6bcd6349163ea0de425bd7ee7cfc2645e3560f8"),
+        ],
+    )
+    def test_inverse_cdf(self, key, digest):
+        batch = sample_inverse_cdf(self.SPECS[key], RandomSource(11), 16_387)  # two blocks of 8192 and 3
+        assert hashlib.sha256(batch.values.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "key, n, proposed, digest",
+        [
+            # two chunks, the first of 2^20 proposals
+            ("weib-q2-wave", 50_000, 1_335_364, "2afa06dc364ba571429532aff33d2c93cdb6221f3a215905f0e1bcf1fce5c087"),
+            ("exp-q8-mixed", 16_387, 19_250, "2c4bde568ae8f617d4ec7c9c4014b4f237efb0b5eb06a966140f607e70c4c24c"),
+        ],
+    )
+    def test_accept_reject(self, key, n, proposed, digest):
+        batch = sample_accept_reject(self.SPECS[key], RandomSource(11), n)
+        assert batch.n_proposed == proposed
+        assert hashlib.sha256(batch.values.tobytes()).hexdigest() == digest
+
+    def test_random_maxima(self):
+        batch = sample_random_maxima(self.SPECS["ll-q5-pmf"], RandomSource(11), 24_576)  # three blocks
+        digest = "ee23b3f0c3554cabfdb9950dd39e69040a5c9dae3f57ae5560a308c0966906f0"
+        assert hashlib.sha256(batch.values.tobytes()).hexdigest() == digest
 
 
 class TestSamplerPairwiseAgreement:
