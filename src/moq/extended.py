@@ -77,4 +77,8 @@ class ExtendedDistribution:
         # through the module, so that wrappers installed on it see the call; it checks the level
         x, upper = family.distortion_inverse(self.pv, level, survival=survival, split=True)
         x = np.fmax(x, np.finfo(float).tiny)  # roots that underflow (extreme a only)
-        return _ret(np.where(upper, self.baseline.isf(x), self.baseline.quantile(x)), scalar)
+        # both maps on every root, which costs less than gathering each side's; a
+        # root that a map does not take goes in as 1/2, so that it cannot overflow
+        # there (isf(1e-200) at shape 1/2) and warn of a value that is not returned
+        return _ret(np.where(upper, self.baseline.isf(np.where(upper, x, 0.5)),
+                             self.baseline.quantile(np.where(upper, 0.5, x))), scalar)

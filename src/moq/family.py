@@ -321,10 +321,8 @@ def _start_table(pv: ParameterVector):
     1 - T_c at w = 1/2; per level side the logit t of w at the root on log levels y
     in equal cells up to log(1/2), as a cubic in the fraction of a cell:
     (least, cells per unit, coefficients of shape (4, cells), constant term first).
-    The two coefficient blocks are views of one array, the 1 - T_c side's from
-    its column _START_CELLS + 1 on, so that a start takes one gather per
-    coefficient.  Each node's t takes two Newton steps in t from a linear
-    interpolation on a grid of t, which leave it to rounding.  A cell's cubic is the Hermite one
+    Each node's t takes two Newton steps in t from a linear interpolation on a
+    grid of t, which leave it to rounding.  A cell's cubic is the Hermite one
     of its end nodes' t and dt/dy, from :func:`_log_distortion`: 1 / (d log
     T_c / dt), or on the 1 - T_c side -(1 - T_c) / (T_c d log T_c / dt).  A
     table holds 262 kB, so the cache keeps 64.  The coefficients are gathered
@@ -374,24 +372,22 @@ def _newton(pv: ParameterVector, level: np.ndarray, survival: bool):
     lam = small[idx]
     # the start: logit t of w from the level side's table, x = w = 1 / (1 + e^-t) or r = 1 - w;
     # below the first node only the linear term counts, as T and 1 - T are linear there
-    pos = np.log(lam)
-    for part, (least, per_cell, _) in zip((slice(0, b2), slice(b2, None)), tables):
-        pos[part] -= least
-        pos[part] *= per_cell
-    k = np.fmin(np.fmax(pos, 0.0), _START_CELLS - 1).astype(np.intp)
-    frac = np.subtract(pos, k, out=pos)
-    k[b2:] += _START_CELLS + 1  # the side tables are views of one array, the 1 - T_c side's after a gap of one
-    coef, cubic = tables[0][2].base, np.fmax(frac, 0.0)
-    x = coef[3][k]
-    x *= cubic
-    x += coef[2][k]
-    x *= cubic
-    x += coef[1][k]
-    x *= frac
-    x += coef[0][k]
+    x = np.empty_like(level)
+    for part, (least, per_cell, coef) in zip((slice(0, b2), slice(b2, None)), tables):
+        pos = (np.log(lam[part]) - least) * per_cell
+        k = np.fmin(np.fmax(pos, 0.0), _START_CELLS - 1).astype(np.intp)
+        frac = pos - k
+        cubic = np.fmax(frac, 0.0)
+        start = coef[3][k]
+        start *= cubic
+        start += coef[2][k]
+        start *= cubic
+        start += coef[1][k]
+        start *= frac
+        x[part] = np.add(start, coef[0][k], out=start)
     x[b1:b3] *= -1.0
     np.fmin(np.fmax(1.0 / (1.0 + np.exp(-x)), 5e-324), 0.5, out=x)
-    del small, on_c, up, key, k, frac, cubic, pos
+    del small, on_c, up, key, pos, k, frac, cubic, start
 
     def ratios(x, b1, b3):  # (w, r) from the smaller of the two, r = x between b1 and b3
         return (np.concatenate((x[:b1], 1.0 - x[b1:b3], x[b3:])),

@@ -22,7 +22,7 @@ is 0.8 MB: malloc maps it afresh and returns it to the kernel, which faults
 its pages in again on every call.  At 8192 levels each is 64 KiB, which
 malloc reuses from block to block and which stays in cache.  A sampler
 that takes two streams from one generator, n uniforms and then n more,
-draws the second from a copy of the PCG64 advanced n draws (:func:`_twin`),
+draws the second from a copy of the PCG64 advanced n draws (:func:`_two_streams`),
 so that both come a block at a time.  Every map is elementwise and a
 PCG64 double takes one draw, so the draws do not depend on the block size.
 """
@@ -97,30 +97,27 @@ class SampleBatch:
         return self.values.size / self.n_proposed
 
 
-def _blockwise(fn, n: int) -> np.ndarray:
-    """The floats of ``n`` draws, as ``fn(size)`` makes them for the next
-    ``size``, called for blocks of ``_BLOCK`` in order, in one output."""
+def _two_streams(gen: np.random.Generator, n: int):
+    """(start, size, second) for each block of ``_BLOCK`` of n, in order, to
+    draw two streams a block at a time: the next n uniforms of ``gen`` and
+    the n after them.  The caller draws ``size`` of the first from ``gen``,
+    then ``size`` of the second from ``second``; after the last block
+    ``gen`` has passed both.  ``second`` is a copy of the PCG64 advanced n
+    draws, or for n <= ``_BLOCK`` ``gen`` itself, which then draws the one
+    block of each back to back.  Both give the same bits, so the one-block
+    case is for speed alone: it skips seeding a PCG64 from OS entropy, some
+    20 us, which 100 accept-reject draws (44 us against 65) and 100 random
+    maxima (29 against 48) would pay on a 2.4 GHz Xeon."""
     if n <= _BLOCK:
-        return np.asarray(fn(n))
-    out = np.empty(n)
-    for start in range(0, n, _BLOCK):
-        out[start : start + _BLOCK] = fn(min(_BLOCK, n - start))
-    return out
-
-
-def _twin(gen: np.random.Generator, n: int) -> np.random.Generator:
-    """A generator that draws what ``gen`` draws after its next ``n``: a copy
-    of its PCG64 advanced ``n`` draws, so that two streams, the next n
-    uniforms and the n after them, can both be drawn a block at a time.
-    For n <= ``_BLOCK`` it is ``gen`` itself, as the first stream is then
-    one block drawn before the second.  Otherwise a caller that draws on
-    from ``gen`` advances it past the second stream itself."""
-    if n <= _BLOCK:
-        return gen
+        yield 0, n, gen
+        return
     bits = np.random.PCG64()
     bits.state = gen.bit_generator.state
     bits.advance(n)
-    return np.random.Generator(bits)
+    second = np.random.Generator(bits)
+    for start in range(0, n, _BLOCK):
+        yield start, min(_BLOCK, n - start), second
+    gen.bit_generator.advance(n)
 
 
 @lru_cache(maxsize=256)
@@ -203,10 +200,10 @@ def sample_accept_reject(
     while got < n:
         chunk = min(int((n - got) / max(rate, 1e-3) * 1.2) + 16, _MAX_PROPOSALS)
         # the chunk's proposals, then its acceptance uniforms, a block of each at a time
-        acc, worst, used = _twin(gen, chunk), 0.0, chunk
-        for start in range(0, chunk, _BLOCK):
-            u_prop = gen.random(min(_BLOCK, chunk - start))
-            u_acc = acc.random(u_prop.size)
+        worst, used = 0.0, chunk
+        for start, size, acc in _two_streams(gen, chunk):
+            u_prop = gen.random(size)
+            u_acc = acc.random(size)
             ratio = distortion_deriv(ed.pv, u_prop)
             ratio /= m_const
             worst = max(worst, float(ratio.max()))
@@ -217,8 +214,6 @@ def sample_accept_reject(
                 got += hits.size
                 if got == n:  # n_proposed ends at the proposal of the n-th acceptance
                     used = start + int(hits[-1]) + 1
-        if acc is not gen:
-            gen.bit_generator.advance(chunk)
         # T' is checked on every proposal of the chunk, those past the n-th acceptance too
         if worst > 1.0 + _RATIO_SLACK:
             raise EnvelopeViolation(f"density ratio {worst:.6g} exceeds 1 with constant {m_const:.6g}")
@@ -279,15 +274,11 @@ def sample_random_maxima(ed: ExtendedDistribution, rng: RandomSource, n: int) ->
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    gen = rng.generator()
-    tops = _twin(gen, n)
-
-    def maxima(size: int) -> np.ndarray:
-        counts = _draw_counts(ed.pv, gen, size, 10**6)  # before the draws of tops, which may be gen's
+    gen, values = rng.generator(), np.empty(n)
+    for start, size, tops in _two_streams(gen, n):
+        counts = _draw_counts(ed.pv, gen, size, 10**6)  # first: ``tops`` may be ``gen``
         top = tops.random(size) ** (1.0 / counts)
-        return ed.baseline.quantile(np.maximum(top, np.finfo(float).tiny, out=top))
-
-    values = _blockwise(maxima, n)
+        values[start : start + size] = ed.baseline.quantile(np.maximum(top, np.finfo(float).tiny, out=top))
     return SampleBatch(values=values, sampler="random-maxima", seed=rng.seed)
 
 
@@ -296,13 +287,10 @@ def sample_inverse_cdf(ed: ExtendedDistribution, rng: RandomSource, n: int) -> S
     drawn a block at a time."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    gen = rng.generator()
-
-    def quantiles(size: int) -> np.ndarray:
-        u = gen.random(size)
-        return ed.quantile(np.maximum(u, np.finfo(float).tiny, out=u))
-
-    values = _blockwise(quantiles, n)
+    gen, values = rng.generator(), np.empty(n)
+    for start in range(0, n, _BLOCK):
+        u = gen.random(min(_BLOCK, n - start))
+        values[start : start + u.size] = ed.quantile(np.maximum(u, np.finfo(float).tiny, out=u))
     return SampleBatch(values=values, sampler="inverse-cdf", seed=rng.seed)
 
 

@@ -1,6 +1,7 @@
 """Tests for the composed extended distribution."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,19 @@ class TestTailInverses:
         s = np.geomspace(1e-200, 0.99, 40)
         np.testing.assert_allclose(ed.sf(ed.isf(s)), s, rtol=1e-11)
         assert ed.isf(0.25) == ed.quantile(0.75)
+
+    def test_map_not_taken_stays_quiet(self):
+        """A root takes the baseline quantile or the baseline isf, never
+        both: quantile(1e-200) has a root near 1e-200, where the baseline
+        isf of a shape-1/2 log-logistic, ((1 - x) / x)^2, overflows, and
+        must not warn of it, nor its quantile at the tiny roots of isf."""
+        ed = ExtendedDistribution(LogLogistic(1.0, 0.5), validate_params(2, [1.5, 0.5]))
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            values = [ed.quantile(1e-200), ed.quantile(1.0 - 1e-15), ed.isf(1.0 - 1e-15), ed.isf(1e-15)]
+            batch = ed.quantile(np.array([1e-200, 0.5, 1.0 - 1e-15]))
+        assert all(math.isfinite(v) for v in values) and np.isfinite(batch).all()
+        assert batch[0] == values[0] and batch[2] == values[1]
 
     def test_isf_rejects_closed_levels(self):
         for s in (0.0, 1.0):

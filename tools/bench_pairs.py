@@ -1,53 +1,43 @@
-"""Alternate the benchmark between two checkouts and summarise the pairs.
+"""Alternate the benchmark between two checkouts, one seed per pair.
 
 Usage:
 
-    python3 tools/bench_pairs.py DIR_A DIR_B --workload W --pairs N [--seed S] [--seconds T]
+    python3 tools/bench_pairs.py DIR_A DIR_B --workload W --pairs N [--first-seed S] [--seconds T] [--trace 0|1]
 
-DIR_A is the base (say, the parent commit) and DIR_B the change.  Each
-pair runs ``perfbench/run.py --workload W --seed S --seconds T`` once in
-each checkout, one after the other; which checkout goes first swaps from
-pair to pair, so that a drift of the machine over the session falls on
-both sides alike.  For every end-to-end metric of DIR_A's BENCHMARK.json
-it prints the median and quartiles of each side and the pairs that the
-change wins (better in the metric's own direction), then the median of
-each op kind's median latency.  Nothing under either checkout changes but
-the result files that run.py itself leaves in ``.perfbench_work/``.
+DIR_A is the base (say, the parent commit) and DIR_B the change.  Pair i
+runs ``perfbench/run.py --workload W --seed S+i --seconds T`` once in each
+checkout, one after the other; which checkout goes first swaps from pair to
+pair, so that a drift of the machine over the session falls on both sides
+alike.  Each run leaves its result file in its checkout's
+``.perfbench_work/results/``, and each pair prints its end-to-end metrics.
+Summarise the pairs from DIR_B with
+
+    python3 tools/bench_record.py --pr N --parent DIR_A
+
+which writes BENCH_<N>.json and prints, per metric, both sides' medians
+and quartiles and the pairs the change wins.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One untraced run: its end-to-end metrics and its op medians in ms."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One run's end-to-end metrics, from the last line that run.py prints."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{checkout}: run.py exited {proc.returncode}\n{proc.stderr}")
-    lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
     if not result["correct"]:
         sys.exit(f"{checkout}: {result['failed']} of {result['attempted']} ops failed")
-    ops = {}
-    for line in lines:
-        if line.startswith("op "):
-            fields = line.split()
-            ops[fields[1]] = float(fields[3].removeprefix("median_ms="))
-    return {name: m["value"] for name, m in result["metrics"].items()}, ops
-
-
-def quartiles(values: list[float]) -> tuple[float, float, float]:
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
+    return {name: m["value"] for name, m in result["metrics"].items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -56,38 +46,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path, help="checkout B, the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
-    bench = json.loads((args.base / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-
-    runs = {"A": [], "B": []}
     for i in range(args.pairs):
-        order = (("A", args.base), ("B", args.change)) if i % 2 == 0 else (("B", args.change), ("A", args.base))
-        for side, checkout in order:
-            runs[side].append(run(checkout, args.workload, args.seed, args.seconds))
-        a, b = runs["A"][-1][0], runs["B"][-1][0]
-        print(f"pair {i + 1}/{args.pairs} ({order[0][0]} first): "
-              + "  ".join(f"{name} {a[name]:.4g} -> {b[name]:.4g}" for name in better if name in a and name in b),
+        seed, sides = args.first_seed + i, [("A", args.base), ("B", args.change)]
+        if i % 2:
+            sides.reverse()
+        got = {side: run(checkout, args.workload, seed, args.seconds, args.trace) for side, checkout in sides}
+        print(f"pair {i + 1}/{args.pairs} seed {seed} ({sides[0][0]} first): "
+              + "  ".join(f"{name} {a:.4g} -> {got['B'][name]:.4g}" for name, a in got["A"].items() if name in got["B"]),
               flush=True)
-
-    print(f"\n{args.workload}, seed {args.seed}, {args.seconds:g} s, {args.pairs} pairs: median [q1, q3]")
-    for name, direction in better.items():
-        pairs = [(a[name], b[name]) for (a, _), (b, _) in zip(runs["A"], runs["B"]) if name in a and name in b]
-        if not pairs:
-            continue
-        qa, qb = quartiles([a for a, _ in pairs]), quartiles([b for _, b in pairs])
-        wins = sum((b < a) if direction == "lower" else (b > a) for a, b in pairs)
-        print(f"{name:16s} A {qa[1]:.4g} [{qa[0]:.4g}, {qa[2]:.4g}]  B {qb[1]:.4g} [{qb[0]:.4g}, {qb[2]:.4g}]  "
-              f"change {qb[1] / qa[1] - 1.0:+.1%}  B wins {wins}/{len(pairs)}  "
-              f"A IQR {qa[2] - qa[0]:.4g}, medians apart {abs(qb[1] - qa[1]):.4g}")
-    kinds = dict.fromkeys(kind for _, ops in runs["A"] + runs["B"] for kind in ops)
-    for kind in kinds:
-        a = [ops[kind] for _, ops in runs["A"] if kind in ops]
-        b = [ops[kind] for _, ops in runs["B"] if kind in ops]
-        if a and b:
-            print(f"op {kind:24s} median ms A {statistics.median(a):.4g}  B {statistics.median(b):.4g}")
     return 0
 
 

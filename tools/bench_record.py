@@ -16,7 +16,11 @@ every op of every run): the end-to-end metrics of the untraced runs under
 environment line of the runs and the line count of ``src/moq``.
 ``--parent DIR`` adds the same summary made from the results of another
 checkout (the parent commit, run on the same machine), so that the file
-holds a before/after pair.
+holds a before/after pair, and under ``pairs`` compares the untraced runs
+of the seeds that both sides ran, as ``tools/bench_pairs.py`` makes them:
+per workload and end-to-end metric of BENCHMARK.json, each side's
+quartiles (q1, median, q3) and the pairs that the change wins, better in
+the metric's own direction.  It prints the comparison too.
 """
 
 from __future__ import annotations
@@ -92,6 +96,39 @@ def summarize(checkout: Path) -> dict:
     }
 
 
+def compare(change: dict, parent: dict) -> dict:
+    """Untraced runs paired by seed: per workload and end-to-end metric, the
+    quartiles of each side and the pairs the change wins."""
+    better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    out = {}
+    for name, new in change["workloads"].items():
+        old = parent["workloads"].get(name)
+        if old is None:
+            continue
+        rows = {}
+        for metric, direction in better.items():
+            if metric not in new["metrics"] or metric not in old["metrics"]:
+                continue
+            a = dict(zip(old["seeds"], old["metrics"][metric]["runs"]))
+            b = dict(zip(new["seeds"], new["metrics"][metric]["runs"]))
+            pairs = [(a[seed], b[seed]) for seed in a if seed in b]
+            if len(pairs) < 2:
+                continue
+            wins = sum((y < x) if direction == "lower" else (y > x) for x, y in pairs)
+            rows[metric] = {
+                "parent": statistics.quantiles([x for x, _ in pairs], n=4, method="inclusive"),
+                "change": statistics.quantiles([y for _, y in pairs], n=4, method="inclusive"),
+                "wins": wins,
+                "pairs": len(pairs),
+            }
+            pq, cq = rows[metric]["parent"], rows[metric]["change"]
+            print(f"{name:12s} {metric:16s} parent {pq[1]:.4g} [{pq[0]:.4g}, {pq[2]:.4g}]  "
+                  f"change {cq[1]:.4g} [{cq[0]:.4g}, {cq[2]:.4g}]  {cq[1] / pq[1] - 1.0:+.1%}  "
+                  f"wins {wins}/{len(pairs)}")
+        out[name] = rows
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
@@ -100,6 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     out = {"pr": args.pr, "change": summarize(ROOT)}
     if args.parent is not None:
         out["parent"] = summarize(args.parent.resolve())
+        out["pairs"] = compare(out["change"], out["parent"])
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path.name}")
