@@ -70,6 +70,9 @@ _TAIL_FLOOR = 256 * _EPS
 # memory bound, which does not change where any series stops.
 _BLOCK_CELLS = 1 << 18
 
+# Indices of a series stream kept once formed (see _SeriesStream).
+_PREFIX_CAP = 8192
+
 
 @dataclass(frozen=True)
 class ParameterVector:
@@ -544,6 +547,13 @@ class _SeriesStream:
     with np.cumsum, the running total added to each block's first term:
     that keeps the left-to-right order of a term-by-term loop, so where a
     series stops does not depend on the block sizes.
+
+    The weights and envelopes of the indices below ``_PREFIX_CAP`` (8,192)
+    are formed once per stream and kept, as one read-only prefix: at most
+    128 KiB per stream, 32 MiB over the 256 that ``_series_stream``
+    caches.  A block that ends past the cap is evaluated afresh each time.
+    As no weight depends on the block that holds it, the kept values are
+    the ones a fresh evaluation gives, bit for bit.
     """
 
     def __init__(self, pv: ParameterVector, kind: str):
@@ -584,15 +594,31 @@ class _SeriesStream:
         self._log_ratio = math.log(self.ratio) if self.ratio > 0.0 else -math.inf
         self._w, self._pref_mag = w, pref_mag  # for envelope_total
         self._log_mag = max(map(abs, log_coeff)) + abs(self.log_pref) + 1
+        # (weights, envelopes) of the indices formed so far, one attribute so
+        # that a reader never pairs arrays of two different fills
+        self._prefix = (np.empty(0), np.empty(0))
 
     def block(self, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
-        """The weights of the indices m0 <= m < m1 (m0 < m1) and their envelopes.
+        """The weights of the indices m0 <= m < m1 (m0 < m1) and their envelopes,
+        read-only where m1 <= _PREFIX_CAP.
 
         The envelope is the same mode sum with every sign dropped.  Unlike
         the weight itself it cannot dip through cancellation, so it is the
         quantity the tail bounds have to be built from when the modes carry
         mixed signs.
         """
+        if m1 > _PREFIX_CAP:
+            return self._evaluate(m0, m1)
+        prefix = self._prefix
+        if m1 > prefix[0].size:
+            prefix = tuple(np.concatenate(p) for p in zip(prefix, self._evaluate(prefix[0].size, m1)))
+            for p in prefix:
+                p.flags.writeable = False
+            self._prefix = prefix
+        return prefix[0][m0:m1], prefix[1][m0:m1]
+
+    def _evaluate(self, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`block` of m0 <= m < m1, evaluated afresh."""
         q1, k0 = self.q - 1, m0 - self._last
         # log C(k+q-1, q-1) + k log|srat| for k = m0 - last .. m1 - 1 - first,
         # -inf where k < 0 (or k > 0 with srat = 0); the binomial is the
@@ -740,8 +766,21 @@ def _series_stream(pv: ParameterVector, kind: str) -> _SeriesStream:
 
 def _truncated_series(pv: ParameterVector, kind: str, tol: float, max_terms: int) -> SeriesCoefficients:
     stream = _series_stream(pv, kind)
-    # from m = 0, which is the leading 1 at_one
-    walked = _geometric_walk(stream, lambda m, w, env: (env, (w, env), False), tol, max_terms, 0)
+
+    def walk(limit):  # from m = 0, which is the leading 1 at_one
+        return _geometric_walk(stream, lambda m, w, env: (env, (w, env), False), tol, limit, 0)
+
+    walked = walk(min(max_terms, _PREFIX_CAP - 1))
+    if walked is None and max_terms >= _PREFIX_CAP:
+        # A walk past the kept prefix goes on only if it may close by
+        # M = max_terms.  Where the ratio bound rho is below one the
+        # envelopes fall, so no index up to M has a tail below env(M) *
+        # ratio / (1 - ratio), as rho >= ratio; elsewhere none closes.  The
+        # float envelopes err by at most rounding(M) each, as rounding grows
+        # with m; a third rounding(M) covers the few roundings of the product.
+        last = stream.block(max_terms, max_terms + 1)[1][0]
+        if last * (1.0 - 3.0 * stream.rounding(max_terms)) * stream.ratio / (1.0 - stream.ratio) < tol:
+            walked = walk(max_terms)
     if walked is None:
         raise Nonconvergence(
             f"series {kind} for q={pv.q}, a={pv.a} still above tol={tol} after {max_terms} terms"

@@ -178,7 +178,8 @@ def sample_accept_reject(
 
     A proposal at CDF level u is kept with probability T'(u)/M.  The
     expected acceptance rate is exactly 1/M.  ``envelope`` overrides the
-    computed constant for fault-injection diagnostics only; a ratio above
+    computed constant for fault-injection diagnostics only; one that is not
+    positive and finite raises :class:`DomainError`, and a ratio above
     one raises :class:`EnvelopeViolation`, which always indicates a wrong
     constant rather than bad luck; it is raised after the chunk in which it
     occurs, with the chunk's largest ratio.
@@ -192,6 +193,8 @@ def sample_accept_reject(
     if n < 1:
         raise DomainError("n must be >= 1")
     m_const = envelope_constant(ed.pv) if envelope is None else float(envelope)
+    if not 0.0 < m_const < math.inf:  # no proposal would ever be accepted
+        raise DomainError(f"envelope must be positive and finite, got {m_const!r}")
     gen = rng.generator()
     values = np.empty(n)
     got = 0

@@ -397,6 +397,40 @@ class TestSeriesBlock:
                 assert abs(values[m - 1] - pref * mp.fsum(modes)) <= bound
                 assert abs(envs[m - 1] - pref * mp.fsum(map(abs, modes))) <= bound
 
+    @pytest.mark.parametrize(
+        "a, terms",
+        [((40.0, 0.4, 2.5, 0.7, 1.8, 0.3, 0.9, 3.1, 0.5, 1.2, 0.6, 2.2), 400), ((200.0, 0.5), 3200)],
+        ids=["q12-mixed-sign", "a200"],
+    )
+    def test_cold_and_warm_streams_agree(self, a, terms):
+        """A stream whose prefix is full gives, byte for byte, what a fresh
+        one gives: walked one index per block, across the cap, and far past
+        it.  The prefix stays within the cap, and no caller can write to it."""
+        from moq.family import _PREFIX_CAP, _SeriesStream
+
+        pv, cap = validate_params(len(a), a), _PREFIX_CAP
+        warm = _SeriesStream(pv, "at_zero")
+        full = warm.block(0, cap)
+        assert full[0].size == cap
+
+        def same(x, y):
+            return all(u.tobytes() == v.tobytes() for u, v in zip(x, y))
+
+        cold = _SeriesStream(pv, "at_zero")
+        steps = [cold.block(m, m + 1) for m in range(terms)]
+        assert same(map(np.concatenate, zip(*steps)), warm.block(0, terms))
+        cold = _SeriesStream(pv, "at_zero")
+        edges = list(range(cap - 700, cap + 700, 300))
+        walked = [cold.block(m0, m1) for m0, m1 in zip(edges, edges[1:])]
+        assert same(map(np.concatenate, zip(*walked)), cold._evaluate(edges[0], edges[-1]))
+        assert same(map(np.concatenate, zip(*walked)), warm.block(edges[0], edges[-1]))
+        for m in (cap, 3 * cap, 10**6):
+            assert same(_SeriesStream(pv, "at_zero").block(m, m + 1), warm.block(m, m + 1))
+        for stream in (warm, cold):
+            assert all(p.size <= cap and not p.flags.writeable for p in stream._prefix)
+        with pytest.raises(ValueError):
+            warm.block(1, 5)[0][0] = 0.0
+
     def test_exact_binomial_where_the_float_product_overflows(self):
         """q = 200 at m = 1e6: every C(k+q-1, q-1) of the block exceeds the
         largest double, so each log binomial comes from the exact integer."""

@@ -186,6 +186,13 @@ class TestAcceptReject:
         with pytest.raises(EnvelopeViolation):
             sample_accept_reject(ED, RandomSource(5), 1000, envelope=good / 2.0)
 
+    @pytest.mark.parametrize("envelope", [math.nan, -1.0, math.inf])
+    def test_envelope_neither_positive_nor_finite_is_refused(self, envelope, wall_clock_limit):
+        """No proposal could be accepted, so the draw would never end."""
+        ed = ExtendedDistribution(Exponential(1.0), validate_params(2, [1.5, 0.5]))
+        with wall_clock_limit(5.0), pytest.raises(DomainError, match="positive and finite"):
+            sample_accept_reject(ed, RandomSource(1), 10, envelope=envelope)
+
     @pytest.mark.parametrize("ed", [MIXED["exp-q8-mixed"], WAVE], ids=["exp-q8-mixed", "weib-q2-wave"])
     def test_outside_pmf_regime_rate_and_law(self, ed):
         n = 50_000
@@ -307,6 +314,40 @@ class TestSampleCount:
         pv = validate_params(2, [1e4, 0.5])
         assert sample_count(pv, RandomSource(1), 10).min() >= 1
         assert sampling._count_cdf(pv, 10**6).size == 202_301
+
+    def test_budget_refused_up_front(self, monkeypatch):
+        """A count CDF that cannot close within max_terms is refused after
+        the prefix and one index at max_terms, not after a walk of them all."""
+        from moq import family
+
+        evaluated = []
+        evaluate = family._SeriesStream._evaluate
+
+        def spy(self, m0, m1):
+            evaluated.append(m1 - m0)
+            return evaluate(self, m0, m1)
+
+        sampling._count_cdf.cache_clear()
+        family._series_stream.cache_clear()
+        monkeypatch.setattr(family._SeriesStream, "_evaluate", spy)
+        with pytest.raises(Nonconvergence, match=r"still above tol=.* after 1000000 terms"):
+            sample_count(validate_params(2, [5e4, 0.5]), RandomSource(1), 10)
+        assert sum(evaluated) <= family._PREFIX_CAP + 1
+        sampling._count_cdf.cache_clear()
+
+    def test_budget_just_met_keeps_the_full_table(self):
+        """A series that closes at index n past the prefix keeps its whole
+        count CDF under max_terms = n, and is refused under n - 1."""
+        from moq import family
+
+        pv, tol = validate_params(2, [2000.0, 0.5]), 2.0**-53
+        full = series_at_zero(pv, tol)
+        n = full.truncation_index
+        assert n > family._PREFIX_CAP
+        assert series_at_zero(pv, tol, n) == full
+        assert np.array_equal(sampling._count_cdf(pv, n), sampling._count_cdf(pv, 10**6))
+        with pytest.raises(Nonconvergence, match=f"after {n - 1} terms"):
+            series_at_zero(pv, tol, n - 1)
 
 
 class TestRandomMaxima:

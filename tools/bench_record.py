@@ -11,16 +11,19 @@ as the benchmark's self-test makes, overwrites a full-size one) and
 writes, per workload, the median of each metric over the seeds, with every
 run's value in seed order, the ops attempted and failed and the probes that
 failed, and the median latency of each op kind (``op_median_ms``, over
-every op of every run): the end-to-end metrics of the untraced runs under
-``workloads``, the per-layer metrics of the traced runs under ``layers``.  It adds the
-environment line of the runs and the line count of ``src/moq``.
+every op of every run, and ``op_median_ms_runs``, per run): the end-to-end
+metrics of the untraced runs under ``workloads``, the per-layer metrics of
+the traced runs under ``layers``.  It adds the environment line of the
+runs and the line count of ``src/moq``.
 ``--parent DIR`` adds the same summary made from the results of another
 checkout (the parent commit, run on the same machine), so that the file
 holds a before/after pair, and under ``pairs`` compares the untraced runs
 of the seeds that both sides ran, as ``tools/bench_pairs.py`` makes them:
 per workload and end-to-end metric of BENCHMARK.json, each side's
 quartiles (q1, median, q3) and the pairs that the change wins, better in
-the metric's own direction.  It prints the comparison too.
+the metric's own direction; and, under ``op_median_ms``, the same for each
+op kind's median latency per run (``op_median_ms_runs``), where lower is
+better.  It prints the comparison too.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ def _medians(records: list[dict]) -> dict:
         "failed_probes": sorted({p["name"] for r in records for p in r["probes"] if not p["passed"]}),
         "metrics": metrics,
         "op_median_ms": _op_medians(records),
+        "op_median_ms_runs": _op_median_runs(records),
     }
 
 
@@ -76,6 +80,14 @@ def _op_medians(records: list[dict]) -> dict[str, float]:
         for kind, seconds in zip(ops.get("kind", []), ops.get("latency_s", [])):
             latencies.setdefault(kind, []).append(seconds)
     return {kind: 1e3 * statistics.median(values) for kind, values in sorted(latencies.items())}
+
+
+def _op_median_runs(records: list[dict]) -> dict[str, list[float | None]]:
+    """Each op kind's median latency in ms per run, in seed order (None
+    where a run has no op of that kind)."""
+    per_run = [_op_medians([record]) for record in records]
+    kinds = sorted({kind for medians in per_run for kind in medians})
+    return {kind: [medians.get(kind) for medians in per_run] for kind in kinds}
 
 
 def summarize(checkout: Path) -> dict:
@@ -96,9 +108,33 @@ def summarize(checkout: Path) -> dict:
     }
 
 
+def _paired(old: dict, new: dict, lower: bool) -> dict | None:
+    """Quartiles (q1, median, q3) of each side over the seeds both ran, and
+    the pairs the change wins; None for fewer than two pairs.  ``old`` and
+    ``new`` map seeds to values."""
+    pairs = [(old[seed], new[seed]) for seed in old if seed in new and None not in (old[seed], new[seed])]
+    if len(pairs) < 2:
+        return None
+    return {
+        "parent": statistics.quantiles([x for x, _ in pairs], n=4, method="inclusive"),
+        "change": statistics.quantiles([y for _, y in pairs], n=4, method="inclusive"),
+        "wins": sum((y < x) if lower else (y > x) for x, y in pairs),
+        "pairs": len(pairs),
+    }
+
+
+def _print_row(name: str, label: str, row: dict) -> None:
+    pq, cq = row["parent"], row["change"]
+    print(f"{name:12s} {label:24s} parent {pq[1]:.4g} [{pq[0]:.4g}, {pq[2]:.4g}]  "
+          f"change {cq[1]:.4g} [{cq[0]:.4g}, {cq[2]:.4g}]  {cq[1] / pq[1] - 1.0:+.1%}  "
+          f"wins {row['wins']}/{row['pairs']}")
+
+
 def compare(change: dict, parent: dict) -> dict:
-    """Untraced runs paired by seed: per workload and end-to-end metric, the
-    quartiles of each side and the pairs the change wins."""
+    """Untraced runs paired by seed: per workload, for each end-to-end
+    metric and, under ``op_median_ms``, for each op kind's median latency
+    (lower is better), the quartiles of each side and the pairs the change
+    wins."""
     better = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     out = {}
     for name, new in change["workloads"].items():
@@ -107,25 +143,20 @@ def compare(change: dict, parent: dict) -> dict:
             continue
         rows = {}
         for metric, direction in better.items():
-            if metric not in new["metrics"] or metric not in old["metrics"]:
-                continue
-            a = dict(zip(old["seeds"], old["metrics"][metric]["runs"]))
-            b = dict(zip(new["seeds"], new["metrics"][metric]["runs"]))
-            pairs = [(a[seed], b[seed]) for seed in a if seed in b]
-            if len(pairs) < 2:
-                continue
-            wins = sum((y < x) if direction == "lower" else (y > x) for x, y in pairs)
-            rows[metric] = {
-                "parent": statistics.quantiles([x for x, _ in pairs], n=4, method="inclusive"),
-                "change": statistics.quantiles([y for _, y in pairs], n=4, method="inclusive"),
-                "wins": wins,
-                "pairs": len(pairs),
-            }
-            pq, cq = rows[metric]["parent"], rows[metric]["change"]
-            print(f"{name:12s} {metric:16s} parent {pq[1]:.4g} [{pq[0]:.4g}, {pq[2]:.4g}]  "
-                  f"change {cq[1]:.4g} [{cq[0]:.4g}, {cq[2]:.4g}]  {cq[1] / pq[1] - 1.0:+.1%}  "
-                  f"wins {wins}/{len(pairs)}")
-        out[name] = rows
+            if metric in new["metrics"] and metric in old["metrics"]:
+                row = _paired(dict(zip(old["seeds"], old["metrics"][metric]["runs"])),
+                              dict(zip(new["seeds"], new["metrics"][metric]["runs"])), direction == "lower")
+                if row is not None:
+                    rows[metric] = row
+                    _print_row(name, metric, row)
+        ops = {}
+        for kind, runs in new["op_median_ms_runs"].items():
+            row = _paired(dict(zip(old["seeds"], old["op_median_ms_runs"].get(kind, []))),
+                          dict(zip(new["seeds"], runs)), True)
+            if row is not None:
+                ops[kind] = row
+                _print_row(name, f"op {kind}", row)
+        out[name] = {**rows, "op_median_ms": ops}
     return out
 
 
