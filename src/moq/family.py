@@ -73,6 +73,8 @@ _BLOCK_CELLS = 1 << 18
 # Indices of a series stream kept once formed (see _SeriesStream).
 _PREFIX_CAP = 8192
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class ParameterVector:
@@ -671,7 +673,10 @@ class _SeriesStream:
         As sum_k C(k+q-1, q-1) x^k = (1 - x)^-q, the envelopes add up to
         pref * sum_j |coeff[j]| / (1 - ratio)^q.  Each input is raised by its
         rounding bound, so the sum also covers the error that the rounding
-        of the inputs leaves in the weights.
+        of the inputs leaves in the weights.  The product is formed in log
+        space, as pref and (1 - ratio)^q each underflow for large q while
+        their quotient need not; a sum beyond the float range raises
+        :class:`Nonconvergence`, as no tail can be bounded then.
         """
         ratio = self.ratio + 3 * _EPS
         if ratio >= 1.0:
@@ -685,7 +690,17 @@ class _SeriesStream:
         abs_coeff = _mode_coefficients(self.kind, elementary_symmetric(map(abs, self._w), q))
         coeff = math.fsum(map(abs, self.coeff.values())) + 2 * (q + 1) * _EPS * math.fsum(abs_coeff.values())
         pref_err = 3 * _EPS * (self._pref_mag + q + 2)
-        return math.exp(self.log_pref + pref_err) * coeff / (1.0 - ratio) ** q
+        # log and log1p within an ulp, the product and the three sums each
+        # within eps of their magnitudes, and exp within an ulp, on top
+        log_coeff, log_power = math.log(coeff), -q * math.log1p(-ratio)
+        log_err = 5 * _EPS * (abs(self.log_pref) + log_coeff + log_power + 1)
+        log_total = self.log_pref + pref_err + log_coeff + log_power + log_err
+        if not log_total < _LOG_FLOAT_MAX:
+            raise Nonconvergence(
+                f"series {self.kind} for q={q}: its envelopes sum to exp({log_total:.6g}), "
+                "beyond the float range, so no tail can be bounded"
+            )
+        return math.exp(log_total)
 
     def envelope_ratio(self, m):
         """Bound on envelope(m+1) / envelope(m) for m >= q + 1, array-friendly.

@@ -458,17 +458,46 @@ def _de_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     return (*out, int(np.count_nonzero(t <= 0.0)))
 
 
+@lru_cache(maxsize=64)
+def _de_abscissae(baseline: Baseline, level: int) -> np.ndarray:
+    """The abscissae Q0 of the nodes of ``level`` (see _de_level): the
+    baseline quantile of u where u <= 1/2 and its isf of s above that.
+    Read-only; see _de_terms for the cache."""
+    u, s, _, k = _de_level(level)
+    x = np.concatenate((baseline.quantile(u[:k]), baseline.isf(s[k:])))
+    x.flags.writeable = False
+    return x
+
+
+@lru_cache(maxsize=256)
+def _de_deriv(pv: ParameterVector, level: int) -> np.ndarray:
+    """T' of ``pv`` at the nodes of ``level`` (see _de_level), read-only."""
+    u, s, _, _ = _de_level(level)
+    d = _deriv(pv, u, s)
+    d.flags.writeable = False
+    return d
+
+
 def _de_terms(baseline: Baseline, pv: ParameterVector, r: float, level: int):
     """Q0(u)^r T'(u) du/dt at the nodes of ``level`` (see _de_level),
     and where they are known: not where the power of the abscissa
     overflows, which happens only on an outer run of nodes on either side.
-    The abscissa is the baseline quantile of u where u <= 1/2 and its isf
-    of s above that.  Unknown terms are 0.
+    Unknown terms are 0.
+
+    Neither the abscissae nor T' depend on r, so each is formed once and
+    kept, read-only: the abscissae per (baseline, level) by _de_abscissae,
+    for the four families only, as frozen dataclasses hash by value (any
+    other baseline forms them on each call); T' per (vector, level) by
+    _de_deriv.  An entry holds one float per node, at most 24 KiB (level
+    _DE_MAX_LEVEL adds 3,072 nodes), so the 64 and 256 entries the two
+    caches keep take at most 1.5 MiB and 6 MiB.  A kept array is the one
+    a fresh call gives, bit for bit, so no value depends on the caches.
     """
-    u, s, weight, k = _de_level(level)
-    power = np.concatenate((baseline.quantile(u[:k]), baseline.isf(s[k:]))) ** r
+    weight = _de_level(level)[2]
+    abscissae = _de_abscissae if type(baseline) in _FAMILIES else _de_abscissae.__wrapped__
+    power = abscissae(baseline, level) ** r
     known = ~np.isinf(power)
-    return np.where(known, power * weight * _deriv(pv, u, s), 0.0), known
+    return np.where(known, power * weight * _de_deriv(pv, level), 0.0), known
 
 
 def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -509,7 +538,10 @@ def _moment_quadrature(baseline: Baseline, pv: ParameterVector, r: float, tol: f
     16 (q + |r| + 4) eps times the sum for rounding.  Where it stays above,
     as where a moment barely exists, the rule raises ToleranceNotMet, at
     once where the last two parts alone exceed it: they do not shrink with
-    the step.  ``terms_used`` is the number of nodes evaluated.
+    the step.  ``terms_used`` counts the rule's nodes, whether their
+    abscissae and T' were formed afresh or taken from the caches of
+    _de_terms, keyed per (baseline, level) and per (vector, level) and
+    holding at most 1.5 MiB and 6 MiB.
     """
     stride = 1 << _DE_MIN_LEVEL  # level 0's nodes in the first call, stride apart
     g, known = _de_terms(baseline, pv, r, _DE_MIN_LEVEL)

@@ -53,6 +53,12 @@ __all__ = [
 
 _RATIO_SLACK = 1e-12
 
+# Expected proposals n * M above which sample_accept_reject refuses to start:
+# about 7,500 times the most the benchmark, verify or the tests ask for (5e4
+# draws of a spec with M = 26.7), and about four minutes of proposals even at
+# q = 2 (23 ns each on a 2-vCPU Xeon).
+_MAX_EXPECTED_PROPOSALS = 1e10
+
 # Pieces of [0, 1] on which envelope_constant bounds T'.  A power of two, so
 # that every node u = k/K and its complement 1 - u are exact floats.
 _ENVELOPE_PIECES = 256
@@ -179,7 +185,9 @@ def sample_accept_reject(
     A proposal at CDF level u is kept with probability T'(u)/M.  The
     expected acceptance rate is exactly 1/M.  ``envelope`` overrides the
     computed constant for fault-injection diagnostics only; one that is not
-    positive and finite raises :class:`DomainError`, and a ratio above
+    positive and finite raises :class:`DomainError`.  Where the expected
+    proposals n * M exceed ``_MAX_EXPECTED_PROPOSALS`` (1e10), the call
+    raises :class:`Nonconvergence` before drawing.  A ratio above
     one raises :class:`EnvelopeViolation`, which always indicates a wrong
     constant rather than bad luck; it is raised after the chunk in which it
     occurs, with the chunk's largest ratio.
@@ -195,6 +203,11 @@ def sample_accept_reject(
     m_const = envelope_constant(ed.pv) if envelope is None else float(envelope)
     if not 0.0 < m_const < math.inf:  # no proposal would ever be accepted
         raise DomainError(f"envelope must be positive and finite, got {m_const!r}")
+    if n * m_const > _MAX_EXPECTED_PROPOSALS:
+        raise Nonconvergence(
+            f"accept-reject expects n * M = {n} * {m_const:.6g} = {n * m_const:.3e} proposals, "
+            f"above the budget of {_MAX_EXPECTED_PROPOSALS:.0e}"
+        )
     gen = rng.generator()
     values = np.empty(n)
     got = 0

@@ -364,6 +364,49 @@ class TestSeriesStream:
                 assert abs(env - pref * mp.fsum(map(abs, modes))) <= bound
 
 
+class TestEnvelopeTotal:
+    """The bound on all envelopes summed, pref * sum_j |coeff_j| / (1 -
+    ratio)^q, formed in log space."""
+
+    @pytest.mark.parametrize("q, a, kind", [
+        (2, (1.5, 0.5), "at_zero"),
+        (5, (1.386, 0.1817, 0.2462, 0.4314, 0.3165), "at_zero"),  # mixed signs, envelopes near 1.1e8
+        (3, (2.0, 2.0, 1.95), "at_one"),
+    ])
+    def test_bounds_the_summed_envelopes(self, q, a, kind):
+        """The identity sum_k C(k+q-1, q-1) x^k = (1 - x)^-q is exact, so
+        the bound is the sum of the envelopes to within its rounding
+        allowance."""
+        from moq.family import _SeriesStream
+
+        stream = _SeriesStream(validate_params(q, a), kind)
+        seen = math.fsum(stream.block(0, 8000)[1].tolist())
+        assert seen <= stream.envelope_total() <= seen * (1.0 + 1e-12)
+
+    def test_large_q_pmf_vector(self, wall_clock_limit):
+        """q = 1000: pref and (1 - ratio)^q both underflow, and their
+        quotient divided by zero; in log space the total is exp(1.4e-11)."""
+        from moq import RandomSource, sample_count
+        from moq.family import _series_stream
+
+        a = [2000.0, *np.random.default_rng(0).uniform(0.2, 1.0, 999).tolist()]
+        pv = validate_params(1000, a)
+        with wall_clock_limit(30.0):
+            sc = series_at_zero(pv)
+            counts = sample_count(pv, RandomSource(1), 5)
+        assert 1.0 <= _series_stream(pv, "at_zero").envelope_total() <= 1.0 + 1e-10
+        assert abs(math.fsum(sc.values) - 1.0) <= sc.tail_estimate <= 1e-9
+        assert counts.min() >= 1
+
+    def test_total_beyond_the_float_range_is_a_typed_error(self):
+        """Mixed signs at q = 400: the envelopes sum to about exp(877)."""
+        from moq.family import _SeriesStream
+
+        stream = _SeriesStream(validate_params(400, [1.0] + [5.0] * 399), "at_zero")
+        with pytest.raises(Nonconvergence, match="beyond the float range"):
+            stream.envelope_total()
+
+
 class TestSeriesBlock:
     @pytest.mark.parametrize(
         "a, kind, terms",

@@ -5,6 +5,7 @@ one-parameter subfamily (geometric weights), classical special-function
 identities, and the adaptive quadrature of x^r times the density.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from moq import (
+    Baseline,
     ConditionViolated,
     DomainError,
     Exponential,
@@ -820,6 +822,146 @@ class TestOneCallLevels:
         first = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(np.arange(-6.0, 6.5, 0.5))))
         assert np.array_equal(u[::8], first)
         assert _de_level(_DE_MIN_LEVEL + 1)[0].size == 192
+
+
+# The benchmark's moment table: (baseline, a, r, method)
+_TABLE_QUERIES = [
+    (LogLogistic(1.5, 2.0), (2.0, 0.5), 0.5, "auto"),
+    (LogLogistic(1.5, 2.0), (2.0, 0.5), -0.5, "auto"),
+    (LogLogistic(1.0, 1.0), (200.0, 0.5), 0.5, "series_at_zero"),
+    (LogLogistic(1.0, 1.0), (3.0, 0.5, 0.5), 0.3, "auto"),
+    (Exponential(1.0), (20.0, 0.5), 1.5, "auto"),
+    (Exponential(1.0), (3.0, 0.3, 0.4, 0.9, 0.6), 2.0, "auto"),
+    (Exponential(1.0), (2.5, 0.5, 0.8), 1.0, "series_at_one"),
+    (Weibull(2.0, 1.5), (1.5, 0.5), 1.0, "auto"),
+    (Weibull(1.0, 0.8), (2.2, 0.6, 0.7, 0.9), 0.5, "auto"),
+    (GeneralizedWeibull(1.0, 0.5, 2.0), (1.5, 0.5), 3.0, "auto"),
+    (GeneralizedWeibull(1.0, 1.0, 1.5), (2.0, 0.5), 1.5, "auto"),
+    (LogLogistic(1.0, 3.0), (2.0, 0.5, 0.5), 1.5, "quadrature"),
+    (Weibull(2.0, 2.0), (1e-6, 0.15), 1.0, "quadrature"),
+]
+
+
+@dataclasses.dataclass(eq=True)  # eq without frozen leaves the class unhashable
+class _Rayleigh(Baseline):
+    """H(z) = z^2: Weibull(scale, 2), as a baseline outside the four families."""
+
+    scale: float = 1.0
+
+    def _H(self, z):
+        return z * z
+
+    def _log_dH(self, z):
+        return np.log(2.0 * z)
+
+    def _H_inv(self, y):
+        return np.sqrt(y)
+
+
+class _IdentityRayleigh(_Rayleigh):
+    """Hashed by identity, so a changed scale keeps its hash."""
+
+    __hash__ = object.__hash__
+
+
+def _outcome(baseline, a, r, method):
+    """repr of the MomentResult, or the type and message of the MoqError."""
+    try:
+        return repr(moment(baseline, validate_params(len(a), a), r, method=method))
+    except MoqError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestQuadratureCaches:
+    """The rule's abscissae, kept per (baseline, level), and T', kept per
+    (vector, level): a warm call gives what a cold one gives, bit for bit,
+    from read-only arrays in bounded caches; a baseline outside the four
+    families is never kept."""
+
+    @staticmethod
+    def clear():
+        from moq import moments
+
+        moments._de_abscissae.cache_clear()
+        moments._de_deriv.cache_clear()
+
+    @staticmethod
+    def sweep():
+        """Seeded queries over the four families, q 1 to 8, under auto and
+        quadrature."""
+        rng = np.random.default_rng(27)
+        for i in range(24):
+            q = int(rng.integers(1, 9))
+            a = tuple(float(v) for v in np.exp(rng.uniform(-2.0, 2.0, q)))
+            scale, shape, shape2 = (float(v) for v in np.exp(rng.uniform(-1.0, 1.0, 3)))
+            baseline = (Exponential(scale), Weibull(scale, shape), GeneralizedWeibull(scale, shape, shape2),
+                        LogLogistic(scale, shape))[i % 4]
+            r = shape * float(rng.uniform(-0.9, 0.9)) if i % 4 == 3 else float(rng.uniform(-0.5, 3.0))
+            for method in ("auto", "quadrature"):
+                yield baseline, a, r, method
+
+    def test_warm_call_matches_cold(self):
+        queries = [*_TABLE_QUERIES, *self.sweep()]
+        assert len(queries) == 61
+        for query in queries:
+            self.clear()
+            cold = _outcome(*query)
+            assert _outcome(*query) == cold, query
+
+    def test_kept_arrays_are_read_only_and_bounded(self):
+        """Each kept array refuses a write, and the caches hold at most the
+        1.5 MiB and 6 MiB their docstring states."""
+        from moq.moments import _DE_MAX_LEVEL, _DE_MIN_LEVEL, _de_abscissae, _de_deriv, _de_level
+
+        pv = validate_params(3, [2.0, 0.5, 0.5])
+        for level in range(_DE_MIN_LEVEL, _DE_MAX_LEVEL + 1):
+            for kept in (_de_abscissae(LogLogistic(), level), _de_deriv(pv, level)):
+                assert kept.size == _de_level(level)[0].size and not kept.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    kept[0] = 0.0
+        entry = _de_level(_DE_MAX_LEVEL)[0].nbytes  # the largest entry
+        assert entry == 3072 * 8
+        assert _de_abscissae.cache_info().maxsize * entry <= 1.5 * 2**20
+        assert _de_deriv.cache_info().maxsize * entry <= 6 * 2**20
+
+    def test_orders_share_one_derivative(self):
+        """A run of orders on one vector evaluates T' and the abscissae once
+        per level: every later call hits both caches."""
+        from moq.moments import _de_abscissae, _de_deriv
+
+        self.clear()
+        pv = validate_params(3, [2.0, 0.5, 0.5])
+        orders = [0.25 * k for k in range(1, 13)]
+        calls = 0
+        for r in orders:
+            res = moment(GeneralizedWeibull(1.0, 1.0, 1.5), pv, r, method="quadrature")
+            calls += 1 + int(math.log2((res.terms_used - 1) // 192))  # one call per level past the first
+        levels = _de_deriv.cache_info().misses
+        assert 1 <= levels <= 6
+        for cache in (_de_deriv, _de_abscissae):
+            assert cache.cache_info().misses == levels
+            assert cache.cache_info().hits == calls - levels >= len(orders) - 1
+
+    def test_unhashable_baseline_integrates(self):
+        """A baseline outside the families that cannot be hashed is
+        integrated without the abscissa cache: as the Weibull(1, 2) it is."""
+        baseline, pv = _Rayleigh(1.0), validate_params(2, [1.5, 0.5])
+        with pytest.raises(TypeError):
+            hash(baseline)
+        res = moment(baseline, pv, 2.0, method="quadrature")
+        ref = moment(Weibull(1.0, 2.0), pv, 2.0, method="quadrature")
+        assert res.method_used == "quadrature" and ref.method_used == "scaling(quadrature)"
+        assert abs(res.value - ref.value) <= res.error_estimate + ref.error_estimate
+        assert moment(baseline, pv, 2.0, method="quadrature") == res
+
+    def test_changed_baseline_is_not_served_stale(self):
+        """A baseline outside the families may hash by identity and change:
+        its abscissae are formed on each call.  E(X^2) scales by scale^2."""
+        baseline, pv = _IdentityRayleigh(1.0), validate_params(2, [1.5, 0.5])
+        first = moment(baseline, pv, 2.0, method="quadrature")
+        baseline.scale = 2.0
+        second = moment(baseline, pv, 2.0, method="quadrature")
+        assert second.value == pytest.approx(4.0 * first.value, rel=1e-12)
 
 
 class TestRouting:

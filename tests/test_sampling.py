@@ -193,6 +193,22 @@ class TestAcceptReject:
         with wall_clock_limit(5.0), pytest.raises(DomainError, match="positive and finite"):
             sample_accept_reject(ed, RandomSource(1), 10, envelope=envelope)
 
+    def test_expected_proposals_over_budget_are_refused(self, wall_clock_limit):
+        """n * M = 1e301 expected proposals: refused before the first draw."""
+        ed = ExtendedDistribution(Exponential(1.0), validate_params(2, [1.5, 0.5]))
+        with wall_clock_limit(5.0), pytest.raises(Nonconvergence, match=r"n \* M = 10 \* 1e\+300"):
+            sample_accept_reject(ed, RandomSource(1), 10, envelope=1e300)
+
+    def test_budget_sits_above_the_calls_made(self):
+        """5e4 draws of the wave spec, the most a test asks for, and 1e4
+        draws of a random q = 1000 vector with M = 88,206 stay inside the
+        budget with margins of 1,000 and 10."""
+        a = np.exp(np.random.default_rng(0).uniform(-3.0, 3.0, 1000))
+        big = envelope_constant(validate_params(1000, a))
+        assert big == pytest.approx(88_206, rel=1e-4)
+        assert 1_000 * 50_000 * envelope_constant(WAVE.pv) < sampling._MAX_EXPECTED_PROPOSALS
+        assert 10 * 10_000 * big < sampling._MAX_EXPECTED_PROPOSALS
+
     @pytest.mark.parametrize("ed", [MIXED["exp-q8-mixed"], WAVE], ids=["exp-q8-mixed", "weib-q2-wave"])
     def test_outside_pmf_regime_rate_and_law(self, ed):
         n = 50_000

@@ -24,6 +24,10 @@ quartiles (q1, median, q3) and the pairs that the change wins, better in
 the metric's own direction; and, under ``op_median_ms``, the same for each
 op kind's median latency per run (``op_median_ms_runs``), where lower is
 better.  It prints the comparison too.
+``--control DIR_A DIR_B`` adds, under ``control_pairs``, the same comparison
+between two checkouts of one commit (an A/A batch of ``tools/bench_pairs.py``
+with seeds of its own): how far the pairs spread with no code changed, the
+scale against which a no-move verdict of the change is read.
 """
 
 from __future__ import annotations
@@ -164,11 +168,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number in the output file name")
     parser.add_argument("--parent", type=Path, help="checkout whose results make the 'parent' summary")
+    parser.add_argument("--control", type=Path, nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="two checkouts of one commit whose pairs make the A/A 'control_pairs'")
     args = parser.parse_args(argv)
     out = {"pr": args.pr, "change": summarize(ROOT)}
     if args.parent is not None:
         out["parent"] = summarize(args.parent.resolve())
         out["pairs"] = compare(out["change"], out["parent"])
+    if args.control is not None:
+        print("control (A/A):")
+        base, other = (summarize(d.resolve()) for d in args.control)
+        out["control_pairs"] = compare(other, base)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path.name}")
