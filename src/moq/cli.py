@@ -22,6 +22,9 @@ a series failed to converge, or quadrature could not meet its tolerance.
 :func:`moq.moments.moment` route the query.  ``--r`` may be any order at
 which the moment exists: r > -shape, or |r| < shape for the log-logistic.
 
+``curve`` and ``sample`` write every value as ``"%.17g" % v`` would, a
+block of fields at a time (:mod:`moq._g17`).
+
 ``MOQ_SEED`` provides a default seed; an explicit ``--seed`` wins, then
 the spec file's ``seed`` field, then 0.
 """
@@ -112,8 +115,7 @@ def _cmd_curve(args, parser) -> int:
     if nan.size:
         print(f"error: evaluation failed at x = {_fmt(xs[nan[0]])}: {args.quantity} is NaN", file=sys.stderr)
         return 3
-    rows = np.column_stack((xs, vals)).ravel().tolist()
-    _write_out(args.out, f"x,{args.quantity}\n", ("%.17g,%.17g\n" * count) % tuple(rows))
+    _write_out(args.out, f"x,{args.quantity}\n", np.column_stack((xs, vals)).ravel(), b",\n")
     return 0
 
 
@@ -136,9 +138,7 @@ def _cmd_sample(args, parser) -> int:
     header = f"# sampler={batch.sampler} seed={batch.seed} n={batch.values.size}"
     if batch.n_proposed is not None:
         header += f" n_proposed={batch.n_proposed} acceptance_rate={_fmt(batch.acceptance_rate)}"
-    # "%.17g" % v formats as format(v, ".17g") does, in one call for the whole body
-    body = ("%.17g\n" * batch.values.size) % tuple(batch.values.tolist())
-    _write_out(args.out, header + "\n", body)
+    _write_out(args.out, header + "\n", batch.values, b"\n")
     return 0
 
 
@@ -173,13 +173,25 @@ def _cmd_verify(args, parser) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _write_out(out: str | None, *parts: str) -> None:
-    # the parts go out one after another, so the body is never copied into one text
-    if out is None or out == "-":
-        sys.stdout.writelines(parts)
+def _write_out(out: str | None, header: str, values: np.ndarray, seps: bytes) -> None:
+    """The header, then each value as "%.17g" ended by the next of ``seps``,
+    written a block at a time (:func:`moq._g17.write_g17`, imported here, as
+    only ``curve`` and ``sample`` need it)."""
+    from ._g17 import write_g17
+
+    if out is not None and out != "-":
+        with open(out, "wb") as fh:
+            fh.write(header.encode())
+            write_g17(fh.write, values, seps)
+        return
+    stream = sys.stdout
+    stream.write(header)
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:  # a text stream only, as redirect_stdout(io.StringIO()) gives
+        write_g17(lambda chunk: stream.write(chunk.decode()), values, seps)
     else:
-        with open(out, "w") as fh:
-            fh.writelines(parts)
+        stream.flush()  # the header first
+        write_g17(buffer.write, values, seps)
 
 
 def build_parser() -> argparse.ArgumentParser:

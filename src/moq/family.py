@@ -621,18 +621,11 @@ class _SeriesStream:
 
     def _evaluate(self, m0: int, m1: int) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`block` of m0 <= m < m1, evaluated afresh."""
-        q1, k0 = self.q - 1, m0 - self._last
+        k0 = m0 - self._last
         # log C(k+q-1, q-1) + k log|srat| for k = m0 - last .. m1 - 1 - first,
-        # -inf where k < 0 (or k > 0 with srat = 0); the binomial is the
-        # float product of the (k+i)/i, within 2(q-1) eps, or the exact
-        # integer where that product overflows
+        # -inf where k < 0 (or k > 0 with srat = 0)
         kr = np.arange(max(k0, 0), m1 - self._first, dtype=float)
-        with np.errstate(over="ignore"):
-            binom = np.multiply.reduce((kr[:, None] + self._binom_i) / self._binom_i, axis=1)
-        log_binom = np.log(binom)
-        if kr.size and math.isinf(binom[-1]):
-            for n in np.flatnonzero(np.isinf(binom)):
-                log_binom[n] = math.log(math.comb(int(kr[n]) + q1, q1))
+        log_binom = self._log_binomials(kr)
         if self.ratio > 0.0:
             row = log_binom + kr * self._log_ratio
         else:
@@ -649,6 +642,24 @@ class _SeriesStream:
         if self.srat < 0.0:  # sign (-1)^(m-j): (-1)^j in _mode_sign, (-1)^m here
             value[(m0 + 1) % 2::2] *= -1.0
         return value, np.add.reduce(terms, axis=1) * scale
+
+    def _log_binomials(self, kr: np.ndarray) -> np.ndarray:
+        """log C(k+q-1, q-1) for the consecutive k of ``kr``.  The binomial is
+        the float product of the (k+i)/i, within 2(q-1) eps, or, from the
+        first k where that product overflows, the exact integer: one
+        math.comb there, then C(k+q, q-1) = C(k+q-1, q-1) (k+q) / (k+1)."""
+        with np.errstate(over="ignore"):
+            binom = np.multiply.reduce((kr[:, None] + self._binom_i) / self._binom_i, axis=1)
+        log_binom = np.log(binom)
+        if kr.size and math.isinf(binom[-1]):
+            n0 = int(np.argmax(np.isinf(binom)))
+            k, q1 = int(kr[n0]), self.q - 1
+            exact = math.comb(k + q1, q1)
+            for n in range(n0, kr.size):
+                log_binom[n] = math.log(exact)
+                exact = exact * (k + self.q) // (k + 1)
+                k += 1
+        return log_binom
 
     def rounding(self, m):
         """Relative bound on the float error of :meth:`block` at m.

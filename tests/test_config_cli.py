@@ -1,13 +1,19 @@
 """Tests for spec parsing and the command-line surface."""
 
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
 from moq import DomainError, ExtendedDistribution, SpecError, load_spec, parse_spec
+from moq._g17 import _BLOCK
 from moq.cli import _fmt, main
 from moq.sampling import RandomSource, sample_accept_reject, sample_inverse_cdf, sample_random_maxima
 
@@ -384,3 +390,67 @@ def test_q150_spec_runs(tmp_path, capsys, argv):
     assert main([argv[0], "--spec", spec, *argv[1:]]) == 0
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err and captured.out
+
+
+def outputs(argv, out, capsys):
+    """What ``main(argv)`` writes to the file ``out``, to stdout under capsys,
+    and to stdout redirected to a StringIO (a text stream without a buffer)."""
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    captured = capsys.readouterr().out
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(argv) == 0
+    return out.read_bytes().decode(), captured, buf.getvalue()
+
+
+class TestBlockOutput:
+    """Bodies of several output blocks are the bytes that "%.17g" % v gives."""
+
+    @pytest.mark.parametrize("sampler, sample", [
+        ("accept-reject", sample_accept_reject),
+        ("random-maxima", sample_random_maxima),
+        ("inverse-cdf", sample_inverse_cdf),
+    ])
+    def test_sample(self, tmp_path, capsys, sampler, sample):
+        n = 2 * _BLOCK + 17
+        data = {"baseline": {"family": "weibull", "scale": 1.0, "shape": 1.5}, "a": [2.0, 0.3, 0.9]}
+        spec = write_spec(tmp_path, data)
+        argv = ["sample", "--spec", spec, "--sampler", sampler, "--n", str(n), "--seed", "8"]
+        texts = outputs(argv, tmp_path / "draws.txt", capsys)
+        loaded = load_spec(spec)
+        batch = sample(ExtendedDistribution(loaded.baseline, loaded.pv), RandomSource(8), n)
+        header, body = texts[0].split("\n", 1)
+        assert header.startswith(f"# sampler={batch.sampler} seed=8 n={n}")
+        assert body == ("%.17g\n" * n) % tuple(batch.values.tolist())
+        assert texts[1] == texts[2] == texts[0]
+
+    @pytest.mark.parametrize("quantity", ["cdf", "sf", "pdf", "hazard"])
+    def test_curve_across_the_layout_switches(self, tmp_path, capsys, quantity):
+        """x runs from 1e-6 past 1e-4 to 4e17; the hazard from 1.3e-5 to 2e17."""
+        spec = write_spec(tmp_path, WEIBULL_FIG)
+        argv = ["curve", "--spec", spec, "--quantity", quantity, "--lo", "1e-6", "--hi", "4e17", "--step", "2e13"]
+        texts = outputs(argv, tmp_path / "c.csv", capsys)
+        loaded = load_spec(spec)
+        xs = 1e-6 + 2e13 * np.arange(20_001)
+        vals = getattr(ExtendedDistribution(loaded.baseline, loaded.pv), quantity)(xs)
+        if quantity == "hazard":
+            assert vals[0] < 1e-4 and vals[-1] > 1e17
+        rows = np.column_stack((xs, vals)).ravel().tolist()
+        assert texts[0] == f"x,{quantity}\n" + ("%.17g,%.17g\n" * xs.size) % tuple(rows)
+        assert texts[1] == texts[2] == texts[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--sampler", "inverse-cdf", "--n", "9000", "--seed", "2"],
+        ["curve", "--quantity", "hazard", "--lo", "1e-6", "--hi", "4e17", "--step", "4e13"],
+    ])
+    def test_stdout_of_a_process(self, tmp_path, argv):
+        """A real stdout buffers text: the header must reach it before the body."""
+        spec = write_spec(tmp_path, WEIBULL_FIG if argv[0] == "curve" else EXP_PMF)
+        out = tmp_path / "out.txt"
+        argv = [argv[0], "--spec", spec, *argv[1:]]
+        assert main([*argv, "--out", str(out)]) == 0
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-m", "moq.cli", *argv], capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0 and proc.stdout == out.read_bytes()

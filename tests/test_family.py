@@ -398,6 +398,23 @@ class TestEnvelopeTotal:
         assert abs(math.fsum(sc.values) - 1.0) <= sc.tail_estimate <= 1e-9
         assert counts.min() >= 1
 
+    def test_overflowed_binomials_are_exact(self, wall_clock_limit):
+        """q = 1000: the float product C(k+999, 999) overflows from small k
+        on; there each log is that of the exact integer, carried from one
+        math.comb (the walk made one per k, 1.5 s for this vector's series)."""
+        from moq.family import _SeriesStream
+
+        a = [2000.0, *np.random.default_rng(0).uniform(0.2, 1.0, 999).tolist()]
+        stream = _SeriesStream(validate_params(1000, a), "at_zero")
+        kr = np.arange(3.0, 4000.0)
+        with wall_clock_limit(2.0):
+            row = stream._log_binomials(kr)
+        for k in range(900, 4000, 97):
+            assert row[k - 3] == math.log(math.comb(k + 999, 999))
+        exact = [math.log(math.comb(k + 999, 999)) for k in range(3, 8)]
+        np.testing.assert_allclose(row[:5], exact, rtol=1e-13)
+        assert stream._log_binomials(kr[2000:2001])[0] == row[2000]
+
     def test_total_beyond_the_float_range_is_a_typed_error(self):
         """Mixed signs at q = 400: the envelopes sum to about exp(877)."""
         from moq.family import _SeriesStream

@@ -28,6 +28,8 @@ better.  It prints the comparison too.
 between two checkouts of one commit (an A/A batch of ``tools/bench_pairs.py``
 with seeds of its own): how far the pairs spread with no code changed, the
 scale against which a no-move verdict of the change is read.
+A ``format_layer`` section that ``tools/bench_format.py`` wrote to the
+file is kept.
 """
 
 from __future__ import annotations
@@ -180,6 +182,8 @@ def main(argv: list[str] | None = None) -> int:
         base, other = (summarize(d.resolve()) for d in args.control)
         out["control_pairs"] = compare(other, base)
     path = ROOT / f"BENCH_{args.pr}.json"
+    if path.exists() and "format_layer" in (old := json.loads(path.read_text())):
+        out["format_layer"] = old["format_layer"]  # written by tools/bench_format.py
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path.name}")
     return 0
