@@ -32,6 +32,7 @@ the spec file's ``seed`` field, then 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -179,19 +180,9 @@ def _write_out(out: str | None, header: str, values: np.ndarray, seps: bytes) ->
     only ``curve`` and ``sample`` need it)."""
     from ._g17 import write_g17
 
-    if out is not None and out != "-":
-        with open(out, "wb") as fh:
-            fh.write(header.encode())
-            write_g17(fh.write, values, seps)
-        return
-    stream = sys.stdout
-    stream.write(header)
-    buffer = getattr(stream, "buffer", None)
-    if buffer is None:  # a text stream only, as redirect_stdout(io.StringIO()) gives
-        write_g17(lambda chunk: stream.write(chunk.decode()), values, seps)
-    else:
-        stream.flush()  # the header first
-        write_g17(buffer.write, values, seps)
+    with open(out, "w") if out not in (None, "-") else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(header)
+        write_g17(lambda chunk: fh.write(chunk.decode()), values, seps)
 
 
 def build_parser() -> argparse.ArgumentParser:

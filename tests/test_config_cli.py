@@ -394,7 +394,7 @@ def test_q150_spec_runs(tmp_path, capsys, argv):
 
 def outputs(argv, out, capsys):
     """What ``main(argv)`` writes to the file ``out``, to stdout under capsys,
-    and to stdout redirected to a StringIO (a text stream without a buffer)."""
+    and to stdout redirected to a StringIO."""
     assert main([*argv, "--out", str(out)]) == 0
     capsys.readouterr()
     assert main(argv) == 0
@@ -446,7 +446,7 @@ class TestBlockOutput:
         ["curve", "--quantity", "hazard", "--lo", "1e-6", "--hi", "4e17", "--step", "4e13"],
     ])
     def test_stdout_of_a_process(self, tmp_path, argv):
-        """A real stdout buffers text: the header must reach it before the body."""
+        """The stdout of a process gives the bytes of the file."""
         spec = write_spec(tmp_path, WEIBULL_FIG if argv[0] == "curve" else EXP_PMF)
         out = tmp_path / "out.txt"
         argv = [argv[0], "--spec", spec, *argv[1:]]
