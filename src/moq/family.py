@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -692,18 +692,14 @@ class _SeriesStream:
         ratio = self.ratio + 3 * _EPS
         if ratio >= 1.0:
             return math.inf
-        # Each coefficient is within 2(q+1) eps of the same coefficient built
-        # from |w| (the recurrence of elementary_symmetric and the rounding of
-        # w; Higham 2002, §3.1), srat within 2 eps of its value for the exact
-        # S, and log_pref within 3 eps * pref_mag; the 3 eps (q + 2) on top
-        # covers the few roundings here.
+        # srat is within 2 eps of its value for the exact S, and log_pref
+        # within 3 eps * pref_mag; the 3 eps (q + 2) on top covers the few
+        # roundings here.
         q = self.q
-        abs_coeff = _mode_coefficients(self.kind, elementary_symmetric(map(abs, self._w), q))
-        coeff = math.fsum(map(abs, self.coeff.values())) + 2 * (q + 1) * _EPS * math.fsum(abs_coeff.values())
         pref_err = 3 * _EPS * (self._pref_mag + q + 2)
         # log and log1p within an ulp, the product and the three sums each
         # within eps of their magnitudes, and exp within an ulp, on top
-        log_coeff, log_power = math.log(coeff), -q * math.log1p(-ratio)
+        log_coeff, log_power = math.log(self._coeff_total), -q * math.log1p(-ratio)
         log_err = 5 * _EPS * (abs(self.log_pref) + log_coeff + log_power + 1)
         log_total = self.log_pref + pref_err + log_coeff + log_power + log_err
         if not log_total < _LOG_FLOAT_MAX:
@@ -712,6 +708,16 @@ class _SeriesStream:
                 "beyond the float range, so no tail can be bounded"
             )
         return math.exp(log_total)
+
+    @cached_property
+    def _coeff_total(self) -> float:
+        """sum_j |coeff[j]|, raised by its rounding bound: each coefficient is
+        within 2(q+1) eps of the same coefficient built from |w| (the
+        recurrence of elementary_symmetric and the rounding of w; Higham
+        2002, §3.1).  Formed on the first call of :meth:`envelope_total`, as
+        the |w| coefficients cost O(q^2) and serve nothing else."""
+        abs_coeff = _mode_coefficients(self.kind, elementary_symmetric(map(abs, self._w), self.q))
+        return math.fsum(map(abs, self.coeff.values())) + 2 * (self.q + 1) * _EPS * math.fsum(abs_coeff.values())
 
     def envelope_ratio(self, m):
         """Bound on envelope(m+1) / envelope(m) for m >= q + 1, array-friendly.
@@ -722,21 +728,60 @@ class _SeriesStream:
         """
         return self.ratio * m / (m - self.q + 1)
 
-    def next_end(self, m0: int, m1: int, tail: float, tol: float, rho: float, max_terms: int, lag: int = 0) -> int:
-        """End of the block after [m0, m1), at whose last index the series
-        has the tail estimate ``tail`` and the ratio bound ``rho``: the
-        log(tol/tail) / log(decay) terms, plus ``lag``, that take the tail
-        below ``tol``, with decay = sqrt(rho * ratio) as rho falls towards
-        ratio; twice the last size while rho >= 1; at least q + 2 terms.
-        m0 = m1 = q + 3 gives the first block, which adds to the burn-in.
+    def next_end(self, m0: int, m1: int, mag: float, tol: float, max_terms: int, lag: int = 0,
+                 growth: bool = False) -> int:
+        """End of the block after [m0, m1), whose last index m = m1 - 1 has
+        the magnitude ``mag``: ``lag`` past the index where the tail of
+        _geometric_walk, with or without its factor ``growth``, is predicted
+        to fall below ``tol`` (see :meth:`_stop_offset`); twice the last
+        size where ratio >= 1 or ratio = 0, or where ``mag`` is 0 or not
+        finite; at least q + 2 terms.  m0 = m1 = q + 3 with a unit ``mag``
+        gives the first block, which adds to the burn-in only where the
+        ratio bound is below one at m.
         """
-        size = m1 - m0
-        if 0.0 < rho < 1.0 and 0.0 < tail < math.inf:
-            n = lag + math.ceil(math.log(tol / tail) / math.log(math.sqrt(rho * self.ratio)))
+        size, m, ratio = m1 - m0, m1 - 1, self.ratio
+        cap = _BLOCK_CELLS // self._row_start.size
+        if 0.0 < ratio < 1.0 and 0.0 < mag < math.inf:
+            g = 1.0 if growth else 0.0
+            x0 = (self.q - 1 + g * ratio) / (1.0 - ratio)  # rho(x) < 1 exactly for x > x0
+            n = lag + self._stop_offset(m, mag, tol, g, x0, cap) if size or m > x0 else 0
         else:
             n = 2 * size
-        n = min(max(n, self.q + 2 if size else 0), _BLOCK_CELLS // self._row_start.size)
+        n = min(max(n, self.q + 2 if size else 0), cap)
         return min(m1 + n, max_terms + 1)
+
+    def _stop_offset(self, m: int, mag: float, tol: float, g: float, x0: float, cap: int) -> int:
+        """Indices from m, at most ``cap``, to the first k > x0 where ``mag``,
+        the magnitude at m, scaled by the envelope growth C(k-j+q-1, q-1)
+        ratio^(k-m) of the youngest mode j, which grows fastest, and by the
+        factor growth ((k+1)/(m+1))^g, times rho(k) / (1 - rho(k)), is below
+        ``tol``.  As rho(x) = ratio (x+g) / (x-q+1), that last factor is
+        ratio (x+g) / ((1 - ratio)(x - x0)).  The predicted tail falls past
+        x0, so Newton steps on its log, made continuous in k by lgamma, find
+        the index, from the first k > x0 not below m; the slope of
+        log C(x-j+q-1, q-1) is taken as log((x-j+q-1/2) / (x-j+1/2)).  A
+        prediction, not a bound: the walk checks every index it forms.
+        """
+        q, j, log_ratio = self.q, self._last, self._log_ratio
+        lo = max(m, math.floor(x0) + 1)
+        if lo - m >= cap:
+            return cap
+
+        def grown(x):  # the log of the growth to x, up to a constant
+            return math.lgamma(x - j + q) - math.lgamma(x - j + 1) + x * log_ratio + g * math.log(x + 1)
+
+        excess = math.log(mag) - math.log(tol) + log_ratio - math.log1p(-self.ratio) - grown(m)
+        x = lo
+        for _ in range(32):  # a few steps converge; this bounds a stall
+            h = excess + grown(x) + math.log((x + g) / (x - x0))
+            slope = (math.log((x - j + q - 0.5) / (x - j + 0.5)) + log_ratio + g / (x + 1)
+                     + 1.0 / (x + g) - 1.0 / (x - x0))
+            if not (abs(h) > 1e-3 and slope < 0.0):
+                break
+            x, last = min(max(x - h / slope, lo), m + cap), x
+            if x == last:
+                break
+        return math.ceil(x) - m
 
 
 def _mode_coefficients(kind: str, sig: Sequence[float]) -> dict[int, float]:
@@ -760,12 +805,15 @@ def _geometric_walk(stream: _SeriesStream, term, tol: float, max_terms: int, m0:
     ``window`` magnitudes times rho / (1 - rho), rho the envelope ratio,
     times (m+1)/m with ``growth``.  The series closes at its first index
     where that tail is below ``tol``, or at its first failed term, and
-    fails there; nothing after that counts.
+    fails there; nothing after that counts.  Each block ends where
+    :meth:`_SeriesStream.next_end` predicts that stop, from the magnitude
+    at the last index formed and the envelope's growth past it; as no
+    output depends on where the blocks are cut, a wrong prediction costs
+    time only.
     """
     q, lag, first, parts, recent = stream.q, window - 1, m0, [], np.zeros(window - 1)
-    rho = stream.envelope_ratio(q + 2) * ((q + 3) / (q + 2) if growth else 1.0)
     # the burn-in, and what a unit magnitude at its end would take to stop
-    m1 = stream.next_end(q + 3, q + 3, rho / (1.0 - rho) if rho < 1.0 else math.inf, tol, rho, max_terms, lag)
+    m1 = stream.next_end(q + 3, q + 3, 1.0, tol, max_terms, lag, growth)
     while m0 < m1:
         m = np.arange(m0, m1, dtype=float)
         mag, out, failed = term(m, *stream.block(m0, m1))
@@ -780,7 +828,7 @@ def _geometric_walk(stream: _SeriesStream, term, tol: float, max_terms: int, m0:
             n = m0 - first + end + 1
             return [np.concatenate(c)[:n] for c in zip(*parts)], n, float(tail[end]), bool((closes & failed)[end])
         recent = mag[m.size:]
-        m0, m1 = m1, stream.next_end(m0, m1, mag[-1] * rho[-1] / (1.0 - rho[-1]), tol, rho[-1], max_terms, lag)
+        m0, m1 = m1, stream.next_end(m0, m1, float(mag[-1]), tol, max_terms, lag, growth)
     return None
 
 

@@ -232,9 +232,11 @@ def _gamma_factors(r: float, kind: str, tol: float):
     Gamma(1 + r) = exp(lgamma(1 + r)) is within 4 eps (|lgamma| + 1) and
     a rounding of itself; with the two products, a factor errs by at most
     eps (4 |lgamma| + 8) of itself plus m eps per unit of C_m's absolute
-    terms.  About zero, the inner sums of a block are formed at most
-    _INNER_CELLS terms at a time, and no further once a term is _failed at
-    the absolute tolerance ``tol``.
+    terms.  About zero, the inner sums of a block are formed in chunks of
+    at most 4,096 terms, twice that in each next chunk up to _INNER_CELLS,
+    and no further once a term is _failed at the absolute tolerance
+    ``tol``: a series that fails early forms few rows past its failure,
+    however long the block the walk predicted.
     """
     lg = math.lgamma(1.0 + r)
     pref, pref_err = math.exp(lg), 4.0 * abs(lg) + 8.0  # Gamma(1 + r) (OverflowError past 171.6), its error in eps
@@ -248,15 +250,15 @@ def _gamma_factors(r: float, kind: str, tol: float):
         return at_one
 
     def at_zero(m: np.ndarray, w: np.ndarray, env: np.ndarray):
-        step, parts = max(1, _INNER_CELLS // int(m[-1])), []
-        for i in range(0, m.size, step):
-            cut = slice(i, i + step)
+        parts, cut, cells = [], slice(0, 0), _INNER_CELLS >> 4
+        while cut.stop < m.size:
+            cut, cells = slice(cut.stop, cut.stop + max(1, cells // int(m[-1]))), min(2 * cells, _INNER_CELLS)
             mi = m[cut]
             inner, abssum = _alternating_binomial_inner(mi, r)
             f = pref * mi * inner
             parts.append((f, pref * mi * abssum * _EPS * (mi + pref_err), abssum / np.abs(inner)))
-            if i + step < m.size and _failed(np.abs(f) * env[cut], f * w[cut], parts[-1][2], tol).any():
-                parts.append([np.full(m.size - i - step, np.nan)] * 3)  # the rest of the block fails
+            if cut.stop < m.size and _failed(np.abs(f) * env[cut], f * w[cut], parts[-1][2], tol).any():
+                parts.append([np.full(m.size - cut.stop, np.nan)] * 3)  # the rest of the block fails
                 break
         return parts[0] if len(parts) == 1 else tuple(np.concatenate(p) for p in zip(*parts))
 

@@ -383,6 +383,26 @@ class TestEnvelopeTotal:
         seen = math.fsum(stream.block(0, 8000)[1].tolist())
         assert seen <= stream.envelope_total() <= seen * (1.0 + 1e-12)
 
+    def test_abs_coefficients_formed_once(self, monkeypatch):
+        """The |w| coefficients behind the total are formed on the first
+        call only: a second truncated series of the same vector, and a
+        second total, make no elementary_symmetric call, and give the same
+        tail estimate."""
+        from moq import family
+
+        pv = validate_params(4, (3.0, 0.2, 0.7, 0.4))
+        family._series_stream.cache_clear()
+        family._series_stream(pv, "at_zero")  # its coefficients, formed once
+        calls = []
+        symmetric = family.elementary_symmetric
+        monkeypatch.setattr(family, "elementary_symmetric", lambda w, upto: calls.append(upto) or symmetric(w, upto))
+        first = series_at_zero(pv)
+        assert calls == [4]
+        assert series_at_zero(pv, tol=1e-8).tail_estimate > 0.0
+        assert series_at_zero(pv) == first
+        assert family._series_stream(pv, "at_zero").envelope_total() > 0.0
+        assert calls == [4]
+
     def test_large_q_pmf_vector(self, wall_clock_limit):
         """q = 1000: pref and (1 - ratio)^q both underflow, and their
         quotient divided by zero; in log space the total is exp(1.4e-11)."""

@@ -198,6 +198,10 @@ class TestBlockSizes:
         mixed = validate_params(5, (1.386, 0.1817, 0.2462, 0.4314, 0.3165))
         out += [series_at_zero(mixed, tol=1e-10), series_at_one(validate_params(3, (2.0, 2.0, 1.95)))]
         out.append(sample_count(validate_params(2, [200.0, 0.5]), RandomSource(3), 2000).tolist())
+        # long walks, each closed in the block predicted from the envelope: one
+        # past the kept prefix, and one that walks the prefix first
+        out.append(moment_loglogistic(validate_params(2, [2000.0, 0.5]), 0.5, method="series_at_zero"))
+        out.append(series_at_zero(validate_params(3, (2000.0, 0.5, 0.5))))
         return out
 
     def test_one_index_per_block(self, monkeypatch):
@@ -207,7 +211,7 @@ class TestBlockSizes:
         sampling._count_cdf.cache_clear()
         family._series_stream.cache_clear()  # else the weights come from the kept prefixes
 
-        def one_index(self, m0, m1, tail, tol, rho, max_terms, lag=0):
+        def one_index(self, m0, m1, mag, tol, max_terms, lag=0, growth=False):
             return min(m1 + 1 if m0 < m1 else 2, max_terms + 1)
 
         monkeypatch.setattr(family._SeriesStream, "next_end", one_index)
@@ -215,6 +219,45 @@ class TestBlockSizes:
             assert self.results() == sized
         finally:
             sampling._count_cdf.cache_clear()
+
+    def test_long_series_walks_few_blocks(self, monkeypatch):
+        """The 3,107-term series at zero for a = (200, 0.5), whose ratio
+        bound stays above one to m = 200: from the magnitude at the end of
+        the burn-in, the envelope predicts where it stops, so the walk takes
+        at most three blocks and forms few factors past the stop (doubling
+        took 7 blocks and 4,602 factors)."""
+        from moq import family
+
+        blocks = []
+        block = family._SeriesStream.block
+
+        def counted(self, m0, m1):
+            blocks.append(m1 - m0)
+            return block(self, m0, m1)
+
+        monkeypatch.setattr(family._SeriesStream, "block", counted)
+        res = moment(LogLogistic(1.0, 1.0), validate_params(2, [200.0, 0.5]), 0.5, method="series_at_zero")
+        assert res.terms_used == 3107
+        assert len(blocks) <= 3
+        assert sum(blocks) <= 1.25 * res.terms_used
+
+    def test_early_failure_forms_few_inner_sums(self, monkeypatch):
+        """The exponential series at zero for a = (20, 0.5), r = 1.5, fails
+        at index 50 inside a block of some 300 indices: its inner sums are
+        formed in growing chunks, so few rows past the failure are formed."""
+        from moq import moments
+
+        rows = []
+        inner = moments._alternating_binomial_inner
+
+        def counted(m, r):
+            rows.append(m.size)
+            return inner(m, r)
+
+        monkeypatch.setattr(moments, "_alternating_binomial_inner", counted)
+        with pytest.raises(Nonconvergence, match="ill-conditioned at index 50"):
+            moment_exponential(validate_params(2, [20.0, 0.5]), 1.5, method="series_at_zero")
+        assert sum(rows) <= 100
 
 
 class TestOneWalk:

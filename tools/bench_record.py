@@ -28,8 +28,10 @@ better.  It prints the comparison too.
 between two checkouts of one commit (an A/A batch of ``tools/bench_pairs.py``
 with seeds of its own): how far the pairs spread with no code changed, the
 scale against which a no-move verdict of the change is read.
-A ``format_layer`` section that ``tools/bench_format.py`` wrote to the
-file is kept.
+Every section of an existing file that this run does not write is kept:
+``format_layer`` from ``tools/bench_format.py``, ``series_layer`` from
+``tools/bench_series.py``, and ``control_pairs`` when ``--control`` is not
+given.
 """
 
 from __future__ import annotations
@@ -182,8 +184,8 @@ def main(argv: list[str] | None = None) -> int:
         base, other = (summarize(d.resolve()) for d in args.control)
         out["control_pairs"] = compare(other, base)
     path = ROOT / f"BENCH_{args.pr}.json"
-    if path.exists() and "format_layer" in (old := json.loads(path.read_text())):
-        out["format_layer"] = old["format_layer"]  # written by tools/bench_format.py
+    if path.exists():  # keep what other tools wrote, and what this run does not rewrite
+        out.update((name, section) for name, section in json.loads(path.read_text()).items() if name not in out)
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path.name}")
     return 0
