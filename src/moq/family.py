@@ -553,7 +553,8 @@ class _SeriesStream:
     The weights and envelopes of the indices below ``_PREFIX_CAP`` (8,192)
     are formed once per stream and kept, as one read-only prefix: at most
     128 KiB per stream, 32 MiB over the 256 that ``_series_stream``
-    caches.  A block that ends past the cap is evaluated afresh each time.
+    caches.  A block that ends past the cap takes its kept indices from
+    the prefix and evaluates the rest afresh each time.
     As no weight depends on the block that holds it, the kept values are
     the ones a fresh evaluation gives, bit for bit.
     """
@@ -609,9 +610,10 @@ class _SeriesStream:
         quantity the tail bounds have to be built from when the modes carry
         mixed signs.
         """
-        if m1 > _PREFIX_CAP:
-            return self._evaluate(m0, m1)
         prefix = self._prefix
+        if m1 > _PREFIX_CAP:  # the kept indices from the prefix, the rest afresh
+            n = max(m0, prefix[0].size)
+            return tuple(np.concatenate((p[m0:n], f)) for p, f in zip(prefix, self._evaluate(n, m1)))
         if m1 > prefix[0].size:
             prefix = tuple(np.concatenate(p) for p in zip(prefix, self._evaluate(prefix[0].size, m1)))
             for p in prefix:
@@ -839,6 +841,8 @@ def _series_stream(pv: ParameterVector, kind: str) -> _SeriesStream:
 
 
 def _truncated_series(pv: ParameterVector, kind: str, tol: float, max_terms: int) -> SeriesCoefficients:
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
     stream = _series_stream(pv, kind)
 
     def walk(limit):  # from m = 0, which is the leading 1 at_one

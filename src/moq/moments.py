@@ -61,9 +61,9 @@ _INNER_CELLS = 1 << 16
 _SHORT_SERIES = 50
 # The tanh-sinh rule's nodes lie on |t| <= _DE_SPAN, where u and 1 - u stay
 # above 1e-275; its step starts at 1/2 and halves _DE_MIN_LEVEL to
-# _DE_MAX_LEVEL times.
+# _DE_MAX_LEVEL times.  The first call evaluates levels 0 to _DE_FIRST.
 _DE_SPAN = 6
-_DE_MIN_LEVEL, _DE_MAX_LEVEL = 3, 8
+_DE_MIN_LEVEL, _DE_FIRST, _DE_MAX_LEVEL = 3, 4, 8
 # moment_exponential and moment_loglogistic take the first four
 _METHODS = ("auto", "series_at_zero", "series_at_one", "quadrature", "closed_form")
 
@@ -441,17 +441,17 @@ def moment_generalized_weibull(
 @lru_cache(maxsize=None)
 def _de_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The nodes of level ``level`` of the tanh-sinh rule, step
-    2^-(level + 1) on |t| <= _DE_SPAN: at _DE_MIN_LEVEL all of them, which
-    are the nodes of levels 0 to _DE_MIN_LEVEL together (t = k / 16 is
-    exact, so each is the node its own level would make), and above it the
-    odd multiples of the step, the nodes that the level adds.  Returns
+    2^-(level + 1) on |t| <= _DE_SPAN: at _DE_FIRST all 385 of them, which
+    are the nodes of levels 0 to _DE_FIRST together (t = k / 32 is exact,
+    so each is the node its own level would make), and above it the odd
+    multiples of the step, the nodes that the level adds.  Returns
     u = 1 / (1 + exp(-pi sinh t)) and s = 1 - u, each from its own formula
     so that the smaller one keeps its digits, the weights
     du/dt = pi cosh(t) u s, and the number of nodes with t <= 0.
     """
     h = 0.5 ** (level + 1)
     n = round(_DE_SPAN / h)
-    t = h * (np.arange(-n, n + 1.0) if level == _DE_MIN_LEVEL else np.arange(1.0 - n, n, 2))
+    t = h * (np.arange(-n, n + 1.0) if level == _DE_FIRST else np.arange(1.0 - n, n, 2))
     x = np.pi * np.sinh(t)
     u, s = 1.0 / (1.0 + np.exp(-x)), 1.0 / (1.0 + np.exp(x))
     out = u, s, np.pi * np.cosh(t) * u * s
@@ -484,7 +484,10 @@ def _de_terms(baseline: Baseline, pv: ParameterVector, r: float, level: int):
     """Q0(u)^r T'(u) du/dt at the nodes of ``level`` (see _de_level),
     and where they are known: not where the power of the abscissa
     overflows, which happens only on an outer run of nodes on either side.
-    Unknown terms are 0.
+    Unknown terms are 0.  The mask is None where every power is finite,
+    as for all but a few queries (an outer abscissa that underflows at
+    r < 0, or one whose power overflows at large r, above about 110
+    for the unit exponential); _merge_known interleaves two of them.
 
     Neither the abscissae nor T' depend on r, so each is formed once and
     kept, read-only: the abscissae per (baseline, level) by _de_abscissae,
@@ -498,6 +501,8 @@ def _de_terms(baseline: Baseline, pv: ParameterVector, r: float, level: int):
     weight = _de_level(level)[2]
     abscissae = _de_abscissae if type(baseline) in _FAMILIES else _de_abscissae.__wrapped__
     power = abscissae(baseline, level) ** r
+    if not np.isinf(power.max()):
+        return power * weight * _de_deriv(pv, level), None
     known = ~np.isinf(power)
     return np.where(known, power * weight * _de_deriv(pv, level), 0.0), known
 
@@ -509,12 +514,22 @@ def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     return out
 
 
-def _edge_tail(g: np.ndarray, known: np.ndarray, h: float) -> float:
-    """The rule's terms beyond its outermost known node on each side,
-    extended geometrically from the ratio of that term to its neighbour's:
-    the terms there shrink double-exponentially, so the ratio only falls."""
-    idx = np.flatnonzero(known)
-    if idx.size < 2:
+def _merge_known(old, new, size: int):
+    """The interleaved masks of _de_terms over ``size`` nodes, None where both are."""
+    if old is None and new is None:
+        return None
+    out = np.empty(size, dtype=bool)
+    out[0::2], out[1::2] = (True if old is None else old), (True if new is None else new)
+    return out
+
+
+def _edge_tail(g: np.ndarray, known, h: float) -> float:
+    """The rule's terms beyond its outermost known node on each side
+    (the end nodes, where ``known`` is None), extended geometrically from
+    the ratio of that term to its neighbour's: the terms there shrink
+    double-exponentially, so the ratio only falls."""
+    idx = (0, g.size - 1) if known is None else np.flatnonzero(known)
+    if len(idx) < 2:
         return math.inf
     tail = 0.0
     for outer, inner in ((g[idx[0]], g[idx[0] + 1]), (g[idx[-1]], g[idx[-1] - 1])):
@@ -530,44 +545,47 @@ def _moment_quadrature(baseline: Baseline, pv: ParameterVector, r: float, tol: f
 
     The step starts at 1/2 on |t| <= _DE_SPAN and halves at least
     _DE_MIN_LEVEL times, until the error estimate is at most ``tol`` times
-    the value (a relative stop).  One numpy call evaluates the nodes of
-    levels 0 to _DE_MIN_LEVEL, of step 2^-(_DE_MIN_LEVEL + 1), and each
-    level's sum is taken from its strided slice of them; each later level
-    is one call over the nodes it adds.  The estimate is the difference
-    between the two levels before the last, which the rule's quadratic
-    convergence makes far larger than the last level's error, plus the
-    terms beyond the outermost known nodes (_edge_tail), plus
-    16 (q + |r| + 4) eps times the sum for rounding.  Where it stays above,
-    as where a moment barely exists, the rule raises ToleranceNotMet, at
-    once where the last two parts alone exceed it: they do not shrink with
-    the step.  ``terms_used`` counts the rule's nodes, whether their
-    abscissae and T' were formed afresh or taken from the caches of
-    _de_terms, keyed per (baseline, level) and per (vector, level) and
-    holding at most 1.5 MiB and 6 MiB.
+    the value (a relative stop).  One numpy call evaluates the 385 nodes of
+    levels 0 to _DE_FIRST, of step 2^-(_DE_FIRST + 1), and each level's
+    sum is taken from its strided slice of them; the check at
+    _DE_MIN_LEVEL reads every other node, so a query that stops there
+    reports its 193.  Each later level is one call over the nodes it adds.
+    The estimate is the difference between the two levels before the last,
+    which the rule's quadratic convergence makes far larger than the last
+    level's error, plus the terms beyond the outermost known nodes
+    (_edge_tail), plus 16 (q + |r| + 4) eps times the sum for rounding.
+    Where it stays above, as where a moment barely exists, the rule raises
+    ToleranceNotMet, at once where the last two parts alone exceed it: they
+    do not shrink with the step.  ``terms_used`` counts the nodes of the level reached,
+    whether their abscissae and T' were formed afresh or taken from the
+    caches of _de_terms, keyed per (baseline, level) and per (vector,
+    level) and holding at most 1.5 MiB and 6 MiB.
     """
-    stride = 1 << _DE_MIN_LEVEL  # level 0's nodes in the first call, stride apart
-    g, known = _de_terms(baseline, pv, r, _DE_MIN_LEVEL)
+    stride = 1 << _DE_FIRST  # level 0's nodes in the first call, stride apart
+    g, known = _de_terms(baseline, pv, r, _DE_FIRST)
     h = 0.5
     sums = [h * g[::stride].sum()]
     for level in range(1, _DE_MAX_LEVEL + 1):
         h /= 2
-        if level <= _DE_MIN_LEVEL:
+        if level <= _DE_FIRST:
             new = g[stride >> level :: stride >> (level - 1)]
         else:
             new, new_known = _de_terms(baseline, pv, r, level)
-            g, known = _interleave(g, new), _interleave(known, new_known)
+            g, known = _interleave(g, new), _merge_known(known, new_known, g.size + new.size)
         sums.append(sums[-1] / 2 + h * new.sum())
         if level >= _DE_MIN_LEVEL:
+            skip = 1 << max(_DE_FIRST - level, 0)  # the nodes of this level among the first call's
+            nodes, mask = g[::skip], None if known is None else known[::skip]
             value = sums[-1]
-            floor = _edge_tail(g, known, h) + 16 * (pv.q + abs(r) + 4) * _EPS * h * np.abs(g).sum()
+            floor = _edge_tail(nodes, mask, h) + 16 * (pv.q + abs(r) + 4) * _EPS * h * np.abs(nodes).sum()
             estimate = abs(sums[-2] - sums[-3]) + floor
             if estimate <= tol * abs(value):
-                return MomentResult(float(value), "quadrature", g.size, float(estimate))
+                return MomentResult(float(value), "quadrature", nodes.size, float(estimate))
             if not floor <= tol * abs(value):
                 break
     raise ToleranceNotMet(
         f"quadrature error estimate {estimate:.3e} above tol {tol:.3e} times the value {value:.6e} "
-        f"after {g.size} evaluations"
+        f"after {nodes.size} evaluations"
     )
 
 

@@ -332,6 +332,16 @@ class TestSeriesAtOne:
             series_at_one(validate_params(1, [2.5]), tol=1e-10)
 
 
+@pytest.mark.parametrize("expansion", [series_at_zero, series_at_one])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_truncated_expansions_refuse_a_bad_tol(expansion, tol):
+    """A tol that is not positive and finite raises DomainError, before any
+    walk: not a math domain error (0, -1), a Nonconvergence after 1e6 terms
+    (nan), or a 5-term series (inf)."""
+    with pytest.raises(DomainError, match="tol must be positive and finite"):
+        expansion(validate_params(3, (3.0, 0.5, 0.5)), tol)
+
+
 class TestSeriesStream:
     @pytest.mark.parametrize(
         "q, a, kind, terms",
@@ -510,6 +520,23 @@ class TestSeriesBlock:
             assert all(p.size <= cap and not p.flags.writeable for p in stream._prefix)
         with pytest.raises(ValueError):
             warm.block(1, 5)[0][0] = 0.0
+
+    def test_second_walk_reuses_the_kept_prefix(self, monkeypatch):
+        """A series longer than the prefix is walked twice, up to the cap and
+        then from index 0; the second walk takes the kept weights from the
+        prefix, so the cold series forms each weight about once (23,078
+        for 22,698 terms, against 31,264 when its block past the cap was
+        formed whole)."""
+        from moq import family
+
+        formed = []
+        evaluate = family._SeriesStream._evaluate
+        monkeypatch.setattr(family._SeriesStream, "_evaluate",
+                            lambda self, m0, m1: formed.append(m1 - m0) or evaluate(self, m0, m1))
+        family._series_stream.cache_clear()
+        sc = series_at_zero(validate_params(3, (2000.0, 0.5, 0.5)))
+        assert sc.truncation_index == 22698
+        assert sum(formed) <= 1.05 * (sc.truncation_index + 1)
 
     def test_exact_binomial_where_the_float_product_overflows(self):
         """q = 200 at m = 1e6: every C(k+q-1, q-1) of the block exceeds the

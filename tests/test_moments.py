@@ -835,8 +835,8 @@ def per_level_quadrature(baseline, pv, r, tol=1e-10):
 
 
 class TestOneCallLevels:
-    """Levels 0 to _DE_MIN_LEVEL of the rule come from one call over the
-    193 nodes of step 1/16: against the per-level loop, the same nodes
+    """Levels 0 to _DE_FIRST of the rule come from one call over the
+    385 nodes of step 1/32: against the per-level loop, the same nodes
     evaluated, values within 4 ulps and estimates within 1%."""
 
     @pytest.mark.parametrize("baseline, a, r", [
@@ -846,6 +846,7 @@ class TestOneCallLevels:
         (Weibull(2.0, 2.0), (1e-6, 0.15), 1.0),  # weib-wave-quadrature, outside the pmf regime
         (Weibull(1.824, 0.837), (5.613, 226.6), -0.00139),  # outside the pmf regime, 769 nodes
         (Exponential(1.0), (3.0, 0.3, 0.4, 0.9, 0.6), -0.5),
+        (Exponential(1.0), (1.5, 0.5), 120.0),  # the outer powers overflow: through the mask, 769 nodes
     ])
     def test_matches_the_per_level_loop(self, baseline, a, r):
         from moq.moments import _moment_quadrature
@@ -857,14 +858,19 @@ class TestOneCallLevels:
         assert abs(res.value - value) <= 4 * np.spacing(abs(value))
         assert res.error_estimate == pytest.approx(estimate, rel=0.01)
 
-    def test_first_call_holds_levels_zero_to_three(self):
-        from moq.moments import _DE_MIN_LEVEL, _de_level
+    def test_first_call_holds_levels_zero_to_four(self):
+        """The 385 nodes of step 1/32 hold the step-1/2 nodes every 16th,
+        and every other one is, bit for bit, a node of the 193 of step 1/16
+        that the first call once evaluated."""
+        from moq.moments import _DE_FIRST, _de_level
 
-        u = _de_level(_DE_MIN_LEVEL)[0]
-        assert u.size == 193
+        u = _de_level(_DE_FIRST)[0]
+        assert u.size == 385
         first = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(np.arange(-6.0, 6.5, 0.5))))
-        assert np.array_equal(u[::8], first)
-        assert _de_level(_DE_MIN_LEVEL + 1)[0].size == 192
+        assert np.array_equal(u[::16], first)
+        step16 = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(np.arange(-96, 97.0) / 16)))
+        assert u[::2].tobytes() == step16.tobytes()
+        assert _de_level(_DE_FIRST + 1)[0].size == 384
 
 
 # The benchmark's moment table: (baseline, a, r, method)
@@ -954,10 +960,10 @@ class TestQuadratureCaches:
     def test_kept_arrays_are_read_only_and_bounded(self):
         """Each kept array refuses a write, and the caches hold at most the
         1.5 MiB and 6 MiB their docstring states."""
-        from moq.moments import _DE_MAX_LEVEL, _DE_MIN_LEVEL, _de_abscissae, _de_deriv, _de_level
+        from moq.moments import _DE_FIRST, _DE_MAX_LEVEL, _de_abscissae, _de_deriv, _de_level
 
         pv = validate_params(3, [2.0, 0.5, 0.5])
-        for level in range(_DE_MIN_LEVEL, _DE_MAX_LEVEL + 1):
+        for level in range(_DE_FIRST, _DE_MAX_LEVEL + 1):
             for kept in (_de_abscissae(LogLogistic(), level), _de_deriv(pv, level)):
                 assert kept.size == _de_level(level)[0].size and not kept.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
@@ -978,9 +984,10 @@ class TestQuadratureCaches:
         calls = 0
         for r in orders:
             res = moment(GeneralizedWeibull(1.0, 1.0, 1.5), pv, r, method="quadrature")
-            calls += 1 + int(math.log2((res.terms_used - 1) // 192))  # one call per level past the first
+            # one call for up to 385 nodes, then one per level
+            calls += 1 + int(math.log2(max(res.terms_used - 1, 384) // 384))
         levels = _de_deriv.cache_info().misses
-        assert 1 <= levels <= 6
+        assert 1 <= levels <= 5
         for cache in (_de_deriv, _de_abscissae):
             assert cache.cache_info().misses == levels
             assert cache.cache_info().hits == calls - levels >= len(orders) - 1
@@ -1005,6 +1012,29 @@ class TestQuadratureCaches:
         baseline.scale = 2.0
         second = moment(baseline, pv, 2.0, method="quadrature")
         assert second.value == pytest.approx(4.0 * first.value, rel=1e-12)
+
+
+# repr of moment() over _TABLE_QUERIES, recorded before the first call of
+# the quadrature held level 4: a change of its layout leaves them bit for bit
+_TABLE_REPRS = [
+    "MomentResult(value=1.654153668147173, method_used='closed_form', terms_used=1, error_estimate=5.6248260482973726e-15)",
+    "MomentResult(value=0.7290388498844178, method_used='closed_form', terms_used=1, error_estimate=2.5163033623982055e-15)",
+    "MomentResult(value=23.552158035526997, method_used='scaling(series_at_zero)', terms_used=3107, error_estimate=1.0250253563878465e-10)",
+    "MomentResult(value=1.6941265415470093, method_used='scaling(quadrature)', terms_used=385, error_estimate=4.468919304296485e-14)",
+    "MomentResult(value=6.597506804249651, method_used='scaling(quadrature)', terms_used=385, error_estimate=4.1320187940529103e-13)",
+    "MomentResult(value=4.632258883295293, method_used='scaling(quadrature)', terms_used=385, error_estimate=1.839732990897152e-13)",
+    "MomentResult(value=1.6063254880442026, method_used='scaling(series_at_one)', terms_used=24, error_estimate=9.297959163848923e-11)",
+    "MomentResult(value=2.139541980211604, method_used='scaling(quadrature)', terms_used=193, error_estimate=5.467736684568568e-12)",
+    "MomentResult(value=1.2075464214752127, method_used='scaling(quadrature)', terms_used=193, error_estimate=4.0982563231707684e-11)",
+    "MomentResult(value=1866362371.875001, method_used='quadrature', terms_used=385, error_estimate=6.062953446983601e-05)",
+    "MomentResult(value=7.224400096588626, method_used='quadrature', terms_used=193, error_estimate=1.0360399827193736e-10)",
+    "MomentResult(value=2.3071071049800045, method_used='scaling(quadrature)', terms_used=193, error_estimate=2.6422124636677057e-12)",
+    "MomentResult(value=0.4148591070471469, method_used='scaling(quadrature)', terms_used=385, error_estimate=1.0602076224652758e-13)",
+]
+
+
+def test_table_results_are_pinned():
+    assert [_outcome(*query) for query in _TABLE_QUERIES] == _TABLE_REPRS
 
 
 class TestRouting:
