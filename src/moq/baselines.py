@@ -36,7 +36,7 @@ def _as_float(x):
 
 def _check_prob(p):
     arr, scalar = _as_float(p)
-    if not np.all((arr > 0.0) & (arr < 1.0)):  # NaN fails both
+    if not 0.0 < np.minimum.reduce(arr, None, initial=0.5) <= np.maximum.reduce(arr, None, initial=0.5) < 1.0:
         raise DomainError("probability level must lie strictly inside (0, 1)")
     return arr, scalar
 
@@ -119,6 +119,11 @@ class Baseline(ABC):
         """Unique x with sf(x) = s, for s strictly inside (0, 1)."""
         ss, scalar = _check_prob(s)
         return _ret(self.scale * self._H_inv(-np.log(ss)), scalar)
+
+    def _split_inverse(self, x, upper):
+        """isf(x) where ``upper``, else quantile(x), bit for bit, for x in (0, 1/2]; each x meets one map."""
+        y = np.log(x, out=np.log1p(np.negative(x)), where=upper)
+        return self.scale * self._H_inv(np.negative(y, out=y))
 
 
 @dataclass(frozen=True)
@@ -235,6 +240,10 @@ class LogLogistic(Baseline):
     def isf(self, s):
         ss, scalar = _check_prob(s)
         return _ret(self.scale * ((1.0 - ss) / ss) ** (1.0 / self.shape), scalar)
+
+    def _split_inverse(self, x, upper):
+        comp = 1.0 - x
+        return self.scale * np.divide(comp, x, out=np.divide(x, comp), where=upper) ** (1.0 / self.shape)
 
 
 BASELINE_FAMILIES: dict[str, type[Baseline]] = {

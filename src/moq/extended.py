@@ -9,7 +9,7 @@ import numpy as np
 from . import family
 from .baselines import Baseline, _as_float, _ret
 from .errors import DomainError
-from .family import ParameterVector, _bracket, _complement, _complement_sum, _deriv, _distortion, _ratios
+from .family import _TINY, ParameterVector, _bracket, _complement, _complement_sum, _deriv, _distortion, _ratios
 
 __all__ = ["ExtendedDistribution"]
 
@@ -71,14 +71,11 @@ class ExtendedDistribution:
         return self._inverse(s, survival=True)
 
     def _inverse(self, level, survival: bool):
-        # a root u of T at most 1/2 maps through the baseline quantile, a
-        # root s = 1 - u through the baseline isf
+        """Each root takes one baseline map: a root u of T at most 1/2 the
+        baseline quantile, a root s = 1 - u the baseline isf, bit for bit the
+        public maps' values, through Baseline._split_inverse."""
         scalar = np.ndim(level) == 0
         # through the module, so that wrappers installed on it see the call; it checks the level
         x, upper = family.distortion_inverse(self.pv, level, survival=survival, split=True)
-        x = np.fmax(x, np.finfo(float).tiny)  # roots that underflow (extreme a only)
-        # both maps on every root, which costs less than gathering each side's; a
-        # root that a map does not take goes in as 1/2, so that it cannot overflow
-        # there (isf(1e-200) at shape 1/2) and warn of a value that is not returned
-        return _ret(np.where(upper, self.baseline.isf(np.where(upper, x, 0.5)),
-                             self.baseline.quantile(np.where(upper, 0.5, x))), scalar)
+        np.fmax(x, _TINY, out=x)  # roots that underflow (extreme a only)
+        return _ret(self.baseline._split_inverse(x, upper), scalar)

@@ -59,6 +59,7 @@ __all__ = [
 U_SLACK = 1e-12
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 # Added to every reported series tail estimate, on top of the truncation tail
 # and the rounding term: it absorbs the few-ulp slack of the tail formula
@@ -322,20 +323,20 @@ def _log_distortion(pc: ParameterVector, w: np.ndarray, r: np.ndarray):
 @lru_cache(maxsize=64)
 @np.errstate(all="ignore")
 def _start_table(pv: ParameterVector):
-    """c of distortion_inverse, its sum set to q so that w takes no rounding; T_c and
-    1 - T_c at w = 1/2; per level side the logit t of w at the root on log levels y
-    in equal cells up to log(1/2), as a cubic in the fraction of a cell:
-    (least, cells per unit, coefficients of shape (4, cells), constant term first).
+    """c of distortion_inverse, its sum set to q so that w takes no rounding; per
+    level side the least smaller level whose root has w >= 1/2 (the float after
+    T_c(1/2), and 1 - T_c(1/2)) and (least log level, cells per unit) of its cells;
+    and one contiguous (4, 2 cells) array, the T side's cells first, of the
+    coefficients, constant term first, of the logit t of w at the root on log
+    levels y in equal cells up to log(1/2), as a cubic in the fraction of a cell.
     Each node's t takes two Newton steps in t from a linear interpolation on a
     grid of t, which leave it to rounding.  A cell's cubic is the Hermite one
     of its end nodes' t and dt/dy, from :func:`_log_distortion`: 1 / (d log
     T_c / dt), or on the 1 - T_c side -(1 - T_c) / (T_c d log T_c / dt).  A
-    table holds 262 kB, so the cache keeps 64.  The coefficients are gathered
-    row by row: as one (levels, 4) block, 1e5 levels would take 3.2 MB that
-    malloc maps afresh, page faults included, on every call."""
+    table holds 262 kB, so the cache keeps 64."""
     pc = ParameterVector(pv.q, tuple(pv.q * (ai / pv.sum_a) for ai in pv.a), float(pv.q))
     half = np.full(1, 0.5)
-    sides = _distortion(pc, half, half)[0], _complement(pc, half, half)[0]
+    above = np.array([np.nextafter(_distortion(pc, half, half)[0], 1.0), _complement(pc, half, half)[0]])
     t = np.linspace(-40.0, 40.0, 4097)  # interpolated on it, a node's t starts within about 3e-5
     w, r = 1.0 / (1.0 + np.exp(-t)), 1.0 / (1.0 + np.exp(t))
     ends, nodes, roots = [], [], []
@@ -357,46 +358,49 @@ def _start_table(pv: ParameterVector):
     dt = np.repeat([cell for _, cell in ends], n) / slope
     rise = np.diff(t)
     coef = np.stack((t[:-1], dt[:-1], 3.0 * rise - 2.0 * dt[:-1] - dt[1:], dt[:-1] + dt[1:] - 2.0 * rise))
-    tables = [(least, 1.0 / cell, part) for (least, cell), part in zip(ends, (coef[:, : n - 1], coef[:, n:]))]
-    return pc, sides, tables
+    coef = np.delete(coef, n - 1, axis=1)  # less the cell across the two sides
+    return pc, above, tuple((least, 1.0 / cell) for least, cell in ends), coef
 
 
 @np.errstate(all="ignore")
 def _newton(pv: ParameterVector, level: np.ndarray, survival: bool):
-    """(x, upper) of distortion_inverse with ``split``; ``level`` holds p, or with ``survival`` 1 - p."""
+    """(x, upper) of distortion_inverse with ``split``; ``level`` holds p, or with ``survival`` 1 - p.
+    All levels start from one lookup of the table, row by row: a (4, levels) take
+    of 1e5 levels would fault in 3.2 MB afresh on every call.  A pass that ends
+    every level returns before the bisection and step bookkeeping."""
     tol, max_iter = _INVERSE_TOL, _INVERSE_MAX_ITER
-    pc, (t_half, c_half), tables = _start_table(pv)
+    pc, above, ends, coef = _start_table(pv)
     small = np.fmin(level, 1.0 - level)  # exact: 1 - level is, where level >= 1/2
     on_c = level <= 0.5 if survival else level > 0.5  # the smaller level is 1 - T
+    # sorted T-lower, T-upper, C-upper, C-lower: each level side is a slice, as are the roots in r;
     # w > 1/2 at the root where the smaller level lies beyond its value at w = 1/2
-    up = (on_c & (small < c_half)) | (~on_c & (small > t_half))
-    # sorted T-lower, T-upper, C-upper, C-lower: each level side is a slice, as are the roots in r
-    key = 2 * on_c.astype(np.uint8) + (on_c != up)
+    key = on_c.view(np.uint8) << 1
+    key += small >= above.take(on_c)
     idx = np.argsort(key, kind="stable")
-    b1, b2, b3 = (np.count_nonzero(key <= j) for j in range(3))
-    lam = small[idx]
+    b1, b2, b3 = np.bincount(key, minlength=4).cumsum().tolist()[:3]
+    lam = small.take(idx)
     # the start: logit t of w from the level side's table, x = w = 1 / (1 + e^-t) or r = 1 - w;
     # below the first node only the linear term counts, as T and 1 - T are linear there
-    x = np.empty_like(level)
-    for part, (least, per_cell, coef) in zip((slice(0, b2), slice(b2, None)), tables):
-        pos = (np.log(lam[part]) - least) * per_cell
-        k = np.fmin(np.fmax(pos, 0.0), _START_CELLS - 1).astype(np.intp)
-        frac = pos - k
-        cubic = np.fmax(frac, 0.0)
-        start = coef[3][k]
-        start *= cubic
-        start += coef[2][k]
-        start *= cubic
-        start += coef[1][k]
-        start *= frac
-        x[part] = np.add(start, coef[0][k], out=start)
+    pos = np.log(lam)
+    for part, (least, per_cell) in zip((pos[:b2], pos[b2:]), ends):
+        part -= least
+        part *= per_cell
+    k = np.fmin(np.fmax(pos, 0.0), _START_CELLS - 1).astype(np.intp)
+    frac = pos - k
+    cubic = np.fmax(frac, 0.0)
+    k[b2:] += _START_CELLS
+    x = coef[3].take(k)
+    for row, by in ((2, cubic), (1, cubic), (0, frac)):  # Horner
+        x *= by
+        x += coef[row].take(k)
     x[b1:b3] *= -1.0
     np.fmin(np.fmax(1.0 / (1.0 + np.exp(-x)), 5e-324), 0.5, out=x)
-    del small, on_c, up, key, pos, k, frac, cubic, start
+    del small, on_c, key, pos, k, frac, cubic
 
     def ratios(x, b1, b3):  # (w, r) from the smaller of the two, r = x between b1 and b3
-        return (np.concatenate((x[:b1], 1.0 - x[b1:b3], x[b3:])),
-                np.concatenate((1.0 - x[:b1], x[b1:b3], 1.0 - x[b3:])))
+        w, r = x.copy(), 1.0 - x
+        w[b1:b3], r[b1:b3] = r[b1:b3], x[b1:b3]
+        return w, r
 
     # bracket [0, 1] in every group, as a root at 1/2 may round past it; the bracket
     # and the last step are scalars until the first pass makes them columns
@@ -417,18 +421,21 @@ def _newton(pv: ParameterVector, level: np.ndarray, survival: bool):
         # lo <= x <= hi: x * (resid < 0) moves lo up to x, x / (resid > 0) hi down
         lo, hi = np.fmax(lo, x * (resid < 0.0)), np.fmin(hi, x / (resid > 0.0))
         move = np.abs(newton - x)
-        fast = (newton > lo) & (newton < hi) & (move <= 0.5 * np.abs(step))
+        fast = (newton > lo) & (newton < hi) & (move <= 0.5 * abs(step))
         # a Newton step leaves an error of the order of its square, so one
         # below sqrt(tol) / 100 of the iterate is the last
-        done = move <= (tol + (0.01 * math.sqrt(tol) - tol) * fast) * x
+        done = move <= np.where(fast, tol + (0.01 * math.sqrt(tol) - tol), tol) * x
+        if done.all():
+            x = newton
+            break
         # geometric bisection: the bracket may span hundreds of decades
         if (bisect := np.flatnonzero(~(done | fast))).size:
             newton[bisect] = np.sqrt(lo[bisect]) * np.sqrt(hi[bisect])
         x, step = newton, np.subtract(newton, x, out=x)
         del move, fast, newton
-        if it == max_iter - 1 and (worst := float(np.max(np.abs(resid[~done]) / lam[~done], initial=0))) > 1e-9:
-            raise Nonconvergence(f"distortion inverse stalled at relative residual {worst:.3e}")
-        if it == max_iter - 1 or done.all():
+        if it == max_iter - 1:
+            if (worst := float(np.max(np.abs(resid[~done]) / lam[~done]))) > 1e-9:
+                raise Nonconvergence(f"distortion inverse stalled at relative residual {worst:.3e}")
             break
         if (stop := np.flatnonzero(done)).size:
             if open_at is None:  # the first levels to end: the open ones are tracked from here

@@ -70,7 +70,8 @@ _METHODS = ("auto", "series_at_zero", "series_at_one", "quadrature", "closed_for
 
 @dataclass(frozen=True)
 class MomentResult:
-    """A moment value with provenance and an error estimate."""
+    """A moment value with provenance and an error estimate.  ``terms_used`` counts, for the quadrature,
+    the nodes of the level reached, as ToleranceNotMet does, not the nodes formed (385 on the first call)."""
 
     value: float
     method_used: str
@@ -463,10 +464,10 @@ def _de_level(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
 @lru_cache(maxsize=64)
 def _de_abscissae(baseline: Baseline, level: int) -> np.ndarray:
     """The abscissae Q0 of the nodes of ``level`` (see _de_level): the
-    baseline quantile of u where u <= 1/2 and its isf of s above that.
-    Read-only; see _de_terms for the cache."""
+    baseline quantile of u where u <= 1/2 and its isf of s above that, in
+    one Baseline._split_inverse.  Read-only; see _de_terms for the cache."""
     u, s, _, k = _de_level(level)
-    x = np.concatenate((baseline.quantile(u[:k]), baseline.isf(s[k:])))
+    x = baseline._split_inverse(np.concatenate((u[:k], s[k:])), np.arange(u.size) >= k)
     x.flags.writeable = False
     return x
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConditionViolated, DomainError, EnvelopeViolation, Nonconvergence
 from .extended import ExtendedDistribution
-from .family import _EPS, ParameterVector, distortion_deriv, series_at_zero
+from .family import _EPS, _TINY, ParameterVector, distortion_deriv, series_at_zero
 from .baselines import Baseline
 
 __all__ = [
@@ -294,7 +294,7 @@ def sample_random_maxima(ed: ExtendedDistribution, rng: RandomSource, n: int) ->
     for start, size, tops in _two_streams(gen, n):
         counts = _draw_counts(ed.pv, gen, size, 10**6)  # first: ``tops`` may be ``gen``
         top = tops.random(size) ** (1.0 / counts)
-        values[start : start + size] = ed.baseline.quantile(np.maximum(top, np.finfo(float).tiny, out=top))
+        values[start : start + size] = ed.baseline.quantile(np.maximum(top, _TINY, out=top))
     return SampleBatch(values=values, sampler="random-maxima", seed=rng.seed)
 
 
@@ -306,7 +306,7 @@ def sample_inverse_cdf(ed: ExtendedDistribution, rng: RandomSource, n: int) -> S
     gen, values = rng.generator(), np.empty(n)
     for start in range(0, n, _BLOCK):
         u = gen.random(min(_BLOCK, n - start))
-        values[start : start + u.size] = ed.quantile(np.maximum(u, np.finfo(float).tiny, out=u))
+        values[start : start + u.size] = ed.quantile(np.maximum(u, _TINY, out=u))
     return SampleBatch(values=values, sampler="inverse-cdf", seed=rng.seed)
 
 

@@ -91,6 +91,25 @@ class TestInverseSurvival:
             with pytest.raises(DomainError):
                 Weibull(1.0, 2.0).isf(s)
 
+    @pytest.mark.parametrize(
+        "bm",
+        [Exponential(1.3), Weibull(1.0, 0.5), Weibull(2.0, 2.0), GeneralizedWeibull(1.0, 0.5, 2.0),
+         LogLogistic(1.0, 1.0), LogLogistic(1.0, 0.5)],
+        ids=repr,
+    )
+    def test_one_map_per_root_bit_for_bit(self, bm):
+        """The extended quantile sends each root x <= 1/2 through one map,
+        _split_inverse: isf(x) where ``upper``, else quantile(x), with the
+        public maps' bits, from tiny to 1/2 in both tails."""
+        tiny = np.finfo(float).tiny
+        x = np.concatenate([[tiny, 1e-300, 1e-200, 1e-16, 0.5], np.geomspace(tiny, 0.5, 300)])
+        for upper in (np.arange(x.size) % 2 == 0, np.arange(x.size) % 3 == 0, np.zeros(x.size, bool),
+                      np.ones(x.size, bool)):
+            with np.errstate(over="ignore"):  # isf(tiny) overflows at log-logistic shape 1/2
+                want = np.where(upper, bm.isf(x), bm.quantile(x))
+                got = bm._split_inverse(x.copy(), upper)
+            assert np.array_equal(got, want)
+
     def test_generalized_weibull_quantile_in_lower_tail(self):
         """(1 - log(1 - p))^shape2 - 1 cancels for small p unless taken
         through expm1 and log1p; 1e-20 gave x = 0."""

@@ -1,5 +1,6 @@
 """Tests for the distortion function, its derivative, and its expansions."""
 
+import hashlib
 import itertools
 import math
 
@@ -898,11 +899,11 @@ class TestStartTable:
         from moq.family import _START_CELLS, _start_table
 
         eps, q = np.finfo(float).eps, len(a)
-        _, _, tables = _start_table(validate_params(q, a))
+        _, _, ends, table = _start_table(validate_params(q, a))
         with mp.workdps(60):
             big_s = mp.fsum(mp.mpf(x) for x in a)
             c = [q * mp.mpf(x) / big_s for x in a[1:]]
-            for on_c, (least, _, coef) in zip((False, True), tables):
+            for on_c, (least, _), coef in zip((False, True), ends, np.split(table, 2, axis=1)):
                 t = np.append(coef[0], coef[:, -1].sum())  # the last node closes the last cell
                 y = least + (math.log(0.5) - least) / _START_CELLS * np.arange(_START_CELLS + 1)
                 for k in np.r_[0 : _START_CELLS : 16, _START_CELLS - 15 : _START_CELLS + 1]:
@@ -910,6 +911,44 @@ class TestStartTable:
                     level = w * mp.fprod(w + ci * (1 - w) for ci in c)
                     got = mp.log(1 - level if on_c else level)
                     assert abs(got - mp.mpf(float(y[k]))) <= (q + 4) * eps * max(1.0, abs(y[k])), (on_c, k)
+
+
+class TestRootsPinned:
+    """Roots of a seeded sweep through the multi-pass path, pinned by digest:
+    a log-uniform in [1e-15, 1e15], q from 1 to 8 and four q from 50 to 400,
+    500 levels in both tails, with and without ``survival``.  309 of the 400
+    vectors take more than one pass, so the bracket, the bisection and the
+    bookkeeping of the open levels all run.  The digests, the pass counts
+    and that count were recorded before the start lookup and the first
+    pass were trimmed; a root that moves in its last bit, or a pass more
+    or less, shows here."""
+
+    DIGESTS = {
+        False: "aa7cd0952c45303476d7338a2637341cc82eef2326cc7b9e2db695dbbe132308",
+        True: "b4ab055b510484b5c864d7b994589e13f1e0ae118d1ce48190290886693648df",
+    }
+    PASSES = {False: 1797, True: 893}
+
+    def test_roots_and_passes_pinned(self, monkeypatch):
+        passes = count_passes(monkeypatch)
+        rng = np.random.default_rng(32)
+        digests = {survival: hashlib.sha256() for survival in self.DIGESTS}
+        total, multi = {survival: 0 for survival in self.DIGESTS}, 0
+        for i in range(400):
+            q = int(rng.integers(50, 401)) if i % 100 == 99 else int(rng.integers(1, 9))
+            pv = validate_params(q, 10.0 ** rng.uniform(-15.0, 15.0, q))
+            levels = np.concatenate([10.0 ** rng.uniform(-300.0, -0.3, 250), 1.0 - 10.0 ** rng.uniform(-16.0, -0.3, 250)])
+            most = 0
+            for survival in (False, True):
+                passes["n"] = 0
+                x, upper = distortion_inverse(pv, levels, survival=survival, split=True)
+                digests[survival].update(x.astype("<f8").tobytes() + upper.tobytes())
+                total[survival] += passes["n"]
+                most = max(most, passes["n"])
+            multi += most > 1
+        assert multi == 309
+        assert total == self.PASSES
+        assert {survival: d.hexdigest() for survival, d in digests.items()} == self.DIGESTS
 
 
 class TestComposition:

@@ -1,4 +1,4 @@
-"""Measure the series walks and the moment quadrature, and add them to BENCH_<pr>.json.
+"""Measure the series walks, the moment quadrature and the inverse-CDF sampler, and add them to BENCH_<pr>.json.
 
 Usage, from the root of a checkout:
 
@@ -10,11 +10,13 @@ pinned ``moment-table`` query ``ll-q2-long-series``, and two exponential
 series that fail early; and one ``moment()`` call of each query in
 ``QUADRATURES``, which the tanh-sinh rule answers at 193, 385 and 769
 nodes (the last through the mask of overflowed powers), and the
-``moment-table`` query ``gw-q2-binomial``.  Each repeat is a fresh child
+``moment-table`` query ``gw-q2-binomial``; and one ``sample_inverse_cdf``
+call of each spec in ``INVERSE_SPECS`` (the six ``simulate`` specs) at
+each size in ``INVERSE_SIZES``.  Each repeat is a fresh child
 process per checkout, the two run one after the other, and which goes
 first swaps from repeat to repeat.  A child times each call's first run
-(``cold``: the stream and its kept prefix, or the quadrature's nodes,
-abscissae and T', are formed in it) and then W more (``warm``: their
+(``cold``: the stream and its kept prefix, the quadrature's nodes,
+abscissae and T', or the start table of the inversion are formed in it) and then W more (``warm``: their
 median, as a workload with warm caches sees it).  Each section records
 the median over R repeats of each, in microseconds per call.
 
@@ -23,8 +25,8 @@ queries (four families, q 1 to 8) and counts the nodes at which each
 quadrature stops, or raises ToleranceNotMet: the traffic for which the
 rule's first call is sized.
 
-The results go under ``series_layer`` and ``quadrature_layer`` in
-BENCH_<N>.json, which ``tools/bench_record.py`` keeps when it rewrites the
+The results go under ``series_layer``, ``quadrature_layer`` and
+``inverse_layer`` in BENCH_<N>.json, which ``tools/bench_record.py`` keeps when it rewrites the
 file.
 """
 
@@ -60,15 +62,28 @@ QUADRATURES = {
 }
 SWEEP = 1000
 
-# the child: each walk and quadrature once cold, then W times warm; the
-# sweep's stop nodes where asked
+# name: (baseline, a), the ``simulate`` specs of perfbench/workloads.py
+INVERSE_SPECS = {
+    "exp-q2-pmf": (["exponential", 1.0], [1.5, 0.5]),
+    "weib-q2-wave": (["weibull", 2.0, 2.0], [1e-6, 0.15]),
+    "ll-q5-pmf": (["loglogistic", 1.0, 1.0], [3.0, 0.3, 0.4, 0.9, 0.6]),
+    "gw-q3-pmf": (["generalized_weibull", 1.0, 0.5, 2.0], [2.5, 0.5, 0.8]),
+    "weib-q4-mixed": (["weibull", 1.0, 1.5], [0.8, 1.3, 0.6, 1.4]),
+    "exp-q8-mixed": (["exponential", 2.0], [0.5, 1.2, 0.8, 2.0, 0.6, 1.5, 0.9, 0.7]),
+}
+INVERSE_SIZES = (100, 1_000, 8_192, 100_000)
+
+# the child: each walk, quadrature and inverse-CDF call once cold, then W
+# times warm; the sweep's stop nodes where asked
 CHILD = r"""
 import collections, json, statistics, sys, time
 import numpy as np
 from moq import (Exponential, GeneralizedWeibull, LogLogistic, MoqError, Nonconvergence, ToleranceNotMet, Weibull,
-                 moment, moments, series_at_one, series_at_zero, validate_params)
+                 ExtendedDistribution, RandomSource, moment, moments, sample_inverse_cdf, series_at_one,
+                 series_at_zero, validate_params)
 
 walks, quads, warm, sweep = json.loads(sys.argv[1]), json.loads(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
+inverses, sizes = json.loads(sys.argv[5]), json.loads(sys.argv[6])
 calls = {
     "ll": lambda pv, r: moment(LogLogistic(1.0, 1.0), pv, r, method="series_at_zero"),
     "exp": lambda pv, r: moment(Exponential(1.0), pv, r, method="series_at_zero"),
@@ -87,7 +102,8 @@ for name, (call, a, r) in walks.items():
             pass
         times.append(time.perf_counter() - t0)
     out[name] = {"cold": 1e6 * times[0], "warm": 1e6 * statistics.median(times[1:])}
-families = {"exponential": Exponential, "weibull": Weibull, "generalized_weibull": GeneralizedWeibull}
+families = {"exponential": Exponential, "weibull": Weibull, "generalized_weibull": GeneralizedWeibull,
+            "loglogistic": LogLogistic}
 quad_out = {}
 for name, ((family, *params), a, r) in quads.items():
     baseline, pv = families[family](*params), validate_params(len(a), a)
@@ -100,6 +116,16 @@ for name, ((family, *params), a, r) in quads.items():
         times.append(time.perf_counter() - t0)
     quad_out[name] = {"cold": 1e6 * times[0], "warm": 1e6 * statistics.median(times[1:]),
                       "nodes": res.terms_used, "method_used": res.method_used}
+inverse_out = {}
+for name, ((family, *params), a) in inverses.items():
+    ed = ExtendedDistribution(families[family](*params), validate_params(len(a), a))
+    for n in sizes:  # the first size's cold call builds the start table
+        times = []
+        for _ in range(1 + warm):
+            t0 = time.perf_counter()
+            sample_inverse_cdf(ed, RandomSource(32), n)
+            times.append(time.perf_counter() - t0)
+        inverse_out[f"{name}-{n}"] = {"cold": 1e6 * times[0], "warm": 1e6 * statistics.median(times[1:])}
 stops = collections.Counter()
 quadrature = moments._moment_quadrature
 
@@ -125,13 +151,14 @@ for i in range(sweep):
         moment(baseline, validate_params(q, a), r)
     except MoqError:  # ToleranceNotMet, counted above, or an order that does not exist
         pass
-print(json.dumps({"walks": out, "quadratures": quad_out, "stops": dict(stops)}))
+print(json.dumps({"walks": out, "quadratures": quad_out, "inverses": inverse_out, "stops": dict(stops)}))
 """
 
 
 def child(checkout: Path, warm: int, sweep: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    argv = [sys.executable, "-c", CHILD, json.dumps(WALKS), json.dumps(QUADRATURES), str(warm), str(sweep)]
+    argv = [sys.executable, "-c", CHILD, json.dumps(WALKS), json.dumps(QUADRATURES), str(warm), str(sweep),
+            json.dumps(INVERSE_SPECS), json.dumps(INVERSE_SIZES)]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -173,14 +200,20 @@ def main(argv: list[str] | None = None) -> int:
             "sweep": {"queries": SWEEP, "seed": 31, "method": "auto", "tol": 1e-10,
                       **{f"stop_nodes_{side}": dict(sorted(got[0]["stops"].items(), key=lambda kv: int(kv[0].split()[0])))
                          for side, got in runs.items()}}}
+    calls = [f"{name}-{n}" for name in INVERSE_SPECS for n in INVERSE_SIZES]
+    inverse = {"repeats": args.repeats, "warm_calls": args.warm, "unit": "us per call",
+               "call": "sample_inverse_cdf(ed, RandomSource(32), n)", "sizes": list(INVERSE_SIZES),
+               "specs": {name: {"baseline": b, "a": a} for name, (b, a) in INVERSE_SPECS.items()},
+               **_section(runs, "inverses", calls)}
     _print(series, WALKS)
     _print(quad, QUADRATURES)
+    _print(inverse, calls)
     print("stop nodes of the sweep:", quad["sweep"])
     path = ROOT / f"BENCH_{args.pr}.json"
     record = json.loads(path.read_text()) if path.exists() else {"pr": args.pr}
-    record["series_layer"], record["quadrature_layer"] = series, quad
+    record["series_layer"], record["quadrature_layer"], record["inverse_layer"] = series, quad, inverse
     path.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote series_layer and quadrature_layer to {path.name}")
+    print(f"wrote series_layer, quadrature_layer and inverse_layer to {path.name}")
     return 0
 
 
