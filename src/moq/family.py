@@ -50,7 +50,6 @@ __all__ = [
     "distortion_deriv",
     "distortion_complement",
     "distortion_inverse",
-    "composition_pair",
     "series_at_zero",
     "series_at_one",
 ]
@@ -266,8 +265,9 @@ def distortion_inverse(pv: ParameterVector, p, *, survival: bool = False, split:
 
     ``split`` returns (x, upper), arrays even for a scalar p: x = u, or where
     ``upper`` 1 - u, the smaller of the two with its own digits.  As T(u) =
-    T_c(w) for c = q a / S and w = q u / (q u + S (1-u)) (see
-    :func:`composition_pair`), the unknown is the smaller of w and 1 - w at
+    T_c(w) for c = q a / S and w = q u / (q u + S (1-u)), the
+    equal-parameter map of S / q (composing with it scales every parameter
+    by S / q), the unknown is the smaller of w and 1 - w at
     the root, as T_c(1/2) = 2^-q prod (1 + c_i) decides, and the residual is
     T_c - p where p <= 1/2, else (1 - T_c) - (1 - p), from :func:`distortion`
     and :func:`distortion_complement` of c.  All levels form one active set,
@@ -460,22 +460,6 @@ def _newton(pv: ParameterVector, level: np.ndarray, survival: bool):
     x, upper = np.empty_like(root), np.empty(root.shape, dtype=bool)
     x[idx], upper[idx] = np.fmin(sw, qr) / (sw + qr), qr < sw
     return x, upper
-
-
-def composition_pair(pv: ParameterVector, b: float, u):
-    """Return (T_a(T_{b,..,b}(u)), T_{b*a}(u)); the two agree analytically.
-
-    Composing with the equal-parameter map rescales every parameter by
-    ``b``, which is what makes the random-maxima construction closed over
-    the equal-parameter subfamily.  Callers assert equality of the pair.
-    """
-    if not (math.isfinite(b) and b > 0.0):
-        raise DomainError(f"scale b must be strictly positive, got {b!r}")
-    inner_pv = validate_params(pv.q, (float(b),) * pv.q)
-    scaled_pv = validate_params(pv.q, tuple(b * ai for ai in pv.a))
-    left = distortion(pv, distortion(inner_pv, u))
-    right = distortion(scaled_pv, u)
-    return left, right
 
 
 def elementary_symmetric(weights: Iterable[float], upto: int) -> list[float]:

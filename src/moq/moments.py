@@ -33,20 +33,9 @@ import numpy as np
 
 from .baselines import Baseline, Exponential, GeneralizedWeibull, LogLogistic, Weibull
 from .errors import ConditionViolated, DomainError, Nonconvergence, ToleranceNotMet
-from .extended import ExtendedDistribution
 from .family import ParameterVector, _deriv, _geometric_walk, _series_stream
-from .oracle import integrate_semiinfinite
 
-__all__ = [
-    "MomentResult",
-    "moment_exponential",
-    "moment_loglogistic",
-    "moment_q2_loglogistic_closed",
-    "moment_weibull_scaled",
-    "moment_generalized_weibull",
-    "moment_bound_check",
-    "moment",
-]
+__all__ = ["MomentResult", "moment"]
 
 _EPS = 2.220446049250313e-16
 _ETA = 2.0**-1074  # the spacing of the subnormals: a rounding below the normal range errs by at most this
@@ -64,7 +53,6 @@ _SHORT_SERIES = 50
 # _DE_MAX_LEVEL times.  The first call evaluates levels 0 to _DE_FIRST.
 _DE_SPAN = 6
 _DE_MIN_LEVEL, _DE_FIRST, _DE_MAX_LEVEL = 3, 4, 8
-# moment_exponential and moment_loglogistic take the first four
 _METHODS = ("auto", "series_at_zero", "series_at_one", "quadrature", "closed_form")
 
 
@@ -300,77 +288,20 @@ def _unit_moment(family, pv: ParameterVector, r: float, rel_tol: float, abs_tol:
     raise missed
 
 
-def moment_exponential(
-    pv: ParameterVector,
-    r: float,
-    tol: float = 1e-10,
-    method: str = "auto",
-    max_terms: int = _DEFAULT_MAX_TERMS,
-) -> MomentResult:
-    """E(X^r) for the extended unit exponential, r > 0, in the pmf regime
-    (ConditionViolated elsewhere); :func:`moment` takes the same route for
-    every r > -1 and in every regime (see _unit_moment).
-
-    ``method`` is one of ``auto``, ``series_at_zero``, ``series_at_one``,
-    ``quadrature``.  ``auto`` integrates, and where that misses ``tol``
-    sums the series at zero if it promises to reach ``tol`` within 50
-    terms; past an index of about 50 its inner alternating sums always
-    cancel too far to trust.  A series' error estimate bounds its tail and
-    rounding against ``tol``; the quadrature's meets ``tol`` relative to
-    the value or raises ToleranceNotMet.
-    """
-    _check_query(method, tol, _METHODS[:4])
-    if not (math.isfinite(r) and r >= 0):
-        raise DomainError(f"moment order must satisfy r > 0, got {r!r}")
-    _require_pmf(pv, "the unit Exponential moment series")
-    return _unit_moment(Exponential, pv, float(r), tol, tol, method, max_terms)
-
-
-def moment_loglogistic(
-    pv: ParameterVector,
-    r: float,
-    tol: float = 1e-10,
-    method: str = "auto",
-    max_terms: int = _DEFAULT_MAX_TERMS,
-) -> MomentResult:
-    """E(X^r) for the extended standard log-logistic, |r| < 1, routed as
-    :func:`moment_exponential` is.  The series at zero has non-negative
-    terms in the pmf regime, so unlike the exponential's it never cancels;
-    the one at one alternates.
-    """
-    _check_query(method, tol, _METHODS[:4])
-    if not (math.isfinite(r) and abs(r) < 1.0):
-        raise DomainError(f"log-logistic moment series requires |r| < 1, got r = {r!r}")
-    _require_pmf(pv, "the unit LogLogistic moment series")
-    return _unit_moment(LogLogistic, pv, float(r), tol, tol, method, max_terms)
-
-
-def moment_q2_loglogistic_closed(a1: float, a2: float, b1: float, b2: float, r: float) -> float:
-    """Closed-form E(X^r) for the two-parameter extension of LogLogistic(b1, b2).
-
-    Valid for any strictly positive (a1, a2) and |r| < b2; at r = 0 the
-    analytic limit is 1.
-    """
-    return _q2_loglogistic_closed(a1, a2, b1, b2, r)[0]
-
-
 def _q2_loglogistic_closed(a1: float, a2: float, b1: float, b2: float, r: float) -> tuple[float, float]:
-    """The closed form of moment_q2_loglogistic_closed and a bound on its
+    """E(X^r) for the two-parameter extension of LogLogistic(b1, b2),
+    b1^r m^s (r pi / (b2 sin(pi s))) (1 + d) with s = r / b2,
+    m = (a1 + a2) / 2 and d = s (a1 - a2) / (a1 + a2), for |r| < b2 (the
+    caller checks it; at r = 0 the analytic limit 1), and a bound on its
     rounding error: each rounding, in eps of the value, times the condition
-    number of what it feeds.  The rounded s = r / b2 passes to m^s,
-    m = (a1 + a2) / 2, with |s log m| and to sin(pi s) with
-    |pi s cot(pi s)|, the rounded pi s (2.2 eps) to the sine with the
-    latter; the last factor 1 + d, d = s (a1 - a2) / (a1 + a2), carries the
-    5 eps of d times |d / (1 + d)|; m's rounding adds |s| and the other
-    eleven operations at most 10.2 eps together.  The value is a product of
-    four positive factors; where one of the two powers or a partial
-    product falls below the normal range, its rounding errs by up to
-    _ETA, times the factors that multiply it afterwards."""
-    for name, v in (("a1", a1), ("a2", a2), ("b1", b1), ("b2", b2)):
-        if not (math.isfinite(v) and v > 0):
-            raise DomainError(f"{name} must be strictly positive, got {v!r}")
-    if not (math.isfinite(r) and abs(r) < b2):
-        raise DomainError(f"closed form requires |r| < b2 = {b2}, got r = {r!r}")
+    number of what it feeds.  The rounded s passes to m^s with |s log m|
+    and to sin(pi s) with |pi s cot(pi s)|, the rounded pi s (2.2 eps) to
+    the sine with the latter; the last factor 1 + d carries the 5 eps of d
+    times |d / (1 + d)|; m's rounding adds |s| and the other eleven
+    operations at most 10.2 eps together.  The value is a product of four
+    positive factors; where one of the two powers or a partial product
+    falls below the normal range, its rounding errs by up to _ETA, times
+    the factors that multiply it afterwards."""
     if r == 0.0:
         return 1.0, 0.0
     s = r / b2
@@ -379,64 +310,6 @@ def _q2_loglogistic_closed(a1: float, a2: float, b1: float, b2: float, r: float)
     val = p1 * p2 * p3 * p4
     cond = 12.0 + abs(s) * (1.0 + abs(math.log(m))) + 3.0 * abs(x / math.tan(x)) + 5.0 * abs(d / p4)
     return val, cond * _EPS * val + _ETA * (1.0 + p4 + p3 * p4 * (1.0 + p1 + p2))
-
-
-def moment_weibull_scaled(
-    pv: ParameterVector,
-    scale: float,
-    shape: float,
-    r: float,
-    tol: float = 1e-10,
-    method: str = "auto",
-) -> MomentResult:
-    """E(X^r) for the extended Weibull(scale, shape): :func:`moment` of it,
-    which takes the power-scaling relation to the extended unit
-    exponential at order r/shape."""
-    if not (math.isfinite(scale) and scale > 0 and math.isfinite(shape) and shape > 0):
-        raise DomainError("scale and shape must be strictly positive")
-    return moment(Weibull(scale, shape), pv, r, method=method, tol=tol)
-
-
-def moment_generalized_weibull(
-    pv: ParameterVector,
-    scale: float,
-    shape: float,
-    shape2: float,
-    m: int,
-    tol: float = 1e-10,
-) -> MomentResult:
-    """Integer moment E(X^m) for the extended GeneralizedWeibull(scale, shape, shape2).
-
-    Needs 1/shape and shape2 to be positive integers; the variable is then
-    a polynomial transform of the extended unit exponential and the moment
-    reduces to a double binomial combination of its integer moments, orders
-    0 to shape2 * m / shape.  Order 0 is exactly 1; every other order takes
-    the single-order route of :func:`moment` (see _unit_moment), so it
-    meets tol / 1000 relative to its value or raises.  The estimate is
-    absolute: the combination of those estimates and of the rounding of
-    each moment, times scale^m.  :func:`moment` takes this route only
-    under a pinned ``closed_form``.
-    """
-    _require_pmf(pv, "generalized-Weibull moment formula")
-    if not (isinstance(m, (int,)) and m >= 1):
-        raise DomainError(f"moment order must be a positive integer, got {m!r}")
-    pair = (1.0 / shape, shape2)  # each a positive integer within 1e-9
-    if not all(math.isfinite(x) and x >= 0.5 and abs(x - round(x)) <= 1e-9 for x in pair):
-        raise DomainError(f"1/shape and shape2 must be positive integers, got 1/{shape} and {shape2!r}")
-    m2, b3 = round(pair[0]), round(pair[1])
-
-    tol *= 1e-3  # per exponential moment
-    _check_query("auto", tol, _METHODS)
-    exp_moments = [_unit_moment(Exponential, pv, float(j), tol, tol, "auto") for j in range(b3 * m * m2 + 1)]
-    total, err = 0.0, 0.0
-    for k in range(m * m2 + 1):
-        sign = -1.0 if (m * m2 - k) % 2 else 1.0
-        for j, mom in enumerate(exp_moments[: b3 * k + 1]):
-            c = sign * math.comb(m * m2, k) * math.comb(b3 * k, j)
-            total += c * mom.value
-            err += abs(c) * (mom.error_estimate + _EPS * abs(mom.value))
-    factor = math.pow(scale, m)
-    return MomentResult(factor * total, "binomial_transform", max(mom.terms_used for mom in exp_moments), factor * err)
 
 
 @lru_cache(maxsize=None)
@@ -590,33 +463,6 @@ def _moment_quadrature(baseline: Baseline, pv: ParameterVector, r: float, tol: f
     )
 
 
-def moment_bound_check(
-    pv: ParameterVector,
-    baseline: Baseline,
-    r: float,
-    n_mc: int = 0,
-    tol: float = 1e-10,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Return (E|X|^r for the extension, a_1 * E|X0|^r for the baseline).
-
-    In the pmf regime the first never exceeds the second.  With
-    ``n_mc == 0`` both sides come from quadrature, the left one from
-    :func:`moment` with ``method="quadrature"``; with ``n_mc > 0`` the
-    left side is a Monte-Carlo estimate from ``n_mc`` inverse-CDF draws.
-    """
-    _require_pmf(pv, "moment domination bound")
-    rhs = pv.a[0] * integrate_semiinfinite(lambda x: x**r * baseline.pdf(x), lo=0.0, tol=tol).value
-    if n_mc > 0:
-        from .sampling import RandomSource, sample_inverse_cdf
-
-        batch = sample_inverse_cdf(ExtendedDistribution(baseline, pv), RandomSource(seed), n_mc)
-        lhs = float((batch.values**r).mean())
-    else:
-        lhs = moment(baseline, pv, r, method="quadrature", tol=tol).value
-    return lhs, rhs
-
-
 _FAMILIES = (Exponential, Weibull, GeneralizedWeibull, LogLogistic)
 
 
@@ -649,8 +495,8 @@ def moment(
 
     ``auto`` takes the closed form of the two-parameter log-logistic.  A
     pinned ``closed_form`` also serves the generalized Weibull at integer
-    r, 1/shape and shape2, by the binomial transform of
-    :func:`moment_generalized_weibull`, whose estimate is absolute.
+    r, 1/shape and shape2, by the binomial transform
+    (_binomial_transform), whose estimate is absolute.
     Otherwise the exponential, Weibull and log-logistic, in every regime
     and under every method, scale by scale^r the unit baseline's moment at
     order r/shape (see _unit_moment), a series with the absolute error
@@ -688,7 +534,7 @@ def _route(baseline: Baseline, pv: ParameterVector, r: float, method: str, tol: 
         if pinned:
             m = round(r)
             if isinstance(baseline, GeneralizedWeibull) and m >= 1 and abs(r - m) < 1e-12:
-                return moment_generalized_weibull(pv, baseline.scale, baseline.shape, baseline.shape2, m, tol=tol)
+                return _binomial_transform(baseline, pv, m, tol)
             raise DomainError(f"no closed form for {baseline.name} moments at r = {r!r}")
     if isinstance(baseline, (Exponential, Weibull, LogLogistic)):
         # X = scale X1^(1/shape), X1 the unit exponential or standard log-logistic
@@ -703,3 +549,35 @@ def _route(baseline: Baseline, pv: ParameterVector, r: float, method: str, tol: 
         raise DomainError(f"method {method!r} unavailable for {baseline.name}")
     math.pow(baseline.scale, r)  # X = scale Z: E(X^r) overflows where scale^r does, as OverflowError
     return _moment_quadrature(baseline, pv, r, tol)
+
+
+def _binomial_transform(baseline: GeneralizedWeibull, pv: ParameterVector, m: int, tol: float) -> MomentResult:
+    """E(X^m), m a positive integer, for the extended generalized Weibull,
+    in the pmf regime (ConditionViolated elsewhere).
+
+    Needs 1/shape and shape2 to be positive integers; the variable is then
+    a polynomial transform of the extended unit exponential and the moment
+    reduces to a double binomial combination of its integer moments, orders
+    0 to shape2 * m / shape.  Order 0 is exactly 1; every other order takes
+    the single-order route of _unit_moment, so it meets tol / 1000 relative
+    to its value or raises.  The estimate is absolute: the combination of
+    those estimates and of the rounding of each moment, times scale^m.
+    """
+    _require_pmf(pv, "generalized-Weibull moment formula")
+    pair = (1.0 / baseline.shape, baseline.shape2)  # each a positive integer within 1e-9
+    if not all(math.isfinite(x) and x >= 0.5 and abs(x - round(x)) <= 1e-9 for x in pair):
+        raise DomainError(f"1/shape and shape2 must be positive integers, got 1/{baseline.shape} and {baseline.shape2!r}")
+    m2, b3 = round(pair[0]), round(pair[1])
+
+    tol *= 1e-3  # per exponential moment
+    _check_query("auto", tol, _METHODS)  # DomainError where tol / 1000 underflows
+    exp_moments = [_unit_moment(Exponential, pv, float(j), tol, tol, "auto") for j in range(b3 * m * m2 + 1)]
+    total, err = 0.0, 0.0
+    for k in range(m * m2 + 1):
+        sign = -1.0 if (m * m2 - k) % 2 else 1.0
+        for j, mom in enumerate(exp_moments[: b3 * k + 1]):
+            c = sign * math.comb(m * m2, k) * math.comb(b3 * k, j)
+            total += c * mom.value
+            err += abs(c) * (mom.error_estimate + _EPS * abs(mom.value))
+    factor = math.pow(baseline.scale, m)
+    return MomentResult(factor * total, "binomial_transform", max(mom.terms_used for mom in exp_moments), factor * err)

@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules: hypothesis strategies for the
 property tests of the inversion, each skipping the test that requests it
-when hypothesis is missing, and a wall-clock limit.
+when hypothesis is missing, a wall-clock limit, and the two sides of the
+composition identity.
 """
 
 import contextlib
@@ -9,7 +10,7 @@ import signal
 
 import pytest
 
-from moq import validate_params
+from moq import distortion, validate_params
 
 
 @pytest.fixture
@@ -30,6 +31,22 @@ def lower_levels():
         min_size=1,
         max_size=16,
     )
+
+
+@pytest.fixture
+def composition_pair():
+    """(T_a(T_{b,..,b}(u)), T_{b a}(u)) for a vector a, a scale b > 0 and
+    u in [0, 1]; the two agree analytically.  Composing with the
+    equal-parameter map rescales every parameter by b, which is what makes
+    the random-maxima construction closed over the equal-parameter
+    subfamily."""
+
+    def pair(pv, b: float, u):
+        inner = validate_params(pv.q, (b,) * pv.q)
+        scaled = validate_params(pv.q, tuple(b * ai for ai in pv.a))
+        return distortion(pv, distortion(inner, u)), distortion(scaled, u)
+
+    return pair
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from moq import (
     LogLogistic,
     RandomSource,
     Weibull,
-    composition_pair,
     distortion,
     distortion_deriv,
     envelope_constant,
@@ -26,9 +25,7 @@ from moq import (
     ks_threshold_two_sample,
     ks_two_sample,
     logistic_transform,
-    moment_exponential,
-    moment_loglogistic,
-    moment_q2_loglogistic_closed,
+    moment,
     sample_accept_reject,
     sample_inverse_cdf,
     sample_random_maxima,
@@ -148,21 +145,19 @@ def test_criterion_04_moment_cross_validation():
     # Each case checks the paper's series at zero and auto (which integrates a
     # single order first) against quadrature.  At a = (2.5,), r = 2 the series'
     # inner alternating sum is ill-conditioned (it raises Nonconvergence), so
-    # that case checks auto alone.
+    # that case checks auto alone.  At q = 2 auto takes the log-logistic's
+    # closed form (criterion 5), so those cases pin the integration instead.
     worst = 0.0
     series_cases = auto_cases = 0
-    batteries = (
-        (moment_exponential, Exponential(1.0), EXP_BATTERY),
-        (moment_loglogistic, LogLogistic(), LL_BATTERY),
-    )
-    for moment_fn, baseline, battery in batteries:
+    for baseline, battery in ((Exponential(1.0), EXP_BATTERY), (LogLogistic(), LL_BATTERY)):
         for (q, a), r in battery:
             pv = validate_params(q, a)
             ref = quad_moment(baseline, pv, r)
             ill_conditioned = (baseline.name, a, r) == ("exponential", [2.5], 2.0)
-            methods = ("auto",) if ill_conditioned else ("series_at_zero", "auto")
+            auto = "quadrature" if isinstance(baseline, LogLogistic) and q == 2 else "auto"
+            methods = (auto,) if ill_conditioned else ("series_at_zero", auto)
             for method in methods:
-                res = moment_fn(pv, r, method=method)
+                res = moment(baseline, pv, r, method=method)
                 gap = abs(res.value - ref)
                 allowed = max(1e-6 * abs(ref), res.error_estimate)
                 assert gap <= allowed, f"{baseline.name} {a} r={r} {method}: {gap:.2e} > {allowed:.2e}"
@@ -171,23 +166,26 @@ def test_criterion_04_moment_cross_validation():
             auto_cases += 1
     report(
         4, series_cases >= 20,
-        f"{series_cases} series-vs-quadrature and {auto_cases} auto-vs-quadrature cases agree, "
+        f"{series_cases} series-vs-quadrature and {auto_cases} auto-or-pinned-quadrature cases agree, "
         f"worst rel gap {worst:.2e}",
     )
 
 
 def test_criterion_05_closed_form():
-    equal = moment_q2_loglogistic_closed(1.0, 1.0, 1.0, 1.0, 0.5)
+    def closed_form(pv):
+        return moment(LogLogistic(), pv, 0.5, method="closed_form").value
+
+    equal = closed_form(validate_params(2, [1.0, 1.0]))
     gap_equal = abs(equal - math.pi / 2.0)
 
     pv = validate_params(2, [1.5, 0.5])
-    closed = moment_q2_loglogistic_closed(1.5, 0.5, 1.0, 1.0, 0.5)
-    series = moment_loglogistic(pv, 0.5, method="series_at_zero").value
+    closed = closed_form(pv)
+    series = moment(LogLogistic(), pv, 0.5, method="series_at_zero").value
     quad = quad_moment(LogLogistic(), pv, 0.5)
     pair_gap = max(abs(closed - series), abs(closed - quad), abs(series - quad))
 
     pv_rev = validate_params(2, [0.5, 1.5])
-    closed_rev = moment_q2_loglogistic_closed(0.5, 1.5, 1.0, 1.0, 0.5)
+    closed_rev = closed_form(pv_rev)
     quad_rev = quad_moment(LogLogistic(), pv_rev, 0.5)
     rev_gap = abs(closed_rev - quad_rev)
 
@@ -307,7 +305,7 @@ def test_criterion_09_hazard_curve_reproduction(tmp_path):
     )
 
 
-def test_criterion_10_composition_identity():
+def test_criterion_10_composition_identity(composition_pair):
     gen = np.random.default_rng(1010)
     worst = 0.0
     for pv in random_parameter_vectors(gen, 1000):

@@ -13,7 +13,6 @@ from moq import (
     LengthMismatch,
     Nonconvergence,
     NonPositiveParameter,
-    composition_pair,
     distortion,
     distortion_complement,
     distortion_deriv,
@@ -952,7 +951,7 @@ class TestRootsPinned:
 
 
 class TestComposition:
-    def test_identity_on_random_triples(self):
+    def test_identity_on_random_triples(self, composition_pair):
         gen = np.random.default_rng(22)
         for pv in random_vectors(gen, 100):
             b = float(np.exp(gen.uniform(math.log(0.2), math.log(5))))
@@ -960,12 +959,12 @@ class TestComposition:
             left, right = composition_pair(pv, b, u)
             assert left == pytest.approx(right, abs=1e-12)
 
-    def test_neutral_scale(self):
+    def test_neutral_scale(self, composition_pair):
         pv = validate_params(2, [1.5, 0.5])
         left, right = composition_pair(pv, 1.0, 0.37)
         assert left == right == pytest.approx(distortion(pv, 0.37), abs=1e-15)
 
-    def test_one_parameter_closed_form(self):
+    def test_one_parameter_closed_form(self, composition_pair):
         a, b, u = 1.7, 2.0, 0.41
         left, right = composition_pair(validate_params(1, [a]), b, u)
         expected = mo_map(a * b, u)

@@ -28,14 +28,11 @@ from moq import (
     Weibull,
     integrate_semiinfinite,
     moment,
-    moment_bound_check,
-    moment_exponential,
-    moment_generalized_weibull,
-    moment_loglogistic,
-    moment_q2_loglogistic_closed,
-    moment_weibull_scaled,
     validate_params,
 )
+from moq.verify import _bound_sides
+
+EXP, LL = Exponential(1.0), LogLogistic()
 
 
 def quad_moment(baseline, pv, r, tol=1e-10):
@@ -45,40 +42,36 @@ def quad_moment(baseline, pv, r, tol=1e-10):
 
 class TestExponentialMoments:
     def test_identity_mean(self):
-        res = moment_exponential(validate_params(1, [1.0]), 1.0)
+        res = moment(EXP, validate_params(1, [1.0]), 1.0)
         assert res.value == pytest.approx(1.0, abs=1e-12)
 
     def test_geometric_weights_mean(self):
         """One parameter a = 2: the sample-size weights are 2^-m and the mean
         is sum_m 2^-m H_m = 2 log 2 (generating function of harmonic numbers,
         confirmed by the quadrature oracle)."""
-        res = moment_exponential(validate_params(1, [2.0]), 1.0)
+        res = moment(EXP, validate_params(1, [2.0]), 1.0)
         assert res.value == pytest.approx(2.0 * math.log(2.0), abs=1e-9)
         assert abs(res.value - 2.0 * math.log(2.0)) <= max(res.error_estimate, 1e-10)
 
     def test_second_moment_vs_quadrature(self):
         pv = validate_params(2, [1.5, 0.5])
-        res = moment_exponential(pv, 2.0)
+        res = moment(EXP, pv, 2.0)
         assert res.value == pytest.approx(quad_moment(Exponential(1.0), pv, 2.0), rel=1e-6)
 
     def test_branches_agree(self):
         pv = validate_params(2, [1.8, 0.5])  # sum = 2.3 in [q, 2q)
-        z = moment_exponential(pv, 0.75, method="series_at_zero")
-        o = moment_exponential(pv, 0.75, method="series_at_one")
-        q = moment_exponential(pv, 0.75, method="quadrature")
+        z = moment(EXP, pv, 0.75, method="series_at_zero")
+        o = moment(EXP, pv, 0.75, method="series_at_one")
+        q = moment(EXP, pv, 0.75, method="quadrature")
         assert z.value == pytest.approx(o.value, rel=1e-8)
         assert z.value == pytest.approx(q.value, rel=1e-7)
 
     def test_zeroth_moment(self):
-        assert moment_exponential(validate_params(1, [1.5]), 0.0).value == 1.0
+        assert moment(EXP, validate_params(1, [1.5]), 0.0).value == 1.0
 
     def test_requires_pmf_regime(self):
         with pytest.raises(ConditionViolated):
-            moment_exponential(validate_params(2, [0.5, 0.5]), 1.0)
-
-    def test_requires_positive_order(self):
-        with pytest.raises(DomainError):
-            moment_exponential(validate_params(1, [1.0]), -0.5)
+            moment(EXP, validate_params(2, [0.5, 0.5]), 1.0, method="series_at_zero")
 
     def test_cancellation_guard_triggers_and_auto_recovers(self):
         """A large first parameter needs so many series terms that the inner
@@ -86,9 +79,9 @@ class TestExponentialMoments:
         and auto must still return the quadrature answer."""
         pv = validate_params(1, [40.0])
         with pytest.raises(Nonconvergence):
-            moment_exponential(pv, 0.5, method="series_at_zero")
-        res = moment_exponential(pv, 0.5, method="auto")
-        assert res.method_used == "quadrature"
+            moment(EXP, pv, 0.5, method="series_at_zero")
+        res = moment(EXP, pv, 0.5, method="auto")
+        assert res.method_used == "scaling(quadrature)"
         assert res.value == pytest.approx(quad_moment(Exponential(1.0), pv, 0.5), rel=1e-8)
 
     def test_pinned_series_names_the_ill_conditioned_index(self):
@@ -96,9 +89,9 @@ class TestExponentialMoments:
         however far the block that holds it reaches."""
         pv = validate_params(2, [20.0, 0.5])
         with pytest.raises(Nonconvergence, match=r"ill-conditioned at index 50 \(cancellation ratio 1\.27e\+12\)"):
-            moment_exponential(pv, 1.5, method="series_at_zero")
-        res = moment_exponential(pv, 1.5)
-        assert res.method_used == "quadrature"
+            moment(EXP, pv, 1.5, method="series_at_zero")
+        res = moment(EXP, pv, 1.5)
+        assert res.method_used == "scaling(quadrature)"
         assert res.value == pytest.approx(quad_moment(Exponential(1.0), pv, 1.5), rel=1e-12)
 
     def test_overflowing_terms_fail_the_series(self, wall_clock_limit):
@@ -122,42 +115,45 @@ class TestExponentialMoments:
 class TestLogLogisticMoments:
     def test_identity_half_moment(self):
         # E(X^r) of the standard log-logistic is r*pi/sin(r*pi)
-        res = moment_loglogistic(validate_params(1, [1.0]), 0.5)
+        res = moment(LL, validate_params(1, [1.0]), 0.5)
         assert res.value == pytest.approx(math.pi / 2.0, abs=1e-10)
 
     def test_two_parameter_half_moment(self):
-        # closed form: ((a1+a2)/2)^r * r*pi/sin(r*pi) * ((a1-a2)/(a1+a2)*r + 1)
-        res = moment_loglogistic(validate_params(2, [1.5, 0.5]), 0.5)
+        # closed form: ((a1+a2)/2)^r * r*pi/sin(r*pi) * ((a1-a2)/(a1+a2)*r + 1);
+        # auto would take it, so the quadrature is pinned
+        res = moment(LL, validate_params(2, [1.5, 0.5]), 0.5, method="quadrature")
         assert res.value == pytest.approx(1.25 * math.pi / 2.0, abs=1e-9)
 
     def test_zeroth_moment(self):
-        assert moment_loglogistic(validate_params(1, [1.0]), 0.0).value == 1.0
+        assert moment(LL, validate_params(1, [1.0]), 0.0).value == 1.0
 
     def test_negative_order_vs_quadrature(self):
         pv = validate_params(3, [2.0, 0.6, 0.7])
-        res = moment_loglogistic(pv, -0.5)
+        res = moment(LL, pv, -0.5)
         assert res.value == pytest.approx(quad_moment(LogLogistic(), pv, -0.5), rel=1e-7)
 
     def test_branches_agree(self):
         pv = validate_params(2, [1.8, 0.5])
-        z = moment_loglogistic(pv, 0.5, method="series_at_zero")
-        o = moment_loglogistic(pv, 0.5, method="series_at_one")
+        z = moment(LL, pv, 0.5, method="series_at_zero")
+        o = moment(LL, pv, 0.5, method="series_at_one")
         assert z.value == pytest.approx(o.value, rel=1e-9)
 
     def test_auto_falls_back_to_quadrature(self):
         """With a_1 = 1e5 the series at zero does not converge within its
         200,000 terms; auto integrates, a pinned series still raises."""
+        from moq.moments import _unit_moment
+
         pv = validate_params(3, [1e5, 0.5, 0.5])
-        res = moment(LogLogistic(), pv, 0.5)
+        res = moment(LL, pv, 0.5)
         assert res.method_used == "scaling(quadrature)"
         # mpmath quadrature of x^r times the extended density
         assert res.value == pytest.approx(537.724825670868, rel=1e-10)
         with pytest.raises(Nonconvergence):
-            moment_loglogistic(pv, 0.5, method="series_at_zero", max_terms=1000)
+            _unit_moment(LogLogistic, pv, 0.5, 1e-10, 1e-10, "series_at_zero", max_terms=1000)
 
     def test_order_domain(self):
         with pytest.raises(DomainError):
-            moment_loglogistic(validate_params(1, [1.0]), 1.0)
+            moment(LL, validate_params(1, [1.0]), 1.0)
 
     def test_long_series_against_mpmath(self):
         """The 3,107-term series at zero for a = (200, 0.5), against E(X^r)
@@ -189,10 +185,10 @@ class TestBlockSizes:
         out = []
         for q, a, r in [(5, (3.0, 0.3, 0.4, 0.9, 0.6), 2.0), (3, (2.5, 0.5, 0.8), 1.0)]:
             pv = validate_params(q, a)
-            out += [moment_exponential(pv, r, method=m) for m in ("series_at_zero", "series_at_one")]
-        out.append(moment_loglogistic(validate_params(2, [200.0, 0.5]), 0.5, method="series_at_zero"))
+            out += [moment(EXP, pv, r, method=m) for m in ("series_at_zero", "series_at_one")]
+        out.append(moment(LL, validate_params(2, [200.0, 0.5]), 0.5, method="series_at_zero"))
         try:
-            moment_exponential(validate_params(2, [20.0, 0.5]), 1.5, method="series_at_zero")
+            moment(EXP, validate_params(2, [20.0, 0.5]), 1.5, method="series_at_zero")
         except Nonconvergence as exc:
             out.append(str(exc))
         mixed = validate_params(5, (1.386, 0.1817, 0.2462, 0.4314, 0.3165))
@@ -200,7 +196,7 @@ class TestBlockSizes:
         out.append(sample_count(validate_params(2, [200.0, 0.5]), RandomSource(3), 2000).tolist())
         # long walks, each closed in the block predicted from the envelope: one
         # past the kept prefix, and one that walks the prefix first
-        out.append(moment_loglogistic(validate_params(2, [2000.0, 0.5]), 0.5, method="series_at_zero"))
+        out.append(moment(LL, validate_params(2, [2000.0, 0.5]), 0.5, method="series_at_zero"))
         out.append(series_at_zero(validate_params(3, (2000.0, 0.5, 0.5))))
         return out
 
@@ -256,25 +252,27 @@ class TestBlockSizes:
 
         monkeypatch.setattr(moments, "_alternating_binomial_inner", counted)
         with pytest.raises(Nonconvergence, match="ill-conditioned at index 50"):
-            moment_exponential(validate_params(2, [20.0, 0.5]), 1.5, method="series_at_zero")
+            moment(EXP, validate_params(2, [20.0, 0.5]), 1.5, method="series_at_zero")
         assert sum(rows) <= 100
 
 
-class TestOneWalk:
-    """The generalized-Weibull binomial transform against the per-order
-    series sums it was once built from and against exact rationals; the
-    log-logistic factors from a running sum of log ratios against mpmath;
-    and the single-order series of the unit exponential, which ends or
-    fails on its own terms."""
+class TestOrders:
+    """The generalized-Weibull binomial transform against a combination of
+    single-order series sums and against exact rationals; the log-logistic
+    factors from a running sum of log ratios against mpmath; and the
+    single-order series of the unit exponential, which ends or fails on its
+    own terms."""
 
     ORDERS = list(itertools.product((1, 2, 3), repeat=3))  # (1/shape, shape2, m)
 
     @staticmethod
     def per_order_transform(pv, inv_shape, shape2, m, tol=1e-10):
-        """The transform from one series-at-zero call per order, as it was
-        summed before: (value, error estimate)."""
+        """The transform from one unit-exponential series at zero per order,
+        with the estimates the transform combines: (value, error estimate)."""
+        from moq.moments import _unit_moment
+
         n = inv_shape * m
-        moments = [moment_exponential(pv, float(j), tol=tol * 1e-3, method="series_at_zero")
+        moments = [_unit_moment(Exponential, pv, float(j), tol * 1e-3, tol * 1e-3, "series_at_zero")
                    for j in range(shape2 * n + 1)]
         total = err = 0.0
         for k in range(n + 1):
@@ -313,7 +311,7 @@ class TestOneWalk:
     def test_binomial_transform_against_per_order_sums(self, a):
         pv = validate_params(len(a), a)
         for inv_shape, shape2, m in self.ORDERS:
-            res = moment_generalized_weibull(pv, 1.0, 1.0 / inv_shape, float(shape2), m)
+            res = moment(GeneralizedWeibull(1.0, 1.0 / inv_shape, float(shape2)), pv, m, method="closed_form")
             value, err = self.per_order_transform(pv, inv_shape, shape2, m)
             assert res.method_used == "binomial_transform"
             assert abs(res.value - value) <= res.error_estimate + err, (inv_shape, shape2, m)
@@ -323,7 +321,7 @@ class TestOneWalk:
         mp = pytest.importorskip("mpmath")
         pv = validate_params(len(a), a)
         for inv_shape, shape2, m in self.ORDERS:
-            res = moment_generalized_weibull(pv, 1.0, 1.0 / inv_shape, float(shape2), m)
+            res = moment(GeneralizedWeibull(1.0, 1.0 / inv_shape, float(shape2)), pv, m, method="closed_form")
             exact = self.exact_transform(a, inv_shape, shape2, m)
             with mp.workdps(40):
                 miss = abs(mp.mpf(res.value) - mp.mpf(exact.numerator) / exact.denominator)
@@ -341,16 +339,16 @@ class TestOneWalk:
         mp = pytest.importorskip("mpmath")
         pv = validate_params(len(a), a)
         for r in (-0.5, 0.3, 0.5, 0.9):
-            res = moment_loglogistic(pv, r, method=method)
+            res = moment(LL, pv, r, method=method)
             assert abs(res.value - mp_moment(mp, LogLogistic(), a, r)) <= res.error_estimate, (r, res)
 
     def test_each_order_ends_as_it_would_alone(self):
         """For a = (4, 0.5, 0.5) at tol 1e-13 the series at zero of order 8
         ends after 60 terms, within its estimate of the quadrature's value."""
         pv = validate_params(3, [4.0, 0.5, 0.5])
-        res = moment_exponential(pv, 8.0, tol=1e-13, method="series_at_zero")
-        assert (res.method_used, res.terms_used) == ("series_at_zero", 60)
-        quad = moment_exponential(pv, 8.0, tol=1e-13, method="quadrature")
+        res = moment(EXP, pv, 8.0, tol=1e-13, method="series_at_zero")
+        assert (res.method_used, res.terms_used) == ("scaling(series_at_zero)", 60)
+        quad = moment(EXP, pv, 8.0, tol=1e-13, method="quadrature")
         assert abs(res.value - quad.value) <= res.error_estimate + quad.error_estimate
 
     def test_failed_orders_keep_their_own_reason(self):
@@ -361,9 +359,9 @@ class TestOneWalk:
         pv, tol = validate_params(3, [4.0, 0.5, 0.5]), 1e-13
         for r, reason in ((0.3, "ill-conditioned at index 42"), (170.0, "term at index 25 is not finite")):
             with pytest.raises(Nonconvergence, match=reason):
-                moment_exponential(pv, r, tol=tol, method="series_at_zero")
-        res = moment_exponential(pv, 1.0, tol=tol, method="series_at_zero")
-        assert (res.method_used, res.terms_used) == ("series_at_zero", 45)
+                moment(EXP, pv, r, tol=tol, method="series_at_zero")
+        res = moment(EXP, pv, 1.0, tol=tol, method="series_at_zero")
+        assert (res.method_used, res.terms_used) == ("scaling(series_at_zero)", 45)
 
     def test_moment_table_ops_keep_path_and_terms(self):
         """Two series of the benchmark's moment table: path and terms, and
@@ -380,34 +378,34 @@ class TestOneWalk:
 
 
 class TestClosedForm:
+    @staticmethod
+    def closed(a1, a2, b1, b2, r):
+        return moment(LogLogistic(b1, b2), validate_params(2, [a1, a2]), r, method="closed_form").value
+
     def test_standard_case(self):
-        assert moment_q2_loglogistic_closed(1.0, 1.0, 1.0, 1.0, 0.5) == pytest.approx(
-            math.pi / 2.0, abs=1e-12
-        )
+        assert self.closed(1.0, 1.0, 1.0, 1.0, 0.5) == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_unequal_parameters(self):
-        assert moment_q2_loglogistic_closed(1.5, 0.5, 1.0, 1.0, 0.5) == pytest.approx(
-            1.25 * math.pi / 2.0, rel=1e-12
-        )
+        assert self.closed(1.5, 0.5, 1.0, 1.0, 0.5) == pytest.approx(1.25 * math.pi / 2.0, rel=1e-12)
 
     def test_zero_order_limit(self):
-        assert moment_q2_loglogistic_closed(1.5, 0.5, 2.0, 3.0, 0.0) == 1.0
+        assert self.closed(1.5, 0.5, 2.0, 3.0, 0.0) == 1.0
 
     def test_scaled_baseline_vs_quadrature(self):
         pv = validate_params(2, [1.5, 0.5])
-        val = moment_q2_loglogistic_closed(1.5, 0.5, 2.0, 2.0, 1.0)
+        val = self.closed(1.5, 0.5, 2.0, 2.0, 1.0)
         assert val == pytest.approx(quad_moment(LogLogistic(2.0, 2.0), pv, 1.0, tol=1e-9), rel=1e-8)
 
     def test_reversed_ordering_vs_quadrature(self):
         """The sign convention of the (a1 - a2) factor for a1 < a2 is decided
         by the quadrature oracle, not assumed."""
         pv = validate_params(2, [0.5, 1.5])
-        val = moment_q2_loglogistic_closed(0.5, 1.5, 1.0, 1.0, 0.5)
+        val = self.closed(0.5, 1.5, 1.0, 1.0, 0.5)
         assert val == pytest.approx(quad_moment(LogLogistic(), pv, 0.5), rel=1e-8)
 
     def test_order_domain(self):
         with pytest.raises(DomainError):
-            moment_q2_loglogistic_closed(1.0, 1.0, 1.0, 1.0, 1.0)
+            self.closed(1.0, 1.0, 1.0, 1.0, 1.0)
 
     def test_estimate_bounds_the_rounding(self):
         """The reported error bounds the rounding of the formula, against
@@ -441,76 +439,77 @@ class TestClosedForm:
 
 class TestWeibullScaling:
     def test_identity(self):
-        assert moment_weibull_scaled(validate_params(1, [1.0]), 1.0, 1.0, 1.0).value == pytest.approx(1.0)
+        assert moment(Weibull(1.0, 1.0), validate_params(1, [1.0]), 1.0).value == pytest.approx(1.0)
 
     def test_classical_second_moment(self):
         # Weibull(2, 2) second moment is scale^2 * Gamma(2) = 4
-        res = moment_weibull_scaled(validate_params(1, [1.0]), 2.0, 2.0, 2.0)
+        res = moment(Weibull(2.0, 2.0), validate_params(1, [1.0]), 2.0)
         assert res.value == pytest.approx(4.0, rel=1e-10)
 
     def test_extension_vs_quadrature(self):
         pv = validate_params(2, [1.5, 0.5])
-        res = moment_weibull_scaled(pv, 2.0, 2.0, 1.0)
+        res = moment(Weibull(2.0, 2.0), pv, 1.0)
         assert res.value == pytest.approx(quad_moment(Weibull(2.0, 2.0), pv, 1.0), rel=1e-6)
 
     def test_zero_order_limit(self):
-        assert moment_weibull_scaled(validate_params(2, [1.5, 0.5]), 2.0, 2.0, 0.0).value == 1.0
+        assert moment(Weibull(2.0, 2.0), validate_params(2, [1.5, 0.5]), 0.0).value == 1.0
 
 
 class TestGeneralizedWeibull:
+    """The binomial transform, which moment() takes under a pinned closed_form."""
+
+    @staticmethod
+    def transform(pv, scale, shape, shape2, m):
+        return moment(GeneralizedWeibull(scale, shape, shape2), pv, m, method="closed_form")
+
     def test_identity_baseline(self):
-        res = moment_generalized_weibull(validate_params(1, [1.0]), 1.0, 1.0, 1.0, 1)
+        res = self.transform(validate_params(1, [1.0]), 1.0, 1.0, 1.0, 1)
         assert res.value == pytest.approx(1.0, rel=1e-10)
 
     def test_polynomial_transform_case(self):
         """shape2 = 2 with unit parameters: X = (1 + X0)^2 - 1 for unit
         exponential X0, so E X = E X0^2 + 2 E X0 = 4; quadrature agrees."""
-        res = moment_generalized_weibull(validate_params(1, [1.0]), 1.0, 1.0, 2.0, 1)
+        res = self.transform(validate_params(1, [1.0]), 1.0, 1.0, 2.0, 1)
         assert res.value == pytest.approx(4.0, rel=1e-9)
         quad = quad_moment(GeneralizedWeibull(1.0, 1.0, 2.0), validate_params(1, [1.0]), 1.0, tol=1e-9)
         assert res.value == pytest.approx(quad, rel=1e-6)
 
     def test_extension_vs_quadrature(self):
         pv = validate_params(2, [1.5, 0.5])
-        res = moment_generalized_weibull(pv, 2.0, 0.5, 1.0, 2)
+        res = self.transform(pv, 2.0, 0.5, 1.0, 2)
         quad = quad_moment(GeneralizedWeibull(2.0, 0.5, 1.0), pv, 2.0, tol=1e-8)
         assert res.value == pytest.approx(quad, rel=1e-6)
 
     def test_integrality_checks(self):
         pv = validate_params(1, [1.0])
         with pytest.raises(DomainError):
-            moment_generalized_weibull(pv, 1.0, 0.6, 1.0, 1)  # 1/shape not integer
+            self.transform(pv, 1.0, 0.6, 1.0, 1)  # 1/shape not integer
         with pytest.raises(DomainError):
-            moment_generalized_weibull(pv, 1.0, 1.0, 1.5, 1)  # shape2 not integer
+            self.transform(pv, 1.0, 1.0, 1.5, 1)  # shape2 not integer
         with pytest.raises(DomainError):
-            moment_generalized_weibull(pv, 1.0, 1.0, 1.0, 0)  # order not positive
+            self.transform(pv, 1.0, 1.0, 1.0, 0)  # order not positive
 
 
 class TestMomentBound:
+    """The two sides of the expectation-bound check of ``moq verify``."""
+
     def test_identity_parameters_reach_equality(self):
-        lhs, rhs = moment_bound_check(validate_params(1, [1.0]), Exponential(1.0), 1.0)
+        lhs, rhs = _bound_sides(validate_params(1, [1.0]), Exponential(1.0), 1.0)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_exponential_bound(self):
-        lhs, rhs = moment_bound_check(validate_params(2, [1.5, 0.5]), Exponential(1.0), 1.0)
+        lhs, rhs = _bound_sides(validate_params(2, [1.5, 0.5]), Exponential(1.0), 1.0)
         assert lhs <= rhs + 1e-9
         assert rhs == pytest.approx(1.5, rel=1e-9)
 
     def test_loglogistic_bound_with_analytic_right_side(self):
-        lhs, rhs = moment_bound_check(validate_params(3, [2.0, 0.6, 0.7]), LogLogistic(), 0.5)
+        lhs, rhs = _bound_sides(validate_params(3, [2.0, 0.6, 0.7]), LogLogistic(), 0.5)
         assert lhs <= rhs + 1e-9
         assert rhs == pytest.approx(2.0 * math.pi / 2.0, rel=1e-8)
 
-    def test_monte_carlo_left_side(self):
-        pv = validate_params(2, [1.5, 0.5])
-        lhs, rhs = moment_bound_check(pv, Exponential(1.0), 1.0, n_mc=200_000, seed=3)
-        exact = quad_moment(Exponential(1.0), pv, 1.0)
-        assert lhs == pytest.approx(exact, rel=0.02)
-        assert lhs <= rhs + 0.02
-
     def test_requires_pmf_regime(self):
         with pytest.raises(ConditionViolated):
-            moment_bound_check(validate_params(2, [1e-6, 0.15]), Exponential(1.0), 1.0)
+            _bound_sides(validate_params(2, [1e-6, 0.15]), Exponential(1.0), 1.0)
 
 
 class TestFrontDoor:
@@ -787,7 +786,7 @@ class TestQuadrature:
         transform of the exponential's: 1.87e9 at m = 3."""
         mp = pytest.importorskip("mpmath")
         baseline, a = GeneralizedWeibull(1.0, 0.5, 2.0), (1.5, 0.5)
-        res = moment_generalized_weibull(validate_params(2, a), 1.0, 0.5, 2.0, m)
+        res = moment(baseline, validate_params(2, a), m, method="closed_form")
         assert res.value == pytest.approx(float(mp_moment(mp, baseline, a, m)), rel=1e-12)
 
 
@@ -1101,7 +1100,7 @@ class TestRouting:
         pv = validate_params(2, [1.5, 0.5])
         assert _unit_moment(Exponential, pv, 0.0, 1e-13, 1e-13, "auto") == MomentResult(1.0, "closed_form", 1, 0.0)
         res = _unit_moment(Exponential, pv, 1.0, 1e-13, 1e-13, "auto")
-        gw = moment_generalized_weibull(pv, 1.0, 1.0, 1.0, 1)
+        gw = moment(GeneralizedWeibull(1.0, 1.0, 1.0), pv, 1.0, method="closed_form")
         assert gw.method_used == "binomial_transform"
         assert abs(gw.value - res.value) <= gw.error_estimate
 
@@ -1130,7 +1129,7 @@ class TestRouting:
         a = (9.743716844665888, 0.09383741149985923, 0.1479449610186872,
              0.6979621847174724, 0.8982773889373366, 0.19843143616866027)
         r = 0.23994548870075624
-        res = moment_loglogistic(validate_params(6, a), r, method="series_at_one")
+        res = moment(LL, validate_params(6, a), r, method="series_at_one")
         exact = mp_moment(mp, LogLogistic(), a, r)
         assert exact == pytest.approx(2.0480001528, rel=1e-10)
         assert abs(res.value - exact) <= res.error_estimate
@@ -1311,3 +1310,16 @@ class TestAutoContract:
             assert abs(res.value - mp_moment(mp, baseline, a, r)) <= res.error_estimate, res
 
         check()
+
+
+def test_one_moment_front_door():
+    """moment() is the only public moment function, and the x-space
+    oracle it is checked against is not within its reach."""
+    import moq
+    from moq import moments
+
+    assert moments.__all__ == ["MomentResult", "moment"]
+    removed = ("moment_exponential", "moment_loglogistic", "moment_q2_loglogistic_closed", "moment_weibull_scaled",
+               "moment_generalized_weibull", "moment_bound_check", "composition_pair")
+    assert [name for name in removed if hasattr(moq, name)] == []
+    assert integrate_semiinfinite not in vars(moments).values()

@@ -414,10 +414,10 @@ class TestInverseCdf:
         assert np.array_equal(b1.values, b2.values)
 
     def test_sample_mean_matches_moment(self):
-        from moq import moment_exponential
+        from moq import moment
 
         batch = sample_inverse_cdf(ED, RandomSource(21), N)
-        expected = moment_exponential(ED.pv, 1.0).value
+        expected = moment(ED.baseline, ED.pv, 1.0).value
         sd = float(batch.values.std(ddof=1)) / math.sqrt(N)
         assert abs(float(batch.values.mean()) - expected) <= 4 * sd
 
